@@ -9,7 +9,6 @@ quantization, and three fully worked games (traffic assignment,
 exhaustible-resource competition, congested crowd motion).
 """
 
-from ._kernels import BACKEND
 from .measures import (
     ConditionalFamily,
     EmpiricalMeasure,
@@ -36,7 +35,6 @@ from .solvers import AgentState, SolveReport, SolverConfig, candidate_objective,
 from .transport import Coupling, MetricSpec, assignment_solve, bridge, d1, glue, ot_solve
 
 __all__ = [
-    "BACKEND",
     "AgentState",
     "AggregateVector",
     "ConditionalFamily",

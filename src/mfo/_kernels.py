@@ -1,124 +1,64 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels, vectorized with numpy.
 
-The backend is picked once at import from ``MFO_BACKEND``:
-
-* ``auto``  (default) -- numba when importable, numpy otherwise
-* ``numba`` -- require the jitted kernels
-* ``numpy`` -- force the vectorized fallback
-
-Both implementations of each kernel are importable directly
-(``*_numpy`` / ``*_numba``) for tests and benchmarks; the module-level
-aliases ``resource_br`` and ``congestion_dp`` follow the selected
-backend.  Backends agree to float roundoff (summation order differs);
-seeded runs are bit-reproducible within one backend.
+``resource_br`` solves the budgeted quadratic best response of the
+resource game exactly, by water-filling; ``congestion_dp`` is the
+forward-only trajectory DP of the congestion game.  Both are
+deterministic, so seeded runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-BACKEND_REQUESTED = os.environ.get("MFO_BACKEND", "auto").lower()
-if BACKEND_REQUESTED not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"MFO_BACKEND must be auto|numba|numpy, got {BACKEND_REQUESTED!r}")
-
 
 # -- budgeted quadratic best response (resource game) ------------------------
 #
 # minimize, over q in [0, 1/2]^M with dt*sum(q) <= x,
 #     sum_t w_t (lam1*q_t^2 - top_t*q_t)        (w_t = dt*exp(-r*t*dt))
-# via bisection on the budget multiplier theta >= 0 with the closed form
-#     q_t(theta) = clip((top_t - theta*exp(r*t*dt)) / (2*lam1), 0, 1/2).
-# The returned theta is the upper bisection endpoint, so the budget
-# constraint holds exactly (never overshoots).
+# For a budget multiplier theta >= 0 the minimizer is
+#     q_t(theta) = clip((top_t - theta*ert_t) / (2*lam1), 0, 1/2),
+# so spend(theta) = dt*sum(q(theta)) is piecewise linear and
+# non-increasing, with kinks where some q_t leaves 1/2 or reaches 0.
+# The kinks depend on (top, ert, lam1) only, which every agent shares:
+# the multiplier of each budget is found by interpolating between them
+# (water-filling; Boyd & Vandenberghe, Convex Optimization, Ex. 5.2).
 
-_BISECT_ITERS = 90
 
+def resource_br(top, ert, lam1, dt, budgets):
+    """Exact best responses for a batch of budgets: returns ``(q, theta)``.
 
-def resource_br_numpy(top, ert, lam1, dt, budgets):
-    """Vectorized over agents: one multiplier bisection per budget."""
+    ``q`` has one row per budget; ``theta`` is the smallest multiplier
+    whose spend fits the budget.  The spend never exceeds the budget:
+    where roundoff in the interpolation overshoots, theta is nudged up
+    until it fits, never past the segment's upper kink, whose spend
+    fits by construction.
+    """
     top = np.asarray(top, dtype=float)
     ert = np.asarray(ert, dtype=float)
     budgets = np.asarray(budgets, dtype=float)
     denom = 2.0 * lam1
 
     def q_of(theta):
-        raw = (top[None, :] - theta[:, None] * ert[None, :]) / denom
-        return np.clip(raw, 0.0, 0.5)
+        return np.clip((top - theta[:, None] * ert) / denom, 0.0, 0.5)
 
-    q0 = q_of(np.zeros(1))[0]
-    spend0 = dt * q0.sum()
-    theta = np.zeros(len(budgets))
-    need = budgets < spend0
-    if np.any(need):
-        theta_max = max(float(np.max(top / ert)), 0.0)
-        lo = np.zeros(int(need.sum()))
-        hi = np.full(int(need.sum()), theta_max)
-        x_need = budgets[need]
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            spend = dt * q_of(mid).sum(axis=1)
-            over = spend > x_need
-            lo = np.where(over, mid, lo)
-            hi = np.where(over, hi, mid)
-        theta[need] = hi
+    kinks = np.unique(np.concatenate([[0.0], (top - lam1) / ert, top / ert]).clip(min=0.0))
+    spend = dt * q_of(kinks).sum(axis=1)
+    # First kink whose spend fits: theta lies in [kinks[i-1], kinks[i]].  At
+    # the last kink roundoff can leave a spend of a few ulps above a zero
+    # budget (i == len); at twice that kink every q_t is exactly zero.
+    i = np.searchsorted(-spend, -budgets)
+    hi = np.append(kinks, 2.0 * kinks[-1])[i]
+    theta = kinks[np.maximum(i - 1, 0)]
+    seg = np.flatnonzero((i > 0) & (i < len(kinks)))
+    j = i[seg]
+    theta[seg] += (spend[j - 1] - budgets[seg]) / (spend[j - 1] - spend[j]) * (kinks[j] - kinks[j - 1])
     q = q_of(theta)
-    return q, theta
-
-
-def _resource_br_loops(top, ert, lam1, dt, budgets):
-    n = budgets.shape[0]
-    m = top.shape[0]
-    q = np.empty((n, m))
-    theta = np.zeros(n)
-    denom = 2.0 * lam1
-    q0 = np.empty(m)
-    spend0 = 0.0
-    theta_max = 0.0
-    for t in range(m):
-        v = top[t] / denom
-        if v < 0.0:
-            v = 0.0
-        elif v > 0.5:
-            v = 0.5
-        q0[t] = v
-        spend0 += v
-        c = top[t] / ert[t]
-        if c > theta_max:
-            theta_max = c
-    spend0 *= dt
-    for i in range(n):
-        x = budgets[i]
-        if spend0 <= x:
-            for t in range(m):
-                q[i, t] = q0[t]
-            continue
-        lo = 0.0
-        hi = theta_max
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            spend = 0.0
-            for t in range(m):
-                v = (top[t] - mid * ert[t]) / denom
-                if v < 0.0:
-                    v = 0.0
-                elif v > 0.5:
-                    v = 0.5
-                spend += v
-            spend *= dt
-            if spend > x:
-                lo = mid
-            else:
-                hi = mid
-        theta[i] = hi
-        for t in range(m):
-            v = (top[t] - hi * ert[t]) / denom
-            if v < 0.0:
-                v = 0.0
-            elif v > 0.5:
-                v = 0.5
-            q[i, t] = v
+    over = np.flatnonzero(dt * q.sum(axis=1) > budgets)
+    step = np.spacing(hi[over])
+    while over.size:
+        theta[over] = np.minimum(theta[over] + step, hi[over])
+        q[over] = q_of(theta[over])
+        still = (dt * q[over].sum(axis=1) > budgets[over]) & (theta[over] < hi[over])
+        over, step = over[still], 2.0 * step[still]
     return q, theta
 
 
@@ -131,7 +71,7 @@ def _resource_br_loops(top, ert, lam1, dt, budgets):
 # it, so zero-cost regions yield the canonical halt-at-target path.
 
 
-def congestion_dp_numpy(cost, qmax, below_target, s0):
+def congestion_dp(cost, qmax, below_target, s0):
     """Backward DP with sliding-window minima; returns (value, path)."""
     n, m = cost.shape
     value = np.zeros(n)
@@ -150,62 +90,3 @@ def congestion_dp_numpy(cost, qmax, below_target, s0):
     for t in range(m):
         path[t + 1] = choice[t, path[t]]
     return float(value[s0]), path
-
-
-def _congestion_dp_loops(cost, qmax, below_target, s0):
-    n, m = cost.shape
-    value = np.zeros(n)
-    nxt = np.empty(n)
-    choice = np.empty((m, n), dtype=np.int64)
-    for t in range(m - 1, -1, -1):
-        for s in range(n):
-            top = s + qmax
-            if top > n - 1:
-                top = n - 1
-            if below_target[s]:
-                best = value[top]
-                arg = top
-                for sp in range(top - 1, s - 1, -1):
-                    if value[sp] < best:
-                        best = value[sp]
-                        arg = sp
-            else:
-                best = value[s]
-                arg = s
-                for sp in range(s + 1, top + 1):
-                    if value[sp] < best:
-                        best = value[sp]
-                        arg = sp
-            nxt[s] = cost[s, t] + best
-            choice[t, s] = arg
-        for s in range(n):
-            value[s] = nxt[s]
-    path = np.empty(m + 1, dtype=np.int64)
-    path[0] = s0
-    for t in range(m):
-        path[t + 1] = choice[t, path[t]]
-    return value[s0], path
-
-
-_use_numba = False
-if BACKEND_REQUESTED in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _use_numba = True
-    except ImportError:
-        if BACKEND_REQUESTED == "numba":
-            raise
-
-if _use_numba:
-    resource_br_numba = njit(cache=True)(_resource_br_loops)
-    congestion_dp_numba = njit(cache=True)(_congestion_dp_loops)
-    resource_br = resource_br_numba
-    congestion_dp = congestion_dp_numba
-    BACKEND = "numba"
-else:
-    resource_br_numba = None
-    congestion_dp_numba = None
-    resource_br = resource_br_numpy
-    congestion_dp = congestion_dp_numpy
-    BACKEND = "numpy"

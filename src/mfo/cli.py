@@ -9,9 +9,8 @@ Verbs:
 
 Configs are versioned JSON (see README).  Every numeric artifact is
 reproducible from (config, seed); the only non-reproducible column is
-the measured ``time_ms`` in ``history.csv``.  Batch repeats run
-concurrently with independent seeds; the worker count comes from the
-``MFO_THREADS`` environment variable.
+the measured ``time_ms`` in ``history.csv``.  Batch repeats run one
+after another, each with its own seed.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -192,13 +189,7 @@ def cmd_solve(args) -> int:
         print(f"solve[{problem.name}] iterations={report.iterations_run} "
               f"objective={report.certificate.primal_value:.8g} gap={report.certificate.gap:.3g}")
         return 0
-    workers = max(1, int(os.environ.get("MFO_THREADS", "1")))
-
-    def one(r):
-        return _run_single(cfg, base_seed + r, out / f"rep{r:03d}")
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, range(repeats)))
+    results = [_run_single(cfg, base_seed + r, out / f"rep{r:03d}") for r in range(repeats)]
     problem = results[0][0]
     if problem.name == "resource":
         rates = []

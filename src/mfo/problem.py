@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, first_marginal, mix
+from .measures import EmpiricalMeasure, first_marginal
 
 
 @dataclass(frozen=True)
@@ -287,8 +287,3 @@ def value_directional_derivative(problem: MfoProblem, m0, m1, lam_star_m0: Aggre
     _, v1 = _support_values(problem, lam_star_m0, m1)
     _, v0 = _support_values(problem, lam_star_m0, m0)
     return float(m1.weights @ v1) - float(m0.weights @ v0)
-
-
-def marginal_segment(m0: EmpiricalMeasure, m1: EmpiricalMeasure, t: float) -> EmpiricalMeasure:
-    """The mixture ``m0 + t (m1 - m0)`` as an empirical measure."""
-    return mix(m0, m1, t)

@@ -13,7 +13,7 @@ states, and keeps the cheapest (optionally also guarding with the
 incumbent, which makes the objective non-increasing).  Randomness comes
 from counter-based streams keyed on ``(seed; iteration, candidate)``,
 so agent draws are independent of execution order and runs are
-bit-reproducible per backend.
+bit-reproducible.
 """
 
 from __future__ import annotations

@@ -1,7 +1,105 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mfo import _kernels
+
+# -- plain-Python references -------------------------------------------------
+
+_BISECTION_STEPS = 90
+
+
+def resource_br_bisection(top, ert, lam1, dt, budgets):
+    """The bisection the exact kernel replaced: 90 halvings of the multiplier per agent."""
+    n = budgets.shape[0]
+    m = top.shape[0]
+    q = np.empty((n, m))
+    theta = np.zeros(n)
+    denom = 2.0 * lam1
+    q0 = np.empty(m)
+    spend0 = 0.0
+    theta_max = 0.0
+    for t in range(m):
+        v = top[t] / denom
+        if v < 0.0:
+            v = 0.0
+        elif v > 0.5:
+            v = 0.5
+        q0[t] = v
+        spend0 += v
+        c = top[t] / ert[t]
+        if c > theta_max:
+            theta_max = c
+    spend0 *= dt
+    for i in range(n):
+        x = budgets[i]
+        if spend0 <= x:
+            for t in range(m):
+                q[i, t] = q0[t]
+            continue
+        lo = 0.0
+        hi = theta_max
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            spend = 0.0
+            for t in range(m):
+                v = (top[t] - mid * ert[t]) / denom
+                if v < 0.0:
+                    v = 0.0
+                elif v > 0.5:
+                    v = 0.5
+                spend += v
+            spend *= dt
+            if spend > x:
+                lo = mid
+            else:
+                hi = mid
+        theta[i] = hi
+        for t in range(m):
+            v = (top[t] - hi * ert[t]) / denom
+            if v < 0.0:
+                v = 0.0
+            elif v > 0.5:
+                v = 0.5
+            q[i, t] = v
+    return q, theta
+
+
+def congestion_dp_loops(cost, qmax, below_target, s0):
+    """Backward DP scanning every successor, with the kernel's tie-break."""
+    n, m = cost.shape
+    value = np.zeros(n)
+    nxt = np.empty(n)
+    choice = np.empty((m, n), dtype=np.int64)
+    for t in range(m - 1, -1, -1):
+        for s in range(n):
+            top = s + qmax
+            if top > n - 1:
+                top = n - 1
+            if below_target[s]:
+                best = value[top]
+                arg = top
+                for sp in range(top - 1, s - 1, -1):
+                    if value[sp] < best:
+                        best = value[sp]
+                        arg = sp
+            else:
+                best = value[s]
+                arg = s
+                for sp in range(s + 1, top + 1):
+                    if value[sp] < best:
+                        best = value[sp]
+                        arg = sp
+            nxt[s] = cost[s, t] + best
+            choice[t, s] = arg
+        for s in range(n):
+            value[s] = nxt[s]
+    path = np.empty(m + 1, dtype=np.int64)
+    path[0] = s0
+    for t in range(m):
+        path[t + 1] = choice[t, path[t]]
+    return value[s0], path
 
 
 def random_br_inputs(rng, n_agents=20, steps=40):
@@ -13,24 +111,58 @@ def random_br_inputs(rng, n_agents=20, steps=40):
     return top, ert, 1.0, dt, budgets
 
 
+def spend_at(top, ert, lam1, dt, theta):
+    q = np.clip((top[None, :] - np.atleast_1d(theta)[:, None] * ert[None, :]) / (2.0 * lam1), 0.0, 0.5)
+    return dt * q.sum(axis=1)
+
+
 class TestResourceKernel:
     def test_numpy_output_is_feasible(self):
         rng = np.random.default_rng(0)
         top, ert, lam1, dt, budgets = random_br_inputs(rng)
-        q, theta = _kernels.resource_br_numpy(top, ert, lam1, dt, budgets)
+        q, theta = _kernels.resource_br(top, ert, lam1, dt, budgets)
         assert np.all(q >= 0.0) and np.all(q <= 0.5)
         assert np.all(theta >= 0.0)
-        assert np.all(dt * q.sum(axis=1) <= budgets + 1e-12)
+        assert np.all(dt * q.sum(axis=1) <= budgets)
 
-    @pytest.mark.skipif(_kernels.resource_br_numba is None, reason="numba unavailable")
-    def test_backends_agree(self):
+    def test_matches_bisection_reference(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             top, ert, lam1, dt, budgets = random_br_inputs(rng)
-            q_np, th_np = _kernels.resource_br_numpy(top, ert, lam1, dt, budgets)
-            q_nb, th_nb = _kernels.resource_br_numba(top, ert, lam1, dt, budgets)
-            np.testing.assert_allclose(q_nb, q_np, atol=1e-10)
-            np.testing.assert_allclose(th_nb, th_np, atol=1e-10)
+            q, theta = _kernels.resource_br(top, ert, lam1, dt, budgets)
+            q_ref, theta_ref = resource_br_bisection(top, ert, lam1, dt, budgets)
+            np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(theta, theta_ref, rtol=0, atol=1e-10)
+
+    def test_budget_never_overshot(self):
+        # random instances plus the edges of the water-filling search: a zero
+        # budget, the unconstrained spend, the spend at every kink, one step
+        # (M = 1), no profitable step (top <= 0) and a flat discount (tied kinks)
+        rng = np.random.default_rng(4)
+        for case in range(1200):
+            steps = 1 if case % 5 == 0 else int(rng.integers(2, 61))
+            dt = rng.uniform(0.05, 1.0)
+            rate = 0.0 if case % 3 == 0 else rng.uniform(0.0, 1.5)
+            ert = np.exp(rate * dt * np.arange(steps))
+            lam1 = rng.uniform(0.5, 2.0)
+            top = rng.uniform(-0.5, 1.0, steps) * rng.choice([1.0, 4.0])
+            if case % 7 == 0:
+                top = -np.abs(top)
+            spend0 = spend_at(top, ert, lam1, dt, 0.0)[0]
+            kinks = np.concatenate([(top - lam1) / ert, top / ert]).clip(min=0.0)
+            budgets = np.concatenate([
+                rng.uniform(0.0, 1.2 * spend0, int(rng.integers(1, 30))),
+                [0.0, spend0],
+                spend_at(top, ert, lam1, dt, kinks),
+            ])
+            q, theta = _kernels.resource_br(top, ert, lam1, dt, budgets)
+            spend = dt * q.sum(axis=1)
+            assert np.all(spend <= budgets), case
+            assert np.all(q >= 0.0) and np.all(q <= 0.5)
+            assert np.all(theta >= 0.0)
+            assert np.all(theta[budgets >= spend0] == 0.0), case
+            # complementary slackness: a positive multiplier means the budget binds
+            assert np.all(budgets[theta > 0] - spend[theta > 0] <= 1e-12), case
 
 
 class TestCongestionKernel:
@@ -39,8 +171,7 @@ class TestCongestionKernel:
         n_pos, steps, qmax = 7, 4, 2
         cost = rng.random((n_pos, steps))
         below = np.ones(n_pos, dtype=bool)
-        value, path = _kernels.congestion_dp_numpy(cost, qmax, below, 0)
-        import itertools
+        value, path = _kernels.congestion_dp(cost, qmax, below, 0)
 
         best = np.inf
         for moves in itertools.product(range(qmax + 1), repeat=steps):
@@ -52,8 +183,7 @@ class TestCongestionKernel:
         assert path[0] == 0
         assert np.all(np.diff(path) >= 0) and np.all(np.diff(path) <= qmax)
 
-    @pytest.mark.skipif(_kernels.congestion_dp_numba is None, reason="numba unavailable")
-    def test_backends_agree_exactly(self):
+    def test_matches_loop_reference_exactly(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             n_pos = int(rng.integers(5, 60))
@@ -62,48 +192,14 @@ class TestCongestionKernel:
             cost = rng.random((n_pos, steps))
             below = rng.random(n_pos) < 0.8
             s0 = int(rng.integers(0, n_pos))
-            v_np, p_np = _kernels.congestion_dp_numpy(cost, qmax, below, s0)
-            v_nb, p_nb = _kernels.congestion_dp_numba(cost, qmax, below, s0)
-            assert v_nb == pytest.approx(v_np, abs=1e-12)
-            np.testing.assert_array_equal(p_nb, p_np)
+            value, path = _kernels.congestion_dp(cost, qmax, below, s0)
+            value_ref, path_ref = congestion_dp_loops(cost, qmax, below, s0)
+            assert value == value_ref
+            np.testing.assert_array_equal(path, path_ref)
 
     def test_tie_break_prefers_progress_below_target(self):
         # flat costs: walk at full speed while below, stay once past
         cost = np.zeros((9, 3))
         below = np.array([True] * 4 + [False] * 5)
-        _, path = _kernels.congestion_dp_numpy(cost, 2, below, 0)
+        _, path = _kernels.congestion_dp(cost, 2, below, 0)
         assert path.tolist() == [0, 2, 4, 4]
-
-
-class TestBackendSelection:
-    def test_backend_reported(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-
-    def test_numpy_env_flag(self):
-        import subprocess, sys
-        from pathlib import Path
-
-        import mfo
-
-        # minimal env, plus the directory holding the mfo under test, so the
-        # child imports the same package whether it came from PYTHONPATH,
-        # pytest's pythonpath or an install
-        pkg_root = str(Path(mfo.__file__).resolve().parents[1])
-
-        def child(flag):
-            return subprocess.run(
-                [sys.executable, "-c", "import mfo; print(mfo.BACKEND)"],
-                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root, "MFO_BACKEND": flag},
-                capture_output=True,
-                text=True,
-            )
-
-        out = child("numpy")
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "numpy"
-
-        # without numba, "auto" also gives numpy; an invalid flag shows the
-        # child really reads MFO_BACKEND
-        bad = child("bogus")
-        assert bad.returncode != 0
-        assert "MFO_BACKEND must be auto|numba|numpy" in bad.stderr

@@ -12,6 +12,7 @@ from mfo import (
     fw_gap,
     fw_solve,
     linearized_solve,
+    mix,
     ot_solve,
     u_lambda,
     value_directional_derivative,
@@ -349,9 +350,7 @@ class TestDirectionalDerivative:
         cert0, _ = self._lambda_star(prob, m0)
         deriv = value_directional_derivative(prob, m0, m1, cert0.lam)
         t = 1e-2
-        from mfo.problem import marginal_segment
-
-        mt = marginal_segment(m0, m1, t)
+        mt = mix(m0, m1, t)
         cert_t, _ = self._lambda_star(prob, mt)
         fd = (cert_t.primal_value - cert0.primal_value) / t
         ld = prob.grad_lipschitz * prob.sup_g_diff_sq

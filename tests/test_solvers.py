@@ -152,7 +152,8 @@ class TestStochasticFrankWolfe:
 
 
 class TestOracleFailure:
-    def test_aborts_with_partial_history_and_agent_index(self, resource_problem):
+    @pytest.mark.parametrize("solve", [fw_solve, sfw_solve], ids=["fw_solve", "sfw_solve"])
+    def test_aborts_with_partial_history_and_agent_index(self, resource_problem, solve):
         from mfo import OracleError
 
         class Flaky(type(resource_problem)):
@@ -170,8 +171,10 @@ class TestOracleFailure:
         prob = Flaky(horizon=10.0, steps=30)
         m = uniform_marginal([0.5, 2.0])
         with pytest.raises(OracleError, match="agent 1") as excinfo:
-            fw_solve(prob, m, SolverConfig(iterations=50))
-        assert len(excinfo.value.partial_records) >= 1
+            solve(prob, m, SolverConfig(iterations=50))
+        # one oracle call sets up the start, then one per iteration: the
+        # fourth call fails in iteration 2, after records 0 and 1
+        assert [r.k for r in excinfo.value.partial_records] == [0, 1]
 
 
 class TestStepRules:
