@@ -39,6 +39,30 @@ def _as_point(p) -> np.ndarray:
     return a
 
 
+def _atom_groups(columns, weights):
+    """The atom-identity rule: which atoms count as one point.
+
+    ``columns`` are the 2-D coordinate blocks of the atoms.  Rows are
+    sorted lexicographically and consecutive rows within
+    :data:`ATOM_TOL` in every coordinate are chained into one group;
+    zero-weight rows join no group (id -1).  Returns every row's group
+    id, numbering groups by first appearance, and each group's first row.
+    """
+    keys = [col[:, k] for col in columns for k in range(col.shape[1])]
+    order = np.lexsort(keys[::-1])
+    order = order[weights[order] > 0.0]
+    ids = np.full(len(weights), -1, dtype=np.intp)
+    if not len(order):
+        return ids, order
+    chained = np.ones(len(order) - 1, dtype=bool)
+    for key in keys:
+        chained &= np.abs(np.diff(key[order])) <= ATOM_TOL
+    new = np.concatenate(([True], ~chained))
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    ids[order] = np.argsort(np.argsort(first))[np.cumsum(new) - 1]
+    return ids, np.sort(first)
+
+
 class EmpiricalMeasure:
     """A finitely supported probability measure with ordered atoms."""
 
@@ -99,8 +123,7 @@ class EmpiricalMeasure:
         """Build a measure from ``(coords..., weight)`` tuples.
 
         Each atom is ``(x, w)`` on space X, ``(x, y, w)`` on Z, etc.  With
-        ``merge=True`` duplicate atoms (componentwise within
-        :data:`ATOM_TOL`) are coalesced.
+        ``merge=True`` duplicate atoms are coalesced by :meth:`merged`.
         """
         cols = _SPACE_COLUMNS[space]
         if not atoms:
@@ -142,9 +165,6 @@ class EmpiricalMeasure:
         for i in range(len(self)):
             yield tuple(col[i] for col in cols) + (float(self.weights[i]),)
 
-    def _rows(self):
-        return np.hstack(self.columns())
-
     def __repr__(self):
         return f"EmpiricalMeasure(space={self.space!r}, atoms={len(self)})"
 
@@ -155,7 +175,7 @@ class EmpiricalMeasure:
         a, b = self.merged(), other.merged()
         if len(a) != len(b):
             return False
-        ra, rb = a._rows(), b._rows()
+        ra, rb = np.hstack(a.columns()), np.hstack(b.columns())
         if ra.shape != rb.shape:
             return False
         ia = np.lexsort(ra.T[::-1])
@@ -167,46 +187,27 @@ class EmpiricalMeasure:
 
     # -- atom merging ----------------------------------------------------------
 
-    def merged(self, tol=ATOM_TOL):
+    def merged(self):
         """Coalesce duplicate atoms, keeping first-appearance order.
 
-        Zero-weight atoms are dropped.  Duplicates are detected on the
-        lexicographically sorted atom list: consecutive rows within
-        ``tol`` in every component belong to the same group.
+        Zero-weight atoms are dropped.  After a lexicographic sort,
+        consecutive rows within :data:`ATOM_TOL` in every component are
+        chained into one atom with the first member's coordinates and the
+        summed weight.  Only sort neighbours are compared, so ``(0, 3)``,
+        ``(0, 5)``, ``(1e-13, 3)`` (sorted in that order) stay 3 atoms.
         """
-        rows = self._rows()
-        w = self.weights
-        keep = w > 0.0
-        if not np.all(keep):
-            rows, w = rows[keep], w[keep]
-            orig = np.flatnonzero(keep)
-        else:
-            orig = np.arange(len(w))
-        order = np.lexsort(rows.T[::-1])
-        group_of = np.empty(len(order), dtype=np.intp)
-        n_groups = 0
-        for pos, idx in enumerate(order):
-            if pos > 0 and np.all(np.abs(rows[idx] - rows[order[pos - 1]]) <= tol):
-                group_of[idx] = group_of[order[pos - 1]]
-            else:
-                group_of[idx] = n_groups
-                n_groups += 1
-        rep = np.full(n_groups, len(rows), dtype=np.intp)
-        total = np.zeros(n_groups)
-        for i in range(len(rows)):
-            g = group_of[i]
-            rep[g] = min(rep[g], i)
-            total[g] += w[i]
-        order_out = np.argsort(rep, kind="stable")
-        sel = orig[rep[order_out]]
-        cols = self.columns()
-        picked = {c: col[sel] for c, col in zip(_SPACE_COLUMNS[self.space], cols)}
+        return self._collapse(*_atom_groups(self.columns(), self.weights))
+
+    def _collapse(self, ids, first):
+        """One atom per group: the first member's coordinates, the summed weight."""
+        keep = ids >= 0
+        picked = {c: col[first] for c, col in zip(_SPACE_COLUMNS[self.space], self.columns())}
         return EmpiricalMeasure(
             self.space,
             xs=picked.get("x"),
             ys=picked.get("y"),
             x2s=picked.get("x2"),
-            weights=total[order_out],
+            weights=np.bincount(ids[keep], weights=self.weights[keep], minlength=len(first)),
             validate=False,
         )
 
@@ -230,8 +231,9 @@ class EmpiricalMeasure:
         return cls.from_atoms(space, atoms, merge=False)
 
     def save_json(self, path):
+        # json.dumps uses the C encoder; json.dump always streams through pure Python
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
+            fh.write(json.dumps(self.to_json_dict()))
 
     @classmethod
     def load_json(cls, path):
@@ -281,31 +283,33 @@ class ConditionalFamily:
         return EmpiricalMeasure.from_atoms("Z", atoms)
 
 
+def _marginal_groups(mu: EmpiricalMeasure):
+    """First marginal of a pair measure and each pair atom's marginal atom (-1: none)."""
+    ids, first = _atom_groups((mu.xs,), mu.weights)
+    marg = EmpiricalMeasure("X", xs=mu.xs, weights=mu.weights, validate=False)._collapse(ids, first)
+    return marg, ids
+
+
 def first_marginal(mu: EmpiricalMeasure) -> EmpiricalMeasure:
     """Push a pair (or glued) measure forward to its parameter marginal."""
     if mu.space not in ("Z", "ZX"):
         raise ValueError("first_marginal needs a measure on pairs")
-    return EmpiricalMeasure("X", xs=mu.xs, weights=mu.weights, validate=False).merged()
+    return _marginal_groups(mu)[0]
 
 
 def disintegrate(mu: EmpiricalMeasure) -> ConditionalFamily:
-    """Split a pair measure into its marginal and conditional laws."""
+    """Split a pair measure into its marginal and the conditional law of each atom group."""
     if mu.space != "Z":
         raise ValueError("disintegrate needs a measure on Z")
     mu = mu.merged()
-    marg = first_marginal(mu)
-    points, mws, conds = [], [], []
-    for j in range(len(marg)):
-        x = marg.xs[j]
-        wx = float(marg.weights[j])
-        mask = np.all(np.abs(mu.xs - x) <= ATOM_TOL, axis=1)
-        cond = EmpiricalMeasure(
-            "Y", ys=mu.ys[mask], weights=mu.weights[mask] / wx, validate=False
-        )
-        points.append(x)
-        mws.append(wx)
-        conds.append(cond)
-    return ConditionalFamily(tuple(points), tuple(mws), tuple(conds))
+    marg, ids = _marginal_groups(mu)
+    members = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
+    mws = tuple(marg.weights.tolist())
+    conds = tuple(
+        EmpiricalMeasure("Y", ys=mu.ys[rows], weights=mu.weights[rows] / wx, validate=False)
+        for rows, wx in zip(members, mws)
+    )
+    return ConditionalFamily(tuple(marg.xs), mws, conds)
 
 
 def mix(mu_a: EmpiricalMeasure, mu_b: EmpiricalMeasure, omega: float) -> EmpiricalMeasure:

@@ -160,8 +160,9 @@ class SolveReport:
         return out
 
     def save_final_json(self, path):
+        # json.dumps uses the C encoder; json.dump always streams through pure Python
         with open(path, "w") as fh:
-            json.dump(self.final_json_dict(), fh, sort_keys=True, separators=(",", ":"))
+            fh.write(json.dumps(self.final_json_dict(), sort_keys=True, separators=(",", ":")))
 
 
 def _check_marginal(m_N):

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 
-from .measures import EmpiricalMeasure, first_marginal
+from .measures import EmpiricalMeasure, _atom_groups, _marginal_groups, first_marginal
 
 #: tolerance on coupling marginal residuals
 MARGINAL_TOL = 1e-9
@@ -78,13 +78,11 @@ class MetricSpec:
 
     def _match(self, X):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        idx = np.empty(len(X), dtype=int)
-        for k, x in enumerate(X):
-            hits = np.flatnonzero(np.all(np.abs(pts - x) <= 1e-9, axis=1))
-            if len(hits) != 1:
-                raise ValueError(f"point {x} not uniquely found in the metric table")
-            idx[k] = hits[0]
-        return idx
+        hits = np.all(np.abs(X[:, None, :] - pts[None, :, :]) <= 1e-9, axis=2)
+        bad = np.flatnonzero(hits.sum(axis=1) != 1)
+        if len(bad):
+            raise ValueError(f"point {X[bad[0]]} not uniquely found in the metric table")
+        return hits.argmax(axis=1)
 
     def dist(self, x, x2) -> float:
         return float(self.pairwise(np.atleast_2d(x), np.atleast_2d(x2))[0, 0])
@@ -240,41 +238,37 @@ def glue(mu0: EmpiricalMeasure, rho: Coupling) -> EmpiricalMeasure:
     The output lives on triples ``(x, y, x2)``: the conditional of the
     plan at ``x`` multiplies the conditional of ``mu0`` at ``x``.  Its
     pair marginal reproduces ``mu0`` and its last marginal reproduces
-    the plan's target.
+    the plan's target.  Zero-weight atoms of ``mu0`` are ignored.
     """
     if mu0.space != "Z":
         raise ValueError("glue expects a pair measure")
-    marg = first_marginal(mu0)
+    marg, group = _marginal_groups(mu0)
     src = rho.source
-    if len(src) != len(marg):
+    # pair the coupling's source atoms with the marginal's in sorted order
+    im, isrc = np.lexsort(marg.xs.T[::-1]), np.lexsort(src.xs.T[::-1])
+    if len(src) != len(marg) or not (
+        np.max(np.abs(marg.xs[im] - src.xs[isrc])) <= MARGINAL_TOL
+        and np.max(np.abs(marg.weights[im] - src.weights[isrc])) <= MARGINAL_TOL
+    ):
         raise ValueError("coupling source does not match the first marginal of mu0")
-    # map coupling source atoms onto the canonical marginal order
-    src_to_marg = np.empty(len(src), dtype=int)
-    for s in range(len(src)):
-        hits = np.flatnonzero(np.all(np.abs(marg.xs - src.xs[s]) <= MARGINAL_TOL, axis=1))
-        if len(hits) != 1 or abs(marg.weights[hits[0]] - src.weights[s]) > MARGINAL_TOL:
-            raise ValueError("coupling source does not match the first marginal of mu0")
-        src_to_marg[s] = hits[0]
-    per_group: list[list[tuple[int, float]]] = [[] for _ in range(len(marg))]
-    for s, j, mass in zip(rho.rows, rho.cols, rho.masses):
-        g = src_to_marg[s]
-        per_group[g].append((j, mass / marg.weights[g]))
-    xs, ys, x2s, ws = [], [], [], []
-    for i in range(len(mu0)):
-        x = mu0.xs[i]
-        hits = np.flatnonzero(np.all(np.abs(marg.xs - x) <= 1e-11, axis=1))
-        g = hits[0]
-        for j, cond_mass in per_group[g]:
-            xs.append(x)
-            ys.append(mu0.ys[i])
-            x2s.append(rho.target.xs[j])
-            ws.append(mu0.weights[i] * cond_mass)
+    src_to_marg = np.empty(len(src), dtype=np.intp)
+    src_to_marg[isrc] = im
+    # plan entries sorted by marginal atom (stably), then one output row per
+    # (mu0 atom, entry at its marginal atom) in mu0 order, then plan order
+    entry_group = src_to_marg[rho.rows]
+    entries = np.argsort(entry_group, kind="stable")
+    per_group = np.bincount(entry_group, minlength=len(marg))
+    counts = np.where(group >= 0, per_group[group], 0)
+    i = np.repeat(np.arange(len(mu0)), counts)
+    g = group[i]
+    rank = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    e = entries[np.cumsum(per_group)[g] - per_group[g] + rank]
     nu = EmpiricalMeasure(
         "ZX",
-        xs=np.vstack(xs),
-        ys=np.vstack(ys),
-        x2s=np.vstack(x2s),
-        weights=np.asarray(ws),
+        xs=mu0.xs[i],
+        ys=mu0.ys[i],
+        x2s=rho.target.xs[rho.cols[e]],
+        weights=mu0.weights[i] * (rho.masses[e] / marg.weights[g]),
         validate=False,
     ).merged()
     if abs(nu.weights.sum() - 1.0) > MARGINAL_TOL:
@@ -307,24 +301,25 @@ def apply_selection(nu: EmpiricalMeasure, problem, metric: MetricSpec) -> Empiri
 
     if nu.space != "ZX":
         raise ValueError("apply_selection expects a glued measure on Z x X")
-    xs, ys, ws = [], [], []
-    for x, y, x2, w in nu.atoms():
+    ys2 = []
+    for x, y, x2 in zip(nu.xs, nu.ys, nu.x2s):
         y2 = np.atleast_1d(np.asarray(problem.transport_select(x, y, x2), dtype=float))
         if not problem.feasible(x2, y2):
             raise OracleError(f"transport_select returned an infeasible decision at x2={x2}")
-        shift = (problem.g_eval(x2, y2) - problem.g_eval(x, y)).norm()
-        allowed = problem.set_lipschitz * metric.dist(x, x2) + SELECT_TOL
-        if shift > allowed:
-            raise OracleError(
-                f"selection moved the contribution by {shift:.3e} > {allowed:.3e} "
-                f"for d(x, x2)={metric.dist(x, x2):.3e}"
-            )
-        xs.append(x2)
-        ys.append(y2)
-        ws.append(w)
-    return EmpiricalMeasure(
-        "Z", xs=np.vstack(xs), ys=np.vstack(ys), weights=np.asarray(ws), validate=False
-    ).merged()
+        ys2.append(y2)
+    ys2 = np.vstack(ys2)
+    diff = problem.g_eval_batch(nu.x2s, ys2) - problem.g_eval_batch(nu.xs, nu.ys)
+    shift = np.sqrt(np.maximum(np.sum(problem.hilbert_weights * diff * diff, axis=1), 0.0))
+    # distances between the distinct points, looked up by group id
+    (gx, fx), (gx2, fx2) = (_atom_groups((c,), np.ones(len(nu))) for c in (nu.xs, nu.x2s))
+    d = metric.pairwise(nu.xs[fx], nu.x2s[fx2])[gx, gx2]
+    allowed = problem.set_lipschitz * d + SELECT_TOL
+    bad = np.flatnonzero(~(shift <= allowed))  # a non-finite shift is a violation too
+    if len(bad):
+        k = bad[0]
+        raise OracleError(f"selection moved the contribution by {shift[k]:.3e} > {allowed[k]:.3e} "
+                          f"for d(x, x2)={d[k]:.3e}")
+    return EmpiricalMeasure("Z", xs=nu.x2s, ys=ys2, weights=nu.weights, validate=False).merged()
 
 
 def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem, metric: MetricSpec | None = None,
@@ -351,7 +346,7 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem, metric: MetricS
     if not details:
         return mu1
     beta0 = aggregate(problem, mu0)
-    beta1 = aggregate(problem, mu1)
+    beta1 = aggregate(problem, mu1, validate=False)  # apply_selection checked every atom
     return BridgeResult(
         measure=mu1,
         coupling=rho,

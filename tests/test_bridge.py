@@ -92,6 +92,28 @@ class TestBridgeBasics:
         with pytest.raises(OracleError, match="infeasible"):
             bridge(mu0, m1, prob)
 
+    def test_selection_moving_too_far_raises(self, resource_problem):
+        class Lazy(type(resource_problem)):
+            def transport_select(self, x, q, x2):
+                return np.zeros(self.steps)  # feasible, but drops the whole profile
+
+        prob = Lazy(horizon=10.0, steps=50)
+        mu0 = EmpiricalMeasure.from_atoms("Z", [([5.0], np.full(50, 0.1), 1.0)])
+        with pytest.raises(OracleError, match="moved the contribution"):
+            bridge(mu0, uniform_marginal([4.9999]), prob)
+
+    def test_zero_weight_atom_at_empty_x(self, resource_problem):
+        # the atom at x = 2 has no mass and no other atom shares its x
+        prob = resource_problem
+        q = np.full(prob.steps, 0.01)
+        mu0 = EmpiricalMeasure("Z", xs=np.array([[0.0], [1.0], [2.0]]),
+                               ys=np.vstack([np.zeros(prob.steps), q, q]),
+                               weights=np.array([0.5, 0.5, 0.0]))
+        m1 = uniform_marginal([0.5, 1.5])
+        result = bridge(mu0, m1, prob, details=True)
+        assert first_marginal(result.measure).allclose(m1, tol=1e-12)
+        assert result.transport_cost == pytest.approx(np.sqrt(0.5), abs=1e-15)
+
 
 class TestEtaMinimizer:
     def test_bridged_measure_is_eta_minimizer(self, resource_problem):

@@ -4,6 +4,39 @@ import numpy as np
 import pytest
 
 from mfo import EmpiricalMeasure, disintegrate, first_marginal, mix, push_forward
+from mfo.measures import ATOM_TOL, _SPACE_COLUMNS
+
+
+def reference_merged(mu):
+    """The atom-by-atom merge that ``EmpiricalMeasure.merged`` replaced."""
+    rows = np.hstack(mu.columns())
+    w = mu.weights
+    keep = w > 0.0
+    if not np.all(keep):
+        rows, w = rows[keep], w[keep]
+        orig = np.flatnonzero(keep)
+    else:
+        orig = np.arange(len(w))
+    order = np.lexsort(rows.T[::-1])
+    group_of = np.empty(len(order), dtype=np.intp)
+    n_groups = 0
+    for pos, idx in enumerate(order):
+        if pos > 0 and np.all(np.abs(rows[idx] - rows[order[pos - 1]]) <= ATOM_TOL):
+            group_of[idx] = group_of[order[pos - 1]]
+        else:
+            group_of[idx] = n_groups
+            n_groups += 1
+    rep = np.full(n_groups, len(rows), dtype=np.intp)
+    total = np.zeros(n_groups)
+    for i in range(len(rows)):
+        g = group_of[i]
+        rep[g] = min(rep[g], i)
+        total[g] += w[i]
+    order_out = np.argsort(rep, kind="stable")
+    sel = orig[rep[order_out]]
+    picked = {c: col[sel] for c, col in zip(_SPACE_COLUMNS[mu.space], mu.columns())}
+    return EmpiricalMeasure(mu.space, xs=picked.get("x"), ys=picked.get("y"),
+                            x2s=picked.get("x2"), weights=total[order_out], validate=False)
 
 
 def zmeasure(atoms):
@@ -46,6 +79,45 @@ class TestConstruction:
         mu = zmeasure([([0.0], [1.0], 0.25), ([0.0], [1.0], 0.25), ([0.0], [2.0], 0.5)])
         assert len(mu) == 2
         assert mu.weights[0] == pytest.approx(0.5, abs=1e-15)
+
+
+def tricky_measure(rng, space, n):
+    """Atoms with exact duplicates, near-duplicate chains and zero weights."""
+    dims = {"x": 2, "y": 2, "x2": 1}
+    base = {c: rng.integers(0, 2, size=(n, dims[c])).astype(float) for c in _SPACE_COLUMNS[space]}
+    # chains of near-duplicates, each step 0.9 * ATOM_TOL in one coordinate
+    steps = rng.integers(0, 4, size=n) * 0.9 * ATOM_TOL
+    base[_SPACE_COLUMNS[space][0]][:, 0] += steps * rng.integers(0, 2, size=n)
+    w = rng.random(n) * (rng.random(n) > 0.2)
+    w[rng.integers(0, n)] += 0.5
+    return EmpiricalMeasure(space, xs=base.get("x"), ys=base.get("y"), x2s=base.get("x2"),
+                            weights=w / w.sum(), validate=False)
+
+
+def assert_same_bits(a, b):
+    assert a.space == b.space
+    for ca, cb in zip(a.columns() + (a.weights,), b.columns() + (b.weights,)):
+        assert ca.shape == cb.shape and ca.tobytes() == cb.tobytes()
+
+
+class TestMergeMatchesReference:
+    @pytest.mark.parametrize("space", ["X", "Y", "Z", "ZX"])
+    def test_seeded_measures_bit_for_bit(self, space):
+        rng = np.random.default_rng(31)
+        for n in [1, 1, 2, 3, 5, 8, 20, 60, 200]:
+            mu = tricky_measure(rng, space, n)
+            assert_same_bits(mu.merged(), reference_merged(mu))
+
+    def test_continuous_atoms_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        mu = random_zmeasure(rng, 500, n_x=40)
+        assert_same_bits(mu.merged(), reference_merged(mu))
+
+    def test_non_adjacent_duplicates_stay_apart(self):
+        # the rule compares sort neighbours only; (0,3) and (1e-13,3) are split by (0,5)
+        mu = EmpiricalMeasure("X", xs=np.array([[0.0, 3.0], [0.0, 5.0], [1e-13, 3.0]]),
+                              weights=np.full(3, 1 / 3))
+        assert len(mu.merged()) == 3
 
 
 class TestFirstMarginal:
@@ -116,6 +188,18 @@ class TestDisintegrate:
         for wx, cond in zip(fam.marginal_weights, fam.conditionals):
             assert wx == pytest.approx(1 / n)
             assert len(cond) == 1
+
+    def test_chained_x_is_one_conditional_of_full_mass(self):
+        # x = 0, 0.9e-12, 1.8e-12 chain into one marginal atom; its
+        # conditional must hold all three pairs, not only those within
+        # ATOM_TOL of the first
+        mu = EmpiricalMeasure("Z", xs=np.array([[0.0], [0.9e-12], [1.8e-12]]),
+                              ys=np.array([[0.0], [1.0], [2.0]]), weights=np.full(3, 1 / 3))
+        fam = disintegrate(mu)
+        assert len(fam) == 1
+        assert fam.conditionals[0].weights.sum() == pytest.approx(1.0, abs=1e-15)
+        # recompose moves every pair onto the group's first x
+        assert fam.recompose().allclose(mu, tol=2e-12)
 
     def test_recompose_is_identity(self):
         rng = np.random.default_rng(2)

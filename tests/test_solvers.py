@@ -140,7 +140,7 @@ class TestStochasticFrankWolfe:
 
     def test_rejects_nonuniform_weights(self, resource_problem):
         m = EmpiricalMeasure("X", xs=np.array([[0.5], [2.0]]), weights=np.array([0.3, 0.7]))
-        with pytest.raises(ValueError, match="uniform"):
+        with pytest.raises(ValueError, match="uniform weights 1/N"):
             sfw_solve(resource_problem, m, SolverConfig(iterations=1))
 
     def test_beyond_guarantee_flag(self, resource_problem):
@@ -175,6 +175,14 @@ class TestOracleFailure:
         # one oracle call sets up the start, then one per iteration: the
         # fourth call fails in iteration 2, after records 0 and 1
         assert [r.k for r in excinfo.value.partial_records] == [0, 1]
+
+    def test_overflowing_gradient_is_rejected(self):
+        # c = 1e308 overflows the BPR latency, the gradient, to inf at any positive flow
+        with np.errstate(over="ignore", invalid="ignore"):
+            prob = TrafficProblem(2, [Edge(0, 1, "bpr", (10.0, 1e308, 1.0)),
+                                      Edge(0, 1, "affine", (0.0, 1.0))], [(0, 1)])
+            with pytest.raises(ValueError, match="must be finite"):
+                fw_solve(prob, od_marginal(), SolverConfig(iterations=10))
 
 
 class TestStepRules:

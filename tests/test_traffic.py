@@ -105,6 +105,20 @@ class TestWardrop:
         prob = TrafficProblem(n_nodes, edges, od_pairs)
         assert all(len(prob.paths[od]) >= 2 for od in od_pairs)
 
+    def test_bpr_network_reaches_equilibrium(self):
+        # Braess network with BPR latencies t0 (1 + c q^4); at equilibrium the
+        # two outer routes share the flow and the cross edge 1 -> 2 stays unused
+        edges = [Edge(0, 1, "bpr", (1.0, 1.0, 4)), Edge(1, 3, "bpr", (0.5, 0.15, 4)),
+                 Edge(0, 2, "bpr", (0.6, 0.15, 4)), Edge(2, 3, "bpr", (1.0, 1.0, 4)),
+                 Edge(1, 2, "bpr", (0.1, 0.15, 4))]
+        prob = TrafficProblem(4, edges, [(0, 3)])
+        m = EmpiricalMeasure.from_atoms("X", [([0, 3], 1.0)])
+        report = fw_solve(prob, m, SolverConfig(iterations=2000))
+        assert report.certificate.gap <= 2 * prob.grad_lipschitz * prob.sup_g_diff_sq / 2000
+        assert prob.wardrop_residual(report.final_measure) <= 1e-3
+        final = report.final_measure
+        assert len(final) == 2 and (final.weights @ final.ys)[4] == 0.0
+
 
 class TestSelectionAndConstants:
     def test_same_od_keeps_path(self, pigou_problem):

@@ -63,6 +63,15 @@ class TestMetricSpec:
         spec = MetricSpec("table", points=pts, table=tab)
         assert spec.dist([0.0], [1.0]) == 3.0
 
+    def test_table_lookup_and_unknown_point(self):
+        pts = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
+        tab = np.arange(9.0).reshape(3, 3)
+        spec = MetricSpec("table", points=pts, table=tab)
+        X = np.array([[2.0, 1.0], [0.0, 0.0], [0.0, 1.0 + 1e-12]])
+        np.testing.assert_array_equal(spec.pairwise(X, pts[:2]), tab[[2, 0, 1]][:, [0, 1]])
+        with pytest.raises(ValueError, match=r"point \[0. 2.\] not uniquely found"):
+            spec.pairwise(np.array([[0.0, 0.0], [0.0, 2.0]]), pts)
+
 
 class TestOtSolve:
     def test_identical_marginals_cost_zero(self):
@@ -217,6 +226,15 @@ class TestGlue:
         nu = glue(mu0, rho)
         assert len(nu) == 4
         np.testing.assert_allclose(sorted(nu.weights), [0.25] * 4, atol=1e-12)
+
+    def test_zero_weight_atom_at_empty_x_is_ignored(self):
+        # x = 2 carries no mass, so the first marginal and the plan skip it
+        mu0 = EmpiricalMeasure("Z", xs=np.array([[0.0], [1.0], [2.0]]),
+                               ys=np.array([[5.0], [6.0], [7.0]]), weights=np.array([0.5, 0.5, 0.0]))
+        m1 = uniform_marginal([0.5, 3.0])
+        nu = glue(mu0, ot_solve(first_marginal(mu0), m1, EUCLID))
+        assert nu.xs.tolist() == [[0.0], [1.0]] and nu.ys.tolist() == [[5.0], [6.0]]
+        assert nu.x2s.tolist() == [[0.5], [3.0]] and nu.weights.tolist() == [0.5, 0.5]
 
     def test_marginal_mismatch_rejected(self):
         mu0 = EmpiricalMeasure.from_atoms("Z", [([0.0], [1.0], 1.0)])
