@@ -1,9 +1,10 @@
 """Hot numeric kernels, vectorized with numpy.
 
 ``resource_br`` solves the budgeted quadratic best response of the
-resource game exactly, by water-filling; ``congestion_dp`` is the
-forward-only trajectory DP of the congestion game.  Both are
-deterministic, so seeded runs are bit-reproducible.
+resource game exactly, by water-filling; ``congestion_dp_batch`` is the
+forward-only trajectory DP of the congestion game, run for a whole
+batch of agents at once.  Both are exact and deterministic, so seeded
+runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -65,28 +66,62 @@ def resource_br(top, ert, lam1, dt, budgets):
 # -- forward-only trajectory DP (congestion game) ----------------------------
 #
 # Positions live on a uniform per-agent grid; a step may advance 0..qmax
-# grid cells.  cost[s, t] is the stage cost of sitting at grid state s
-# at time t.  Tie-break among equal-value successors: farthest move
-# while strictly below the target point, nearest (stay) once at or past
-# it, so zero-cost regions yield the canonical halt-at-target path.
+# grid cells.  The stage cost of sitting at grid state s at time t is
+# stage_cost(t)[i, s] for agent i.  Tie-break among equal-value
+# successors: farthest move while strictly below the target point,
+# nearest (stay) once at or past it, so zero-cost regions yield the
+# canonical halt-at-target path.
+#
+# The minimum over the window [s, s + qmax] is built by doubling
+# (a sparse table): windows of length 2a are pairs of windows of length
+# a, and the last step overlaps two windows of the largest power of two
+# that fits.  The nearest arg-min keeps the left window on ties (<=),
+# the farthest keeps the right one (<).  Each step costs O(n log qmax)
+# per agent instead of O(n qmax), and the minimum is a selection, so
+# values are bit-identical to a successor-by-successor scan.
 
 
-def congestion_dp(cost, qmax, below_target, s0):
-    """Backward DP with sliding-window minima; returns (value, path)."""
-    n, m = cost.shape
-    value = np.zeros(n)
-    choice = np.empty((m, n), dtype=np.int64)
-    idx = np.arange(n)
-    for t in range(m - 1, -1, -1):
-        padded = np.concatenate([value, np.full(qmax, np.inf)])
-        win = np.lib.stride_tricks.sliding_window_view(padded, qmax + 1)[:n]
-        off_far = qmax - np.argmin(win[:, ::-1], axis=1)
-        off_near = np.argmin(win, axis=1)
-        off = np.where(below_target, off_far, off_near)
-        choice[t] = idx + off
-        value = cost[:, t] + win[idx, off]
-    path = np.empty(m + 1, dtype=np.int64)
-    path[0] = s0
-    for t in range(m):
-        path[t + 1] = choice[t, path[t]]
-    return float(value[s0]), path
+def _window_argmins(value, qmax):
+    """Minima of ``value[:, s:s + qmax + 1]`` with their nearest and farthest offsets.
+
+    The outputs have ``qmax`` columns fewer than ``value``; callers end
+    ``value`` with ``qmax`` columns of +inf so that no window reaches
+    past a grid.
+    """
+    near = far = np.zeros(value.shape, dtype=np.min_scalar_type(qmax))
+    width, a = qmax + 1, 1
+    while a < width:
+        shift = min(a, width - a)
+        lo, hi = value[:, :-shift], value[:, shift:]
+        near = np.where(lo <= hi, near[:, :-shift], near[:, shift:] + shift)
+        far = np.where(lo < hi, far[:, :-shift], far[:, shift:] + shift)
+        value = np.minimum(lo, hi)
+        a += shift
+    return value, near, far
+
+
+def congestion_dp_batch(stage_cost, steps, qmax, below_target, lengths):
+    """Backward DP for a batch of agents; returns ``(values, paths)``.
+
+    Row ``i`` of the ``(N, n)`` arrays is agent ``i``'s grid: its first
+    ``lengths[i]`` states are real, the rest padding.  ``stage_cost(t)``
+    gives the ``(N, n)`` stage costs at time ``t``: finite on real states,
+    finite or +inf on padding (padding states never enter a path: their
+    value stays +inf).  Every path starts at state 0: ``paths[i]`` are
+    the ``steps + 1`` visited states and ``values[i]`` its total cost.
+    """
+    below_target = np.asarray(below_target, dtype=bool)
+    n_agents, n = below_target.shape
+    value = np.full((n_agents, n + qmax), np.inf)
+    value[:, :n][np.arange(n) < np.asarray(lengths)[:, None]] = 0.0
+    choice = np.empty((steps, n_agents, n), dtype=np.min_scalar_type(qmax))
+    for t in range(steps - 1, -1, -1):
+        best, near, far = _window_argmins(value, qmax)
+        np.copyto(choice[t], near)
+        np.copyto(choice[t], far, where=below_target)
+        value[:, :n] = stage_cost(t) + best
+    rows = np.arange(n_agents)
+    paths = np.zeros((n_agents, steps + 1), dtype=np.intp)
+    for t in range(steps):
+        paths[:, t + 1] = paths[:, t] + choice[t, rows, paths[:, t]]
+    return value[:, 0].copy(), paths

@@ -12,7 +12,10 @@ Best responses are computed by dynamic programming over a per-agent
 position grid aligned with the agent's start, with the one-step move
 ``vmax*dt`` an exact multiple of the grid step: the grid optimum is
 global for the discretized decision set, and the zero-penalty optimum
-is the exact maximal-speed path halting at the target.
+is the exact maximal-speed path halting at the target.  One batched DP
+serves all agents; their grids and bump values depend on the starts
+only, so the last batch's are kept (a single-entry memo keyed on the
+start column) and reused while the solver changes the dual point.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 
 import numpy as np
 
-from .._kernels import congestion_dp
+from .._kernels import congestion_dp_batch
 from ..problem import AggregateVector, MfoProblem
 from ..transport import MetricSpec
 
@@ -103,6 +106,7 @@ class CongestionProblem(MfoProblem):
         self.sup_grad_norm = math.sqrt(1.0 + (2.0 * self.alpha / self.dx) ** 2 * T)
         self.set_lipschitz = 2.0 * self.smoothing * math.sqrt(T * T + 4.0 * T)
         self._metric = MetricSpec("euclidean")
+        self._grid_memo = (None, None)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "CongestionProblem":
@@ -168,18 +172,40 @@ class CongestionProblem(MfoProblem):
 
     # -- oracles ------------------------------------------------------------
 
-    def best_response(self, lam: AggregateVector, x) -> np.ndarray:
-        x0 = float(np.atleast_1d(x)[0])
+    def _grids(self, starts):
+        """Padded position grids, lengths, before-target masks and bumps of a batch.
+
+        Depends on the starts only; the last batch's grids are memoized,
+        and the memo is replaced whole, never updated in place.
+        """
+        key = starts.tobytes()
+        if self._grid_memo[0] == key:
+            return self._grid_memo[1]
+        pos_cap = 1.0 + self.max_move
+        lengths = np.maximum(1, np.ceil((pos_cap - starts) / self.grid_step).astype(np.intp) + 1)
+        positions = starts[:, None] + self.grid_step * np.arange(lengths.max())
+        h0, H = self.bumps(positions.ravel())
+        grids = (positions, lengths, positions < 1.0, h0.reshape(positions.shape), H.T)
+        self._grid_memo = (key, grids)
+        return grids
+
+    def best_response_batch(self, lam: AggregateVector, xs) -> np.ndarray:
+        starts = np.array(xs, dtype=float).reshape(len(xs), -1)[:, 0]
+        positions, lengths, below, h0, Ht = self._grids(starts)
         lam1 = float(lam.values[0])
         lam2 = lam.values[1:].reshape(self.cells, self.steps)
-        pos_cap = 1.0 + self.max_move
-        n_pos = max(1, int(math.ceil((pos_cap - x0) / self.grid_step)) + 1)
-        positions = x0 + self.grid_step * np.arange(n_pos)
-        h0, H = self.bumps(positions)
-        cost = self.dt * (lam1 * h0[:, None] + H.T @ lam2)
-        below = positions < 1.0
-        _, path = congestion_dp(cost, self.grid_substeps, below, 0)
-        return positions[path]
+
+        def stage_cost(t):
+            # a two-column product goes through gemm, which rounds each entry
+            # as the full (positions x steps) product does; a matrix-vector
+            # product (gemv) sums the cells in another order
+            return self.dt * (lam1 * h0 + (Ht @ lam2[:, [t, t]])[:, 0].reshape(h0.shape))
+
+        _, paths = congestion_dp_batch(stage_cost, self.steps, self.grid_substeps, below, lengths)
+        return np.take_along_axis(positions, paths, axis=1)
+
+    def best_response(self, lam: AggregateVector, x) -> np.ndarray:
+        return self.best_response_batch(lam, [np.atleast_1d(x)])[0]
 
     def feasible(self, x, traj) -> bool:
         traj = np.asarray(traj, dtype=float)

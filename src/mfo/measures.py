@@ -357,6 +357,6 @@ def validate_feasible(mu: EmpiricalMeasure, problem) -> None:
     """Check every pair atom against the problem's feasibility predicate."""
     if mu.space != "Z":
         raise ValueError("feasibility applies to measures on Z")
-    for i, (x, y, _) in enumerate(mu.atoms()):
-        if not problem.feasible(x, y):
-            raise ValueError(f"atom {i} is infeasible: y not in Z_x for x={x}")
+    for i in range(len(mu)):
+        if not problem.feasible(mu.xs[i], mu.ys[i]):
+            raise ValueError(f"infeasible atom {i}: y not in Z_x for x={mu.xs[i]}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, first_marginal
+from .measures import EmpiricalMeasure, first_marginal, validate_feasible
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,11 @@ class MfoProblem:
 
     ``f_conj`` may raise :class:`NotImplementedError` when the conjugate
     is unavailable; dual operations then refuse to run.  All oracles
-    must be pure: concurrent calls for distinct ``x`` share only
-    read-only data.
+    must be pure: the answer depends on the arguments only.  A game
+    may memoize data derived from the arguments, as the congestion
+    game keeps the grids of its last batch of starts; such a memo is
+    a single entry replaced whole, never updated in place, so a call
+    never sees a half-built entry.
     """
 
     name = "abstract"
@@ -215,9 +218,10 @@ def aggregate(problem: MfoProblem, mu: EmpiricalMeasure, validate: bool = True) 
     if mu.space != "Z":
         raise ValueError("aggregate needs a measure on pairs")
     if validate:
-        for i in range(len(mu)):
-            if not problem.feasible(mu.xs[i], mu.ys[i]):
-                raise OracleError(f"infeasible atom {i}: x={mu.xs[i]}")
+        try:
+            validate_feasible(mu, problem)
+        except ValueError as exc:
+            raise OracleError(str(exc)) from exc
     G = problem.g_eval_batch(mu.xs, mu.ys)
     return problem.vector(mu.weights @ G)
 

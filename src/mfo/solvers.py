@@ -299,13 +299,13 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
     y_feas = np.vstack([problem.initial_decision(x) for x in xs])
     beta0 = problem.vector(w @ problem.g_eval_batch(xs, y_feas))
     y = problem.best_response_batch(problem.f_grad(beta0), xs)
+    G = problem.g_eval_batch(xs, y)
 
     records = []
     iterations_run = 0
     stopped_early = False
     for k in range(config.iterations):
         tic = time.perf_counter()
-        G = problem.g_eval_batch(xs, y)
         beta = problem.vector(w @ G)
         objective = problem.f_value(beta)
         lam = problem.f_grad(beta)
@@ -324,17 +324,18 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
             break
         n_k = config.sims_at(k)
         om = config.omega(k)
+        # contributions are per agent, so a candidate's rows are picked from
+        # G_br and G: one g_eval_batch per iteration
         best_val = np.inf
-        best_y = None
+        best_pick = None
         for j in range(n_k):
-            pick = candidate_rng(config.seed, k, j).random(n) < om
-            y_cand = np.where(pick[:, None], y_br, y)
-            val = problem.f_value(problem.vector(w @ problem.g_eval_batch(xs, y_cand)))
+            pick = (candidate_rng(config.seed, k, j).random(n) < om)[:, None]
+            val = problem.f_value(problem.vector(w @ np.where(pick, G_br, G)))
             if val < best_val:
-                best_val, best_y = val, y_cand
-        if config.monotone_guard and objective < best_val:
-            best_y = y
-        y = best_y
+                best_val, best_pick = val, pick
+        if not (config.monotone_guard and objective < best_val):
+            y = np.where(best_pick, y_br, y)
+            G = np.where(best_pick, G_br, G)
         elapsed = (time.perf_counter() - tic) * 1e3
         records.append(IterationRecord(k, objective, gap, lam.norm(), elapsed, n_candidates=n_k))
         iterations_run = k + 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from mfo import EmpiricalMeasure, SolverConfig, sfw_solve
 from mfo.examples import CongestionProblem
 from mfo.examples.congestion import bump_family, cell_bump, rising_step
 
-
+from test_kernels import congestion_dp_loops
 
 class TestBumps:
     def test_rising_step_limits(self):
@@ -108,6 +109,61 @@ class TestBestResponseDP:
         lam = prob.f_grad(prob.zero_vector())
         traj = prob.best_response(lam, [1.02])
         np.testing.assert_allclose(traj, 1.02, atol=0.0)
+
+
+def random_dual(prob, rng, scale=0.7):
+    ybar = rng.uniform(0.0, scale, size=(prob.cells, prob.steps))
+    return prob.vector(np.concatenate([[1.0], (2 * prob.alpha / prob.dx) * ybar.ravel()]))
+
+
+def loop_reference_response(prob, lam, x0):
+    """One agent's grid, its full cost matrix and the plain-Python loop DP."""
+    n_pos = max(1, math.ceil((1.0 + prob.max_move - x0) / prob.grid_step) + 1)
+    positions = x0 + prob.grid_step * np.arange(n_pos)
+    h0, H = prob.bumps(positions)
+    lam2 = lam.values[1:].reshape(prob.cells, prob.steps)
+    cost = prob.dt * (lam.values[0] * h0[:, None] + H.T @ lam2)
+    _, path = congestion_dp_loops(cost, prob.grid_substeps, positions < 1.0, 0)
+    return positions[path]
+
+
+class TestBatchedBestResponse:
+    def test_memo_never_changes_the_answer(self, congestion_problem):
+        # the grids of the last batch of starts are reused across dual points;
+        # switching batches, coming back and permuting must not show
+        prob = congestion_problem
+        rng = np.random.default_rng(7)
+        lam, other = random_dual(prob, rng), random_dual(prob, rng, scale=2.0)
+        a = rng.uniform(0.0, 0.3, (12, 1))
+        b = rng.uniform(0.5, 1.2, (9, 1))
+        perm = rng.permutation(len(a))
+        for xs, dual in ((a, lam), (a, other), (b, lam), (a, lam), (a[perm], lam), (a, other)):
+            fresh = CongestionProblem.from_config(prob.describe())
+            np.testing.assert_array_equal(prob.best_response_batch(dual, xs),
+                                          fresh.best_response_batch(dual, xs))
+
+    def test_single_response_is_a_batch_row(self, congestion_problem):
+        prob = congestion_problem
+        rng = np.random.default_rng(8)
+        lam = random_dual(prob, rng)
+        xs = np.concatenate([rng.uniform(0.0, 1.2, 8), [0.0, 1.0, 1.3]]).reshape(-1, 1)
+        batch = prob.best_response_batch(lam, xs)
+        for x, row in zip(xs, batch):
+            np.testing.assert_array_equal(prob.best_response(lam, x), row)
+
+    @pytest.mark.parametrize("substeps", [7, 12])
+    def test_never_costlier_than_the_loop_reference(self, substeps):
+        prob = CongestionProblem(horizon=1.0, steps=12, vmax=3.0, alpha=1.0, cells=5,
+                                 smoothing=20, grid_substeps=substeps)
+        rng = np.random.default_rng(substeps)
+        for _ in range(4):
+            lam = random_dual(prob, rng, scale=rng.choice([0.2, 0.7, 2.0]))
+            xs = rng.uniform(0.0, 1.1, (10, 1))
+            for x, traj in zip(xs, prob.best_response_batch(lam, xs)):
+                assert prob.feasible(x, traj)
+                got = lam.dot(prob.g_eval(x, traj))
+                ref = lam.dot(prob.g_eval(x, loop_reference_response(prob, lam, float(x[0]))))
+                assert got <= ref + 1e-12 * abs(ref)
 
 
 class TestSelectionAndConstants:

@@ -165,13 +165,36 @@ class TestResourceKernel:
             assert np.all(budgets[theta > 0] - spend[theta > 0] <= 1e-12), case
 
 
+def dp_batch(costs, qmax, belows, pad=np.inf):
+    """Run the batched kernel on per-agent ``(n_i, steps)`` costs, padded to one grid."""
+    n = max(c.shape[0] for c in costs)
+    steps = costs[0].shape[1]
+    block = np.full((len(costs), n, steps), pad)
+    below = np.zeros((len(costs), n), dtype=bool)
+    for i, (c, b) in enumerate(zip(costs, belows)):
+        block[i, : len(c)] = c
+        below[i, : len(b)] = b
+    lengths = np.array([len(c) for c in costs])
+    return _kernels.congestion_dp_batch(lambda t: block[:, :, t], steps, qmax, below, lengths)
+
+
+def assert_matches_loop_reference(costs, qmax, belows, pad=np.inf):
+    values, paths = dp_batch(costs, qmax, belows, pad)
+    assert paths.shape == (len(costs), costs[0].shape[1] + 1)
+    for i, (c, b) in enumerate(zip(costs, belows)):
+        value_ref, path_ref = congestion_dp_loops(c, qmax, b, 0)
+        assert values[i] == value_ref
+        np.testing.assert_array_equal(paths[i], path_ref)
+
+
 class TestCongestionKernel:
     def test_numpy_path_is_optimal_on_tiny_case(self):
         rng = np.random.default_rng(2)
         n_pos, steps, qmax = 7, 4, 2
         cost = rng.random((n_pos, steps))
         below = np.ones(n_pos, dtype=bool)
-        value, path = _kernels.congestion_dp(cost, qmax, below, 0)
+        values, paths = dp_batch([cost], qmax, [below])
+        value, path = values[0], paths[0]
 
         best = np.inf
         for moves in itertools.product(range(qmax + 1), repeat=steps):
@@ -186,20 +209,42 @@ class TestCongestionKernel:
     def test_matches_loop_reference_exactly(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            n_pos = int(rng.integers(5, 60))
             steps = int(rng.integers(2, 15))
             qmax = int(rng.integers(1, 8))
-            cost = rng.random((n_pos, steps))
-            below = rng.random(n_pos) < 0.8
-            s0 = int(rng.integers(0, n_pos))
-            value, path = _kernels.congestion_dp(cost, qmax, below, s0)
-            value_ref, path_ref = congestion_dp_loops(cost, qmax, below, s0)
-            assert value == value_ref
-            np.testing.assert_array_equal(path, path_ref)
+            n_agents = int(rng.integers(1, 5))
+            sizes = rng.integers(5, 60, n_agents)
+            costs = [rng.random((n, steps)) for n in sizes]
+            belows = [rng.random(n) < 0.8 for n in sizes]
+            assert_matches_loop_reference(costs, qmax, belows)
+
+    def test_ragged_ties_match_loop_reference_exactly(self):
+        # integer costs put ties in nearly every window, so the nearest and
+        # farthest arg-mins differ; grids of different lengths share one
+        # padded block, windows reach past short grids (qmax >= n) and
+        # single-step horizons end the DP at once
+        rng = np.random.default_rng(7)
+        for case in range(400):
+            n_agents = int(rng.integers(1, 7))
+            steps = 1 if case % 4 == 0 else int(rng.integers(2, 9))
+            qmax = int(rng.integers(0, 12))
+            sizes = rng.integers(1, 16, n_agents)
+            costs = [rng.integers(0, 3, (n, steps)).astype(float) for n in sizes]
+            cut = rng.integers(0, sizes + 1)
+            belows = [np.arange(n) < c for n, c in zip(sizes, cut)]
+            pad = np.inf if case % 2 else float(rng.integers(-3, 3))
+            assert_matches_loop_reference(costs, qmax, belows, pad)
 
     def test_tie_break_prefers_progress_below_target(self):
         # flat costs: walk at full speed while below, stay once past
         cost = np.zeros((9, 3))
         below = np.array([True] * 4 + [False] * 5)
-        _, path = _kernels.congestion_dp(cost, 2, below, 0)
-        assert path.tolist() == [0, 2, 4, 4]
+        _, paths = dp_batch([cost], 2, [below])
+        assert paths[0].tolist() == [0, 2, 4, 4]
+
+    @pytest.mark.parametrize("qmax", [255, 256])
+    def test_wide_windows_match_loop_reference(self, qmax):
+        # back-pointers are offsets stored in the smallest unsigned type
+        # that holds qmax: uint8 up to 255, uint16 from 256
+        rng = np.random.default_rng(8)
+        costs = [rng.integers(0, 3, (300, 4)).astype(float), rng.random((40, 4))]
+        assert_matches_loop_reference(costs, qmax, [np.ones(300, bool), np.ones(40, bool)])

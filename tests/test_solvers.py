@@ -13,7 +13,8 @@ from mfo import (
 )
 from mfo.examples import TrafficProblem
 from mfo.examples.traffic import Edge
-from mfo.solvers import measure_from_state
+from mfo.problem import clamp_gap
+from mfo.solvers import candidate_rng, measure_from_state
 
 from conftest import uniform_marginal
 
@@ -149,6 +150,77 @@ class TestStochasticFrankWolfe:
         long = sfw_solve(resource_problem, m, SolverConfig(iterations=5, n_sims=1, seed=0))
         assert not short.beyond_guarantee
         assert long.beyond_guarantee
+
+
+def sfw_reference(problem, m_N, config):
+    """The SFW loop that re-evaluates every state and candidate with g_eval_batch.
+
+    Returns ``(objective, gap, lambda_norm, n_candidates)`` per iteration
+    and the final decisions.
+    """
+    xs, w, n = m_N.xs, m_N.weights, len(m_N)
+    wH = problem.hilbert_weights
+    y_feas = np.vstack([problem.initial_decision(x) for x in xs])
+    beta0 = problem.vector(w @ problem.g_eval_batch(xs, y_feas))
+    y = problem.best_response_batch(problem.f_grad(beta0), xs)
+    records = []
+    for k in range(config.iterations):
+        beta = problem.vector(w @ problem.g_eval_batch(xs, y))
+        objective = problem.f_value(beta)
+        lam = problem.f_grad(beta)
+        y_br = problem.best_response_batch(lam, xs)
+        G_br = problem.g_eval_batch(xs, y_br)
+        gap = clamp_gap(lam.dot(beta) - float(w @ (G_br @ (wH * lam.values))))
+        n_k, om = config.sims_at(k), config.omega(k)
+        best_val, best_y = np.inf, None
+        for j in range(n_k):
+            pick = candidate_rng(config.seed, k, j).random(n) < om
+            y_cand = np.where(pick[:, None], y_br, y)
+            val = problem.f_value(problem.vector(w @ problem.g_eval_batch(xs, y_cand)))
+            if val < best_val:
+                best_val, best_y = val, y_cand
+        if config.monotone_guard and objective < best_val:
+            best_y = y
+        y = best_y
+        records.append((objective, gap, lam.norm(), n_k))
+    return records, y
+
+
+def congestion_starts(n, seed):
+    return uniform_marginal(np.random.default_rng(seed).uniform(0.0, 0.2, n))
+
+
+class TestStochasticFrankWolfeSweep:
+    @pytest.mark.parametrize("guard", [True, False], ids=["guard", "no_guard"])
+    @pytest.mark.parametrize("game", ["resource", "congestion"])
+    def test_matches_per_candidate_evaluation_bit_for_bit(self, game, guard, request,
+                                                          exp_marginal_50):
+        if game == "resource":
+            prob, m = request.getfixturevalue("resource_problem"), exp_marginal_50
+        else:
+            prob, m = request.getfixturevalue("congestion_problem"), congestion_starts(30, 5)
+        cfg = SolverConfig(iterations=20, n_sims=3, seed=17, monotone_guard=guard)
+        report = sfw_solve(prob, m, cfg)
+        records, decisions = sfw_reference(prob, m, cfg)
+        got = [(r.objective, r.gap, r.lambda_norm, r.n_candidates) for r in report.records]
+        assert got == records
+        np.testing.assert_array_equal(report.agent_state.decisions, decisions)
+
+    @pytest.mark.parametrize("iterations", [1, 7])
+    def test_one_contribution_sweep_per_iteration(self, resource_problem, exp_marginal_50,
+                                                  iterations):
+        class Counting(type(resource_problem)):
+            calls = 0
+
+            def g_eval_batch(self, xs, ys):
+                Counting.calls += 1
+                return super().g_eval_batch(xs, ys)
+
+        prob = Counting(horizon=10.0, steps=50, discount=1.0, price_impact=1.0)
+        sfw_solve(prob, exp_marginal_50, SolverConfig(iterations=iterations, n_sims=3, seed=2))
+        # set-up: the feasible start's aggregate and the first state's rows;
+        # the final certificate: the aggregate and the best-response values
+        assert Counting.calls == 2 + iterations + 2
 
 
 class TestOracleFailure:
