@@ -108,10 +108,10 @@ def _write_resource_dumps(problem, report, m_n, out: Path):
     with open(out / "extraction.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["agent", "t", "time", "q", "stock"])
+        times = problem.times.tolist()
         for i, (x, q) in enumerate(zip(m_n.xs, profiles)):
-            stocks = problem.stock_trajectory(x, q)
-            for t in range(problem.steps):
-                writer.writerow([i, t, repr(problem.times[t]), repr(float(q[t])), repr(float(stocks[t]))])
+            stocks = problem.stock_trajectory(x, q).tolist()
+            writer.writerows([i, t, times[t], qt, stocks[t]] for t, qt in enumerate(q.tolist()))
     if report.final_measure is not None:
         # the solver's certificate (fw_gap) already checked every atom
         beta = aggregate(problem, report.final_measure, validate=False)
@@ -119,8 +119,7 @@ def _write_resource_dumps(problem, report, m_n, out: Path):
         with open(out / "aggregate.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "time", "Q"])
-            for t in range(problem.steps):
-                writer.writerow([t, repr(problem.times[t]), repr(float(rate[t]))])
+            writer.writerows(zip(range(problem.steps), problem.times.tolist(), rate.tolist()))
 
 
 def _write_congestion_dumps(problem, report, m_n, out: Path):
@@ -201,8 +200,9 @@ def cmd_solve(args) -> int:
         with open(out / "aggregate_batch.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "time", "mean", "std"])
+            times = problem.times.tolist()
             for t in range(problem.steps):
-                writer.writerow([t, repr(problem.times[t]),
+                writer.writerow([t, repr(times[t]),
                                  repr(float(rates[:, t].mean())), repr(float(rates[:, t].std()))])
     gaps = [rep.certificate.gap for _, _, rep in results]
     print(f"solve[{problem.name}] repeats={repeats} max_gap={max(gaps):.3g}")

@@ -139,12 +139,6 @@ class CongestionProblem(MfoProblem):
     def bumps(self, x):
         return bump_family(x, self.cells, self.smoothing)
 
-    def g_eval(self, x, traj):
-        traj = np.asarray(traj, dtype=float)
-        p = traj[: self.steps]
-        h0, H = self.bumps(p)
-        return self.vector(np.concatenate([[self.dt * float(h0.sum())], H.ravel()]))
-
     def g_eval_batch(self, xs, trajs):
         trajs = np.asarray(trajs, dtype=float)
         n = trajs.shape[0]
@@ -204,24 +198,24 @@ class CongestionProblem(MfoProblem):
         _, paths = congestion_dp_batch(stage_cost, self.steps, self.grid_substeps, below, lengths)
         return np.take_along_axis(positions, paths, axis=1)
 
-    def best_response(self, lam: AggregateVector, x) -> np.ndarray:
-        return self.best_response_batch(lam, [np.atleast_1d(x)])[0]
+    def feasible_batch(self, xs, trajs) -> np.ndarray:
+        trajs = np.asarray(trajs, dtype=float)
+        if trajs.shape[1:] != (self.steps + 1,):
+            return np.zeros(len(trajs), dtype=bool)
+        moves = np.diff(trajs, axis=1)
+        return (
+            (np.abs(trajs[:, 0] - np.asarray(xs, dtype=float)[:, 0]) <= _FEAS_TOL)
+            & np.all(moves >= -_FEAS_TOL, axis=1)
+            & np.all(moves <= self.max_move + _FEAS_TOL, axis=1)
+        )
 
-    def feasible(self, x, traj) -> bool:
-        traj = np.asarray(traj, dtype=float)
-        x0 = float(np.atleast_1d(x)[0])
-        if traj.shape != (self.steps + 1,) or abs(traj[0] - x0) > _FEAS_TOL:
-            return False
-        moves = np.diff(traj)
-        return bool(np.all(moves >= -_FEAS_TOL) and np.all(moves <= self.max_move + _FEAS_TOL))
-
-    def transport_select(self, x, traj, x2) -> np.ndarray:
+    def transport_select_batch(self, xs, trajs, x2s) -> np.ndarray:
         # pure translation keeps every speed constraint
-        shift = float(np.atleast_1d(x2)[0]) - float(np.atleast_1d(x)[0])
-        return np.asarray(traj, dtype=float) + shift
+        shift = np.asarray(x2s, dtype=float)[:, :1] - np.asarray(xs, dtype=float)[:, :1]
+        return np.asarray(trajs, dtype=float) + shift
 
-    def initial_decision(self, x) -> np.ndarray:
-        return np.full(self.steps + 1, float(np.atleast_1d(x)[0]))
+    def initial_decision_batch(self, xs) -> np.ndarray:
+        return np.repeat(np.asarray(xs, dtype=float)[:, :1], self.steps + 1, axis=1)
 
     # -- reporting helpers ---------------------------------------------------
 

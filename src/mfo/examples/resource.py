@@ -87,11 +87,6 @@ class ResourceProblem(MfoProblem):
 
     # -- model ------------------------------------------------------------
 
-    def g_eval(self, x, q):
-        q = np.asarray(q, dtype=float)
-        self_term = float(np.sum(self.dt * self.discount_factors * (q * q - q)))
-        return self.vector(np.concatenate([[self_term], q]))
-
     def g_eval_batch(self, xs, qs):
         qs = np.asarray(qs, dtype=float)
         w = self.dt * self.discount_factors
@@ -114,10 +109,6 @@ class ResourceProblem(MfoProblem):
 
     # -- oracles ------------------------------------------------------------
 
-    def best_response(self, lam: AggregateVector, x) -> np.ndarray:
-        q, _ = self.best_response_with_multiplier(lam, x)
-        return q
-
     def best_response_with_multiplier(self, lam: AggregateVector, x):
         """Best response plus the budget multiplier (for KKT checks)."""
         q, theta = self._br_batch(lam, np.array([[float(np.atleast_1d(x)[0])]]))
@@ -134,33 +125,32 @@ class ResourceProblem(MfoProblem):
         budgets = np.asarray(xs, dtype=float).reshape(-1)
         return resource_br(top, self.exp_rt, lam1, self.dt, budgets)
 
-    def feasible(self, x, q) -> bool:
-        q = np.asarray(q, dtype=float)
-        x0 = float(np.atleast_1d(x)[0])
-        return bool(
-            np.all(q >= -_FEAS_TOL)
-            and np.all(q <= 0.5 + _FEAS_TOL)
-            and self.dt * float(q.sum()) <= x0 + _FEAS_TOL
+    def feasible_batch(self, xs, qs) -> np.ndarray:
+        qs = np.asarray(qs, dtype=float)
+        budgets = np.asarray(xs, dtype=float)[:, 0]
+        return (
+            np.all(qs >= -_FEAS_TOL, axis=1)
+            & np.all(qs <= 0.5 + _FEAS_TOL, axis=1)
+            & (self.dt * qs.sum(axis=1) <= budgets + _FEAS_TOL)
         )
 
-    def transport_select(self, x, q, x2) -> np.ndarray:
-        """Budget truncation: keep the profile until the new stock runs out."""
-        x0 = float(np.atleast_1d(x)[0])
-        x1 = float(np.atleast_1d(x2)[0])
-        q = np.asarray(q, dtype=float)
-        if x1 >= x0:
-            return q.copy()
-        spent = self.dt * np.cumsum(q)
-        before = spent - self.dt * q
-        out = np.where(spent <= x1 + 1e-15, q, 0.0)
-        partial = np.flatnonzero((before < x1) & (spent > x1 + 1e-15))
-        if len(partial):
-            t = partial[0]
-            out[t] = max(x1 - before[t], 0.0) / self.dt
-        return out
+    def transport_select_batch(self, xs, qs, x2s) -> np.ndarray:
+        """Budget truncation: keep each profile until its new stock runs out."""
+        qs = np.asarray(qs, dtype=float)
+        x0 = np.asarray(xs, dtype=float)[:, :1]
+        x1 = np.asarray(x2s, dtype=float)[:, :1]
+        spent = self.dt * np.cumsum(qs, axis=1)
+        before = spent - self.dt * qs
+        out = np.where(spent <= x1 + 1e-15, qs, 0.0)
+        # the first step that overflows the new budget spends what is left
+        partial = (before < x1) & (spent > x1 + 1e-15)
+        rows = np.flatnonzero(partial.any(axis=1))
+        t = partial[rows].argmax(axis=1)
+        out[rows, t] = np.maximum(x1[rows, 0] - before[rows, t], 0.0) / self.dt
+        return np.where(x1 >= x0, qs, out)
 
-    def initial_decision(self, x) -> np.ndarray:
-        return np.zeros(self.steps)
+    def initial_decision_batch(self, xs) -> np.ndarray:
+        return np.zeros((len(xs), self.steps))
 
     # -- reporting helpers ---------------------------------------------------
 

@@ -129,6 +129,13 @@ class TrafficProblem(MfoProblem):
             self.paths[od] = paths
             self.indicators[od] = ind
             max_len = max(max_len, max(len(p) for p in paths))
+        # each pair's path indicators, padded to one length with NaN rows
+        # that match no decision
+        self._od_keys = np.array(self.od_pairs, dtype=float).view(np.complex128)[:, 0]
+        max_paths = max(len(p) for p in self.paths.values())
+        self._path_table = np.full((len(self.od_pairs), max_paths, n_e), np.nan)
+        for i, od in enumerate(self.od_pairs):
+            self._path_table[i, : len(self.paths[od])] = self.indicators[od]
         self._weights = np.ones(n_e)
         self._weights.setflags(write=False)
         self.grad_lipschitz = max(e.latency_slope_bound() for e in self.edges)
@@ -167,12 +174,17 @@ class TrafficProblem(MfoProblem):
 
     # -- model ------------------------------------------------------------
 
-    def _od_of(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return (int(round(x[0])), int(round(x[1])))
-
-    def g_eval(self, x, y):
-        return self.vector(np.asarray(y, dtype=float))
+    def _od_index(self, xs) -> np.ndarray:
+        """Row index into ``od_pairs`` of each parameter; each must name a pair exactly."""
+        xs = np.ascontiguousarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != 2:
+            raise ValueError(f"traffic parameters are (origin, destination) rows, got shape {xs.shape}")
+        # a row read as one complex number compares both nodes at once
+        hits = xs.view(np.complex128) == self._od_keys
+        found = hits.any(axis=1)
+        if not found.all():
+            raise ValueError(f"x={xs[np.argmin(found)]} is not a configured origin-destination pair")
+        return hits.argmax(axis=1)
 
     def g_eval_batch(self, xs, ys):
         return np.asarray(ys, dtype=float)
@@ -189,47 +201,40 @@ class TrafficProblem(MfoProblem):
 
     # -- oracles ------------------------------------------------------------
 
-    def best_response(self, lam: AggregateVector, x) -> np.ndarray:
-        od = self._od_of(x)
-        costs = self.indicators[od] @ lam.values
-        return self.indicators[od][int(np.argmin(costs))].copy()
+    def best_response_batch(self, lam: AggregateVector, xs) -> np.ndarray:
+        od = self._od_index(xs)
+        costs = self._path_table @ lam.values
+        # padding costs NaN: make it +inf so the first-index argmin never takes it
+        best = np.argmin(np.where(np.isnan(costs), np.inf, costs), axis=1)
+        return self._path_table[od, best[od]]
 
-    def feasible(self, x, y) -> bool:
-        od = self._od_of(x)
-        y = np.asarray(y, dtype=float)
-        return bool(np.any(np.all(np.abs(self.indicators[od] - y) <= 1e-9, axis=1)))
+    def feasible_batch(self, xs, ys) -> np.ndarray:
+        ys = np.asarray(ys, dtype=float)
+        if ys.shape[1:] != (len(self.edges),):
+            return np.zeros(len(ys), dtype=bool)
+        paths = self._path_table[self._od_index(xs)]
+        return np.any(np.all(np.abs(paths - ys[:, None, :]) <= 1e-9, axis=2), axis=1)
 
-    def transport_select(self, x, y, x2) -> np.ndarray:
-        od, od2 = self._od_of(x), self._od_of(x2)
-        if od == od2:
-            return np.asarray(y, dtype=float).copy()
-        return self.indicators[od2][0].copy()
+    def transport_select_batch(self, xs, ys, x2s) -> np.ndarray:
+        od, od2 = self._od_index(xs), self._od_index(x2s)
+        return np.where((od == od2)[:, None], np.asarray(ys, dtype=float), self._path_table[od2, 0])
 
-    def initial_decision(self, x) -> np.ndarray:
-        return self.indicators[self._od_of(x)][0].copy()
+    def initial_decision_batch(self, xs) -> np.ndarray:
+        return self._path_table[self._od_index(xs), 0]
 
     # -- reporting helpers ---------------------------------------------------
 
     def edge_flows(self, beta: AggregateVector) -> np.ndarray:
         return beta.values.copy()
 
-    def path_costs(self, lam: AggregateVector, od) -> np.ndarray:
-        return self.indicators[tuple(od)] @ lam.values
-
     def wardrop_residual(self, mu, used_mass=1e-9) -> float:
         """Worst excess of a used path's cost over the cheapest admissible one."""
         from ..problem import aggregate
 
         lam = self.f_grad(aggregate(self, mu))
-        worst = 0.0
-        for od in self.od_pairs:
-            costs = self.path_costs(lam, od)
-            best = float(np.min(costs))
-            for x, y, w in mu.atoms():
-                if self._od_of(x) != od or w <= used_mass:
-                    continue
-                worst = max(worst, float(y @ lam.values) - best)
-        return worst
+        used = mu.weights > used_mass
+        cheapest = self.best_response_batch(lam, mu.xs[used]) @ lam.values
+        return float(np.max(mu.ys[used] @ lam.values - cheapest, initial=0.0))
 
 
 # -- network builders ----------------------------------------------------

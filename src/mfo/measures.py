@@ -32,13 +32,6 @@ WEIGHT_TOL = 1e-12
 _SPACE_COLUMNS = {"X": ("x",), "Y": ("y",), "Z": ("x", "y"), "ZX": ("x", "y", "x2")}
 
 
-def _as_point(p) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(p, dtype=float))
-    if a.ndim != 1:
-        raise ValueError(f"atom coordinate must be a vector, got shape {a.shape}")
-    return a
-
-
 def _atom_groups(columns, weights):
     """The atom-identity rule: which atoms count as one point.
 
@@ -110,6 +103,8 @@ class EmpiricalMeasure:
         for arr in (self.xs, self.ys, self.x2s):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError("atom coordinates must be finite")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("atom weights must be finite")
         if np.any(self.weights < 0):
             raise ValueError("atom weights must be nonnegative")
         total = float(self.weights.sum())
@@ -125,27 +120,27 @@ class EmpiricalMeasure:
         Each atom is ``(x, w)`` on space X, ``(x, y, w)`` on Z, etc.  With
         ``merge=True`` duplicate atoms are coalesced by :meth:`merged`.
         """
-        cols = _SPACE_COLUMNS[space]
-        if not atoms:
-            raise ValueError("a probability measure needs at least one atom")
-        stacks = {c: [] for c in cols}
-        weights = []
-        for atom in atoms:
-            *coords, w = atom
-            if len(coords) != len(cols):
-                raise ValueError(f"space {space!r} atoms take {len(cols)} coordinate(s)")
-            for c, p in zip(cols, coords):
-                stacks[c].append(_as_point(p))
-            weights.append(float(w))
-        arrays = {c: np.vstack(stacks[c]) for c in cols}
-        mu = cls(
-            space,
-            xs=arrays.get("x"),
-            ys=arrays.get("y"),
-            x2s=arrays.get("x2"),
-            weights=np.asarray(weights),
-        )
+        k = len(_SPACE_COLUMNS[space])
+        if any(len(atom) != k + 1 for atom in atoms):
+            raise ValueError(f"space {space!r} atoms take {k} coordinate(s)")
+        mu = cls._from_lists(space, [[atom[j] for atom in atoms] for j in range(k)],
+                             [atom[k] for atom in atoms])
         return mu.merged() if merge else mu
+
+    @classmethod
+    def _from_lists(cls, space, points, weights):
+        """A measure from one list of points per coordinate column, and the weights."""
+        n = len(weights)
+        if not n:
+            raise ValueError("a probability measure needs at least one atom")
+        arrays = {}
+        for c, column in zip(_SPACE_COLUMNS[space], points):
+            arr = np.array(column, dtype=float)
+            if arr.ndim > 2:
+                raise ValueError(f"atom coordinate {c!r} must be a vector, got shape {arr.shape[1:]}")
+            arrays[c] = arr.reshape(n, -1)
+        return cls(space, xs=arrays.get("x"), ys=arrays.get("y"), x2s=arrays.get("x2"),
+                   weights=np.array(weights, dtype=float))
 
     @classmethod
     def dirac(cls, space, *coords):
@@ -214,21 +209,15 @@ class EmpiricalMeasure:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self):
-        cols = _SPACE_COLUMNS[self.space]
-        names = self.columns()
-        out_atoms = []
-        for i in range(len(self)):
-            rec = {c: names[j][i].tolist() for j, c in enumerate(cols)}
-            rec["w"] = float(self.weights[i])
-            out_atoms.append(rec)
-        return {"space": self.space, "atoms": out_atoms}
+        keys = _SPACE_COLUMNS[self.space] + ("w",)
+        columns = [arr.tolist() for arr in self.columns()] + [self.weights.tolist()]
+        return {"space": self.space, "atoms": [dict(zip(keys, rec)) for rec in zip(*columns)]}
 
     @classmethod
     def from_json_dict(cls, d):
-        space = d["space"]
-        cols = _SPACE_COLUMNS[space]
-        atoms = [tuple(rec[c] for c in cols) + (rec["w"],) for rec in d["atoms"]]
-        return cls.from_atoms(space, atoms, merge=False)
+        space, atoms = d["space"], d["atoms"]
+        points = [[rec[c] for rec in atoms] for c in _SPACE_COLUMNS[space]]
+        return cls._from_lists(space, points, [rec["w"] for rec in atoms])
 
     def save_json(self, path):
         # json.dumps uses the C encoder; json.dump always streams through pure Python
@@ -251,12 +240,7 @@ class EmpiricalMeasure:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i in range(len(self)):
-                row = []
-                for arr in names:
-                    row += [repr(v) for v in arr[i]]
-                row.append(repr(float(self.weights[i])))
-                writer.writerow(row)
+            writer.writerows(np.column_stack(names + (self.weights,)).tolist())
 
 
 @dataclass(frozen=True)
@@ -357,6 +341,7 @@ def validate_feasible(mu: EmpiricalMeasure, problem) -> None:
     """Check every pair atom against the problem's feasibility predicate."""
     if mu.space != "Z":
         raise ValueError("feasibility applies to measures on Z")
-    for i in range(len(mu)):
-        if not problem.feasible(mu.xs[i], mu.ys[i]):
-            raise ValueError(f"infeasible atom {i}: y not in Z_x for x={mu.xs[i]}")
+    bad = np.flatnonzero(~np.asarray(problem.feasible_batch(mu.xs, mu.ys), dtype=bool))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"infeasible atom {i}: y not in Z_x for x={mu.xs[i]}")

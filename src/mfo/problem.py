@@ -7,10 +7,13 @@ weighted-inner-product space (diagonal weights, e.g. discounted
 trapezoid weights for time-discretized models), so that discrete inner
 products reproduce the continuous ones bit for bit.
 
-Concrete games subclass :class:`MfoProblem` and supply the contribution
-map ``g``, the cost ``f`` with its gradient and (optionally) Fenchel
-conjugate, a best-response oracle, a transport-selection oracle, and
-analytic constants.
+Concrete games subclass :class:`MfoProblem` and supply the cost ``f``
+with its gradient and (optionally) Fenchel conjugate, analytic
+constants, and the batch oracles ``g_eval_batch``,
+``best_response_batch``, ``feasible_batch``, ``transport_select_batch``
+and ``initial_decision_batch``; the base class derives their one-row
+forms ``g_eval``, ``best_response``, ``feasible``, ``transport_select``
+and ``initial_decision``.
 """
 
 from __future__ import annotations
@@ -76,21 +79,26 @@ class OracleError(RuntimeError):
 class MfoProblem:
     """Contract bundling the model data and oracles of one game.
 
-    Subclasses must define:
+    Every oracle takes a batch: ``xs`` holds one parameter per row and
+    ``ys`` one decision per row.  Subclasses must define:
 
     * ``hilbert_weights`` -- diagonal weights of the aggregation space;
-    * ``g_eval(x, y)`` -- contribution vector of one pair;
+    * ``g_eval_batch(xs, ys)`` -- contribution matrix, one row per pair;
     * ``f_value(beta)`` / ``f_grad(beta)`` -- cost and its gradient
       (gradient taken w.r.t. the weighted inner product);
-    * ``best_response(lam, x)`` -- a minimizer of ``<lam, g(x, .)>``
-      over the feasible decisions at ``x``;
-    * ``feasible(x, y)`` -- feasibility predicate ``y in Z_x``;
-    * ``transport_select(x, y, x2)`` -- a decision at ``x2`` whose
-      contribution moves by at most ``set_lipschitz * d(x, x2)``;
-    * ``initial_decision(x)`` -- any feasible decision (solver warm
-      start);
+    * ``best_response_batch(lam, xs)`` -- per row, a minimizer of
+      ``<lam, g(x, .)>`` over the feasible decisions at ``x``;
+    * ``feasible_batch(xs, ys)`` -- boolean vector, ``y in Z_x`` per row;
+    * ``transport_select_batch(xs, ys, x2s)`` -- per row, a decision at
+      ``x2`` whose contribution moves by at most
+      ``set_lipschitz * d(x, x2)``;
+    * ``initial_decision_batch(xs)`` -- any feasible decision per row
+      (solver warm start);
     * constants ``grad_lipschitz``, ``sup_g_norm``, ``sup_g_diff_sq``,
       ``sup_grad_norm``, ``set_lipschitz`` and a ``metric``.
+
+    The one-row forms ``g_eval``, ``best_response``, ``feasible``,
+    ``transport_select`` and ``initial_decision`` are derived here.
 
     ``f_conj`` may raise :class:`NotImplementedError` when the conjugate
     is unavailable; dual operations then refuse to run.  All oracles
@@ -120,13 +128,6 @@ class MfoProblem:
     def zero_vector(self) -> AggregateVector:
         return self.vector(np.zeros_like(self.hilbert_weights))
 
-    def g_eval(self, x, y) -> AggregateVector:
-        raise NotImplementedError
-
-    def g_eval_batch(self, xs, ys) -> np.ndarray:
-        """Contribution matrix, one row per pair; override for speed."""
-        return np.vstack([self.g_eval(x, y).values for x, y in zip(xs, ys)])
-
     def f_value(self, beta: AggregateVector) -> float:
         raise NotImplementedError
 
@@ -136,26 +137,35 @@ class MfoProblem:
     def f_conj(self, lam: AggregateVector) -> float:
         raise NotImplementedError("conjugate not available for this problem")
 
-    def best_response(self, lam: AggregateVector, x) -> np.ndarray:
+    def g_eval_batch(self, xs, ys) -> np.ndarray:
         raise NotImplementedError
 
     def best_response_batch(self, lam: AggregateVector, xs) -> np.ndarray:
-        out = []
-        for i, x in enumerate(xs):
-            try:
-                out.append(self.best_response(lam, x))
-            except Exception as exc:
-                raise OracleError(f"best response failed for agent {i} (x={x}): {exc}") from exc
-        return np.vstack(out)
+        raise NotImplementedError
+
+    def feasible_batch(self, xs, ys) -> np.ndarray:
+        raise NotImplementedError
+
+    def transport_select_batch(self, xs, ys, x2s) -> np.ndarray:
+        raise NotImplementedError
+
+    def initial_decision_batch(self, xs) -> np.ndarray:
+        raise NotImplementedError
+
+    def g_eval(self, x, y) -> AggregateVector:
+        return self.vector(self.g_eval_batch(_row(x), _row(y))[0])
+
+    def best_response(self, lam: AggregateVector, x) -> np.ndarray:
+        return self.best_response_batch(lam, _row(x))[0]
 
     def feasible(self, x, y) -> bool:
-        raise NotImplementedError
+        return bool(self.feasible_batch(_row(x), _row(y))[0])
 
     def transport_select(self, x, y, x2) -> np.ndarray:
-        raise NotImplementedError
+        return self.transport_select_batch(_row(x), _row(y), _row(x2))[0]
 
     def initial_decision(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self.initial_decision_batch(_row(x))[0]
 
     @property
     def metric(self):
@@ -170,6 +180,11 @@ class MfoProblem:
             "sup_grad_norm": self.sup_grad_norm,
             "set_lipschitz": self.set_lipschitz,
         }
+
+
+def _row(p) -> np.ndarray:
+    """One point as a one-row batch."""
+    return np.asarray(p, dtype=float).reshape(1, -1)
 
 
 #: certificates more negative than this indicate a broken oracle, not roundoff

@@ -192,7 +192,7 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
     factor = 1.0
 
     if mu0 is None:
-        y_init = np.vstack([problem.initial_decision(x) for x in xs])
+        y_init = problem.initial_decision_batch(xs)
         beta0 = problem.vector(w @ problem.g_eval_batch(xs, y_init))
         ys0, G0, _ = _sweep(problem, problem.f_grad(beta0), xs)
         beta = problem.vector(w @ G0)
@@ -296,7 +296,7 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
     xs, w = m_N.xs, m_N.weights
     wH = problem.hilbert_weights
 
-    y_feas = np.vstack([problem.initial_decision(x) for x in xs])
+    y_feas = problem.initial_decision_batch(xs)
     beta0 = problem.vector(w @ problem.g_eval_batch(xs, y_feas))
     y = problem.best_response_batch(problem.f_grad(beta0), xs)
     G = problem.g_eval_batch(xs, y)

@@ -301,13 +301,10 @@ def apply_selection(nu: EmpiricalMeasure, problem, metric: MetricSpec) -> Empiri
 
     if nu.space != "ZX":
         raise ValueError("apply_selection expects a glued measure on Z x X")
-    ys2 = []
-    for x, y, x2 in zip(nu.xs, nu.ys, nu.x2s):
-        y2 = np.atleast_1d(np.asarray(problem.transport_select(x, y, x2), dtype=float))
-        if not problem.feasible(x2, y2):
-            raise OracleError(f"transport_select returned an infeasible decision at x2={x2}")
-        ys2.append(y2)
-    ys2 = np.vstack(ys2)
+    ys2 = np.asarray(problem.transport_select_batch(nu.xs, nu.ys, nu.x2s), dtype=float)
+    bad = np.flatnonzero(~np.asarray(problem.feasible_batch(nu.x2s, ys2), dtype=bool))
+    if len(bad):
+        raise OracleError(f"transport_select returned an infeasible decision at x2={nu.x2s[bad[0]]}")
     diff = problem.g_eval_batch(nu.x2s, ys2) - problem.g_eval_batch(nu.xs, nu.ys)
     shift = np.sqrt(np.maximum(np.sum(problem.hilbert_weights * diff * diff, axis=1), 0.0))
     # distances between the distinct points, looked up by group id

@@ -83,8 +83,8 @@ class TestBridgeBasics:
 
     def test_broken_selection_raises(self, resource_problem):
         class Broken(type(resource_problem)):
-            def transport_select(self, x, q, x2):
-                return np.full(self.steps, 0.5)  # ignores the budget
+            def transport_select_batch(self, xs, qs, x2s):
+                return np.full((len(xs), self.steps), 0.5)  # ignores the budget
 
         prob = Broken(horizon=10.0, steps=50)
         mu0 = EmpiricalMeasure.from_atoms("Z", [([5.0], np.full(50, 0.5), 1.0)])
@@ -94,8 +94,8 @@ class TestBridgeBasics:
 
     def test_selection_moving_too_far_raises(self, resource_problem):
         class Lazy(type(resource_problem)):
-            def transport_select(self, x, q, x2):
-                return np.zeros(self.steps)  # feasible, but drops the whole profile
+            def transport_select_batch(self, xs, qs, x2s):
+                return np.zeros((len(xs), self.steps))  # feasible, but drops the whole profile
 
         prob = Lazy(horizon=10.0, steps=50)
         mu0 = EmpiricalMeasure.from_atoms("Z", [([5.0], np.full(50, 0.1), 1.0)])

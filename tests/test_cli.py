@@ -124,6 +124,42 @@ class TestSolveVerb:
         assert "repeats" in capsys.readouterr().err
 
 
+class TestCsvArtifacts:
+    GAMES = {
+        "resource": ({"name": "resource", "steps": 10},
+                     {"dist": "exponential:1", "n": 6, "method": "sample"},
+                     {"algorithm": "fw", "iterations": 5},
+                     {"history.csv", "extraction.csv", "aggregate.csv", "aggregate_batch.csv"}),
+        "congestion": ({"name": "congestion", "steps": 5, "grid_substeps": 5},
+                       {"dist": "uniform:0,0.2", "n": 4, "method": "sample"},
+                       {"algorithm": "sfw", "iterations": 3, "n_sims": 2},
+                       {"history.csv", "trajectories.csv"}),
+        "traffic": ({"name": "traffic", "network": "grid10"},
+                    {"atoms": [{"x": [0, 7], "w": 0.5}, {"x": [0, 6], "w": 0.5}]},
+                    {"algorithm": "fw", "iterations": 5},
+                    {"history.csv", "flows.csv"}),
+    }
+
+    @pytest.mark.parametrize("game", sorted(GAMES))
+    def test_every_cell_parses_as_a_number(self, tmp_path, game):
+        problem, marginal, solver, names = self.GAMES[game]
+        cfg = write_config(tmp_path / "cfg.json", problem=problem, marginal=marginal, solver=solver)
+        out = tmp_path / "batch"
+        assert main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--seed", "1", "--repeats", "2"]) == 0
+        final = json.loads((out / "rep000" / "final.json").read_text())
+        EmpiricalMeasure.from_json_dict(final["measure"]).save_csv(out / "final_measure.csv")
+        paths = sorted(out.rglob("*.csv"))
+        assert names | {"final_measure.csv"} <= {p.name for p in paths}
+        for path in paths:
+            with open(path) as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) > 1, path.name
+            for row in rows[1:]:
+                for cell in row:
+                    float(cell)   # raises on a repr such as np.float64(0.2)
+
+
 class TestQuantizeVerb:
     def test_grid_output(self, tmp_path, capsys):
         out = tmp_path / "m.json"

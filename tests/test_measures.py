@@ -285,3 +285,36 @@ class TestSerialization:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x0,x1,y0,w"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("space", ["X", "Z", "ZX"])
+    def test_column_wise_json_matches_atom_by_atom_form(self, space):
+        # reference: the per-atom writer and the from_atoms reader the
+        # column-wise ones replaced; same text, same arrays
+        mu = tricky_measure(np.random.default_rng(7), space, 40)
+        cols = _SPACE_COLUMNS[space]
+        atoms = [dict({c: col[i].tolist() for c, col in zip(cols, mu.columns())}, w=float(w))
+                 for i, w in enumerate(mu.weights)]
+        text = json.dumps({"space": space, "atoms": atoms})
+        assert json.dumps(mu.to_json_dict()) == text
+        again = EmpiricalMeasure.from_json_dict(json.loads(text))
+        ref = EmpiricalMeasure.from_atoms(
+            space, [tuple(a[c] for c in cols) + (a["w"],) for a in atoms], merge=False)
+        assert_same_bits(again, ref)
+
+    def test_reader_rejects_malformed_input(self):
+        def payload(*atoms):
+            return {"space": "Z", "atoms": [dict(zip(("x", "y", "w"), a)) for a in atoms]}
+
+        EmpiricalMeasure.from_json_dict(payload(([0.0], [1.0, 2.0], 0.5), ([1.0], [3.0, 4.0], 0.5)))
+        bad = {
+            "no atoms": payload(),
+            "ragged decisions": payload(([0.0], [1.0, 2.0], 0.5), ([1.0], [3.0], 0.5)),
+            "scalar next to vector": payload(([0.0], [1.0], 0.5), (1.0, [3.0], 0.5)),
+            "nested coordinate": payload(([[0.0]], [1.0], 1.0)),
+            "nan coordinate": payload(([0.0], [float("nan"), 2.0], 1.0)),
+            "infinite parameter": payload(([float("inf")], [1.0, 2.0], 1.0)),
+            "nan weight": payload(([0.0], [1.0], float("nan")), ([1.0], [3.0], 1.0)),
+        }
+        for d in bad.values():
+            with pytest.raises(ValueError):
+                EmpiricalMeasure.from_json_dict(d)

@@ -48,8 +48,8 @@ class QuadToy(MfoProblem):
     def metric(self):
         return MetricSpec("euclidean")
 
-    def g_eval(self, x, y):
-        return self.vector(np.asarray(y, dtype=float))
+    def g_eval_batch(self, xs, ys):
+        return np.asarray(ys, dtype=float)
 
     def f_value(self, beta):
         return 0.5 * beta.dot(beta)
@@ -60,15 +60,17 @@ class QuadToy(MfoProblem):
     def f_conj(self, lam):
         return 0.5 * lam.dot(lam)
 
-    def best_response(self, lam, x):
+    def best_response_batch(self, lam, xs):
+        # the decision set does not depend on x: one argmin serves every row
         costs = self.options @ lam.values
-        return self.options[int(np.argmin(costs))].copy()
+        return np.repeat(self.options[[int(np.argmin(costs))]], len(xs), axis=0)
 
-    def feasible(self, x, y):
-        return bool(np.any(np.all(np.abs(self.options - y) <= 1e-9, axis=1)))
+    def feasible_batch(self, xs, ys):
+        ys = np.asarray(ys, dtype=float)
+        return np.any(np.all(np.abs(self.options - ys[:, None, :]) <= 1e-9, axis=2), axis=1)
 
-    def initial_decision(self, x):
-        return self.options[0].copy()
+    def initial_decision_batch(self, xs):
+        return np.repeat(self.options[:1], len(xs), axis=0)
 
 
 def twin_pigou():

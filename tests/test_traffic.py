@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,22 @@ class TestBestResponse:
                 assert float(y @ lam_values) == pytest.approx(
                     exhaustive_best_cost(prob, lam_values, od), abs=1e-12
                 )
+
+    @pytest.mark.parametrize("network", ["grid10", "five_node"])
+    def test_batch_matches_per_pair_argmin(self, network):
+        # reference: the cheapest path of each pair, first in path order on ties;
+        # duals in quarter units make many costs tie exactly
+        prob = TrafficProblem(*grid_network()) if network == "grid10" else five_node_network()
+        rng = np.random.default_rng(5)
+        n_e = len(prob.edges)
+        xs = np.array(prob.od_pairs[::-1] + prob.od_pairs, dtype=float)
+        duals = [rng.uniform(0.0, 2.0, n_e) for _ in range(300)]
+        duals += [0.25 * rng.integers(0, 4, n_e) for _ in range(300)]
+        for lam_values in duals:
+            expected = np.vstack([prob.indicators[od][np.argmin(prob.indicators[od] @ lam_values)]
+                                  for od in map(tuple, xs.astype(int))])
+            np.testing.assert_array_equal(prob.best_response_batch(prob.vector(lam_values), xs),
+                                          expected)
 
     def test_disconnected_od_rejected(self):
         edges = [Edge(0, 1, "affine", (1.0, 0.0))]
@@ -150,6 +168,32 @@ class TestSelectionAndConstants:
             q2 = rng.random(len(prob.edges))
             lhs = (prob.f_grad(prob.vector(q)) - prob.f_grad(prob.vector(q2))).norm()
             assert lhs <= prob.grad_lipschitz * np.linalg.norm(q - q2) + 1e-12
+
+
+class TestOdLookup:
+    @pytest.mark.parametrize("x", [[0, 5], [0, 7.4]], ids=["unknown", "non_integral"])
+    def test_parameter_must_name_a_configured_pair(self, x):
+        prob = TrafficProblem(*grid_network())
+        y = prob.indicators[(0, 7)][0]
+        message = re.escape(f"x={np.array(x, dtype=float)} is not a configured origin-destination pair")
+        calls = {
+            "feasible": lambda: prob.feasible(x, y),
+            "best_response": lambda: prob.best_response(prob.zero_vector(), x),
+            "transport_select from x": lambda: prob.transport_select(x, y, [0, 7]),
+            "transport_select to x": lambda: prob.transport_select([0, 7], y, x),
+            "initial_decision": lambda: prob.initial_decision(x),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_batch_names_the_first_bad_point(self):
+        prob = TrafficProblem(*grid_network())
+        xs = np.array([[0, 7], [1, 7], [0, 7.4], [0, 5]], dtype=float)
+        ys = prob.initial_decision_batch(np.array([[0, 7]] * 4, dtype=float))
+        with pytest.raises(ValueError, match=re.escape(f"x={xs[2]} is not")):
+            prob.feasible_batch(xs, ys)
+        np.testing.assert_array_equal(prob.feasible_batch(xs[:2], ys[:2]), [True, False])
 
 
 class TestNetworkFiles:
