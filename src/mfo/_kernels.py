@@ -72,29 +72,40 @@ def resource_br(top, ert, lam1, dt, budgets):
 # nearest (stay) once at or past it, so zero-cost regions yield the
 # canonical halt-at-target path.
 #
+# Every path starts at state 0, so at time t it is at most t*qmax cells
+# along: backward step t computes only the reachable band of columns
+# [0, b_t), b_t = min(n, t*qmax + 1).  Its windows read [0, b_t + qmax),
+# which lies inside the band of step t + 1 (or in the +inf columns past
+# the grid), so columns left stale past a band are never read.
+#
 # The minimum over the window [s, s + qmax] is built by doubling
 # (a sparse table): windows of length 2a are pairs of windows of length
 # a, and the last step overlaps two windows of the largest power of two
-# that fits.  The nearest arg-min keeps the left window on ties (<=),
-# the farthest keeps the right one (<).  Each step costs O(n log qmax)
-# per agent instead of O(n qmax), and the minimum is a selection, so
+# that fits.  The arg-mins are carried as global column indices (one
+# broadcast arange to start with), so a pass only selects; the offset
+# column - s is formed once per step.  The farthest arg-min keeps the
+# right window on ties (<), on the whole band; the nearest keeps the
+# left one (<=) and is needed only from the first column c0 where some
+# agent is at or past its target.  A step costs O(b_t log qmax) per
+# agent instead of O(b_t qmax), and the minimum is a selection, so
 # values are bit-identical to a successor-by-successor scan.
 
 
-def _window_argmins(value, qmax):
-    """Minima of ``value[:, s:s + qmax + 1]`` with their nearest and farthest offsets.
+def _window_argmins(value, cols, qmax, c0):
+    """Minima of ``value[:, s:s + qmax + 1]`` with their nearest and farthest columns.
 
-    The outputs have ``qmax`` columns fewer than ``value``; callers end
-    ``value`` with ``qmax`` columns of +inf so that no window reaches
-    past a grid.
+    ``cols`` numbers the columns of ``value``.  The outputs have ``qmax``
+    columns fewer than ``value``; callers end ``value`` with ``qmax``
+    columns of +inf so that no window reaches past a grid.  ``far``
+    covers every window, ``near`` those from ``c0`` on.
     """
-    near = far = np.zeros(value.shape, dtype=np.min_scalar_type(qmax))
+    near, far = cols[None, c0:], cols[None, :]
     width, a = qmax + 1, 1
     while a < width:
         shift = min(a, width - a)
         lo, hi = value[:, :-shift], value[:, shift:]
-        near = np.where(lo <= hi, near[:, :-shift], near[:, shift:] + shift)
-        far = np.where(lo < hi, far[:, :-shift], far[:, shift:] + shift)
+        near = np.where(lo[:, c0:] <= hi[:, c0:], near[:, :-shift], near[:, shift:])
+        far = np.where(lo < hi, far[:, :-shift], far[:, shift:])
         value = np.minimum(lo, hi)
         a += shift
     return value, near, far
@@ -111,15 +122,22 @@ def congestion_dp_batch(stage_cost, steps, qmax, below_target, lengths):
     the ``steps + 1`` visited states and ``values[i]`` its total cost.
     """
     below_target = np.asarray(below_target, dtype=bool)
+    at_target = ~below_target
     n_agents, n = below_target.shape
     value = np.full((n_agents, n + qmax), np.inf)
     value[:, :n][np.arange(n) < np.asarray(lengths)[:, None]] = 0.0
+    # first column where some agent is at or past its target
+    reached = at_target.any(axis=0)
+    c0 = int(reached.argmax()) if reached.any() else n
+    cols = np.arange(n + qmax, dtype=np.min_scalar_type(n + qmax))
     choice = np.empty((steps, n_agents, n), dtype=np.min_scalar_type(qmax))
     for t in range(steps - 1, -1, -1):
-        best, near, far = _window_argmins(value, qmax)
-        np.copyto(choice[t], near)
-        np.copyto(choice[t], far, where=below_target)
-        value[:, :n] = stage_cost(t) + best
+        b = min(n, t * qmax + 1)
+        c = min(c0, b)
+        best, near, far = _window_argmins(value[:, : b + qmax], cols[: b + qmax], qmax, c)
+        np.subtract(far, cols[:b], out=choice[t, :, :b], casting="unsafe")
+        np.copyto(choice[t, :, c:b], near - cols[c:b], casting="unsafe", where=at_target[:, c:b])
+        value[:, :b] = stage_cost(t)[:, :b] + best
     rows = np.arange(n_agents)
     paths = np.zeros((n_agents, steps + 1), dtype=np.intp)
     for t in range(steps):

@@ -32,6 +32,16 @@ MARGINAL_TOL = 1e-9
 SELECT_TOL = 1e-7
 
 
+def _node_ids(X, n_nodes):
+    """Origin and destination node ids of ``graph_hop`` points; each must be a node exactly."""
+    if X.shape[1] != 2:
+        raise ValueError(f"graph_hop points are (origin, destination) rows, got shape {X.shape}")
+    ok = np.all((X == np.floor(X)) & (X >= 0) & (X < n_nodes), axis=1)
+    if not ok.all():
+        raise ValueError(f"point {X[np.argmin(ok)]} is not a pair of node ids in [0, {n_nodes})")
+    return X.astype(np.intp).T
+
+
 @dataclass(frozen=True)
 class MetricSpec:
     """Ground metric on the parameter space.
@@ -63,10 +73,7 @@ class MetricSpec:
             if self.node_distances is None:
                 raise ValueError("graph_hop metric needs node_distances")
             hops = np.asarray(self.node_distances, dtype=float)
-            o0 = X0[:, 0].astype(int)
-            d0 = X0[:, 1].astype(int)
-            o1 = X1[:, 0].astype(int)
-            d1 = X1[:, 1].astype(int)
+            (o0, d0), (o1, d1) = _node_ids(X0, len(hops)), _node_ids(X1, len(hops))
             return hops[np.ix_(o0, o1)] + hops[np.ix_(d0, d1)]
         if self.kind == "table":
             if self.table is None or self.points is None:

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import mfo.examples.congestion
 from mfo import EmpiricalMeasure, SolverConfig, sfw_solve
+from mfo._kernels import congestion_dp_batch
 from mfo.examples import CongestionProblem
 from mfo.examples.congestion import bump_family, cell_bump, rising_step
 
@@ -164,6 +166,35 @@ class TestBatchedBestResponse:
                 got = lam.dot(prob.g_eval(x, traj))
                 ref = lam.dot(prob.g_eval(x, loop_reference_response(prob, lam, float(x[0]))))
                 assert got <= ref + 1e-12 * abs(ref)
+
+    def test_full_size_batch_matches_the_loop_reference(self, monkeypatch):
+        # the benchmark's SFW instance: grids of up to 385 states and 51-wide
+        # windows, so the reachable band t*50 + 1 is narrower than the grid for
+        # t < 8; the loop DP gets exactly the stage costs the kernel saw
+        prob = CongestionProblem(horizon=1.0, steps=20, vmax=3.0, alpha=1.0, cells=5,
+                                 smoothing=20, grid_substeps=50)
+        seen = {}
+
+        def recording_dp(stage_cost, steps, qmax, below, lengths):
+            seen.update(costs=np.stack([stage_cost(t) for t in range(steps)], axis=2),
+                        below=below, lengths=lengths)
+            seen["values"], seen["paths"] = congestion_dp_batch(stage_cost, steps, qmax, below, lengths)
+            return seen["values"], seen["paths"]
+
+        monkeypatch.setattr(mfo.examples.congestion, "congestion_dp_batch", recording_dp)
+        xs = np.array([[0.0], [0.083], [0.2]])
+        rng = np.random.default_rng(20)
+        # a congested dual, and the zero-penalty one whose flat costs tie everywhere
+        for lam in (random_dual(prob, rng), prob.f_grad(prob.zero_vector())):
+            trajs = prob.best_response_batch(lam, xs)
+            assert seen["lengths"].max() == 385
+            for i, x0 in enumerate(xs[:, 0]):
+                n = seen["lengths"][i]
+                value, path = congestion_dp_loops(seen["costs"][i, :n], prob.grid_substeps,
+                                                  seen["below"][i, :n], 0)
+                assert seen["values"][i] == value
+                np.testing.assert_array_equal(seen["paths"][i], path)
+                np.testing.assert_array_equal(trajs[i], (x0 + prob.grid_step * np.arange(n))[path])
 
 
 class TestSelectionAndConstants:

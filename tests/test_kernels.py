@@ -248,3 +248,76 @@ class TestCongestionKernel:
         rng = np.random.default_rng(8)
         costs = [rng.integers(0, 3, (300, 4)).astype(float), rng.random((40, 4))]
         assert_matches_loop_reference(costs, qmax, [np.ones(300, bool), np.ones(40, bool)])
+
+    def test_band_never_reaching_the_grid_end_matches_loop_reference(self):
+        # grids longer than steps*qmax + 1: every backward step works on a
+        # band narrower than the grid and leaves stale columns past it
+        rng = np.random.default_rng(9)
+        for case in range(60):
+            steps = int(rng.integers(2, 7))
+            qmax = int(rng.integers(1, 5))
+            n_agents = int(rng.integers(1, 5))
+            sizes = rng.integers(steps * qmax + 2, steps * qmax + 30, n_agents)
+            costs = [rng.integers(0, 3, (n, steps)).astype(float) if case % 2 else rng.random((n, steps))
+                     for n in sizes]
+            belows = [rng.random(n) < 0.7 for n in sizes]
+            assert_matches_loop_reference(costs, qmax, belows)
+
+    def test_every_agent_below_target_matches_loop_reference(self):
+        # no column has an agent at its target, so no nearest arg-min is needed
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            steps = int(rng.integers(1, 8))
+            qmax = int(rng.integers(0, 6))
+            sizes = rng.integers(1, 30, int(rng.integers(1, 5)))
+            costs = [rng.integers(0, 2, (n, steps)).astype(float) for n in sizes]
+            assert_matches_loop_reference(costs, qmax, [np.ones(n, bool) for n in sizes])
+
+    def test_agent_at_target_from_column_zero_matches_loop_reference(self):
+        # one agent starts at its target, so the nearest arg-min covers the whole
+        # band; the others have masks with holes, so the first column with an
+        # agent at its target is not where any prefix ends
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            steps = int(rng.integers(1, 8))
+            qmax = int(rng.integers(1, 6))
+            sizes = rng.integers(2, 30, int(rng.integers(2, 5)))
+            costs = [rng.integers(0, 2, (n, steps)).astype(float) for n in sizes]
+            belows = [rng.random(n) < 0.8 for n in sizes]
+            belows[rng.integers(len(sizes))][0] = False
+            assert_matches_loop_reference(costs, qmax, belows)
+
+    def test_holes_in_below_target_masks_match_loop_reference(self):
+        # each mask is below target on a long prefix, then has one hole, then
+        # more below-target states: the first at-target column is the hole
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            steps = int(rng.integers(2, 8))
+            qmax = int(rng.integers(1, 6))
+            sizes = rng.integers(8, 40, int(rng.integers(1, 5)))
+            costs = [rng.integers(0, 2, (n, steps)).astype(float) for n in sizes]
+            belows = []
+            for n in sizes:
+                below = np.arange(n) < n - 2
+                below[rng.integers(1, n - 2)] = False
+                belows.append(below)
+            assert_matches_loop_reference(costs, qmax, belows)
+
+    def test_no_move_allowed_matches_loop_reference(self):
+        # qmax = 0: every window is one state, every path stays at state 0
+        rng = np.random.default_rng(13)
+        costs = [rng.integers(0, 2, (n, 6)).astype(float) for n in (1, 5, 9)]
+        belows = [rng.random(n) < 0.5 for n in (1, 5, 9)]
+        assert_matches_loop_reference(costs, 0, belows)
+        _, paths = dp_batch(costs, 0, belows)
+        assert not paths.any()
+
+    def test_wide_grids_use_two_byte_columns_and_match_loop_reference(self):
+        # a grid of 250 states and windows of 11 make 260 columns, more than a
+        # uint8 can number; the band is narrower than the grid for t < 25
+        rng = np.random.default_rng(14)
+        costs = [rng.integers(0, 3, (250, 30)).astype(float), rng.random((120, 30)),
+                 rng.integers(0, 2, (249, 30)).astype(float)]
+        belows = [rng.random(250) < 0.9, np.arange(120) < 100, np.arange(249) < 200]
+        assert np.min_scalar_type(250 + 10) == np.uint16
+        assert_matches_loop_reference(costs, 10, belows)

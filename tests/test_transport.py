@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from mfo import EmpiricalMeasure, MetricSpec, assignment_solve, first_marginal, glue, ot_solve
+from mfo.examples import TrafficProblem, grid_network
 from mfo.transport import Coupling
 
 from conftest import uniform_marginal
@@ -56,6 +57,24 @@ class TestMetricSpec:
         spec = MetricSpec("graph_hop", node_distances=hops)
         assert spec.dist([0, 2], [1, 2]) == 1.0
         assert spec.dist([0, 2], [2, 0]) == 4.0
+
+    @pytest.mark.parametrize("bad", [[0.0, 7.4], [0.0, -1.0], [0.0, 8.0], [0.0, 9.0], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_graph_hop_rejects_points_that_are_not_node_ids(self, bad):
+        # a fractional id must not be truncated, a negative one must not wrap
+        # around to the last node, and one past the graph must not raise IndexError
+        spec = TrafficProblem(*grid_network()).metric
+        assert len(spec.node_distances) == 8
+        good = [[0.0, 7.0], [1.0, 6.0]]
+        with pytest.raises(ValueError, match=r"point \[.*\] is not a pair of node ids in \[0, 8\)"):
+            spec.pairwise(good + [bad], [[0.0, 7.0]])
+        with pytest.raises(ValueError, match="not a pair of node ids"):
+            spec.pairwise([[0.0, 7.0]], [bad] + good)
+        assert spec.pairwise(good, good).shape == (2, 2)
+
+    def test_graph_hop_rejects_single_coordinates(self):
+        spec = MetricSpec("graph_hop", node_distances=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="origin, destination"):
+            spec.pairwise([[0.0]], [[1.0]])
 
     def test_table(self):
         pts = np.array([[0.0], [1.0]])
