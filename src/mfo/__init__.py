@@ -31,11 +31,10 @@ from .problem import (
     value_directional_derivative,
 )
 from .quantize import SourceDistribution, estimate_d1, quantize_grid, quantize_sample
-from .solvers import AgentState, SolveReport, SolverConfig, candidate_objective, fw_solve, sfw_solve
+from .solvers import SolveReport, SolverConfig, candidate_objective, fw_solve, sfw_solve
 from .transport import Coupling, MetricSpec, assignment_solve, bridge, d1, glue, ot_solve
 
 __all__ = [
-    "AgentState",
     "AggregateVector",
     "ConditionalFamily",
     "Coupling",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .examples import PROBLEM_BUILDERS
+from .examples import PROBLEM_CLASSES
 from .measures import EmpiricalMeasure
 from .problem import OracleError, aggregate
 from .quantize import SourceDistribution, grid_truncation, quantize_grid, quantize_sample
@@ -31,6 +31,9 @@ from .solvers import SolverConfig, fw_solve, sfw_solve
 from .transport import bridge
 
 CONFIG_SCHEMA = 1
+CONFIG_KEYS = ("schema", "problem", "marginal", "solver", "repeats")
+MARGINAL_KEYS = ("file", "atoms", "dist", "n", "method", "seed")
+SOLVER_KEYS = ("algorithm", "seed", "iterations", "n_sims", "monotone_guard", "gap_tol")
 
 
 class ConfigError(ValueError):
@@ -43,6 +46,14 @@ def _require(cfg: dict, field: str, context: str):
     return cfg[field]
 
 
+def _check_keys(cfg: dict, accepted, context: str):
+    """Reject keys that nothing reads, so a misspelt one cannot silently run the default."""
+    unknown = [key for key in cfg if key not in accepted]
+    if unknown:
+        raise ConfigError(f"unknown key{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))} in {context}; "
+                          f"accepted: {', '.join(accepted)}")
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -51,17 +62,21 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if cfg.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}")
+    _check_keys(cfg, CONFIG_KEYS, "the config")
     return cfg
 
 
 def build_problem(problem_cfg: dict):
     name = _require(problem_cfg, "name", "problem")
-    if name not in PROBLEM_BUILDERS:
-        raise ConfigError(f"unknown problem {name!r}; available: {sorted(PROBLEM_BUILDERS)}")
-    return PROBLEM_BUILDERS[name](problem_cfg)
+    if name not in PROBLEM_CLASSES:
+        raise ConfigError(f"unknown problem {name!r}; available: {sorted(PROBLEM_CLASSES)}")
+    cls = PROBLEM_CLASSES[name]
+    _check_keys(problem_cfg, ("name",) + cls.config_keys, f"the {name} problem block")
+    return cls.from_config(problem_cfg)
 
 
 def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
+    _check_keys(marginal_cfg, MARGINAL_KEYS, "the marginal block")
     if "file" in marginal_cfg:
         return EmpiricalMeasure.load_json(marginal_cfg["file"])
     if "atoms" in marginal_cfg:
@@ -85,6 +100,7 @@ def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
 
 
 def build_solver_config(solver_cfg: dict, seed_override=None) -> tuple[str, SolverConfig]:
+    _check_keys(solver_cfg, SOLVER_KEYS, "the solver block")
     algorithm = solver_cfg.get("algorithm", "fw")
     if algorithm not in ("fw", "sfw"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
@@ -101,8 +117,8 @@ def build_solver_config(solver_cfg: dict, seed_override=None) -> tuple[str, Solv
 
 def _write_resource_dumps(problem, report, m_n, out: Path):
     lam = report.certificate.lam
-    if report.agent_state is not None:
-        profiles = report.agent_state.decisions
+    if report.decisions is not None:
+        profiles = report.decisions
     else:
         profiles = problem.best_response_batch(lam, m_n.xs)
     with open(out / "extraction.csv", "w", newline="") as fh:
@@ -123,8 +139,8 @@ def _write_resource_dumps(problem, report, m_n, out: Path):
 
 
 def _write_congestion_dumps(problem, report, m_n, out: Path):
-    if report.agent_state is not None:
-        trajs = report.agent_state.decisions
+    if report.decisions is not None:
+        trajs = report.decisions
     else:
         trajs = problem.best_response_batch(report.certificate.lam, m_n.xs)
     with open(out / "trajectories.csv", "w", newline="") as fh:

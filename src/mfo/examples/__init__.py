@@ -4,11 +4,7 @@ from .congestion import CongestionProblem
 from .resource import ResourceProblem
 from .traffic import TrafficProblem, load_network, pigou_network, grid_network
 
-PROBLEM_BUILDERS = {
-    "resource": ResourceProblem.from_config,
-    "congestion": CongestionProblem.from_config,
-    "traffic": TrafficProblem.from_config,
-}
+PROBLEM_CLASSES = {cls.name: cls for cls in (ResourceProblem, CongestionProblem, TrafficProblem)}
 
 __all__ = [
     "CongestionProblem",
@@ -17,5 +13,5 @@ __all__ = [
     "load_network",
     "pigou_network",
     "grid_network",
-    "PROBLEM_BUILDERS",
+    "PROBLEM_CLASSES",
 ]

@@ -79,6 +79,7 @@ def bump_family(x, cells, k):
 
 class CongestionProblem(MfoProblem):
     name = "congestion"
+    config_keys = ("horizon", "steps", "vmax", "alpha", "cells", "smoothing", "grid_substeps")
 
     def __init__(self, horizon=1.0, steps=20, vmax=3.0, alpha=1.0, cells=5,
                  smoothing=20, grid_substeps=50):
@@ -110,8 +111,7 @@ class CongestionProblem(MfoProblem):
 
     @classmethod
     def from_config(cls, cfg: dict) -> "CongestionProblem":
-        keys = ("horizon", "steps", "vmax", "alpha", "cells", "smoothing", "grid_substeps")
-        return cls(**{k: cfg[k] for k in keys if k in cfg})
+        return cls(**{k: cfg[k] for k in cls.config_keys if k in cfg})
 
     @property
     def hilbert_weights(self):

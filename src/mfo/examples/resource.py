@@ -35,6 +35,7 @@ _FEAS_TOL = 1e-9
 
 class ResourceProblem(MfoProblem):
     name = "resource"
+    config_keys = ("horizon", "steps", "discount", "price_impact", "stock_cap")
 
     def __init__(self, horizon=10.0, steps=50, discount=1.0, price_impact=1.0,
                  stock_cap=15.0):
@@ -63,8 +64,7 @@ class ResourceProblem(MfoProblem):
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ResourceProblem":
-        keys = ("horizon", "steps", "discount", "price_impact", "stock_cap")
-        return cls(**{k: cfg[k] for k in keys if k in cfg})
+        return cls(**{k: cfg[k] for k in cls.config_keys if k in cfg})
 
     @property
     def hilbert_weights(self):

@@ -104,6 +104,7 @@ def _hop_distances(n_nodes, edges):
 
 class TrafficProblem(MfoProblem):
     name = "traffic"
+    config_keys = ("network", "hop_bound")
 
     def __init__(self, n_nodes, edges, od_pairs, hop_bound=None):
         self.n_nodes = int(n_nodes)

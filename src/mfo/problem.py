@@ -110,6 +110,8 @@ class MfoProblem:
     """
 
     name = "abstract"
+    #: the keys ``from_config`` reads from a config's problem block (besides ``name``)
+    config_keys: tuple = ()
 
     # analytic constants; subclasses assign instance attributes
     grad_lipschitz: float
@@ -248,18 +250,31 @@ def u_lambda(problem: MfoProblem, lam: AggregateVector, x):
     return value, y
 
 
-def _support_values(problem, lam, m):
-    ys = problem.best_response_batch(lam, m.xs)
-    G = problem.g_eval_batch(m.xs, ys)
-    values = G @ (lam.weights * lam.values)
-    return ys, values
+def _support_values(problem, lam, xs):
+    """The best-response sweep: per row, the minimizer, its contribution and ``<lam, g>``."""
+    ys = problem.best_response_batch(lam, xs)
+    G = problem.g_eval_batch(xs, ys)
+    return ys, G, G @ (lam.weights * lam.values)
+
+
+def _certify(problem, beta: AggregateVector, xs, w):
+    """Certificate at aggregate ``beta`` over the marginal ``(xs, w)``.
+
+    Also returns the sweep's best responses and their contributions,
+    which the solvers step towards.
+    """
+    lam = problem.f_grad(beta)
+    ys, G, values = _support_values(problem, lam, xs)
+    gap = clamp_gap(lam.dot(beta) - float(w @ values))
+    primal = problem.f_value(beta)
+    return DualCertificate(lam=lam, primal_value=primal, dual_value=gap - primal, gap=gap), ys, G
 
 
 def linearized_solve(problem: MfoProblem, lam: AggregateVector, m: EmpiricalMeasure) -> EmpiricalMeasure:
     """Minimize the linearized cost: one best response per support point."""
     if m.space != "X":
         raise ValueError("the prescribed marginal lives on X")
-    ys, _ = _support_values(problem, lam, m)
+    ys, _, _ = _support_values(problem, lam, m.xs)
     return EmpiricalMeasure("Z", xs=m.xs, ys=ys, weights=m.weights, validate=False).merged()
 
 
@@ -273,13 +288,8 @@ def fw_gap(problem: MfoProblem, mu: EmpiricalMeasure) -> DualCertificate:
     requiring the conjugate.
     """
     beta = aggregate(problem, mu)
-    lam = problem.f_grad(beta)
     m = first_marginal(mu)
-    _, values = _support_values(problem, lam, m)
-    linear_best = float(m.weights @ values)
-    gap = clamp_gap(lam.dot(beta) - linear_best)
-    primal = problem.f_value(beta)
-    return DualCertificate(lam=lam, primal_value=primal, dual_value=gap - primal, gap=gap)
+    return _certify(problem, beta, m.xs, m.weights)[0]
 
 
 def dual_value(problem: MfoProblem, lam: AggregateVector, m: EmpiricalMeasure) -> float:
@@ -292,7 +302,7 @@ def dual_value(problem: MfoProblem, lam: AggregateVector, m: EmpiricalMeasure) -
     conj = problem.f_conj(lam)
     if not math.isfinite(conj):
         return math.inf
-    _, values = _support_values(problem, lam, m)
+    _, _, values = _support_values(problem, lam, m.xs)
     return conj - float(m.weights @ values)
 
 
@@ -303,6 +313,6 @@ def value_directional_derivative(problem: MfoProblem, m0, m1, lam_star_m0: Aggre
     ``f`` at a converged aggregate); the derivative is the integral of
     the best-response value against the signed measure ``m1 - m0``.
     """
-    _, v1 = _support_values(problem, lam_star_m0, m1)
-    _, v0 = _support_values(problem, lam_star_m0, m0)
+    _, _, v1 = _support_values(problem, lam_star_m0, m1.xs)
+    _, _, v0 = _support_values(problem, lam_star_m0, m0.xs)
     return float(m1.weights @ v1) - float(m0.weights @ v0)

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import EmpiricalMeasure
-from .problem import DualCertificate, MfoProblem, OracleError, aggregate, clamp_gap, fw_gap
+from .measures import EmpiricalMeasure, first_marginal
+from .problem import DualCertificate, MfoProblem, OracleError, _certify, _support_values, aggregate, fw_gap
+from .transport import MARGINAL_TOL
 
 
 def default_step(k: int) -> float:
@@ -94,16 +95,6 @@ class IterationRecord:
     n_candidates: int | None = None
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """One decision per support point (the stochastic solver's state)."""
-
-    decisions: np.ndarray
-
-    def __len__(self):
-        return len(self.decisions)
-
-
 @dataclass
 class SolveReport:
     """Per-iteration history plus the final measure and certificate."""
@@ -118,7 +109,7 @@ class SolveReport:
     iterations_run: int
     stopped_early: bool = False
     beyond_guarantee: bool = False
-    agent_state: AgentState | None = None
+    decisions: np.ndarray | None = None    # SFW: one decision per support point
     problem_info: dict = field(default_factory=dict)
 
     @property
@@ -170,11 +161,21 @@ def _check_marginal(m_N):
         raise ValueError("the prescribed marginal must live on X")
 
 
-def _sweep(problem, lam, xs):
-    ys = problem.best_response_batch(lam, xs)
-    G = problem.g_eval_batch(xs, ys)
-    u_vals = G @ (problem.hilbert_weights * lam.values)
-    return ys, G, u_vals
+def _warm_start(problem, xs, w):
+    """Best responses, and their contributions, at the aggregate of a feasible start."""
+    y0 = problem.initial_decision_batch(xs)
+    beta0 = problem.vector(w @ problem.g_eval_batch(xs, y0))
+    ys, G, _ = _support_values(problem, problem.f_grad(beta0), xs)
+    return ys, G
+
+
+def _certify_iteration(problem, beta, xs, w, records):
+    """:func:`_certify` for one iteration; an oracle failure carries the records so far."""
+    try:
+        return _certify(problem, beta, xs, w)
+    except OracleError as exc:
+        exc.partial_records = list(records)
+        raise
 
 
 def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
@@ -182,56 +183,44 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
     """Frank-Wolfe over measures with the prescribed marginal.
 
     Unless supplied, the starting measure is the best-response measure
-    at the gradient of an arbitrary feasible aggregate.  After ``K``
-    iterations with the default step rule the suboptimality is at most
+    at the gradient of an arbitrary feasible aggregate; a supplied
+    ``mu0`` must have first marginal ``m_N``.  After ``K`` iterations
+    with the default step rule the suboptimality is at most
     ``2 * grad_lipschitz * sup_g_diff_sq / K``.
     """
     _check_marginal(m_N)
     xs, w = m_N.xs, m_N.weights
-    blocks = []          # (xs, ys, raw weights); effective weight = raw * factor
     factor = 1.0
-
     if mu0 is None:
-        y_init = problem.initial_decision_batch(xs)
-        beta0 = problem.vector(w @ problem.g_eval_batch(xs, y_init))
-        ys0, G0, _ = _sweep(problem, problem.f_grad(beta0), xs)
+        ys0, G0 = _warm_start(problem, xs, w)
         beta = problem.vector(w @ G0)
-        blocks.append((xs, ys0, w.copy()))
+        blocks = [(xs, ys0, w.copy())]     # (xs, ys, raw weights); effective weight = raw * factor
     else:
+        if not first_marginal(mu0).allclose(m_N, tol=MARGINAL_TOL):
+            raise ValueError("the warm start mu0 does not have the prescribed marginal")
         beta = aggregate(problem, mu0)
-        blocks.append((mu0.xs, mu0.ys, mu0.weights.copy()))
+        blocks = [(mu0.xs, mu0.ys, mu0.weights.copy())]
 
     records = []
     stopped_early = False
-    iterations_run = 0
     for k in range(config.iterations):
         tic = time.perf_counter()
-        lam = problem.f_grad(beta)
-        try:
-            ys_br, G_br, u_vals = _sweep(problem, lam, xs)
-        except OracleError as exc:
-            exc.partial_records = list(records)
-            raise
-        gap = clamp_gap(lam.dot(beta) - float(w @ u_vals))
-        objective = problem.f_value(beta)
-        if config.gap_tol is not None and gap <= config.gap_tol:
-            records.append(IterationRecord(k, objective, gap, lam.norm(),
-                                           (time.perf_counter() - tic) * 1e3))
-            iterations_run = k + 1
-            stopped_early = True
-            break
-        om = config.omega(k)
-        beta = problem.vector((1.0 - om) * beta.values + om * (w @ G_br))
-        if om >= 1.0:
-            blocks = []
-            factor = 1.0
-        else:
-            factor *= 1.0 - om
-        if om > 0.0:
-            blocks.append((xs, ys_br, om * w / factor))
-        records.append(IterationRecord(k, objective, gap, lam.norm(),
+        cert, ys_br, G_br = _certify_iteration(problem, beta, xs, w, records)
+        stopped_early = config.gap_tol is not None and cert.gap <= config.gap_tol
+        if not stopped_early:
+            om = config.omega(k)
+            beta = problem.vector((1.0 - om) * beta.values + om * (w @ G_br))
+            if om >= 1.0:
+                blocks = []
+                factor = 1.0
+            else:
+                factor *= 1.0 - om
+            if om > 0.0:
+                blocks.append((xs, ys_br, om * w / factor))
+        records.append(IterationRecord(k, cert.primal_value, cert.gap, cert.lam.norm(),
                                        (time.perf_counter() - tic) * 1e3))
-        iterations_run = k + 1
+        if stopped_early:
+            break
 
     if config.store_measure:
         xs_all = np.vstack([b[0] for b in blocks])
@@ -241,11 +230,7 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
         cert = fw_gap(problem, final)
     else:
         final = None
-        lam = problem.f_grad(beta)
-        _, _, u_vals = _sweep(problem, lam, xs)
-        gap = clamp_gap(lam.dot(beta) - float(w @ u_vals))
-        primal = problem.f_value(beta)
-        cert = DualCertificate(lam=lam, primal_value=primal, dual_value=gap - primal, gap=gap)
+        cert = _certify(problem, beta, xs, w)[0]
 
     return SolveReport(
         algorithm="fw",
@@ -255,7 +240,7 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
         seed=config.seed,
         config=config.to_json_dict(),
         n_support=len(m_N),
-        iterations_run=iterations_run,
+        iterations_run=len(records),
         stopped_early=stopped_early,
         problem_info=problem.describe(),
     )
@@ -267,16 +252,14 @@ def candidate_rng(seed: int, k: int, j: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def candidate_objective(problem: MfoProblem, m_N: EmpiricalMeasure, state) -> float:
+def candidate_objective(problem: MfoProblem, m_N: EmpiricalMeasure, decisions) -> float:
     """Exact objective of one decision per support point."""
-    decisions = state.decisions if isinstance(state, AgentState) else np.asarray(state)
-    G = problem.g_eval_batch(m_N.xs, decisions)
+    G = problem.g_eval_batch(m_N.xs, np.asarray(decisions))
     return problem.f_value(problem.vector(m_N.weights @ G))
 
 
-def measure_from_state(m_N: EmpiricalMeasure, state) -> EmpiricalMeasure:
-    """The empirical pair measure of an agent state (support kept as-is)."""
-    decisions = state.decisions if isinstance(state, AgentState) else np.asarray(state)
+def measure_from_state(m_N: EmpiricalMeasure, decisions) -> EmpiricalMeasure:
+    """The empirical pair measure of one decision per support point (support kept as-is)."""
     return EmpiricalMeasure("Z", xs=m_N.xs, ys=np.asarray(decisions, dtype=float),
                             weights=m_N.weights, validate=False)
 
@@ -294,66 +277,48 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
     if float(np.max(np.abs(m_N.weights - 1.0 / n))) > 1e-12:
         raise ValueError("the stochastic solver needs uniform weights 1/N")
     xs, w = m_N.xs, m_N.weights
-    wH = problem.hilbert_weights
-
-    y_feas = problem.initial_decision_batch(xs)
-    beta0 = problem.vector(w @ problem.g_eval_batch(xs, y_feas))
-    y = problem.best_response_batch(problem.f_grad(beta0), xs)
-    G = problem.g_eval_batch(xs, y)
+    y, G = _warm_start(problem, xs, w)
 
     records = []
-    iterations_run = 0
     stopped_early = False
     for k in range(config.iterations):
         tic = time.perf_counter()
-        beta = problem.vector(w @ G)
-        objective = problem.f_value(beta)
-        lam = problem.f_grad(beta)
-        try:
-            y_br = problem.best_response_batch(lam, xs)
-        except OracleError as exc:
-            exc.partial_records = list(records)
-            raise
-        G_br = problem.g_eval_batch(xs, y_br)
-        gap = clamp_gap(lam.dot(beta) - float(w @ (G_br @ (wH * lam.values))))
-        if config.gap_tol is not None and gap <= config.gap_tol:
-            elapsed = (time.perf_counter() - tic) * 1e3
-            records.append(IterationRecord(k, objective, gap, lam.norm(), elapsed, n_candidates=0))
-            iterations_run = k + 1
-            stopped_early = True
+        cert, y_br, G_br = _certify_iteration(problem, problem.vector(w @ G), xs, w, records)
+        objective = cert.primal_value
+        stopped_early = config.gap_tol is not None and cert.gap <= config.gap_tol
+        n_k = 0
+        if not stopped_early:
+            n_k, om = config.sims_at(k), config.omega(k)
+            # contributions are per agent, so a candidate's rows are picked from
+            # G_br and G: one g_eval_batch per iteration
+            best_val = np.inf
+            best_pick = None
+            for j in range(n_k):
+                pick = (candidate_rng(config.seed, k, j).random(n) < om)[:, None]
+                val = problem.f_value(problem.vector(w @ np.where(pick, G_br, G)))
+                if val < best_val:
+                    best_val, best_pick = val, pick
+            if not (config.monotone_guard and objective < best_val):
+                y = np.where(best_pick, y_br, y)
+                G = np.where(best_pick, G_br, G)
+        records.append(IterationRecord(k, objective, cert.gap, cert.lam.norm(),
+                                       (time.perf_counter() - tic) * 1e3, n_candidates=n_k))
+        if stopped_early:
             break
-        n_k = config.sims_at(k)
-        om = config.omega(k)
-        # contributions are per agent, so a candidate's rows are picked from
-        # G_br and G: one g_eval_batch per iteration
-        best_val = np.inf
-        best_pick = None
-        for j in range(n_k):
-            pick = (candidate_rng(config.seed, k, j).random(n) < om)[:, None]
-            val = problem.f_value(problem.vector(w @ np.where(pick, G_br, G)))
-            if val < best_val:
-                best_val, best_pick = val, pick
-        if not (config.monotone_guard and objective < best_val):
-            y = np.where(best_pick, y_br, y)
-            G = np.where(best_pick, G_br, G)
-        elapsed = (time.perf_counter() - tic) * 1e3
-        records.append(IterationRecord(k, objective, gap, lam.norm(), elapsed, n_candidates=n_k))
-        iterations_run = k + 1
 
-    state = AgentState(decisions=np.asarray(y, dtype=float))
-    final = measure_from_state(m_N, state)
-    cert = fw_gap(problem, final)
+    decisions = np.asarray(y, dtype=float)
+    final = measure_from_state(m_N, decisions)
     return SolveReport(
         algorithm="sfw",
         records=records,
-        certificate=cert,
+        certificate=fw_gap(problem, final),
         final_measure=final if config.store_measure else None,
         seed=config.seed,
         config=config.to_json_dict(),
         n_support=n,
-        iterations_run=iterations_run,
+        iterations_run=len(records),
         stopped_early=stopped_early,
         beyond_guarantee=config.iterations > 2 * n,
-        agent_state=state,
+        decisions=decisions,
         problem_info=problem.describe(),
     )

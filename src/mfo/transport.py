@@ -232,10 +232,9 @@ def assignment_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricS
         raise ValueError("assignment needs equal support sizes")
     if not (_is_uniform(m0) and _is_uniform(m1)):
         raise ValueError("assignment needs uniform weights 1/N on both sides")
-    D = metric.pairwise(m0.xs, m1.xs)
-    r, c = linear_sum_assignment(D)
+    rho = ot_solve(m0, m1, metric)
     sigma = np.empty(len(m0), dtype=int)
-    sigma[r] = c
+    sigma[rho.rows] = rho.cols
     return sigma
 
 

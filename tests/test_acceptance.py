@@ -213,7 +213,7 @@ def test_criterion_08_congestion_control():
     delayed_ok = True
     for i in starters:
         t_free = free.arrival_step(free.max_speed_trajectory(xs[i]))
-        t_cong = cong.arrival_step(rep.agent_state.decisions[i])
+        t_cong = cong.arrival_step(rep.decisions[i])
         delayed_ok = delayed_ok and (t_cong is None or t_cong > t_free)
     ok = max_speed_ok and delayed_ok
     check("criterion 8 (congestion: max speed at alpha=0, delays at alpha=1)", ok,

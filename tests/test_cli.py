@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,37 @@ class TestSolveVerb:
         bad.write_text(json.dumps({"schema": 1, "problem": {"name": "nope"}, "marginal": {}}))
         assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "unknown problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key", [(None, "repeat"), ("problem", "step"),
+                                            ("marginal", "size"), ("solver", "monotone_gaurd")])
+    def test_unknown_key_is_a_config_error(self, tmp_path, capsys, block, key):
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "congestion", "steps": 5, "grid_substeps": 5},
+                           marginal={"dist": "uniform:0,0.2", "n": 4},
+                           solver={"algorithm": "sfw", "iterations": 3})
+        data = json.loads(cfg.read_text())
+        (data if block is None else data[block])[key] = 10
+        cfg.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and (block or "the config") in err
+
+    def test_readme_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(block)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        final = json.loads((out / "final.json").read_text())
+        assert final["config"]["iterations"] == json.loads(block)["solver"]["iterations"]
+        # every accepted key is documented
+        from mfo.cli import CONFIG_KEYS, MARGINAL_KEYS, SOLVER_KEYS
+        from mfo.examples import PROBLEM_CLASSES
+
+        game_keys = [key for cls in PROBLEM_CLASSES.values() for key in cls.config_keys]
+        for key in [*CONFIG_KEYS, *MARGINAL_KEYS, *SOLVER_KEYS, *game_keys]:
+            assert f"`{key}`" in readme, key
 
     def test_malformed_json_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

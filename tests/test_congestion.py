@@ -254,7 +254,7 @@ class TestCrowdBehavior:
         free = CongestionProblem(alpha=0.0, steps=prob.steps, vmax=prob.vmax)
         lam0 = free.f_grad(free.zero_vector())
         delayed = 0
-        for x, traj in zip(xs, report.agent_state.decisions):
+        for x, traj in zip(xs, report.decisions):
             t_free = free.arrival_step(free.best_response(lam0, x))
             t_cong = prob.arrival_step(traj)
             assert t_cong is None or t_cong >= t_free

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from mfo import (
-    AgentState,
     EmpiricalMeasure,
     SolverConfig,
     aggregate,
     candidate_objective,
+    first_marginal,
     fw_solve,
     linearized_solve,
     sfw_solve,
 )
-from mfo.examples import TrafficProblem
+from mfo.examples import TrafficProblem, grid_network
 from mfo.examples.traffic import Edge
 from mfo.problem import clamp_gap
 from mfo.solvers import candidate_rng, measure_from_state
@@ -83,6 +83,16 @@ class TestFrankWolfe:
         report = fw_solve(resource_problem, m, SolverConfig(iterations=5), mu0=mu0)
         assert report.iterations_run == 5
 
+    def test_rejects_warm_start_on_another_marginal(self, resource_problem):
+        # a step rule below 1 at k = 0 keeps mu0's atoms in the iterate
+        cfg = SolverConfig(iterations=5, step_rule=lambda k: 1.0 / (k + 2.0))
+        mu0 = fw_solve(resource_problem, uniform_marginal([0.5, 2.0]), cfg).final_measure
+        with pytest.raises(ValueError, match="marginal"):
+            fw_solve(resource_problem, uniform_marginal([1.0, 3.0]), cfg, mu0=mu0)
+        same_points = EmpiricalMeasure("X", xs=np.array([[0.5], [2.0]]), weights=np.array([0.4, 0.6]))
+        with pytest.raises(ValueError, match="marginal"):
+            fw_solve(resource_problem, same_points, cfg, mu0=mu0)
+
     def test_rejects_pair_measure_as_marginal(self, resource_problem):
         mu = EmpiricalMeasure.from_atoms("Z", [([1.0], np.zeros(50), 1.0)])
         with pytest.raises(ValueError, match="marginal"):
@@ -101,7 +111,7 @@ class TestStochasticFrankWolfe:
         y_first = prob.best_response_batch(lam0, m.xs)
         lam1 = prob.f_grad(prob.vector(m.weights @ prob.g_eval_batch(m.xs, y_first)))
         expected = prob.best_response_batch(lam1, m.xs)
-        np.testing.assert_allclose(report.agent_state.decisions, expected, atol=1e-12)
+        np.testing.assert_allclose(report.decisions, expected, atol=1e-12)
 
     def test_bit_reproducible(self, resource_problem, exp_marginal_50):
         cfg = SolverConfig(iterations=25, n_sims=3, seed=42)
@@ -109,7 +119,7 @@ class TestStochasticFrankWolfe:
         b = sfw_solve(resource_problem, exp_marginal_50, cfg)
         assert [r.objective for r in a.records] == [r.objective for r in b.records]
         assert [r.gap for r in a.records] == [r.gap for r in b.records]
-        np.testing.assert_array_equal(a.agent_state.decisions, b.agent_state.decisions)
+        np.testing.assert_array_equal(a.decisions, b.decisions)
         c = sfw_solve(resource_problem, exp_marginal_50,
                       SolverConfig(iterations=25, n_sims=3, seed=43))
         assert [r.objective for r in a.records] != [r.objective for r in c.records]
@@ -119,7 +129,7 @@ class TestStochasticFrankWolfe:
         cfg = SolverConfig(iterations=10, n_sims=1, seed=7)
         a = sfw_solve(resource_problem, m, cfg)
         b = sfw_solve(resource_problem, m, cfg)
-        np.testing.assert_array_equal(a.agent_state.decisions, b.agent_state.decisions)
+        np.testing.assert_array_equal(a.decisions, b.decisions)
 
     def test_monotone_guard(self, resource_problem, exp_marginal_50):
         report = sfw_solve(resource_problem, exp_marginal_50,
@@ -152,6 +162,98 @@ class TestStochasticFrankWolfe:
         assert long.beyond_guarantee
 
 
+def fw_reference(problem, m_N, config, mu0=None):
+    """The FW loop as it stood before the certificate had one routine.
+
+    Returns ``(k, objective, gap, lambda_norm, n_candidates)`` per
+    iteration, the certificate as ``(lam values, primal, dual, gap)``,
+    the final measure (or None) and whether the loop stopped early.
+    """
+    xs, w = m_N.xs, m_N.weights
+    wH = problem.hilbert_weights
+
+    def sweep(lam, xs):
+        ys = problem.best_response_batch(lam, xs)
+        G = problem.g_eval_batch(xs, ys)
+        return ys, G, G @ (wH * lam.values)
+
+    def certificate(beta, xs, w):
+        lam = problem.f_grad(beta)
+        gap = clamp_gap(lam.dot(beta) - float(w @ sweep(lam, xs)[2]))
+        primal = problem.f_value(beta)
+        return lam.values, primal, gap - primal, gap
+
+    blocks, factor = [], 1.0
+    if mu0 is None:
+        y_init = problem.initial_decision_batch(xs)
+        beta0 = problem.vector(w @ problem.g_eval_batch(xs, y_init))
+        ys0, G0, _ = sweep(problem.f_grad(beta0), xs)
+        beta = problem.vector(w @ G0)
+        blocks.append((xs, ys0, w.copy()))
+    else:
+        beta = aggregate(problem, mu0)
+        blocks.append((mu0.xs, mu0.ys, mu0.weights.copy()))
+    records, stopped_early = [], False
+    for k in range(config.iterations):
+        lam = problem.f_grad(beta)
+        ys_br, G_br, u_vals = sweep(lam, xs)
+        gap = clamp_gap(lam.dot(beta) - float(w @ u_vals))
+        records.append((k, problem.f_value(beta), gap, lam.norm(), None))
+        if config.gap_tol is not None and gap <= config.gap_tol:
+            stopped_early = True
+            break
+        om = config.omega(k)
+        beta = problem.vector((1.0 - om) * beta.values + om * (w @ G_br))
+        if om >= 1.0:
+            blocks, factor = [], 1.0
+        else:
+            factor *= 1.0 - om
+        if om > 0.0:
+            blocks.append((xs, ys_br, om * w / factor))
+    if not config.store_measure:
+        return records, certificate(beta, xs, w), None, stopped_early
+    final = EmpiricalMeasure("Z", xs=np.vstack([b[0] for b in blocks]),
+                             ys=np.vstack([b[1] for b in blocks]),
+                             weights=np.concatenate([b[2] for b in blocks]) * factor,
+                             validate=False).merged()
+    m = first_marginal(final)
+    return records, certificate(aggregate(problem, final), m.xs, m.weights), final, stopped_early
+
+
+class TestFrankWolfeReference:
+    @pytest.mark.parametrize("case", ["stored", "unstored", "gap_tol", "warm_start",
+                                      "grid10_gap_tol"])
+    def test_matches_reference_bit_for_bit(self, case, resource_problem, exp_marginal_50):
+        prob, m, mu0 = resource_problem, exp_marginal_50, None
+        cfg = SolverConfig(iterations=40, store_measure=case != "unstored")
+        if case == "gap_tol":
+            cfg = SolverConfig(iterations=5000, gap_tol=1e-5)
+        elif case == "warm_start":
+            mu0 = fw_solve(prob, m, SolverConfig(iterations=5)).final_measure
+            cfg = SolverConfig(iterations=20, step_rule=lambda k: 1.0 / (k + 2.0))
+        elif case == "grid10_gap_tol":
+            prob = TrafficProblem(*grid_network())
+            m = EmpiricalMeasure("X", xs=np.array([[0, 7], [1, 7], [0, 6]], dtype=float),
+                                 weights=np.array([0.4, 0.3, 0.3]))
+            cfg = SolverConfig(iterations=1000, gap_tol=5e-3)
+        report = fw_solve(prob, m, cfg, mu0=mu0)
+        records, (lam, primal, dual, gap), final, stopped_early = fw_reference(prob, m, cfg, mu0)
+        assert stopped_early == case.endswith("gap_tol")
+        assert report.stopped_early == stopped_early
+        assert report.iterations_run == len(records)
+        assert [(r.k, r.objective, r.gap, r.lambda_norm, r.n_candidates)
+                for r in report.records] == records
+        cert = report.certificate
+        np.testing.assert_array_equal(cert.lam.values, lam)
+        assert (cert.primal_value, cert.dual_value, cert.gap) == (primal, dual, gap)
+        if final is None:
+            assert report.final_measure is None
+        else:
+            for got, want in zip((*report.final_measure.columns(), report.final_measure.weights),
+                                 (*final.columns(), final.weights)):
+                np.testing.assert_array_equal(got, want)
+
+
 def sfw_reference(problem, m_N, config):
     """The SFW loop that re-evaluates every state and candidate with g_eval_batch.
 
@@ -171,6 +273,9 @@ def sfw_reference(problem, m_N, config):
         y_br = problem.best_response_batch(lam, xs)
         G_br = problem.g_eval_batch(xs, y_br)
         gap = clamp_gap(lam.dot(beta) - float(w @ (G_br @ (wH * lam.values))))
+        if config.gap_tol is not None and gap <= config.gap_tol:
+            records.append((objective, gap, lam.norm(), 0))
+            break
         n_k, om = config.sims_at(k), config.omega(k)
         best_val, best_y = np.inf, None
         for j in range(n_k):
@@ -195,16 +300,32 @@ class TestStochasticFrankWolfeSweep:
     @pytest.mark.parametrize("game", ["resource", "congestion"])
     def test_matches_per_candidate_evaluation_bit_for_bit(self, game, guard, request,
                                                           exp_marginal_50):
-        if game == "resource":
-            prob, m = request.getfixturevalue("resource_problem"), exp_marginal_50
-        else:
-            prob, m = request.getfixturevalue("congestion_problem"), congestion_starts(30, 5)
+        prob, m = self.instance(game, request, exp_marginal_50)
         cfg = SolverConfig(iterations=20, n_sims=3, seed=17, monotone_guard=guard)
+        self.compare(prob, m, cfg)
+
+    @pytest.mark.parametrize("game, gap_tol", [("resource", 1e-7), ("congestion", 0.1)])
+    def test_early_exit_matches_the_reference(self, game, gap_tol, request, exp_marginal_50):
+        prob, m = self.instance(game, request, exp_marginal_50)
+        cfg = SolverConfig(iterations=20, n_sims=3, seed=17, gap_tol=gap_tol)
+        report = self.compare(prob, m, cfg)
+        assert report.stopped_early and report.iterations_run < 20
+        assert report.records[-1].n_candidates == 0
+
+    @staticmethod
+    def instance(game, request, exp_marginal_50):
+        if game == "resource":
+            return request.getfixturevalue("resource_problem"), exp_marginal_50
+        return request.getfixturevalue("congestion_problem"), congestion_starts(30, 5)
+
+    @staticmethod
+    def compare(prob, m, cfg):
         report = sfw_solve(prob, m, cfg)
         records, decisions = sfw_reference(prob, m, cfg)
         got = [(r.objective, r.gap, r.lambda_norm, r.n_candidates) for r in report.records]
         assert got == records
-        np.testing.assert_array_equal(report.agent_state.decisions, decisions)
+        np.testing.assert_array_equal(report.decisions, decisions)
+        return report
 
     @pytest.mark.parametrize("iterations", [1, 7])
     def test_one_contribution_sweep_per_iteration(self, resource_problem, exp_marginal_50,
@@ -280,9 +401,8 @@ class TestCandidateObjective:
         prob = resource_problem
         m = uniform_marginal([1.0])
         q = prob.best_response(prob.vector(np.concatenate([[1.0], np.zeros(prob.steps)])), [1.0])
-        state = AgentState(decisions=q.reshape(1, -1))
         expected = prob.f_value(prob.g_eval([1.0], q))
-        assert candidate_objective(prob, m, state) == pytest.approx(expected, abs=1e-15)
+        assert candidate_objective(prob, m, q.reshape(1, -1)) == pytest.approx(expected, abs=1e-15)
 
     def test_matches_aggregate_path(self, resource_problem):
         prob = resource_problem
@@ -290,14 +410,12 @@ class TestCandidateObjective:
         m = uniform_marginal([0.7, 1.5, 2.9])
         qs = rng.uniform(0, 0.4, size=(3, prob.steps))
         qs = np.vstack([prob.transport_select([prob.horizon], q, x) for q, x in zip(qs, m.xs)])
-        state = AgentState(decisions=qs)
-        via_measure = prob.f_value(aggregate(prob, measure_from_state(m, state)))
-        assert candidate_objective(prob, m, state) == pytest.approx(via_measure, abs=1e-12)
+        via_measure = prob.f_value(aggregate(prob, measure_from_state(m, qs)))
+        assert candidate_objective(prob, m, qs) == pytest.approx(via_measure, abs=1e-12)
 
     def test_identical_agents_reduce_to_one(self, pigou_problem):
         m = EmpiricalMeasure("X", xs=np.array([[0, 1], [0, 1]], dtype=float),
                              weights=np.array([0.5, 0.5]))
         y = pigou_problem.indicators[(0, 1)][0]
-        state = AgentState(decisions=np.vstack([y, y]))
         expected = pigou_problem.f_value(pigou_problem.g_eval([0, 1], y))
-        assert candidate_objective(pigou_problem, m, state) == pytest.approx(expected, abs=1e-15)
+        assert candidate_objective(pigou_problem, m, np.vstack([y, y])) == pytest.approx(expected, abs=1e-15)
