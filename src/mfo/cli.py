@@ -32,7 +32,8 @@ from .transport import bridge
 
 CONFIG_SCHEMA = 1
 CONFIG_KEYS = ("schema", "problem", "marginal", "solver", "repeats")
-MARGINAL_KEYS = ("file", "atoms", "dist", "n", "method", "seed")
+MARGINAL_SOURCES = ("file", "atoms", "dist")
+MARGINAL_KEYS = MARGINAL_SOURCES + ("n", "method", "seed")
 SOLVER_KEYS = ("algorithm", "seed", "iterations", "n_sims", "monotone_guard", "gap_tol")
 
 
@@ -77,6 +78,15 @@ def build_problem(problem_cfg: dict):
 
 def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
     _check_keys(marginal_cfg, MARGINAL_KEYS, "the marginal block")
+    sources = [key for key in MARGINAL_SOURCES if key in marginal_cfg]
+    if len(sources) != 1:
+        raise ConfigError(f"the marginal block must name exactly one of {', '.join(MARGINAL_SOURCES)}; "
+                          f"it names {', '.join(sources) or 'none'}")
+    # seed stays allowed beside any source: the run fills it in
+    dist_only = [key for key in ("n", "method") if key in marginal_cfg]
+    if sources != ["dist"] and dist_only:
+        raise ConfigError(f"{', '.join(dist_only)} in the marginal block apply to dist only, "
+                          f"not to {sources[0]}")
     if "file" in marginal_cfg:
         return EmpiricalMeasure.load_json(marginal_cfg["file"])
     if "atoms" in marginal_cfg:

@@ -19,6 +19,9 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import Callable
 
 import numpy as np
 
@@ -26,35 +29,90 @@ from ..problem import AggregateVector, MfoProblem
 from ..transport import MetricSpec
 
 
+_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def _pow(x, p):
+    """``x ** p`` elementwise through the C library's ``pow``.
+
+    numpy's array power takes a SIMD path on some CPUs whose last bit
+    can differ from ``pow``; this keeps BPR costs the same on every
+    machine and for scalar and array arguments alike.
+    """
+    return np.asarray(_POW(x, p), dtype=float)
+
+
+def _affine_latency(q, a, b):
+    return a * np.maximum(q, 0.0) + b
+
+
+def _affine_potential(q, a, b):
+    qp = np.maximum(q, 0.0)
+    return 0.5 * a * (qp * qp) + b * q
+
+
+def _bpr_latency(q, t0, c, p):
+    return t0 * (1.0 + c * _pow(np.maximum(q, 0.0), p))
+
+
+def _bpr_potential(q, t0, c, p):
+    qp = np.maximum(q, 0.0)
+    return t0 * (q + c * _pow(qp, p + 1) / (p + 1))
+
+
+@dataclass(frozen=True)
+class EdgeKind:
+    """One latency family: its formulas take flows and coefficient arrays alike.
+
+    ``potential`` is the primitive of ``latency``, extended with the
+    constant latency below zero flow; ``slope_bound`` bounds the
+    latency's slope on [0, 1].
+    """
+
+    coeff_names: tuple
+    latency: Callable
+    potential: Callable
+    slope_bound: Callable
+
+
+#: the supported latency families, by ``phi_kind``
+EDGE_KINDS = {
+    # a q + b
+    "affine": EdgeKind(("a", "b"), _affine_latency, _affine_potential, lambda a, b: abs(a)),
+    # t0 (1 + c q^p), p >= 1
+    "bpr": EdgeKind(("t0", "c", "p"), _bpr_latency, _bpr_potential, lambda t0, c, p: abs(t0 * c * p)),
+}
+
+
 @dataclass(frozen=True)
 class Edge:
     tail: int
     head: int
-    phi_kind: str          # "affine" or "bpr"
-    coeffs: tuple          # affine: (a, b) -> a q + b; bpr: (t0, c, p) -> t0 (1 + c q^p)
+    phi_kind: str          # a key of EDGE_KINDS
+    coeffs: tuple          # that kind's coefficients, in the order of its coeff_names
+
+    def __post_init__(self):
+        name = f"edge {self.tail}->{self.head}"
+        kind = EDGE_KINDS.get(self.phi_kind)
+        if kind is None:
+            raise ValueError(f"{name}: unknown latency kind {self.phi_kind!r}; "
+                             f"supported: {', '.join(EDGE_KINDS)}")
+        if len(self.coeffs) != len(kind.coeff_names):
+            raise ValueError(f"{name}: {self.phi_kind} takes {len(kind.coeff_names)} coefficients "
+                             f"({', '.join(kind.coeff_names)}), got {len(self.coeffs)}")
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        # below 1 the slope of q^p is unbounded at 0, so no grad_lipschitz exists
+        if self.phi_kind == "bpr" and not self.coeffs[2] >= 1.0:
+            raise ValueError(f"{name}: BPR exponent p={self.coeffs[2]} must be at least 1")
 
     def latency(self, q):
-        if self.phi_kind == "affine":
-            a, b = self.coeffs
-            return a * np.maximum(q, 0.0) + b
-        t0, c, p = self.coeffs
-        return t0 * (1.0 + c * np.maximum(q, 0.0) ** p)
+        return EDGE_KINDS[self.phi_kind].latency(q, *self.coeffs)
 
     def potential(self, q):
-        # primitive of the latency, extended constant-latency below zero
-        if self.phi_kind == "affine":
-            a, b = self.coeffs
-            qp = np.maximum(q, 0.0)
-            return 0.5 * a * qp ** 2 + b * q
-        t0, c, p = self.coeffs
-        qp = np.maximum(q, 0.0)
-        return t0 * (q + c * qp ** (p + 1) / (p + 1))
+        return EDGE_KINDS[self.phi_kind].potential(q, *self.coeffs)
 
     def latency_slope_bound(self):
-        if self.phi_kind == "affine":
-            return abs(self.coeffs[0])
-        t0, c, p = self.coeffs
-        return abs(t0 * c * p)
+        return EDGE_KINDS[self.phi_kind].slope_bound(*self.coeffs)
 
 
 def _enumerate_paths(n_nodes, edges, origin, dest, hop_bound):
@@ -112,11 +170,20 @@ class TrafficProblem(MfoProblem):
         self.od_pairs = [tuple(int(v) for v in od) for od in od_pairs]
         self.hop_bound = int(hop_bound) if hop_bound else self.n_nodes - 1
         n_e = len(self.edges)
+        # (kind, edge ids, coefficient columns) for each kind present; a run
+        # of consecutive ids is a slice, which indexes without a copy
+        self._groups = []
+        for kind_name, kind in EDGE_KINDS.items():
+            ids = [e for e, edge in enumerate(self.edges) if edge.phi_kind == kind_name]
+            if ids:
+                coeffs = tuple(np.array([self.edges[e].coeffs for e in ids]).T)
+                run = ids == list(range(ids[0], ids[-1] + 1))
+                self._groups.append((kind, slice(ids[0], ids[-1] + 1) if run else np.array(ids), coeffs))
         probe = np.linspace(0.0, 1.0, 17)
-        for e, edge in enumerate(self.edges):
-            lat = np.atleast_1d(edge.latency(probe))
-            if np.any(lat < 0) or np.any(np.diff(lat) < -1e-12):
-                raise ValueError(f"edge {e}: latency must be nonnegative and non-decreasing on [0, 1]")
+        lat = self._edgewise("latency", np.repeat(probe[:, None], n_e, axis=1))
+        bad = (lat < 0).any(axis=0) | (np.diff(lat, axis=0) < -1e-12).any(axis=0)
+        if bad.any():
+            raise ValueError(f"edge {bad.argmax()}: latency must be nonnegative and non-decreasing on [0, 1]")
         self.paths: dict[tuple, list] = {}
         self.indicators: dict[tuple, np.ndarray] = {}
         max_len = 1
@@ -137,12 +204,17 @@ class TrafficProblem(MfoProblem):
         self._path_table = np.full((len(self.od_pairs), max_paths, n_e), np.nan)
         for i, od in enumerate(self.od_pairs):
             self._path_table[i, : len(self.paths[od])] = self.indicators[od]
+        # for the argmin: the table with zero padding, and +inf padding costs
+        # so that the first-index argmin never takes a padding row
+        self._table0 = np.nan_to_num(self._path_table, nan=0.0)
+        self._pad_costs = np.where(np.isnan(self._path_table[:, :, 0]), np.inf, 0.0)
         self._weights = np.ones(n_e)
         self._weights.setflags(write=False)
         self.grad_lipschitz = max(e.latency_slope_bound() for e in self.edges)
         self.sup_g_norm = math.sqrt(max_len)
         self.sup_g_diff_sq = 2.0 * max_len
-        self.sup_grad_norm = math.sqrt(sum(float(e.latency(1.0)) ** 2 for e in self.edges))
+        lat_at_one = self._edgewise("latency", np.ones(n_e)).tolist()
+        self.sup_grad_norm = math.sqrt(sum(v ** 2 for v in lat_at_one))
         self.set_lipschitz = math.sqrt(2.0 * max_len)
         self._metric = MetricSpec("graph_hop", node_distances=_hop_distances(self.n_nodes, self.edges))
 
@@ -190,11 +262,19 @@ class TrafficProblem(MfoProblem):
     def g_eval_batch(self, xs, ys):
         return np.asarray(ys, dtype=float)
 
+    def _edgewise(self, formula: str, q) -> np.ndarray:
+        """The ``formula`` ("latency" or "potential") of every edge; edges on the last axis of ``q``."""
+        out = np.empty(q.shape)
+        for kind, ids, coeffs in self._groups:
+            out[..., ids] = getattr(kind, formula)(q[..., ids], *coeffs)
+        return out
+
     def f_value(self, beta: AggregateVector) -> float:
-        return float(sum(e.potential(q) for e, q in zip(self.edges, beta.values)))
+        # left to right, edge by edge (sum() compensates float sums from Python 3.12)
+        return reduce(add, self._edgewise("potential", beta.values).tolist(), 0.0)
 
     def f_grad(self, beta: AggregateVector) -> AggregateVector:
-        return self.vector([float(e.latency(q)) for e, q in zip(self.edges, beta.values)])
+        return self.vector(self._edgewise("latency", beta.values))
 
     # f_conj left unavailable: edge potentials are only defined
     # piecewise and the dual operations are exercised on the games with
@@ -204,9 +284,7 @@ class TrafficProblem(MfoProblem):
 
     def best_response_batch(self, lam: AggregateVector, xs) -> np.ndarray:
         od = self._od_index(xs)
-        costs = self._path_table @ lam.values
-        # padding costs NaN: make it +inf so the first-index argmin never takes it
-        best = np.argmin(np.where(np.isnan(costs), np.inf, costs), axis=1)
+        best = (self._table0 @ lam.values + self._pad_costs).argmin(axis=1)
         return self._path_table[od, best[od]]
 
     def feasible_batch(self, xs, ys) -> np.ndarray:

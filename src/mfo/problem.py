@@ -43,13 +43,13 @@ class AggregateVector:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.values.shape != self.weights.shape or self.values.ndim != 1:
             raise ValueError("values and weights must be matching vectors")
-        if np.any(self.weights <= 0):
+        if (self.weights <= 0).any():
             raise ValueError("inner-product weights must be positive")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("aggregate entries must be finite")
 
     def dot(self, other: "AggregateVector") -> float:
-        return float(np.sum(self.weights * self.values * other.values))
+        return float((self.weights * self.values * other.values).sum())
 
     def norm(self) -> float:
         return math.sqrt(max(self.dot(self), 0.0))

@@ -114,6 +114,30 @@ class TestSolveVerb:
         err = capsys.readouterr().err
         assert repr(key) in err and (block or "the config") in err
 
+    @pytest.mark.parametrize("marginal, message", [
+        ({"atoms": [{"x": [1.0], "w": 1.0}], "dist": "exponential:1"}, "it names atoms, dist"),
+        ({"file": "m.json", "atoms": [{"x": [1.0], "w": 1.0}]}, "it names file, atoms"),
+        ({"n": 5, "method": "sample"}, "it names none"),
+        ({"atoms": [{"x": [1.0], "w": 1.0}], "n": 5}, "n in the marginal block apply to dist only, not to atoms"),
+        ({"file": "m.json", "n": 5, "method": "grid"}, "n, method in the marginal block apply to dist only"),
+    ], ids=["atoms_and_dist", "file_and_atoms", "no_source", "n_beside_atoms", "method_beside_file"])
+    def test_marginal_names_exactly_one_source(self, tmp_path, capsys, marginal, message):
+        EmpiricalMeasure.from_atoms("X", [([1.0], 1.0)]).save_json(tmp_path / "m.json")
+        marginal = {k: str(tmp_path / v) if k == "file" else v for k, v in marginal.items()}
+        cfg = write_config(tmp_path / "cfg.json", marginal=marginal)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("source", ["file", "atoms"])
+    def test_seed_is_allowed_beside_any_marginal_source(self, tmp_path, source):
+        EmpiricalMeasure.from_atoms("X", [([1.0], 0.5), ([2.0], 0.5)]).save_json(tmp_path / "m.json")
+        marginal = ({"file": str(tmp_path / "m.json")} if source == "file"
+                    else {"atoms": [{"x": [1.0], "w": 0.5}, {"x": [2.0], "w": 0.5}]})
+        cfg = write_config(tmp_path / "cfg.json", marginal={**marginal, "seed": 4},
+                           solver={"algorithm": "fw", "iterations": 3})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "2"]) == 0
+
     def test_readme_config_runs(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)

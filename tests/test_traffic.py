@@ -5,7 +5,7 @@ import pytest
 
 from mfo import EmpiricalMeasure, SolverConfig, fw_solve
 from mfo.examples import TrafficProblem, grid_network, load_network, pigou_network
-from mfo.examples.traffic import Edge
+from mfo.examples.traffic import EDGE_KINDS, Edge
 
 
 def five_node_network():
@@ -20,6 +20,40 @@ def five_node_network():
     ]
     edges = [Edge(u, v, "affine", c) for u, v, c in specs]
     return TrafficProblem(5, edges, [(0, 4), (0, 3)])
+
+
+def braess_bpr_problem():
+    # Braess network with BPR latencies t0 (1 + c q^4); at equilibrium the
+    # two outer routes share the flow and the cross edge 1 -> 2 stays unused
+    edges = [Edge(0, 1, "bpr", (1.0, 1.0, 4)), Edge(1, 3, "bpr", (0.5, 0.15, 4)),
+             Edge(0, 2, "bpr", (0.6, 0.15, 4)), Edge(2, 3, "bpr", (1.0, 1.0, 4)),
+             Edge(1, 2, "bpr", (0.1, 0.15, 4))]
+    return TrafficProblem(4, edges, [(0, 3)])
+
+
+MIXED_EDGES_CSV = """from,to,phi_kind,c1,c2,c3
+0,1,bpr,1.0,1.0,4
+1,3,affine,0.5,0.15
+0,2,affine,0.6,0.15
+2,3,bpr,1.0,1.0,2.5
+1,2,bpr,0.1,0.15,1
+3,4,affine,0.0,0.3
+2,4,bpr,2.0,0.5,3
+0,3,affine,3.0,1.0
+1,4,bpr,1.5,0.2,2
+"""
+
+
+def mixed_network(tmp_path):
+    """Affine and BPR edges, interleaved so neither kind's edges are consecutive.
+
+    Nine edges, so that a numpy sum (eight-way unrolled) would add them in
+    another order than left to right.
+    """
+    edges_csv, od_csv = tmp_path / "edges.csv", tmp_path / "od.csv"
+    edges_csv.write_text(MIXED_EDGES_CSV)
+    od_csv.write_text("origin,dest\n0,4\n1,4\n")
+    return load_network(edges_csv, od_csv)
 
 
 def exhaustive_best_cost(prob, lam_values, od):
@@ -124,12 +158,7 @@ class TestWardrop:
         assert all(len(prob.paths[od]) >= 2 for od in od_pairs)
 
     def test_bpr_network_reaches_equilibrium(self):
-        # Braess network with BPR latencies t0 (1 + c q^4); at equilibrium the
-        # two outer routes share the flow and the cross edge 1 -> 2 stays unused
-        edges = [Edge(0, 1, "bpr", (1.0, 1.0, 4)), Edge(1, 3, "bpr", (0.5, 0.15, 4)),
-                 Edge(0, 2, "bpr", (0.6, 0.15, 4)), Edge(2, 3, "bpr", (1.0, 1.0, 4)),
-                 Edge(1, 2, "bpr", (0.1, 0.15, 4))]
-        prob = TrafficProblem(4, edges, [(0, 3)])
+        prob = braess_bpr_problem()
         m = EmpiricalMeasure.from_atoms("X", [([0, 3], 1.0)])
         report = fw_solve(prob, m, SolverConfig(iterations=2000))
         assert report.certificate.gap <= 2 * prob.grad_lipschitz * prob.sup_g_diff_sq / 2000
@@ -211,3 +240,127 @@ class TestNetworkFiles:
         assert len(prob.edges) == 2
         y = prob.best_response(prob.vector([0.3, 1.0]), [0, 1])
         np.testing.assert_allclose(y, [1.0, 0.0])
+
+
+class TestEdgeKinds:
+    def test_unknown_kind_rejected(self):
+        # once priced as BPR: latency 1.0 at flow 0.5, where affine would give 0.5
+        with pytest.raises(ValueError, match="edge 0->1: unknown latency kind 'Affine'; supported: affine, bpr"):
+            Edge(0, 1, "Affine", (1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("kind, coeffs", [("bpr", (1.0, 0.15)), ("affine", (1.0, 0.0, 1.0)),
+                                              ("affine", ())])
+    def test_wrong_coefficient_count_rejected(self, kind, coeffs):
+        n = len(EDGE_KINDS[kind].coeff_names)
+        with pytest.raises(ValueError, match=f"edge 2->3: {kind} takes {n} coefficients .*, got {len(coeffs)}"):
+            Edge(2, 3, kind, coeffs)
+
+    def test_network_file_names_the_bad_edge(self, tmp_path):
+        edges_csv, od_csv = tmp_path / "edges.csv", tmp_path / "od.csv"
+        edges_csv.write_text("from,to,phi_kind,a,b\n0,1,affine,1.0,0.0\n1,2,bpr,1.0,0.15\n")
+        od_csv.write_text("origin,dest\n0,2\n")
+        with pytest.raises(ValueError, match="edge 1->2: bpr takes 3 coefficients"):
+            load_network(edges_csv, od_csv)
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, float("nan")])
+    def test_bpr_exponent_below_one_rejected(self, p):
+        # q^p with p < 1 has an unbounded slope at 0: BPR (1, 1, 0.5) once reported
+        # grad_lipschitz 0.5 against a finite-difference slope of about 4,142 at 1e-8
+        with pytest.raises(ValueError, match="edge 0->1: BPR exponent p=.* must be at least 1"):
+            Edge(0, 1, "bpr", (1.0, 1.0, p))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    def test_grad_lipschitz_bounds_the_slope(self, p):
+        prob = TrafficProblem(2, [Edge(0, 1, "bpr", (1.0, 1.0, p)), Edge(0, 1, "affine", (0.5, 0.1))], [(0, 1)])
+        q = np.concatenate([[0.0, 1e-8], np.linspace(0.0, 1.0, 101)[1:]])
+        h = 1e-9
+        for edge in prob.edges:
+            slope = (edge.latency(q + h) - edge.latency(q)) / h
+            assert slope.max() <= edge.latency_slope_bound() * (1 + 1e-6)
+        assert prob.grad_lipschitz == max(e.latency_slope_bound() for e in prob.edges) == p
+
+
+class TestGroupedCosts:
+    def test_groups_only_the_kinds_present(self, tmp_path):
+        assert [kind for kind, _, _ in TrafficProblem(*grid_network())._groups] == [EDGE_KINDS["affine"]]
+        mixed = TrafficProblem(*mixed_network(tmp_path))
+        assert [kind for kind, _, _ in mixed._groups] == [EDGE_KINDS["affine"], EDGE_KINDS["bpr"]]
+
+    def test_match_the_edge_formulas_exactly(self, tmp_path):
+        prob = TrafficProblem(*mixed_network(tmp_path))
+        rng = np.random.default_rng(7)
+        flows = [np.zeros(len(prob.edges)), np.ones(len(prob.edges))]
+        flows += [rng.choice([-0.5, -1e-12, 0.0, 1e-12, 0.3, 1.0, 1.7], len(prob.edges)) for _ in range(20)]
+        flows += [rng.uniform(-0.5, 1.5, len(prob.edges)) for _ in range(50)]
+        for q in flows:
+            beta = prob.vector(q)
+            lat = np.array([e.latency(qe) for e, qe in zip(prob.edges, q)])
+            assert prob.f_grad(beta).values.tobytes() == lat.tobytes()
+            assert prob.f_value(beta) == sum(e.potential(qe) for e, qe in zip(prob.edges, q))
+
+
+# -- the per-edge costs and the NaN-masked argmin from before the grouped costs --
+
+def per_edge_latency(edge, q):
+    if edge.phi_kind == "affine":
+        a, b = edge.coeffs
+        return a * np.maximum(q, 0.0) + b
+    t0, c, p = edge.coeffs
+    return t0 * (1.0 + c * np.maximum(q, 0.0) ** p)
+
+
+def per_edge_potential(edge, q):
+    if edge.phi_kind == "affine":
+        a, b = edge.coeffs
+        qp = np.maximum(q, 0.0)
+        return 0.5 * a * qp ** 2 + b * q
+    t0, c, p = edge.coeffs
+    qp = np.maximum(q, 0.0)
+    return t0 * (q + c * qp ** (p + 1) / (p + 1))
+
+
+class PerEdgeTraffic(TrafficProblem):
+    def f_value(self, beta):
+        return float(sum(per_edge_potential(e, q) for e, q in zip(self.edges, beta.values)))
+
+    def f_grad(self, beta):
+        return self.vector([float(per_edge_latency(e, q)) for e, q in zip(self.edges, beta.values)])
+
+    def best_response_batch(self, lam, xs):
+        od = self._od_index(xs)
+        costs = self._path_table @ lam.values
+        best = np.argmin(np.where(np.isnan(costs), np.inf, costs), axis=1)
+        return self._path_table[od, best[od]]
+
+
+class TestRecordsMatchPerEdgeCode:
+    @pytest.mark.parametrize("network", ["grid10", "braess_bpr", "mixed"])
+    def test_fw_records_and_final_measure(self, network, tmp_path):
+        if network == "grid10":
+            built = grid_network()
+            xs = [[0, 7], [1, 7], [0, 6]]
+            w = np.array([0.4, 0.3, 0.3]) * np.random.default_rng(2).uniform(0.9, 1.1, 3)
+        elif network == "braess_bpr":
+            prob = braess_bpr_problem()
+            built = (prob.n_nodes, prob.edges, prob.od_pairs)
+            xs, w = [[0, 3]], np.ones(1)
+        else:
+            built = mixed_network(tmp_path)
+            xs, w = [[0, 4], [1, 4]], np.array([0.6, 0.4])
+        m = EmpiricalMeasure("X", xs=np.array(xs, dtype=float), weights=w / w.sum())
+        config = SolverConfig(iterations=2100)
+        new = fw_solve(TrafficProblem(*built), m, config)
+        old = fw_solve(PerEdgeTraffic(*built), m, config)
+        assert [r.gap for r in new.records] == [r.gap for r in old.records]
+        assert [r.lambda_norm for r in new.records] == [r.lambda_norm for r in old.records]
+        # a square is now x*x where the per-edge code called pow(x, 2), which can be
+        # one ulp off; carried through the sum, the objective moves by at most two
+        # ulps (reached on this grid10 input at iteration 2065)
+        obj_new, obj_old = new.objectives, old.objectives
+        assert np.all(np.abs(obj_new - obj_old) <= 2 * np.spacing(obj_old))
+        assert abs(new.certificate.primal_value - old.certificate.primal_value) <= 2 * np.spacing(
+            old.certificate.primal_value)
+        assert new.certificate.gap == old.certificate.gap
+        assert new.certificate.lam.values.tobytes() == old.certificate.lam.values.tobytes()
+        for field in ("xs", "ys", "weights"):
+            assert getattr(new.final_measure, field).tobytes() == getattr(old.final_measure, field).tobytes()
