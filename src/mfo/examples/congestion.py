@@ -25,10 +25,8 @@ import math
 import numpy as np
 
 from .._kernels import congestion_dp_batch
-from ..problem import AggregateVector, MfoProblem
+from ..problem import FEAS_TOL, AggregateVector, QuadraticCostProblem
 from ..transport import MetricSpec
-
-_FEAS_TOL = 1e-9
 
 
 def smoothstep(u):
@@ -77,7 +75,7 @@ def bump_family(x, cells, k):
     return h0, H
 
 
-class CongestionProblem(MfoProblem):
+class CongestionProblem(QuadraticCostProblem):
     name = "congestion"
     config_keys = ("horizon", "steps", "vmax", "alpha", "cells", "smoothing", "grid_substeps")
 
@@ -98,41 +96,17 @@ class CongestionProblem(MfoProblem):
         self.dx = 1.0 / self.cells
         self.max_move = self.vmax * self.dt
         self.grid_step = self.max_move / self.grid_substeps
-        self._weights = np.concatenate([[1.0], np.full(self.cells * self.steps, self.dt)])
-        self._weights.setflags(write=False)
+        self.hilbert_weights = np.concatenate([[1.0], np.full(self.cells * self.steps, self.dt)])
+        self.hilbert_weights.setflags(write=False)
         T = self.horizon
+        # kappa of the quadratic cost, whose density penalty is (alpha/dx) sum_t dt beta_t^2
         self.grad_lipschitz = 2.0 * self.alpha / self.dx
         self.sup_g_norm = math.sqrt(T * T + T)
         self.sup_g_diff_sq = T * T + 4.0 * T
-        self.sup_grad_norm = math.sqrt(1.0 + (2.0 * self.alpha / self.dx) ** 2 * T)
+        self.sup_grad_norm = math.sqrt(1.0 + self.grad_lipschitz ** 2 * T)
         self.set_lipschitz = 2.0 * self.smoothing * math.sqrt(T * T + 4.0 * T)
-        self._metric = MetricSpec("euclidean")
+        self.metric = MetricSpec("euclidean")
         self._grid_memo = (None, None)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "CongestionProblem":
-        return cls(**{k: cfg[k] for k in cls.config_keys if k in cfg})
-
-    @property
-    def hilbert_weights(self):
-        return self._weights
-
-    @property
-    def metric(self):
-        return self._metric
-
-    def describe(self):
-        d = super().describe()
-        d.update(
-            horizon=self.horizon,
-            steps=self.steps,
-            vmax=self.vmax,
-            alpha=self.alpha,
-            cells=self.cells,
-            smoothing=self.smoothing,
-            grid_substeps=self.grid_substeps,
-        )
-        return d
 
     # -- model ------------------------------------------------------------
 
@@ -147,22 +121,6 @@ class CongestionProblem(MfoProblem):
         g1 = self.dt * h0.reshape(n, self.steps).sum(axis=1)
         g2 = H.reshape(self.cells, n, self.steps).transpose(1, 0, 2).reshape(n, -1)
         return np.column_stack([g1, g2])
-
-    def f_value(self, beta: AggregateVector) -> float:
-        v = beta.values
-        return float(v[0] + (self.alpha / self.dx) * np.sum(self._weights[1:] * v[1:] ** 2))
-
-    def f_grad(self, beta: AggregateVector) -> AggregateVector:
-        v = beta.values
-        return self.vector(np.concatenate([[1.0], (2.0 * self.alpha / self.dx) * v[1:]]))
-
-    def f_conj(self, lam: AggregateVector) -> float:
-        v = lam.values
-        if abs(v[0] - 1.0) > 1e-9:
-            return math.inf
-        if self.alpha == 0.0:
-            return 0.0 if float(np.max(np.abs(v[1:]), initial=0.0)) <= 1e-12 else math.inf
-        return float(np.sum(self._weights[1:] * v[1:] ** 2) * self.dx / (4.0 * self.alpha))
 
     # -- oracles ------------------------------------------------------------
 
@@ -204,9 +162,9 @@ class CongestionProblem(MfoProblem):
             return np.zeros(len(trajs), dtype=bool)
         moves = np.diff(trajs, axis=1)
         return (
-            (np.abs(trajs[:, 0] - np.asarray(xs, dtype=float)[:, 0]) <= _FEAS_TOL)
-            & np.all(moves >= -_FEAS_TOL, axis=1)
-            & np.all(moves <= self.max_move + _FEAS_TOL, axis=1)
+            (np.abs(trajs[:, 0] - np.asarray(xs, dtype=float)[:, 0]) <= FEAS_TOL)
+            & np.all(moves >= -FEAS_TOL, axis=1)
+            & np.all(moves <= self.max_move + FEAS_TOL, axis=1)
         )
 
     def transport_select_batch(self, xs, trajs, x2s) -> np.ndarray:

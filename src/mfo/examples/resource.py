@@ -27,13 +27,11 @@ import math
 import numpy as np
 
 from .._kernels import resource_br
-from ..problem import AggregateVector, MfoProblem
+from ..problem import FEAS_TOL, AggregateVector, QuadraticCostProblem
 from ..transport import MetricSpec
 
-_FEAS_TOL = 1e-9
 
-
-class ResourceProblem(MfoProblem):
+class ResourceProblem(QuadraticCostProblem):
     name = "resource"
     config_keys = ("horizon", "steps", "discount", "price_impact", "stock_cap")
 
@@ -52,38 +50,15 @@ class ResourceProblem(MfoProblem):
         self.times = self.dt * np.arange(self.steps)
         self.discount_factors = np.exp(-self.discount * self.times)
         self.exp_rt = np.exp(self.discount * self.times)
-        self._weights = np.concatenate([[1.0], self.dt * self.discount_factors])
-        self._weights.setflags(write=False)
+        self.hilbert_weights = np.concatenate([[1.0], self.dt * self.discount_factors])
+        self.hilbert_weights.setflags(write=False)
         mass = float(np.sum(self.dt * self.discount_factors))
-        self.grad_lipschitz = self.price_impact
+        self.grad_lipschitz = self.price_impact     # kappa of the quadratic cost
         self.sup_g_norm = math.sqrt(mass ** 2 / 16.0 + mass / 4.0)
         self.sup_g_diff_sq = mass ** 2 / 16.0 + mass / 4.0
         self.sup_grad_norm = math.sqrt(1.0 + self.price_impact ** 2 * mass / 4.0)
         self.set_lipschitz = math.sqrt(self.stock_cap + 0.5)
-        self._metric = MetricSpec("sqrt_euclidean")
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ResourceProblem":
-        return cls(**{k: cfg[k] for k in cls.config_keys if k in cfg})
-
-    @property
-    def hilbert_weights(self):
-        return self._weights
-
-    @property
-    def metric(self):
-        return self._metric
-
-    def describe(self):
-        d = super().describe()
-        d.update(
-            horizon=self.horizon,
-            steps=self.steps,
-            discount=self.discount,
-            price_impact=self.price_impact,
-            stock_cap=self.stock_cap,
-        )
-        return d
+        self.metric = MetricSpec("sqrt_euclidean")
 
     # -- model ------------------------------------------------------------
 
@@ -92,20 +67,6 @@ class ResourceProblem(MfoProblem):
         w = self.dt * self.discount_factors
         self_terms = (qs * qs - qs) @ w
         return np.column_stack([self_terms, qs])
-
-    def f_value(self, beta: AggregateVector) -> float:
-        v = beta.values
-        return float(v[0] + 0.5 * self.price_impact * np.sum(self._weights[1:] * v[1:] ** 2))
-
-    def f_grad(self, beta: AggregateVector) -> AggregateVector:
-        v = beta.values
-        return self.vector(np.concatenate([[1.0], self.price_impact * v[1:]]))
-
-    def f_conj(self, lam: AggregateVector) -> float:
-        v = lam.values
-        if abs(v[0] - 1.0) > 1e-9:
-            return math.inf
-        return float(np.sum(self._weights[1:] * v[1:] ** 2) / (2.0 * self.price_impact))
 
     # -- oracles ------------------------------------------------------------
 
@@ -127,11 +88,13 @@ class ResourceProblem(MfoProblem):
 
     def feasible_batch(self, xs, qs) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)
+        if qs.shape[1:] != (self.steps,):
+            return np.zeros(len(qs), dtype=bool)
         budgets = np.asarray(xs, dtype=float)[:, 0]
         return (
-            np.all(qs >= -_FEAS_TOL, axis=1)
-            & np.all(qs <= 0.5 + _FEAS_TOL, axis=1)
-            & (self.dt * qs.sum(axis=1) <= budgets + _FEAS_TOL)
+            np.all(qs >= -FEAS_TOL, axis=1)
+            & np.all(qs <= 0.5 + FEAS_TOL, axis=1)
+            & (self.dt * qs.sum(axis=1) <= budgets + FEAS_TOL)
         )
 
     def transport_select_batch(self, xs, qs, x2s) -> np.ndarray:

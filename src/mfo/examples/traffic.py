@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
-from ..problem import AggregateVector, MfoProblem
+from ..problem import FEAS_TOL, AggregateVector, MfoProblem
 from ..transport import MetricSpec
 
 
@@ -142,22 +143,11 @@ def _enumerate_paths(n_nodes, edges, origin, dest, hop_bound):
 
 
 def _hop_distances(n_nodes, edges):
-    # undirected breadth-first hop counts between all node pairs
-    adj = [set() for _ in range(n_nodes)]
-    for e in edges:
-        adj[e.tail].add(e.head)
-        adj[e.head].add(e.tail)
-    dist = np.full((n_nodes, n_nodes), np.inf)
-    for s in range(n_nodes):
-        dist[s, s] = 0.0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not np.isfinite(dist[s, v]):
-                    dist[s, v] = dist[s, u] + 1.0
-                    queue.append(v)
-    return dist
+    """Undirected hop counts between all node pairs; ``inf`` between components."""
+    tails = [e.tail for e in edges]
+    heads = [e.head for e in edges]
+    adjacency = csr_matrix((np.ones(len(edges)), (tails, heads)), shape=(n_nodes, n_nodes))
+    return shortest_path(adjacency, directed=False, unweighted=True)
 
 
 class TrafficProblem(MfoProblem):
@@ -208,15 +198,15 @@ class TrafficProblem(MfoProblem):
         # so that the first-index argmin never takes a padding row
         self._table0 = np.nan_to_num(self._path_table, nan=0.0)
         self._pad_costs = np.where(np.isnan(self._path_table[:, :, 0]), np.inf, 0.0)
-        self._weights = np.ones(n_e)
-        self._weights.setflags(write=False)
+        self.hilbert_weights = np.ones(n_e)
+        self.hilbert_weights.setflags(write=False)
         self.grad_lipschitz = max(e.latency_slope_bound() for e in self.edges)
         self.sup_g_norm = math.sqrt(max_len)
         self.sup_g_diff_sq = 2.0 * max_len
         lat_at_one = self._edgewise("latency", np.ones(n_e)).tolist()
         self.sup_grad_norm = math.sqrt(sum(v ** 2 for v in lat_at_one))
         self.set_lipschitz = math.sqrt(2.0 * max_len)
-        self._metric = MetricSpec("graph_hop", node_distances=_hop_distances(self.n_nodes, self.edges))
+        self.metric = MetricSpec("graph_hop", node_distances=_hop_distances(self.n_nodes, self.edges))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TrafficProblem":
@@ -232,18 +222,10 @@ class TrafficProblem(MfoProblem):
         n_nodes, edges, od_pairs = built
         return cls(n_nodes, edges, od_pairs, hop_bound=cfg.get("hop_bound"))
 
-    @property
-    def hilbert_weights(self):
-        return self._weights
-
-    @property
-    def metric(self):
-        return self._metric
-
     def describe(self):
-        d = super().describe()
-        d.update(n_nodes=self.n_nodes, n_edges=len(self.edges), od_pairs=self.od_pairs)
-        return d
+        # the network itself, not the config entry that named it
+        return {**self._constants(), "n_nodes": self.n_nodes, "n_edges": len(self.edges),
+                "od_pairs": self.od_pairs}
 
     # -- model ------------------------------------------------------------
 
@@ -292,7 +274,7 @@ class TrafficProblem(MfoProblem):
         if ys.shape[1:] != (len(self.edges),):
             return np.zeros(len(ys), dtype=bool)
         paths = self._path_table[self._od_index(xs)]
-        return np.any(np.all(np.abs(paths - ys[:, None, :]) <= 1e-9, axis=2), axis=1)
+        return np.any(np.all(np.abs(paths - ys[:, None, :]) <= FEAS_TOL, axis=2), axis=1)
 
     def transport_select_batch(self, xs, ys, x2s) -> np.ndarray:
         od, od2 = self._od_index(xs), self._od_index(x2s)

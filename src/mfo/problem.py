@@ -7,13 +7,9 @@ weighted-inner-product space (diagonal weights, e.g. discounted
 trapezoid weights for time-discretized models), so that discrete inner
 products reproduce the continuous ones bit for bit.
 
-Concrete games subclass :class:`MfoProblem` and supply the cost ``f``
-with its gradient and (optionally) Fenchel conjugate, analytic
-constants, and the batch oracles ``g_eval_batch``,
-``best_response_batch``, ``feasible_batch``, ``transport_select_batch``
-and ``initial_decision_batch``; the base class derives their one-row
-forms ``g_eval``, ``best_response``, ``feasible``, ``transport_select``
-and ``initial_decision``.
+Concrete games subclass :class:`MfoProblem`, or
+:class:`QuadraticCostProblem` for the shared quadratic cost; the
+contract is spelled out on :class:`MfoProblem`.
 """
 
 from __future__ import annotations
@@ -24,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure, first_marginal, validate_feasible
+from .transport import MetricSpec
 
 
 @dataclass(frozen=True)
@@ -80,12 +77,16 @@ class MfoProblem:
     """Contract bundling the model data and oracles of one game.
 
     Every oracle takes a batch: ``xs`` holds one parameter per row and
-    ``ys`` one decision per row.  Subclasses must define:
+    ``ys`` one decision per row.  A game sets as attributes
+    ``hilbert_weights`` (diagonal weights of the aggregation space),
+    ``metric`` (ground metric on parameters) and the constants
+    ``grad_lipschitz``, ``sup_g_norm``, ``sup_g_diff_sq``,
+    ``sup_grad_norm`` and ``set_lipschitz``.  It implements the cost
+    ``f_value(beta)`` / ``f_grad(beta)`` (gradient taken w.r.t. the
+    weighted inner product), or inherits it from
+    :class:`QuadraticCostProblem`, and the five batch oracles:
 
-    * ``hilbert_weights`` -- diagonal weights of the aggregation space;
     * ``g_eval_batch(xs, ys)`` -- contribution matrix, one row per pair;
-    * ``f_value(beta)`` / ``f_grad(beta)`` -- cost and its gradient
-      (gradient taken w.r.t. the weighted inner product);
     * ``best_response_batch(lam, xs)`` -- per row, a minimizer of
       ``<lam, g(x, .)>`` over the feasible decisions at ``x``;
     * ``feasible_batch(xs, ys)`` -- boolean vector, ``y in Z_x`` per row;
@@ -93,12 +94,11 @@ class MfoProblem:
       ``x2`` whose contribution moves by at most
       ``set_lipschitz * d(x, x2)``;
     * ``initial_decision_batch(xs)`` -- any feasible decision per row
-      (solver warm start);
-    * constants ``grad_lipschitz``, ``sup_g_norm``, ``sup_g_diff_sq``,
-      ``sup_grad_norm``, ``set_lipschitz`` and a ``metric``.
+      (solver warm start).
 
     The one-row forms ``g_eval``, ``best_response``, ``feasible``,
-    ``transport_select`` and ``initial_decision`` are derived here.
+    ``transport_select`` and ``initial_decision`` are derived here, and
+    so are ``from_config`` and ``describe``, from ``config_keys``.
 
     ``f_conj`` may raise :class:`NotImplementedError` when the conjugate
     is unavailable; dual operations then refuse to run.  All oracles
@@ -110,19 +110,36 @@ class MfoProblem:
     """
 
     name = "abstract"
-    #: the keys ``from_config`` reads from a config's problem block (besides ``name``)
+    #: constructor arguments read by ``from_config`` and reported by ``describe``
     config_keys: tuple = ()
 
-    # analytic constants; subclasses assign instance attributes
+    # the data of an instance; subclasses assign instance attributes
+    hilbert_weights: np.ndarray
+    metric: MetricSpec
     grad_lipschitz: float
     sup_g_norm: float
     sup_g_diff_sq: float
     sup_grad_norm: float
     set_lipschitz: float
 
-    @property
-    def hilbert_weights(self) -> np.ndarray:
-        raise NotImplementedError
+    @classmethod
+    def from_config(cls, cfg: dict) -> "MfoProblem":
+        return cls(**{k: cfg[k] for k in cls.config_keys if k in cfg})
+
+    def _constants(self) -> dict:
+        """The name and the analytic constants."""
+        return {
+            "name": self.name,
+            "grad_lipschitz": self.grad_lipschitz,
+            "sup_g_norm": self.sup_g_norm,
+            "sup_g_diff_sq": self.sup_g_diff_sq,
+            "sup_grad_norm": self.sup_grad_norm,
+            "set_lipschitz": self.set_lipschitz,
+        }
+
+    def describe(self) -> dict:
+        """The constants and the value of each ``config_keys`` entry."""
+        return {**self._constants(), **{k: getattr(self, k) for k in self.config_keys}}
 
     def vector(self, values) -> AggregateVector:
         return AggregateVector(values, self.hilbert_weights)
@@ -169,25 +186,39 @@ class MfoProblem:
     def initial_decision(self, x) -> np.ndarray:
         return self.initial_decision_batch(_row(x))[0]
 
-    @property
-    def metric(self):
-        raise NotImplementedError
 
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "grad_lipschitz": self.grad_lipschitz,
-            "sup_g_norm": self.sup_g_norm,
-            "sup_g_diff_sq": self.sup_g_diff_sq,
-            "sup_grad_norm": self.sup_grad_norm,
-            "set_lipschitz": self.set_lipschitz,
-        }
+class QuadraticCostProblem(MfoProblem):
+    """A game with cost ``f(beta) = beta_0 + (kappa/2) sum_{t>=1} w_t beta_t^2``.
+
+    ``w`` are the ``hilbert_weights`` and ``kappa = grad_lipschitz``: the
+    certified Lipschitz constant of ``f_grad`` is the cost's own
+    coefficient.  ``kappa = 0`` is allowed; the conjugate is then finite
+    only at ``lam[1:] = 0``.
+    """
+
+    def f_value(self, beta: AggregateVector) -> float:
+        v = beta.values
+        return float(v[0] + 0.5 * self.grad_lipschitz * np.sum(self.hilbert_weights[1:] * v[1:] ** 2))
+
+    def f_grad(self, beta: AggregateVector) -> AggregateVector:
+        return self.vector(np.concatenate([[1.0], self.grad_lipschitz * beta.values[1:]]))
+
+    def f_conj(self, lam: AggregateVector) -> float:
+        v = lam.values
+        if abs(v[0] - 1.0) > 1e-9:
+            return math.inf
+        if self.grad_lipschitz == 0.0:
+            return 0.0 if float(np.max(np.abs(v[1:]), initial=0.0)) <= 1e-12 else math.inf
+        return float(np.sum(self.hilbert_weights[1:] * v[1:] ** 2) / (2.0 * self.grad_lipschitz))
 
 
 def _row(p) -> np.ndarray:
     """One point as a one-row batch."""
     return np.asarray(p, dtype=float).reshape(1, -1)
 
+
+#: slack of the games' feasibility predicates, for decisions built in floating point
+FEAS_TOL = 1e-9
 
 #: certificates more negative than this indicate a broken oracle, not roundoff
 GAP_NEGATIVITY_TOL = 1e-9

@@ -27,7 +27,7 @@ import numpy as np
 
 from .measures import EmpiricalMeasure, first_marginal
 from .problem import DualCertificate, MfoProblem, OracleError, _certify, _support_values, aggregate, fw_gap
-from .transport import MARGINAL_TOL
+from .transport import MARGINAL_TOL, _is_uniform
 
 
 def default_step(k: int) -> float:
@@ -40,13 +40,20 @@ def fictitious_play_step(k: int) -> float:
     return 1.0 / (k + 1.0)
 
 
+def _sim_count(n) -> int:
+    """One simulation count: an integer of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"simulation counts must be integers >= 1, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration budget, step rule, simulation counts and seeding."""
 
     iterations: int = 100
     step_rule: object = None          # callable k -> weight in [0, 1]; default 2/(k+2)
-    n_sims: object = 1                # int, sequence, or callable k -> count
+    n_sims: object = 1                # int, or a sequence of ints: count at k, the last one repeating
     seed: int = 0
     monotone_guard: bool = True
     gap_tol: float | None = None
@@ -55,6 +62,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iteration count must be at least 1")
+        if np.ndim(self.n_sims) == 0:
+            n_sims = _sim_count(self.n_sims)
+        else:
+            n_sims = tuple(_sim_count(n) for n in self.n_sims)
+            if not n_sims:
+                raise ValueError("the simulation-count schedule is empty")
+        object.__setattr__(self, "n_sims", n_sims)
 
     def omega(self, k: int) -> float:
         w = default_step(k) if self.step_rule is None else self.step_rule(k)
@@ -63,22 +77,15 @@ class SolverConfig:
         return float(w)
 
     def sims_at(self, k: int) -> int:
-        if callable(self.n_sims):
-            n = self.n_sims(k)
-        elif np.isscalar(self.n_sims):
-            n = self.n_sims
-        else:
-            n = self.n_sims[min(k, len(self.n_sims) - 1)]
-        n = int(n)
-        if n < 1:
-            raise ValueError("simulation count must be at least 1")
-        return n
+        if isinstance(self.n_sims, int):
+            return self.n_sims
+        return self.n_sims[min(k, len(self.n_sims) - 1)]
 
     def to_json_dict(self):
         return {
             "iterations": self.iterations,
             "step_rule": "2/(k+2)" if self.step_rule is None else "custom",
-            "n_sims": self.n_sims if np.isscalar(self.n_sims) or isinstance(self.n_sims, list) else "custom",
+            "n_sims": self.n_sims if isinstance(self.n_sims, int) else list(self.n_sims),
             "seed": self.seed,
             "monotone_guard": self.monotone_guard,
             "gap_tol": self.gap_tol,
@@ -274,7 +281,7 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
     """
     _check_marginal(m_N)
     n = len(m_N)
-    if float(np.max(np.abs(m_N.weights - 1.0 / n))) > 1e-12:
+    if not _is_uniform(m_N):
         raise ValueError("the stochastic solver needs uniform weights 1/N")
     xs, w = m_N.xs, m_N.weights
     y, G = _warm_start(problem, xs, w)

@@ -188,7 +188,7 @@ class TestBatchMatchesReference:
         expected = np.array([feasible(prob, x2, y2) for x2, y2 in zip(x2s[ok], ys2)])
         np.testing.assert_array_equal(prob.feasible_batch(x2s[ok], ys2), expected)
 
-    @pytest.mark.parametrize("name", ["congestion", "traffic"])
+    @pytest.mark.parametrize("name", ["congestion", "resource", "traffic"])
     def test_decision_of_wrong_length_is_infeasible(self, name):
         build, cases, _, _ = GAMES[name]
         prob = build()

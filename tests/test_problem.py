@@ -18,7 +18,7 @@ from mfo import (
     value_directional_derivative,
 )
 from mfo.problem import MfoProblem
-from mfo.examples import TrafficProblem
+from mfo.examples import CongestionProblem, ResourceProblem, TrafficProblem
 from mfo.examples.traffic import Edge
 
 from conftest import uniform_marginal
@@ -71,6 +71,14 @@ class QuadToy(MfoProblem):
 
     def initial_decision_batch(self, xs):
         return np.repeat(self.options[:1], len(xs), axis=0)
+
+
+#: the games with the shared quadratic cost; congestion without penalty has kappa = 0
+QUADRATIC_GAMES = [
+    pytest.param(ResourceProblem, id="resource"),
+    pytest.param(CongestionProblem, id="congestion"),
+    pytest.param(lambda: CongestionProblem(alpha=0.0), id="congestion_alpha0"),
+]
 
 
 def twin_pigou():
@@ -271,16 +279,63 @@ class TestDerivativeChecks:
                 # the weighted-inner-product gradient
                 assert fd == pytest.approx(w[i] * grad[i], rel=1e-6, abs=1e-9)
 
-    def test_fenchel_young(self, resource_problem):
+    @pytest.mark.parametrize("make", QUADRATIC_GAMES)
+    def test_fenchel_young(self, make):
         rng = np.random.default_rng(6)
-        prob = resource_problem
+        prob = make()
+        dim = len(prob.hilbert_weights)
         for _ in range(30):
-            beta = prob.vector(rng.uniform(-0.3, 0.3, size=len(prob.hilbert_weights)))
-            lam = prob.vector(np.concatenate([[1.0], rng.uniform(-0.5, 0.5, prob.steps)]))
+            beta = prob.vector(rng.uniform(-0.3, 0.3, size=dim))
+            lam = prob.vector(np.concatenate([[1.0], rng.uniform(-0.5, 0.5, dim - 1)]))
             assert prob.f_value(beta) + prob.f_conj(lam) >= lam.dot(beta) - 1e-12
             grad = prob.f_grad(beta)
             equality = prob.f_value(beta) + prob.f_conj(grad) - grad.dot(beta)
             assert abs(equality) <= 1e-8
+
+    @pytest.mark.parametrize("make", QUADRATIC_GAMES)
+    def test_grad_lipschitz_is_the_slope_of_f_grad(self, make):
+        # finite-difference slopes of f_grad never exceed grad_lipschitz and
+        # reach it along directions that leave beta_0 alone
+        rng = np.random.default_rng(11)
+        prob = make()
+        dim = len(prob.hilbert_weights)
+        h = 1e-6
+
+        def slope(beta, d):
+            return (prob.f_grad(beta + h * d) - prob.f_grad(beta)).norm() / (h * d.norm())
+
+        for _ in range(20):
+            beta = prob.vector(rng.uniform(-0.3, 0.3, dim))
+            d = prob.vector(rng.uniform(-1.0, 1.0, dim))
+            assert slope(beta, d) <= prob.grad_lipschitz * (1 + 1e-6)
+            flat = prob.vector(np.concatenate([[0.0], d.values[1:]]))
+            assert slope(beta, flat) == pytest.approx(prob.grad_lipschitz, rel=1e-6)
+
+
+@pytest.mark.parametrize("prob, coefficient", [
+    (ResourceProblem(price_impact=0.5), lambda p: 0.5 * p.price_impact),
+    (CongestionProblem(alpha=0.5), lambda p: p.alpha / p.dx),
+], ids=["resource", "congestion"])
+def test_cost_in_the_games_own_parameters(prob, coefficient):
+    # f(beta) = beta_0 + coefficient * sum_{t>=1} w_t beta_t^2, with the
+    # coefficient each game's model states
+    rng = np.random.default_rng(12)
+    v = rng.uniform(-0.3, 0.3, len(prob.hilbert_weights))
+    expected = v[0] + coefficient(prob) * np.sum(prob.hilbert_weights[1:] * v[1:] ** 2)
+    assert prob.f_value(prob.vector(v)) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("prob", [
+    ResourceProblem(horizon=5.0, steps=20, discount=0.3, price_impact=0.5, stock_cap=8.0),
+    CongestionProblem(horizon=2.0, steps=10, vmax=2.0, alpha=0.5, cells=4, smoothing=12,
+                      grid_substeps=20),
+], ids=["resource", "congestion"])
+def test_from_config_rebuilds_the_described_instance(prob):
+    described = prob.describe()
+    assert set(prob.config_keys) <= set(described)
+    fresh = type(prob).from_config(described)
+    assert fresh.describe() == described
+    np.testing.assert_array_equal(fresh.hilbert_weights, prob.hilbert_weights)
 
 
 class TestDualValue:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import LinearConstraint, minimize
 
-from mfo import SolverConfig, aggregate, fw_solve
+from mfo import EmpiricalMeasure, OracleError, SolverConfig, aggregate, fw_solve
 
 
 def scipy_best_response(prob, lam2, x):
@@ -126,6 +126,16 @@ class TestEquilibrium:
         responses = prob.best_response_batch(lam, exp_marginal_50.xs)
         q_resolved = exp_marginal_50.weights @ responses
         assert np.max(np.abs(q_resolved - q_star)) <= 1e-4
+
+
+class TestFeasibility:
+    def test_profile_of_another_length_is_infeasible(self, resource_problem):
+        prob = resource_problem
+        assert not prob.feasible([1.0], [0.1, 0.1])
+        assert prob.feasible([1.0], np.full(prob.steps, 0.1))
+        short = EmpiricalMeasure.from_atoms("Z", [([1.0], [0.1, 0.1], 1.0)])
+        with pytest.raises(OracleError, match="infeasible atom 0"):
+            aggregate(prob, short)
 
 
 class TestConstants:

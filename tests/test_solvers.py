@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -394,6 +396,43 @@ class TestStepRules:
         cfg = SolverConfig(iterations=2, step_rule=lambda k: 1.5)
         with pytest.raises(ValueError, match="step weight"):
             fw_solve(pigou_problem, od_marginal(), cfg)
+
+
+class TestSimulationCounts:
+    @pytest.mark.parametrize("n_sims, echoed", [
+        (3, 3),
+        (np.int64(3), 3),
+        ((4, 2, 1), [4, 2, 1]),
+        ([4, 2], [4, 2]),
+        (np.array([4, 2]), [4, 2]),
+    ], ids=["int", "numpy_int", "tuple", "list", "numpy_array"])
+    def test_plain_values_are_echoed(self, n_sims, echoed):
+        cfg = SolverConfig(n_sims=n_sims)
+        out = cfg.to_json_dict()["n_sims"]
+        assert out == echoed
+        assert type(out) is type(echoed)
+        if isinstance(out, list):
+            assert all(type(n) is int for n in out)
+        # the echo rebuilds the same configuration
+        assert SolverConfig(n_sims=out) == cfg
+
+    def test_json_list_keeps_its_bytes(self):
+        text = json.dumps([4, 2, 3])
+        assert json.dumps(SolverConfig(n_sims=json.loads(text)).to_json_dict()["n_sims"]) == text
+
+    @pytest.mark.parametrize("n_sims", [[], 0, -2, 2.5, True, "3", None, [3, 0], [[1, 2]],
+                                        lambda k: 2])
+    def test_anything_else_is_rejected(self, n_sims):
+        with pytest.raises(ValueError, match="simulation-count schedule is empty|simulation counts"):
+            SolverConfig(n_sims=n_sims)
+
+    def test_numpy_count_reaches_final_json(self, resource_problem, tmp_path):
+        report = sfw_solve(resource_problem, uniform_marginal([0.5, 2.0]),
+                           SolverConfig(iterations=2, n_sims=np.int64(3)))
+        report.save_final_json(tmp_path / "final.json")
+        with open(tmp_path / "final.json") as fh:
+            assert json.load(fh)["config"]["n_sims"] == 3
+        assert [r.n_candidates for r in report.records] == [3, 3]
 
 
 class TestCandidateObjective:

@@ -5,7 +5,7 @@ import pytest
 
 from mfo import EmpiricalMeasure, SolverConfig, fw_solve
 from mfo.examples import TrafficProblem, grid_network, load_network, pigou_network
-from mfo.examples.traffic import EDGE_KINDS, Edge
+from mfo.examples.traffic import EDGE_KINDS, Edge, _hop_distances
 
 
 def five_node_network():
@@ -197,6 +197,27 @@ class TestSelectionAndConstants:
             q2 = rng.random(len(prob.edges))
             lhs = (prob.f_grad(prob.vector(q)) - prob.f_grad(prob.vector(q2))).norm()
             assert lhs <= prob.grad_lipschitz * np.linalg.norm(q - q2) + 1e-12
+
+
+class TestHopMetric:
+    def test_hop_distances_by_hand(self):
+        # directions are ignored and parallel edges count once; {0, 1, 2, 3}
+        # and {4, 5} are two components
+        edges = [Edge(0, 1, "affine", (1.0, 0.0)), Edge(0, 1, "affine", (0.0, 1.0)),
+                 Edge(1, 2, "affine", (1.0, 0.0)), Edge(3, 2, "affine", (1.0, 0.0)),
+                 Edge(4, 5, "affine", (1.0, 0.0)), Edge(5, 4, "affine", (1.0, 0.0))]
+        inf = np.inf
+        expected = np.array([
+            [0, 1, 2, 3, inf, inf],
+            [1, 0, 1, 2, inf, inf],
+            [2, 1, 0, 1, inf, inf],
+            [3, 2, 1, 0, inf, inf],
+            [inf, inf, inf, inf, 0, 1],
+            [inf, inf, inf, inf, 1, 0],
+        ])
+        np.testing.assert_array_equal(_hop_distances(6, edges), expected)
+        prob = TrafficProblem(6, edges, [(0, 2), (4, 5)])
+        np.testing.assert_array_equal(prob.metric.node_distances, expected)
 
 
 class TestOdLookup:
