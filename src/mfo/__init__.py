@@ -10,12 +10,9 @@ exhaustible-resource competition, congested crowd motion).
 """
 
 from .measures import (
-    ConditionalFamily,
     EmpiricalMeasure,
-    disintegrate,
     first_marginal,
     mix,
-    push_forward,
     validate_feasible,
 )
 from .problem import (
@@ -27,16 +24,14 @@ from .problem import (
     dual_value,
     fw_gap,
     linearized_solve,
-    u_lambda,
     value_directional_derivative,
 )
 from .quantize import SourceDistribution, estimate_d1, quantize_grid, quantize_sample
 from .solvers import SolveReport, SolverConfig, candidate_objective, fw_solve, sfw_solve
-from .transport import Coupling, MetricSpec, assignment_solve, bridge, d1, glue, ot_solve
+from .transport import Coupling, MetricSpec, bridge, glue, ot_solve
 
 __all__ = [
     "AggregateVector",
-    "ConditionalFamily",
     "Coupling",
     "DualCertificate",
     "EmpiricalMeasure",
@@ -47,11 +42,8 @@ __all__ = [
     "SolverConfig",
     "SourceDistribution",
     "aggregate",
-    "assignment_solve",
     "bridge",
     "candidate_objective",
-    "d1",
-    "disintegrate",
     "dual_value",
     "estimate_d1",
     "first_marginal",
@@ -61,11 +53,9 @@ __all__ = [
     "linearized_solve",
     "mix",
     "ot_solve",
-    "push_forward",
     "quantize_grid",
     "quantize_sample",
     "sfw_solve",
-    "u_lambda",
     "validate_feasible",
     "value_directional_derivative",
 ]

@@ -73,7 +73,10 @@ def build_problem(problem_cfg: dict):
         raise ConfigError(f"unknown problem {name!r}; available: {sorted(PROBLEM_CLASSES)}")
     cls = PROBLEM_CLASSES[name]
     _check_keys(problem_cfg, ("name",) + cls.config_keys, f"the {name} problem block")
-    return cls.from_config(problem_cfg)
+    try:
+        return cls.from_config(problem_cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"the {name} problem block: {exc}") from exc
 
 
 def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
@@ -115,13 +118,16 @@ def build_solver_config(solver_cfg: dict, seed_override=None) -> tuple[str, Solv
     if algorithm not in ("fw", "sfw"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     seed = seed_override if seed_override is not None else solver_cfg.get("seed", 0)
-    cfg = SolverConfig(
-        iterations=int(solver_cfg.get("iterations", 100)),
-        n_sims=solver_cfg.get("n_sims", 1),
-        seed=int(seed),
-        monotone_guard=bool(solver_cfg.get("monotone_guard", True)),
-        gap_tol=solver_cfg.get("gap_tol"),
-    )
+    try:
+        cfg = SolverConfig(
+            iterations=int(solver_cfg.get("iterations", 100)),
+            n_sims=solver_cfg.get("n_sims", 1),
+            seed=int(seed),
+            monotone_guard=bool(solver_cfg.get("monotone_guard", True)),
+            gap_tol=solver_cfg.get("gap_tol"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"the solver block: {exc}") from exc
     return algorithm, cfg
 
 
@@ -258,7 +264,7 @@ def cmd_bridge(args) -> int:
             raise ConfigError("mu0 carries no gap certificate; pass --eps0")
         eps0 = args.eps0
     m1 = EmpiricalMeasure.load_json(args.m1)
-    result = bridge(mu0, m1, problem, details=True)
+    result = bridge(mu0, m1, problem)
     eta = eps0 + 2.0 * problem.set_lipschitz * (
         problem.sup_grad_norm + problem.grad_lipschitz * problem.sup_g_norm
     ) * result.transport_cost

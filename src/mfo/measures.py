@@ -1,9 +1,8 @@
 """Finitely supported probability measures over parameter/decision spaces.
 
-A measure lives on one of four spaces:
+A measure lives on one of three spaces:
 
 * ``"X"``  -- parameter points only,
-* ``"Y"``  -- decision points only (conditional laws),
 * ``"Z"``  -- parameter/decision pairs ``(x, y)``,
 * ``"ZX"`` -- triples ``(x, y, x2)`` produced by gluing a pair measure
   with a coupling of its first marginal (the intermediate object of the
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +27,7 @@ ATOM_TOL = 1e-12
 #: tolerance on the total-mass-one invariant
 WEIGHT_TOL = 1e-12
 
-_SPACE_COLUMNS = {"X": ("x",), "Y": ("y",), "Z": ("x", "y"), "ZX": ("x", "y", "x2")}
+_SPACE_COLUMNS = {"X": ("x",), "Z": ("x", "y"), "ZX": ("x", "y", "x2")}
 
 
 def _atom_groups(columns, weights):
@@ -154,12 +152,6 @@ class EmpiricalMeasure:
     def columns(self):
         return tuple(getattr(self, {"x": "xs", "y": "ys", "x2": "x2s"}[c]) for c in _SPACE_COLUMNS[self.space])
 
-    def atoms(self):
-        """Iterate over ``(coords..., weight)`` tuples in storage order."""
-        cols = self.columns()
-        for i in range(len(self)):
-            yield tuple(col[i] for col in cols) + (float(self.weights[i]),)
-
     def __repr__(self):
         return f"EmpiricalMeasure(space={self.space!r}, atoms={len(self)})"
 
@@ -243,30 +235,6 @@ class EmpiricalMeasure:
             writer.writerows(np.column_stack(names + (self.weights,)).tolist())
 
 
-@dataclass(frozen=True)
-class ConditionalFamily:
-    """Disintegration of a pair measure: marginal weights and conditionals.
-
-    ``points[i]`` carries marginal mass ``marginal_weights[i]`` and the
-    conditional law ``conditionals[i]`` over decisions.
-    """
-
-    points: tuple
-    marginal_weights: tuple
-    conditionals: tuple
-
-    def __len__(self):
-        return len(self.points)
-
-    def recompose(self):
-        """Mix of ``delta_x (x) mu_x``; inverse of :func:`disintegrate`."""
-        atoms = []
-        for x, wx, cond in zip(self.points, self.marginal_weights, self.conditionals):
-            for (y, wy) in cond.atoms():
-                atoms.append((x, y, wx * wy))
-        return EmpiricalMeasure.from_atoms("Z", atoms)
-
-
 def _marginal_groups(mu: EmpiricalMeasure):
     """First marginal of a pair measure and each pair atom's marginal atom (-1: none)."""
     ids, first = _atom_groups((mu.xs,), mu.weights)
@@ -279,21 +247,6 @@ def first_marginal(mu: EmpiricalMeasure) -> EmpiricalMeasure:
     if mu.space not in ("Z", "ZX"):
         raise ValueError("first_marginal needs a measure on pairs")
     return _marginal_groups(mu)[0]
-
-
-def disintegrate(mu: EmpiricalMeasure) -> ConditionalFamily:
-    """Split a pair measure into its marginal and the conditional law of each atom group."""
-    if mu.space != "Z":
-        raise ValueError("disintegrate needs a measure on Z")
-    mu = mu.merged()
-    marg, ids = _marginal_groups(mu)
-    members = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
-    mws = tuple(marg.weights.tolist())
-    conds = tuple(
-        EmpiricalMeasure("Y", ys=mu.ys[rows], weights=mu.weights[rows] / wx, validate=False)
-        for rows, wx in zip(members, mws)
-    )
-    return ConditionalFamily(tuple(marg.xs), mws, conds)
 
 
 def mix(mu_a: EmpiricalMeasure, mu_b: EmpiricalMeasure, omega: float) -> EmpiricalMeasure:
@@ -316,25 +269,6 @@ def mix(mu_a: EmpiricalMeasure, mu_b: EmpiricalMeasure, omega: float) -> Empiric
         validate=False,
     )
     return out.merged()
-
-
-def push_forward(mu: EmpiricalMeasure, fn, space=None) -> EmpiricalMeasure:
-    """Relocate atoms through ``fn``, preserving weights.
-
-    ``fn`` receives one coordinate vector per column of the input space
-    and returns the coordinate vector(s) of the image atom.  ``space``
-    names the output space and defaults to the input one.
-    """
-    space = space or mu.space
-    out_cols = _SPACE_COLUMNS[space]
-    atoms = []
-    for atom in mu.atoms():
-        *coords, w = atom
-        image = fn(*coords)
-        if len(out_cols) == 1 and not isinstance(image, tuple):
-            image = (image,)
-        atoms.append((*image, w))
-    return EmpiricalMeasure.from_atoms(space, atoms, merge=True)
 
 
 def validate_feasible(mu: EmpiricalMeasure, problem) -> None:

@@ -274,13 +274,6 @@ def aggregate(problem: MfoProblem, mu: EmpiricalMeasure, validate: bool = True) 
     return problem.vector(mu.weights @ G)
 
 
-def u_lambda(problem: MfoProblem, lam: AggregateVector, x):
-    """Best-response value and minimizer of ``<lam, g(x, .)>`` at ``x``."""
-    y = problem.best_response(lam, x)
-    value = lam.dot(problem.g_eval(x, y))
-    return value, y
-
-
 def _support_values(problem, lam, xs):
     """The best-response sweep: per row, the minimizer, its contribution and ``<lam, g>``."""
     ys = problem.best_response_batch(lam, xs)

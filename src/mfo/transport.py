@@ -4,7 +4,8 @@ The bridging construction turns an approximate solution for one
 prescribed marginal into one for another nearby marginal:
 
 1. couple the two marginals by an exactly optimal transport plan,
-2. glue the plan onto the pair measure through its disintegration,
+2. glue the plan onto the pair measure through the atom groups of
+   its first marginal,
 3. move every decision through the problem's transport-selection
    oracle, which is required to change the contribution vector by at
    most ``set_lipschitz`` times the ground distance travelled.
@@ -18,7 +19,7 @@ feed error bounds that assume exact optimality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -126,11 +127,9 @@ class Coupling:
             float(np.max(np.abs(col_sums - self.target.weights))),
         )
 
-    def entries(self):
-        return list(zip(self.rows.tolist(), self.cols.tolist(), self.masses.tolist()))
-
     def to_json_dict(self):
-        return {"cost": self.cost, "entries": [[int(i), int(j), float(m)] for i, j, m in self.entries()]}
+        entries = zip(self.rows.tolist(), self.cols.tolist(), self.masses.tolist())
+        return {"cost": self.cost, "entries": [list(e) for e in entries]}
 
 
 def _check_marginal_input(m, label):
@@ -214,30 +213,6 @@ def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> 
     return Coupling(m0, m1, rows, cols, masses, cost)
 
 
-def d1(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> float:
-    """Kantorovich-Rubinstein distance between empirical marginals."""
-    return ot_solve(m0, m1, metric).cost
-
-
-def assignment_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> np.ndarray:
-    """Optimal permutation for uniform equal-size marginals.
-
-    Returns ``sigma`` with ``sigma[i]`` the target atom matched to
-    source atom ``i``; the induced plan cost agrees with
-    :func:`ot_solve`.
-    """
-    _check_marginal_input(m0, "m0")
-    _check_marginal_input(m1, "m1")
-    if len(m0) != len(m1):
-        raise ValueError("assignment needs equal support sizes")
-    if not (_is_uniform(m0) and _is_uniform(m1)):
-        raise ValueError("assignment needs uniform weights 1/N on both sides")
-    rho = ot_solve(m0, m1, metric)
-    sigma = np.empty(len(m0), dtype=int)
-    sigma[rho.rows] = rho.cols
-    return sigma
-
-
 def glue(mu0: EmpiricalMeasure, rho: Coupling) -> EmpiricalMeasure:
     """Glue a pair measure with a coupling of its first marginal.
 
@@ -290,8 +265,8 @@ class BridgeResult:
     coupling: Coupling
     transport_cost: float
     aggregate_shift: float
-    objective_before: float = field(default=float("nan"))
-    objective_after: float = field(default=float("nan"))
+    objective_before: float
+    objective_after: float
 
 
 def apply_selection(nu: EmpiricalMeasure, problem, metric: MetricSpec) -> EmpiricalMeasure:
@@ -325,16 +300,15 @@ def apply_selection(nu: EmpiricalMeasure, problem, metric: MetricSpec) -> Empiri
     return EmpiricalMeasure("Z", xs=nu.x2s, ys=ys2, weights=nu.weights, validate=False).merged()
 
 
-def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem, metric: MetricSpec | None = None,
-           details: bool = False):
+def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem,
+           metric: MetricSpec | None = None) -> BridgeResult:
     """Transform a solution for one marginal into one for another.
 
     Solves the optimal transport problem between the first marginal of
     ``mu0`` and ``m1``, glues, and applies the selection oracle.  The
     output has first marginal ``m1`` and its aggregate moves by at most
-    ``set_lipschitz`` times the transport cost.  With ``details=True`` a
-    :class:`BridgeResult` carrying the coupling and diagnostics is
-    returned instead of the bare measure.
+    ``set_lipschitz`` times the transport cost.  Returns the bridged
+    measure with the coupling and diagnostics as a :class:`BridgeResult`.
     """
     from .problem import aggregate
 
@@ -346,8 +320,6 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem, metric: MetricS
     out_marg = first_marginal(mu1)
     if not out_marg.allclose(m1.merged(), tol=MARGINAL_TOL):
         raise RuntimeError("bridged measure does not carry the requested marginal")
-    if not details:
-        return mu1
     beta0 = aggregate(problem, mu0)
     beta1 = aggregate(problem, mu1, validate=False)  # apply_selection checked every atom
     return BridgeResult(

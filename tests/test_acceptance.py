@@ -123,7 +123,7 @@ def test_criterion_04_bridging_bound(resource_problem):
         m1 = clipped_sample(prob, 50, seed=400 + i)
         rep0 = sfw_solve(prob, m0, SolverConfig(iterations=100, n_sims=5, seed=i))
         eps0 = rep0.certificate.gap
-        result = bridge(rep0.final_measure, m1, prob, details=True)
+        result = bridge(rep0.final_measure, m1, prob)
         ref = fw_solve(prob, m1, SolverConfig(iterations=5000, gap_tol=1e-8,
                                               store_measure=False))
         val_lower = ref.certificate.primal_value - ref.certificate.gap

@@ -28,7 +28,7 @@ class TestBridgeBasics:
         from mfo import linearized_solve
 
         mu0 = linearized_solve(prob, lam, m0)
-        mu1 = bridge(mu0, m0, prob)
+        mu1 = bridge(mu0, m0, prob).measure
         assert mu1.allclose(mu0, tol=1e-12)
 
     def test_resource_truncation_of_originals(self, resource_problem):
@@ -39,9 +39,9 @@ class TestBridgeBasics:
         q_half = prob.transport_select([5.0], q_full, [2.5])
         mu0 = EmpiricalMeasure.from_atoms("Z", [([5.0], q_full, 0.5), ([2.5], q_half, 0.5)])
         m1 = uniform_marginal([4.0, 1.0])
-        mu1 = bridge(mu0, m1, prob)
+        mu1 = bridge(mu0, m1, prob).measure
         assert first_marginal(mu1).allclose(m1.merged(), tol=1e-9)
-        got = {float(x[0]): y for x, y, _ in mu1.atoms()}
+        got = dict(zip(mu1.xs[:, 0].tolist(), mu1.ys))
         # optimal plan matches 5 -> 4 and 2.5 -> 1 (monotone-compatible here)
         np.testing.assert_allclose(got[4.0], prob.transport_select([5.0], q_full, [4.0]), atol=1e-12)
         np.testing.assert_allclose(got[1.0], prob.transport_select([2.5], q_half, [1.0]), atol=1e-12)
@@ -52,7 +52,7 @@ class TestBridgeBasics:
         mu0 = rep.final_measure
         rng = np.random.default_rng(6)
         m1 = uniform_marginal(np.clip(rng.exponential(1.0, 50), 0, prob.stock_cap))
-        result = bridge(mu0, m1, prob, details=True)
+        result = bridge(mu0, m1, prob)
         bound = stability_constant(prob) * result.transport_cost
         assert result.objective_after - result.objective_before <= bound + 1e-9
 
@@ -64,7 +64,7 @@ class TestBridgeBasics:
         rep = fw_solve(prob, m0, SolverConfig(iterations=50))
         mu0 = rep.final_measure
         m1 = uniform_marginal(np.clip(rng.exponential(1.0, 12), 0, prob.stock_cap))
-        result = bridge(mu0, m1, prob, details=True)
+        result = bridge(mu0, m1, prob)
         d1 = ot_solve(m0, m1, prob.metric).cost
         assert result.transport_cost == pytest.approx(d1, abs=1e-12)
         assert result.aggregate_shift <= prob.set_lipschitz * d1 + 1e-7
@@ -77,7 +77,7 @@ class TestBridgeBasics:
 
         mu0 = linearized_solve(prob, lam, m0)
         m1 = uniform_marginal([0.08, 0.12])
-        result = bridge(mu0, m1, prob, details=True)
+        result = bridge(mu0, m1, prob)
         assert first_marginal(result.measure).allclose(m1.merged(), tol=1e-9)
         assert result.aggregate_shift <= prob.set_lipschitz * result.transport_cost + 1e-7
 
@@ -110,7 +110,7 @@ class TestBridgeBasics:
                                ys=np.vstack([np.zeros(prob.steps), q, q]),
                                weights=np.array([0.5, 0.5, 0.0]))
         m1 = uniform_marginal([0.5, 1.5])
-        result = bridge(mu0, m1, prob, details=True)
+        result = bridge(mu0, m1, prob)
         assert first_marginal(result.measure).allclose(m1, tol=1e-12)
         assert result.transport_cost == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
@@ -124,7 +124,7 @@ class TestEtaMinimizer:
         m1 = uniform_marginal(np.clip(rng.exponential(1.0, 20), 0, prob.stock_cap))
         rep0 = sfw_solve(prob, m0, SolverConfig(iterations=40, n_sims=3, seed=1))
         eps0 = rep0.certificate.gap
-        result = bridge(rep0.final_measure, m1, prob, details=True)
+        result = bridge(rep0.final_measure, m1, prob)
         ref = fw_solve(prob, m1, SolverConfig(iterations=2000, gap_tol=1e-10, store_measure=False))
         val_lower = ref.certificate.primal_value - ref.certificate.gap
         eta = eps0 + 2.0 * stability_constant(prob) * result.transport_cost

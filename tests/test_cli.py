@@ -114,6 +114,21 @@ class TestSolveVerb:
         err = capsys.readouterr().err
         assert repr(key) in err and (block or "the config") in err
 
+    @pytest.mark.parametrize("block, key, value, name", [
+        ("solver", "iterations", 0, "the solver block"),
+        ("solver", "n_sims", [], "the solver block"),
+        ("solver", "iterations", "abc", "the solver block"),
+        ("problem", "steps", 0, "the resource problem block"),
+    ], ids=["zero_iterations", "empty_n_sims", "text_iterations", "zero_steps"])
+    def test_invalid_value_is_a_config_error(self, tmp_path, capsys, block, key, value, name):
+        data = json.loads(write_config(tmp_path / "cfg.json").read_text())
+        data[block][key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: {name}: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("marginal, message", [
         ({"atoms": [{"x": [1.0], "w": 1.0}], "dist": "exponential:1"}, "it names atoms, dist"),
         ({"file": "m.json", "atoms": [{"x": [1.0], "w": 1.0}]}, "it names file, atoms"),

@@ -14,10 +14,9 @@ from mfo import (
     linearized_solve,
     mix,
     ot_solve,
-    u_lambda,
     value_directional_derivative,
 )
-from mfo.problem import MfoProblem
+from mfo.problem import MfoProblem, _support_values
 from mfo.examples import CongestionProblem, ResourceProblem, TrafficProblem
 from mfo.examples.traffic import Edge
 
@@ -148,28 +147,33 @@ class TestFeasibilityChecks:
         aggregate(resource_problem, good)
 
 
+def u_values(problem, lam, xs):
+    """The paper's ``u`` at ``lam``, ``min_y <lam, g(x, y)>``, per row of ``xs``, and the minimizers."""
+    ys, _, values = _support_values(problem, lam, np.asarray(xs, dtype=float))
+    return values, ys
+
+
 class TestULambda:
     def test_zero_dual_gives_zero_value(self, pigou_problem):
         lam = pigou_problem.zero_vector()
-        value, argmin = u_lambda(pigou_problem, lam, [0, 1])
-        assert value == 0.0
-        assert pigou_problem.feasible([0, 1], argmin)
+        values, argmins = u_values(pigou_problem, lam, [[0, 1]])
+        assert values.tolist() == [0.0]
+        assert pigou_problem.feasible_batch([[0, 1]], argmins).all()
 
     def test_traffic_shortest_path(self, pigou_problem):
         lam = pigou_problem.vector([0.7, 1.0])
-        value, argmin = u_lambda(pigou_problem, lam, [0, 1])
-        assert value == pytest.approx(0.7)
-        np.testing.assert_allclose(argmin, [1.0, 0.0])
+        values, argmins = u_values(pigou_problem, lam, [[0, 1]])
+        assert values[0] == pytest.approx(0.7)
+        np.testing.assert_allclose(argmins, [[1.0, 0.0]])
 
     def test_resource_closed_form(self, resource_problem):
         # with no aggregate pressure and ample stock the pointwise optimum
         # is q = 1/2 with value -1/4 of the discounted mass
         lam = resource_problem.vector(np.concatenate([[1.0], np.zeros(resource_problem.steps)]))
-        x = [resource_problem.horizon]
-        value, argmin = u_lambda(resource_problem, lam, x)
-        np.testing.assert_allclose(argmin, 0.5, atol=1e-12)
+        values, argmins = u_values(resource_problem, lam, [[resource_problem.horizon]])
+        np.testing.assert_allclose(argmins, 0.5, atol=1e-12)
         mass = float(np.sum(resource_problem.dt * resource_problem.discount_factors))
-        assert value == pytest.approx(-0.25 * mass, abs=1e-12)
+        assert values[0] == pytest.approx(-0.25 * mass, abs=1e-12)
 
     def test_lipschitz_estimate(self, resource_problem):
         # |u(lam1, x1) - u(lam2, x2)| <= L_g |lam1| d(x1,x2) + M |lam1 - lam2|
@@ -179,8 +183,8 @@ class TestULambda:
             lam1 = prob.vector(np.concatenate([[1.0], rng.uniform(0, 0.5, prob.steps)]))
             lam2 = prob.vector(np.concatenate([[1.0], rng.uniform(0, 0.5, prob.steps)]))
             x1, x2 = rng.uniform(0, prob.stock_cap, size=2)
-            v1, _ = u_lambda(prob, lam1, [x1])
-            v2, _ = u_lambda(prob, lam2, [x2])
+            (v1,), _ = u_values(prob, lam1, [[x1]])
+            (v2,), _ = u_values(prob, lam2, [[x2]])
             bound = (
                 prob.set_lipschitz * lam1.norm() * prob.metric.dist([x1], [x2])
                 + prob.sup_g_norm * (lam1 - lam2).norm()
@@ -207,7 +211,10 @@ class TestLinearizedSolve:
         m = EmpiricalMeasure("X", xs=rng.uniform(0, 5, size=(6, 1)), weights=np.full(6, 1 / 6))
         mu = linearized_solve(resource_problem, lam, m)
         cost = lam.dot(aggregate(resource_problem, mu))
-        expected = sum(w * u_lambda(resource_problem, lam, x)[0] for x, w in m.atoms())
+        # one row at a time, apart from the batch sweep linearized_solve uses
+        prob = resource_problem
+        expected = sum(w * lam.dot(prob.g_eval(x, prob.best_response(lam, x)))
+                       for x, w in zip(m.xs, m.weights))
         assert cost == pytest.approx(expected, abs=1e-9)
 
 
@@ -222,8 +229,8 @@ class TestFwGap:
         assert cert.gap == pytest.approx(0.0, abs=1e-12)
         # support containment: the atom is a best response at the certificate dual
         y_cost = float(mu.ys[0] @ cert.lam.values)
-        u_val, _ = u_lambda(pigou_problem, cert.lam, [0, 1])
-        assert y_cost <= u_val + 1e-9
+        values, _ = u_values(pigou_problem, cert.lam, [[0, 1]])
+        assert y_cost <= values[0] + 1e-9
 
     def test_pigou_all_mass_on_constant_edge(self, pigou_problem):
         mu = EmpiricalMeasure.from_atoms("Z", [([0, 1], [0.0, 1.0], 1.0)])

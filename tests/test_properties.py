@@ -74,6 +74,6 @@ def feasible_pairs(draw):
 @PROPS
 @given(feasible_pairs(), measure("X", {"x": 1}))
 def test_bridge_carries_the_target_marginal(mu0, m1):
-    out = bridge(mu0, m1, PROBLEM)
+    out = bridge(mu0, m1, PROBLEM).measure
     assert first_marginal(out).allclose(m1.merged(), tol=1e-9)
-    assert all(PROBLEM.feasible(x, y) for x, y, _ in out.atoms())
+    assert PROBLEM.feasible_batch(out.xs, out.ys).all()

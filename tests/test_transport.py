@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mfo import EmpiricalMeasure, MetricSpec, assignment_solve, first_marginal, glue, ot_solve
+from mfo import EmpiricalMeasure, MetricSpec, first_marginal, glue, ot_solve
 from mfo.examples import TrafficProblem, grid_network
 from mfo.transport import Coupling
 
@@ -157,42 +157,6 @@ class TestOtSolve:
             ot_solve(mu, m, EUCLID)
 
 
-class TestAssignmentSolve:
-    def test_single_atom(self):
-        m0 = uniform_marginal([0.0])
-        m1 = uniform_marginal([3.0])
-        sigma = assignment_solve(m0, m1, EUCLID)
-        assert sigma.tolist() == [0]
-
-    def test_colinear_tie(self):
-        # {0,1} -> {2,3}: both matchings cost 2.0; either permutation accepted
-        m0 = uniform_marginal([0.0, 1.0])
-        m1 = uniform_marginal([2.0, 3.0])
-        sigma = assignment_solve(m0, m1, EUCLID)
-        D = EUCLID.pairwise(m0.xs, m1.xs)
-        cost = np.mean([D[i, sigma[i]] for i in range(2)])
-        assert cost == pytest.approx(2.0, abs=1e-12)
-
-    def test_matches_permutation_oracle(self):
-        rng = np.random.default_rng(11)
-        n = 6
-        m0 = EmpiricalMeasure("X", xs=rng.normal(size=(n, 2)), weights=np.full(n, 1 / n))
-        m1 = EmpiricalMeasure("X", xs=rng.normal(size=(n, 2)), weights=np.full(n, 1 / n))
-        sigma = assignment_solve(m0, m1, EUCLID)
-        D = EUCLID.pairwise(m0.xs, m1.xs)
-        cost = sum(D[i, sigma[i]] / n for i in range(n))
-        assert cost == pytest.approx(brute_force_cost(D), abs=1e-12)
-        assert cost == pytest.approx(ot_solve(m0, m1, EUCLID).cost, abs=1e-9)
-
-    def test_rejects_nonuniform(self):
-        m0 = EmpiricalMeasure("X", xs=np.zeros((2, 1)), weights=np.array([0.3, 0.7]))
-        m1 = uniform_marginal([0.0, 1.0])
-        with pytest.raises(ValueError, match="uniform"):
-            assignment_solve(m0, m1, EUCLID)
-        with pytest.raises(ValueError, match="equal"):
-            assignment_solve(m1, uniform_marginal([0.0, 1.0, 2.0]), EUCLID)
-
-
 class TestCoupling:
     def test_marginal_residuals_enforced(self):
         m0 = uniform_marginal([0.0, 1.0])
@@ -245,6 +209,19 @@ class TestGlue:
         nu = glue(mu0, rho)
         assert len(nu) == 4
         np.testing.assert_allclose(sorted(nu.weights), [0.25] * 4, atol=1e-12)
+
+    def test_chained_x_is_one_marginal_atom_of_full_mass(self):
+        # x = 0, 0.9e-12, 1.8e-12 chain into one marginal atom; the plan at
+        # that atom must carry all three pairs, not only those within
+        # ATOM_TOL of the first
+        mu0 = EmpiricalMeasure("Z", xs=np.array([[0.0], [0.9e-12], [1.8e-12]]),
+                               ys=np.array([[0.0], [1.0], [2.0]]), weights=np.full(3, 1 / 3))
+        m0 = first_marginal(mu0)
+        assert len(m0) == 1
+        nu = glue(mu0, ot_solve(m0, uniform_marginal([-1.0, 1.0]), EUCLID))
+        assert nu.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        pair = EmpiricalMeasure("Z", xs=nu.xs, ys=nu.ys, weights=nu.weights, validate=False)
+        assert pair.allclose(mu0, tol=2e-12)
 
     def test_zero_weight_atom_at_empty_x_is_ignored(self):
         # x = 2 carries no mass, so the first marginal and the plan skip it
