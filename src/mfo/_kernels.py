@@ -67,48 +67,30 @@ def resource_br(top, ert, lam1, dt, budgets):
 #
 # Positions live on a uniform per-agent grid; a step may advance 0..qmax
 # grid cells.  The stage cost of sitting at grid state s at time t is
-# stage_cost(t)[i, s] for agent i.  Tie-break among equal-value
-# successors: farthest move while strictly below the target point,
-# nearest (stay) once at or past it, so zero-cost regions yield the
-# canonical halt-at-target path.
+# stage_cost(t)[i, s] for agent i.
 #
-# Every path starts at state 0, so at time t it is at most t*qmax cells
-# along: backward step t computes only the reachable band of columns
-# [0, b_t), b_t = min(n, t*qmax + 1).  Its windows read [0, b_t + qmax),
-# which lies inside the band of step t + 1 (or in the +inf columns past
-# the grid), so columns left stale past a band are never read.
+# The backward pass fills one value table of shape (steps + 1, N,
+# n + qmax): values[t, i, s] is agent i's optimal cost-to-go from state s
+# at time t, and the last qmax columns are +inf so that no window reaches
+# past a grid.  A step keeps only the window minimum:
+#     values[t, :, s] = stage_cost(t)[:, s] + min(values[t + 1, :, s:s + qmax + 1]),
+# built by doubling (a sparse table): windows of length 2a are pairs of
+# windows of length a, and the last pass overlaps two windows of the
+# largest power of two that fits, so a step costs O(b_t log qmax) per
+# agent.  Every path starts at state 0, so at time t it is at most t*qmax
+# cells along: step t computes only the band [0, b_t), b_t = min(n,
+# t*qmax + 1).  Its windows read [0, b_t + qmax), which lies inside the
+# band of step t + 1 or in the +inf columns, so columns past a band are
+# never written and never read.
 #
-# The minimum over the window [s, s + qmax] is built by doubling
-# (a sparse table): windows of length 2a are pairs of windows of length
-# a, and the last step overlaps two windows of the largest power of two
-# that fits.  The arg-mins are carried as global column indices (one
-# broadcast arange to start with), so a pass only selects; the offset
-# column - s is formed once per step.  The farthest arg-min keeps the
-# right window on ties (<), on the whole band; the nearest keeps the
-# left one (<=) and is needed only from the first column c0 where some
-# agent is at or past its target.  A step costs O(b_t log qmax) per
-# agent instead of O(b_t qmax), and the minimum is a selection, so
-# values are bit-identical to a successor-by-successor scan.
-
-
-def _window_argmins(value, cols, qmax, c0):
-    """Minima of ``value[:, s:s + qmax + 1]`` with their nearest and farthest columns.
-
-    ``cols`` numbers the columns of ``value``.  The outputs have ``qmax``
-    columns fewer than ``value``; callers end ``value`` with ``qmax``
-    columns of +inf so that no window reaches past a grid.  ``far``
-    covers every window, ``near`` those from ``c0`` on.
-    """
-    near, far = cols[None, c0:], cols[None, :]
-    width, a = qmax + 1, 1
-    while a < width:
-        shift = min(a, width - a)
-        lo, hi = value[:, :-shift], value[:, shift:]
-        near = np.where(lo[:, c0:] <= hi[:, c0:], near[:, :-shift], near[:, shift:])
-        far = np.where(lo < hi, far[:, :-shift], far[:, shift:])
-        value = np.minimum(lo, hi)
-        a += shift
-    return value, near, far
+# The forward pass recovers the policy along each path only: at time t
+# it gathers the qmax + 1 values of values[t + 1] in the agent's window
+# and moves to the farthest state that reaches their minimum while
+# strictly below the target point, the nearest (stay) once at or past
+# it, so zero-cost regions yield the canonical halt-at-target path.  The
+# minimum is a selection, so values and paths are bit-identical to a
+# successor-by-successor scan with that tie-break.  Memory is the table:
+# (steps + 1) * N * (n + qmax) doubles.
 
 
 def congestion_dp_batch(stage_cost, steps, qmax, below_target, lengths):
@@ -122,24 +104,26 @@ def congestion_dp_batch(stage_cost, steps, qmax, below_target, lengths):
     the ``steps + 1`` visited states and ``values[i]`` its total cost.
     """
     below_target = np.asarray(below_target, dtype=bool)
-    at_target = ~below_target
     n_agents, n = below_target.shape
-    value = np.full((n_agents, n + qmax), np.inf)
-    value[:, :n][np.arange(n) < np.asarray(lengths)[:, None]] = 0.0
-    # first column where some agent is at or past its target
-    reached = at_target.any(axis=0)
-    c0 = int(reached.argmax()) if reached.any() else n
-    cols = np.arange(n + qmax, dtype=np.min_scalar_type(n + qmax))
-    choice = np.empty((steps, n_agents, n), dtype=np.min_scalar_type(qmax))
+    values = np.empty((steps + 1, n_agents, n + qmax))
+    values[:, :, n:] = np.inf
+    values[steps, :, :n] = np.where(np.arange(n) < np.asarray(lengths)[:, None], 0.0, np.inf)
     for t in range(steps - 1, -1, -1):
         b = min(n, t * qmax + 1)
-        c = min(c0, b)
-        best, near, far = _window_argmins(value[:, : b + qmax], cols[: b + qmax], qmax, c)
-        np.subtract(far, cols[:b], out=choice[t, :, :b], casting="unsafe")
-        np.copyto(choice[t, :, c:b], near - cols[c:b], casting="unsafe", where=at_target[:, c:b])
-        value[:, :b] = stage_cost(t)[:, :b] + best
+        best = values[t + 1, :, : b + qmax]
+        width, a = qmax + 1, 1
+        while a < width:
+            shift = min(a, width - a)
+            best = np.minimum(best[:, :-shift], best[:, shift:])
+            a += shift
+        np.add(stage_cost(t)[:, :b], best, out=values[t, :, :b])
     rows = np.arange(n_agents)
+    window = np.arange(qmax + 1)
     paths = np.zeros((n_agents, steps + 1), dtype=np.intp)
     for t in range(steps):
-        paths[:, t + 1] = paths[:, t] + choice[t, rows, paths[:, t]]
-    return value[:, 0].copy(), paths
+        s = paths[:, t]
+        ahead = values[t + 1, rows[:, None], s[:, None] + window]
+        hit = ahead == ahead.min(axis=1, keepdims=True)
+        nearest, farthest = hit.argmax(axis=1), qmax - hit[:, ::-1].argmax(axis=1)
+        paths[:, t + 1] = s + np.where(below_target[rows, s], farthest, nearest)
+    return values[0, :, 0].copy(), paths

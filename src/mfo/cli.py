@@ -47,6 +47,14 @@ def _require(cfg: dict, field: str, context: str):
     return cfg[field]
 
 
+def _integer(value, key: str, context: str) -> int:
+    """A config value as an int; a boolean or a fraction is an error, not truncated."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{context}: {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_keys(cfg: dict, accepted, context: str):
     """Reject keys that nothing reads, so a misspelt one cannot silently run the default."""
     unknown = [key for key in cfg if key not in accepted]
@@ -59,6 +67,8 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if cfg.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
@@ -75,6 +85,8 @@ def build_problem(problem_cfg: dict):
     _check_keys(problem_cfg, ("name",) + cls.config_keys, f"the {name} problem block")
     try:
         return cls.from_config(problem_cfg)
+    except OSError as exc:
+        raise ConfigError(f"the {name} problem block: cannot read {exc.filename}: {exc.strerror}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"the {name} problem block: {exc}") from exc
 
@@ -91,18 +103,21 @@ def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
         raise ConfigError(f"{', '.join(dist_only)} in the marginal block apply to dist only, "
                           f"not to {sources[0]}")
     if "file" in marginal_cfg:
-        return EmpiricalMeasure.load_json(marginal_cfg["file"])
+        try:
+            return EmpiricalMeasure.load_json(marginal_cfg["file"])
+        except OSError as exc:
+            raise ConfigError(f"the marginal block: cannot read {exc.filename}: {exc.strerror}") from exc
     if "atoms" in marginal_cfg:
         return EmpiricalMeasure.from_atoms(
             "X", [(a["x"], a["w"]) for a in marginal_cfg["atoms"]], merge=False
         )
     dist = SourceDistribution.parse(_require(marginal_cfg, "dist", "marginal"))
-    n = int(_require(marginal_cfg, "n", "marginal"))
+    n = _integer(_require(marginal_cfg, "n", "marginal"), "n", "the marginal block")
     method = marginal_cfg.get("method", "sample")
     if method == "grid":
         m = quantize_grid(dist, n)
     elif method == "sample":
-        m = quantize_sample(dist, n, marginal_cfg.get("seed", seed))
+        m = quantize_sample(dist, n, _integer(marginal_cfg.get("seed", seed), "seed", "the marginal block"))
     else:
         raise ConfigError(f"unknown quantization method {method!r}")
     cap = getattr(problem, "stock_cap", None)
@@ -117,17 +132,25 @@ def build_solver_config(solver_cfg: dict, seed_override=None) -> tuple[str, Solv
     algorithm = solver_cfg.get("algorithm", "fw")
     if algorithm not in ("fw", "sfw"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    seed = seed_override if seed_override is not None else solver_cfg.get("seed", 0)
+    context = "the solver block"
+    if seed_override is None:
+        seed = _integer(solver_cfg.get("seed", 0), "seed", context)
+    else:
+        seed = seed_override
+    iterations = _integer(solver_cfg.get("iterations", 100), "iterations", context)
+    guard = solver_cfg.get("monotone_guard", True)
+    if not isinstance(guard, bool):
+        raise ConfigError(f"{context}: monotone_guard must be true or false, got {guard!r}")
     try:
         cfg = SolverConfig(
-            iterations=int(solver_cfg.get("iterations", 100)),
+            iterations=iterations,
             n_sims=solver_cfg.get("n_sims", 1),
-            seed=int(seed),
-            monotone_guard=bool(solver_cfg.get("monotone_guard", True)),
+            seed=seed,
+            monotone_guard=guard,
             gap_tol=solver_cfg.get("gap_tol"),
         )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"the solver block: {exc}") from exc
+        raise ConfigError(f"{context}: {exc}") from exc
     return algorithm, cfg
 
 
@@ -212,10 +235,14 @@ def cmd_solve(args) -> int:
     if args.problem:
         cfg.setdefault("problem", {})["name"] = args.problem
     out = Path(args.out)
-    repeats = args.repeats if args.repeats is not None else int(cfg.get("repeats", 1))
+    repeats = args.repeats
+    if repeats is None:
+        repeats = _integer(cfg.get("repeats", 1), "repeats", "the config")
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
-    base_seed = args.seed if args.seed is not None else cfg.get("solver", {}).get("seed", 0)
+    base_seed = args.seed
+    if base_seed is None:
+        base_seed = _integer(cfg.get("solver", {}).get("seed", 0), "seed", "the solver block")
     if repeats <= 1:
         problem, _, report = _run_single(cfg, base_seed, out)
         print(f"solve[{problem.name}] iterations={report.iterations_run} "

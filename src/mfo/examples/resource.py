@@ -48,8 +48,9 @@ class ResourceProblem(QuadraticCostProblem):
         self.stock_cap = float(stock_cap)
         self.dt = self.horizon / self.steps
         self.times = self.dt * np.arange(self.steps)
-        self.discount_factors = np.exp(-self.discount * self.times)
-        self.exp_rt = np.exp(self.discount * self.times)
+        # libm exp, not numpy's SIMD one, whose last bit depends on the CPU
+        self.discount_factors = np.array([math.exp(-self.discount * t) for t in self.times.tolist()])
+        self.exp_rt = np.array([math.exp(self.discount * t) for t in self.times.tolist()])
         self.hilbert_weights = np.concatenate([[1.0], self.dt * self.discount_factors])
         self.hilbert_weights.setflags(write=False)
         mass = float(np.sum(self.dt * self.discount_factors))

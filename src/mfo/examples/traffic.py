@@ -207,6 +207,7 @@ class TrafficProblem(MfoProblem):
         self.sup_grad_norm = math.sqrt(sum(v ** 2 for v in lat_at_one))
         self.set_lipschitz = math.sqrt(2.0 * max_len)
         self.metric = MetricSpec("graph_hop", node_distances=_hop_distances(self.n_nodes, self.edges))
+        self._od_memo = (None, None)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TrafficProblem":
@@ -215,10 +216,11 @@ class TrafficProblem(MfoProblem):
             built = pigou_network()
         elif network == "grid10":
             built = grid_network()
-        elif isinstance(network, dict):
+        elif isinstance(network, dict) and {"edges_csv", "od_csv"} <= network.keys():
             built = load_network(network["edges_csv"], network["od_csv"])
         else:
-            raise ValueError(f"unknown traffic network {network!r}")
+            raise ValueError(f"unknown traffic network {network!r}; use pigou, grid10 or "
+                             "a block with edges_csv and od_csv")
         n_nodes, edges, od_pairs = built
         return cls(n_nodes, edges, od_pairs, hop_bound=cfg.get("hop_bound"))
 
@@ -230,8 +232,15 @@ class TrafficProblem(MfoProblem):
     # -- model ------------------------------------------------------------
 
     def _od_index(self, xs) -> np.ndarray:
-        """Row index into ``od_pairs`` of each parameter; each must name a pair exactly."""
+        """Row index into ``od_pairs`` of each parameter; each must name a pair exactly.
+
+        The last batch's rows are memoized (solvers pass the same parameters
+        on every iteration); the memo is replaced whole, never updated in place.
+        """
         xs = np.ascontiguousarray(xs, dtype=float)
+        key = (xs.shape, xs.tobytes())
+        if self._od_memo[0] == key:
+            return self._od_memo[1]
         if xs.ndim != 2 or xs.shape[1] != 2:
             raise ValueError(f"traffic parameters are (origin, destination) rows, got shape {xs.shape}")
         # a row read as one complex number compares both nodes at once
@@ -239,7 +248,10 @@ class TrafficProblem(MfoProblem):
         found = hits.any(axis=1)
         if not found.all():
             raise ValueError(f"x={xs[np.argmin(found)]} is not a configured origin-destination pair")
-        return hits.argmax(axis=1)
+        od = hits.argmax(axis=1)
+        od.setflags(write=False)
+        self._od_memo = (key, od)
+        return od
 
     def g_eval_batch(self, xs, ys):
         return np.asarray(ys, dtype=float)

@@ -129,6 +129,78 @@ class TestSolveVerb:
         assert f"config error: {name}: " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("missing", ["edges_csv", "od_csv", "marginal_file"])
+    def test_missing_input_file_is_a_config_error(self, tmp_path, capsys, missing):
+        (tmp_path / "edges.csv").write_text("from,to,phi_kind,a,b\n0,1,affine,1.0,0.0\n0,1,affine,0.0,1.0\n")
+        (tmp_path / "od.csv").write_text("origin,dest\n0,1\n")
+        EmpiricalMeasure.from_atoms("X", [([0.0, 1.0], 1.0)]).save_json(tmp_path / "m.json")
+        paths = {"edges_csv": tmp_path / "edges.csv", "od_csv": tmp_path / "od.csv",
+                 "marginal_file": tmp_path / "m.json"}
+        paths[missing] = tmp_path / "gone" / f"{missing}.dat"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            problem={"name": "traffic", "network": {"edges_csv": str(paths["edges_csv"]),
+                                                    "od_csv": str(paths["od_csv"])}},
+            marginal={"file": str(paths["marginal_file"])},
+            solver={"algorithm": "fw", "iterations": 3},
+        )
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        block = "the marginal block" if missing == "marginal_file" else "the traffic problem block"
+        assert f"config error: {block}: cannot read {paths[missing]}" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_network_block_needs_both_files(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "traffic", "network": {"edges_csv": "e.csv"}},
+                           marginal={"atoms": [{"x": [0, 1], "w": 1.0}]})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "edges_csv and od_csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value, name", [
+        ("solver", "iterations", 2.7, "the solver block"),
+        ("solver", "iterations", True, "the solver block"),
+        ("solver", "seed", 1.5, "the solver block"),
+        ("solver", "seed", False, "the solver block"),
+        ("marginal", "n", 20.5, "the marginal block"),
+        ("marginal", "n", True, "the marginal block"),
+        ("marginal", "seed", 0.5, "the marginal block"),
+        (None, "repeats", 2.5, "the config"),
+        (None, "repeats", True, "the config"),
+    ])
+    def test_count_must_be_an_integer(self, tmp_path, capsys, block, key, value, name):
+        data = json.loads(write_config(tmp_path / "cfg.json").read_text())
+        (data if block is None else data[block])[key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: {name}: {key} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_integral_float_count_runs(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json",
+                           marginal={"dist": "exponential:1", "n": 20.0, "method": "sample"},
+                           solver={"algorithm": "fw", "iterations": 4.0, "seed": 0})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        final = json.loads((out / "final.json").read_text())
+        assert final["config"]["iterations"] == 4 and final["iterations_run"] == 4
+        assert len(EmpiricalMeasure.load_json(out / "marginal.json")) == 20
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_monotone_guard_must_be_a_boolean(self, tmp_path, capsys, value):
+        data = json.loads(write_config(tmp_path / "cfg.json").read_text())
+        data["solver"]["monotone_guard"] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: the solver block: monotone_guard must be true or false, got {value!r}" \
+            in capsys.readouterr().err
+
+    def test_missing_config_file_is_a_config_error(self, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "x")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
     @pytest.mark.parametrize("marginal, message", [
         ({"atoms": [{"x": [1.0], "w": 1.0}], "dist": "exponential:1"}, "it names atoms, dist"),
         ({"file": "m.json", "atoms": [{"x": [1.0], "w": 1.0}]}, "it names file, atoms"),

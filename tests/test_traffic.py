@@ -246,6 +246,20 @@ class TestOdLookup:
         np.testing.assert_array_equal(prob.feasible_batch(xs[:2], ys[:2]), [True, False])
 
 
+    def test_memo_serves_only_the_same_rows(self):
+        prob = TrafficProblem(*grid_network())
+        xs = np.array([[0, 7], [1, 7], [0, 6]], dtype=float)
+        od = prob._od_index(xs)
+        np.testing.assert_array_equal(od, [0, 1, 2])
+        assert prob._od_index(xs.copy()) is od and not od.flags.writeable
+        with pytest.raises(ValueError, match=re.escape(f"x={np.array([0.0, 5.0])} is not")):
+            prob._od_index(np.array([[0, 7], [1, 7], [0, 5]], dtype=float))
+        with pytest.raises(ValueError, match="rows, got shape"):
+            prob._od_index(xs.reshape(1, 6))  # the same bytes in another shape
+        np.testing.assert_array_equal(prob._od_index(xs[::-1]), [2, 1, 0])
+        np.testing.assert_array_equal(prob._od_index(xs), [0, 1, 2])
+
+
 class TestNetworkFiles:
     def test_csv_roundtrip(self, tmp_path):
         edges_csv = tmp_path / "edges.csv"
