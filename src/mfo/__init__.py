@@ -28,7 +28,7 @@ from .problem import (
 )
 from .quantize import SourceDistribution, estimate_d1, quantize_grid, quantize_sample
 from .solvers import SolveReport, SolverConfig, candidate_objective, fw_solve, sfw_solve
-from .transport import Coupling, MetricSpec, bridge, glue, ot_solve
+from .transport import Coupling, MetricSpec, bridge, ot_solve
 
 __all__ = [
     "AggregateVector",
@@ -49,7 +49,6 @@ __all__ = [
     "first_marginal",
     "fw_gap",
     "fw_solve",
-    "glue",
     "linearized_solve",
     "mix",
     "ot_solve",

@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +64,20 @@ def _check_keys(cfg: dict, accepted, context: str):
                           f"accepted: {', '.join(accepted)}")
 
 
-def load_config(path) -> dict:
+@contextmanager
+def _reading(path, label=""):
+    """An input file that cannot be read or parsed is a config error naming ``label`` and ``path``."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        yield
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+        raise ConfigError(f"{label}cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ConfigError(f"{label}{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def load_config(path) -> dict:
+    with _reading(path), open(path) as fh:
+        cfg = json.load(fh)
     if cfg.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}")
     _check_keys(cfg, CONFIG_KEYS, "the config")
@@ -278,6 +285,19 @@ def _load_mu0(path):
     return EmpiricalMeasure.from_json_dict(payload), None
 
 
+def _read_measure(flag: str, path, read):
+    """``read(path)``; a file that cannot be read or holds no measure is a config error naming ``flag``."""
+    with _reading(path, f"{flag}: "):
+        try:
+            return read(path)
+        except json.JSONDecodeError:
+            raise
+        except KeyError as exc:
+            raise ConfigError(f"{flag}: {path} holds no measure: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{flag}: {path} holds no measure: {exc}") from exc
+
+
 def cmd_bridge(args) -> int:
     if args.config:
         problem = build_problem(_require(load_config(args.config), "problem", "config"))
@@ -285,12 +305,15 @@ def cmd_bridge(args) -> int:
         problem = build_problem({"name": args.problem})
     else:
         raise ConfigError("bridge needs --problem or --config")
-    mu0, eps0 = _load_mu0(args.mu0)
+    mu0, eps0 = _read_measure("--mu0", args.mu0, _load_mu0)
+    m1 = _read_measure("--m1", args.m1, EmpiricalMeasure.load_json)
+    for flag, path, mu, space in (("--mu0", args.mu0, mu0, "Z"), ("--m1", args.m1, m1, "X")):
+        if mu.space != space:
+            raise ConfigError(f"{flag}: {path} holds a measure on {mu.space}, not on {space}")
     if eps0 is None:
         if args.eps0 is None:
             raise ConfigError("mu0 carries no gap certificate; pass --eps0")
         eps0 = args.eps0
-    m1 = EmpiricalMeasure.load_json(args.m1)
     result = bridge(mu0, m1, problem)
     eta = eps0 + 2.0 * problem.set_lipschitz * (
         problem.sup_grad_norm + problem.grad_lipschitz * problem.sup_g_norm
@@ -332,8 +355,8 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_report(args) -> int:
-    run = Path(args.run)
-    with open(run / "final.json") as fh:
+    path = Path(args.run) / "final.json"
+    with _reading(path, "--run: "), open(path) as fh:
         final = json.load(fh)
     cert = final["certificate"]
     print(f"algorithm      : {final['algorithm']}")
@@ -349,7 +372,7 @@ def cmd_report(args) -> int:
         print(f"2LD/K at K={k}  : {2 * info['grad_lipschitz'] * info['sup_g_diff_sq'] / k:.4g}")
     if final.get("beyond_guarantee"):
         print("note           : K exceeds twice the support size; outside the guaranteed regime")
-    hist = run / "history.csv"
+    hist = path.parent / "history.csv"
     if hist.exists():
         with open(hist) as fh:
             gaps = [float(r["gap"]) for r in csv.DictReader(fh)]

@@ -1,12 +1,9 @@
 """Finitely supported probability measures over parameter/decision spaces.
 
-A measure lives on one of three spaces:
+A measure lives on one of two spaces:
 
-* ``"X"``  -- parameter points only,
-* ``"Z"``  -- parameter/decision pairs ``(x, y)``,
-* ``"ZX"`` -- triples ``(x, y, x2)`` produced by gluing a pair measure
-  with a coupling of its first marginal (the intermediate object of the
-  bridging construction).
+* ``"X"`` -- parameter points only (marginals),
+* ``"Z"`` -- parameter/decision pairs ``(x, y)`` (solutions).
 
 Atoms are stored as packed float arrays in insertion order, so seeded
 runs are bit-reproducible.  Weights are general nonnegative reals (not
@@ -27,7 +24,7 @@ ATOM_TOL = 1e-12
 #: tolerance on the total-mass-one invariant
 WEIGHT_TOL = 1e-12
 
-_SPACE_COLUMNS = {"X": ("x",), "Z": ("x", "y"), "ZX": ("x", "y", "x2")}
+_SPACE_COLUMNS = {"X": ("x",), "Z": ("x", "y")}
 
 
 def _atom_groups(columns, weights):
@@ -57,14 +54,14 @@ def _atom_groups(columns, weights):
 class EmpiricalMeasure:
     """A finitely supported probability measure with ordered atoms."""
 
-    __slots__ = ("space", "xs", "ys", "x2s", "weights")
+    __slots__ = ("space", "xs", "ys", "weights")
 
-    def __init__(self, space, xs=None, ys=None, x2s=None, weights=None, validate=True):
+    def __init__(self, space, xs=None, ys=None, weights=None, validate=True):
         if space not in _SPACE_COLUMNS:
             raise ValueError(f"unknown space tag {space!r}")
         object.__setattr__(self, "space", space)
         n = None
-        for name, arr in (("xs", xs), ("ys", ys), ("x2s", x2s)):
+        for name, arr in (("xs", xs), ("ys", ys)):
             if arr is not None:
                 arr = np.ascontiguousarray(arr, dtype=float)
                 if arr.ndim != 2:
@@ -74,7 +71,7 @@ class EmpiricalMeasure:
                     raise ValueError("inconsistent atom counts")
             object.__setattr__(self, name, arr)
         needed = _SPACE_COLUMNS[space]
-        have = {"x": self.xs is not None, "y": self.ys is not None, "x2": self.x2s is not None}
+        have = {"x": self.xs is not None, "y": self.ys is not None}
         for col in needed:
             if not have[col]:
                 raise ValueError(f"space {space!r} requires column {col!r}")
@@ -98,7 +95,7 @@ class EmpiricalMeasure:
         raise AttributeError("EmpiricalMeasure is immutable")
 
     def _validate(self):
-        for arr in (self.xs, self.ys, self.x2s):
+        for arr in (self.xs, self.ys):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError("atom coordinates must be finite")
         if not np.all(np.isfinite(self.weights)):
@@ -115,7 +112,7 @@ class EmpiricalMeasure:
     def from_atoms(cls, space, atoms, merge=True):
         """Build a measure from ``(coords..., weight)`` tuples.
 
-        Each atom is ``(x, w)`` on space X, ``(x, y, w)`` on Z, etc.  With
+        Each atom is ``(x, w)`` on space X and ``(x, y, w)`` on Z.  With
         ``merge=True`` duplicate atoms are coalesced by :meth:`merged`.
         """
         k = len(_SPACE_COLUMNS[space])
@@ -137,8 +134,7 @@ class EmpiricalMeasure:
             if arr.ndim > 2:
                 raise ValueError(f"atom coordinate {c!r} must be a vector, got shape {arr.shape[1:]}")
             arrays[c] = arr.reshape(n, -1)
-        return cls(space, xs=arrays.get("x"), ys=arrays.get("y"), x2s=arrays.get("x2"),
-                   weights=np.array(weights, dtype=float))
+        return cls(space, xs=arrays.get("x"), ys=arrays.get("y"), weights=np.array(weights, dtype=float))
 
     @classmethod
     def dirac(cls, space, *coords):
@@ -150,7 +146,7 @@ class EmpiricalMeasure:
         return len(self.weights)
 
     def columns(self):
-        return tuple(getattr(self, {"x": "xs", "y": "ys", "x2": "x2s"}[c]) for c in _SPACE_COLUMNS[self.space])
+        return tuple(getattr(self, {"x": "xs", "y": "ys"}[c]) for c in _SPACE_COLUMNS[self.space])
 
     def __repr__(self):
         return f"EmpiricalMeasure(space={self.space!r}, atoms={len(self)})"
@@ -193,7 +189,6 @@ class EmpiricalMeasure:
             self.space,
             xs=picked.get("x"),
             ys=picked.get("y"),
-            x2s=picked.get("x2"),
             weights=np.bincount(ids[keep], weights=self.weights[keep], minlength=len(first)),
             validate=False,
         )
@@ -208,6 +203,8 @@ class EmpiricalMeasure:
     @classmethod
     def from_json_dict(cls, d):
         space, atoms = d["space"], d["atoms"]
+        if space not in _SPACE_COLUMNS:
+            raise ValueError(f"unknown space tag {space!r}")
         points = [[rec[c] for rec in atoms] for c in _SPACE_COLUMNS[space]]
         return cls._from_lists(space, points, [rec["w"] for rec in atoms])
 
@@ -243,8 +240,8 @@ def _marginal_groups(mu: EmpiricalMeasure):
 
 
 def first_marginal(mu: EmpiricalMeasure) -> EmpiricalMeasure:
-    """Push a pair (or glued) measure forward to its parameter marginal."""
-    if mu.space not in ("Z", "ZX"):
+    """Push a pair measure forward to its parameter marginal."""
+    if mu.space != "Z":
         raise ValueError("first_marginal needs a measure on pairs")
     return _marginal_groups(mu)[0]
 
@@ -264,7 +261,6 @@ def mix(mu_a: EmpiricalMeasure, mu_b: EmpiricalMeasure, omega: float) -> Empiric
         mu_a.space,
         xs=arrays.get("x"),
         ys=arrays.get("y"),
-        x2s=arrays.get("x2"),
         weights=w,
         validate=False,
     )

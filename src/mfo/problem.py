@@ -263,6 +263,11 @@ def aggregate(problem: MfoProblem, mu: EmpiricalMeasure, validate: bool = True) 
     ``validate=False`` (hot paths that construct feasible atoms by
     design skip the check).
     """
+    return problem.vector(mu.weights @ _contributions(problem, mu, validate))
+
+
+def _contributions(problem: MfoProblem, mu: EmpiricalMeasure, validate: bool = True) -> np.ndarray:
+    """The contribution row ``g(x_i, y_i)`` of every atom, as :func:`aggregate` checks and sums them."""
     if mu.space != "Z":
         raise ValueError("aggregate needs a measure on pairs")
     if validate:
@@ -270,8 +275,7 @@ def aggregate(problem: MfoProblem, mu: EmpiricalMeasure, validate: bool = True) 
             validate_feasible(mu, problem)
         except ValueError as exc:
             raise OracleError(str(exc)) from exc
-    G = problem.g_eval_batch(mu.xs, mu.ys)
-    return problem.vector(mu.weights @ G)
+    return problem.g_eval_batch(mu.xs, mu.ys)
 
 
 def _support_values(problem, lam, xs):

@@ -1,14 +1,19 @@
 """Exact optimal transport between empirical marginals and the bridge.
 
 The bridging construction turns an approximate solution for one
-prescribed marginal into one for another nearby marginal:
+prescribed marginal into one for another nearby marginal, in one pass
+over index arrays:
 
-1. couple the two marginals by an exactly optimal transport plan,
-2. glue the plan onto the pair measure through the atom groups of
-   its first marginal,
-3. move every decision through the problem's transport-selection
-   oracle, which is required to change the contribution vector by at
-   most ``set_lipschitz`` times the ground distance travelled.
+1. couple the first marginal of the pair measure with the new marginal
+   by an exactly optimal transport plan,
+2. glue the plan onto the pair measure: one row per (pair atom, plan
+   entry at the atom's parameter), found by index arithmetic on the
+   plan's rows, with no intermediate measure,
+3. move every row's decision to the entry's target parameter through
+   the problem's transport-selection oracle, which is required to
+   change the contribution vector by at most ``set_lipschitz`` times
+   the plan entry's ground distance, and merge the rows into the
+   bridged pair measure.
 
 Plans are solved exactly: Hungarian assignment for uniform equal-size
 marginals, monotone matching for one-dimensional Euclidean ground cost,
@@ -25,7 +30,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 
-from .measures import EmpiricalMeasure, _atom_groups, _marginal_groups, first_marginal
+from .measures import EmpiricalMeasure, _marginal_groups, first_marginal
 
 #: tolerance on coupling marginal residuals
 MARGINAL_TOL = 1e-9
@@ -105,17 +110,22 @@ class Coupling:
     rows: np.ndarray
     cols: np.ndarray
     masses: np.ndarray
-    cost: float
+    dists: np.ndarray  # ground distance of each entry's pair of atoms
 
     def __post_init__(self):
         object.__setattr__(self, "rows", np.asarray(self.rows, dtype=int))
         object.__setattr__(self, "cols", np.asarray(self.cols, dtype=int))
         object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
+        object.__setattr__(self, "dists", np.asarray(self.dists, dtype=float))
         if np.any(self.masses < -1e-15):
             raise ValueError("coupling masses must be nonnegative")
         res = self.marginal_residuals()
         if max(res) > MARGINAL_TOL:
             raise ValueError(f"coupling marginal residuals {res} exceed {MARGINAL_TOL}")
+
+    @property
+    def cost(self) -> float:
+        return float(np.sum(self.masses * self.dists))
 
     def marginal_residuals(self):
         row_sums = np.zeros(len(self.source))
@@ -141,7 +151,7 @@ def _is_uniform(m):
     return bool(np.max(np.abs(m.weights - 1.0 / len(m))) <= 1e-12)
 
 
-def _monotone_1d(m0, m1, D):
+def _monotone_1d(m0, m1):
     # north-west corner walk over sorted atoms; optimal for convex costs on R
     i0 = np.argsort(m0.xs[:, 0], kind="stable")
     i1 = np.argsort(m1.xs[:, 0], kind="stable")
@@ -161,11 +171,7 @@ def _monotone_1d(m0, m1, D):
             i += 1
         if j < len(b) and b[j] <= 1e-16:
             j += 1
-    rows = np.array(rows, dtype=int)
-    cols = np.array(cols, dtype=int)
-    masses = np.array(masses, dtype=float)
-    cost = float(np.sum(masses * D[rows, cols]))
-    return rows, cols, masses, cost
+    return np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(masses, dtype=float)
 
 
 def _transport_lp(m0, m1, D):
@@ -185,9 +191,7 @@ def _transport_lp(m0, m1, D):
     plan = res.x.reshape(n0, n1)
     plan[plan < 1e-15] = 0.0
     rows, cols = np.nonzero(plan)
-    masses = plan[rows, cols]
-    cost = float(np.sum(masses * D[rows, cols]))
-    return rows, cols, masses, cost
+    return rows, cols, plan[rows, cols]
 
 
 def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> Coupling:
@@ -202,59 +206,13 @@ def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> 
     if not np.all(np.isfinite(D)):
         raise ValueError("ground metric is not finite on the support pairs")
     if len(m0) == len(m1) and _is_uniform(m0) and _is_uniform(m1):
-        r, c = linear_sum_assignment(D)
-        masses = np.full(len(r), 1.0 / len(m0))
-        cost = float(np.sum(masses * D[r, c]))
-        return Coupling(m0, m1, r, c, masses, cost)
-    if metric.kind == "euclidean" and m0.xs.shape[1] == 1:
-        rows, cols, masses, cost = _monotone_1d(m0, m1, D)
-        return Coupling(m0, m1, rows, cols, masses, cost)
-    rows, cols, masses, cost = _transport_lp(m0, m1, D)
-    return Coupling(m0, m1, rows, cols, masses, cost)
-
-
-def glue(mu0: EmpiricalMeasure, rho: Coupling) -> EmpiricalMeasure:
-    """Glue a pair measure with a coupling of its first marginal.
-
-    The output lives on triples ``(x, y, x2)``: the conditional of the
-    plan at ``x`` multiplies the conditional of ``mu0`` at ``x``.  Its
-    pair marginal reproduces ``mu0`` and its last marginal reproduces
-    the plan's target.  Zero-weight atoms of ``mu0`` are ignored.
-    """
-    if mu0.space != "Z":
-        raise ValueError("glue expects a pair measure")
-    marg, group = _marginal_groups(mu0)
-    src = rho.source
-    # pair the coupling's source atoms with the marginal's in sorted order
-    im, isrc = np.lexsort(marg.xs.T[::-1]), np.lexsort(src.xs.T[::-1])
-    if len(src) != len(marg) or not (
-        np.max(np.abs(marg.xs[im] - src.xs[isrc])) <= MARGINAL_TOL
-        and np.max(np.abs(marg.weights[im] - src.weights[isrc])) <= MARGINAL_TOL
-    ):
-        raise ValueError("coupling source does not match the first marginal of mu0")
-    src_to_marg = np.empty(len(src), dtype=np.intp)
-    src_to_marg[isrc] = im
-    # plan entries sorted by marginal atom (stably), then one output row per
-    # (mu0 atom, entry at its marginal atom) in mu0 order, then plan order
-    entry_group = src_to_marg[rho.rows]
-    entries = np.argsort(entry_group, kind="stable")
-    per_group = np.bincount(entry_group, minlength=len(marg))
-    counts = np.where(group >= 0, per_group[group], 0)
-    i = np.repeat(np.arange(len(mu0)), counts)
-    g = group[i]
-    rank = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-    e = entries[np.cumsum(per_group)[g] - per_group[g] + rank]
-    nu = EmpiricalMeasure(
-        "ZX",
-        xs=mu0.xs[i],
-        ys=mu0.ys[i],
-        x2s=rho.target.xs[rho.cols[e]],
-        weights=mu0.weights[i] * (rho.masses[e] / marg.weights[g]),
-        validate=False,
-    ).merged()
-    if abs(nu.weights.sum() - 1.0) > MARGINAL_TOL:
-        raise RuntimeError("glued plan lost mass")
-    return nu
+        rows, cols = linear_sum_assignment(D)
+        masses = np.full(len(rows), 1.0 / len(m0))
+    elif metric.kind == "euclidean" and m0.xs.shape[1] == 1:
+        rows, cols, masses = _monotone_1d(m0, m1)
+    else:
+        rows, cols, masses = _transport_lp(m0, m1, D)
+    return Coupling(m0, m1, rows, cols, masses, D[rows, cols])
 
 
 @dataclass(frozen=True)
@@ -269,59 +227,59 @@ class BridgeResult:
     objective_after: float
 
 
-def apply_selection(nu: EmpiricalMeasure, problem, metric: MetricSpec) -> EmpiricalMeasure:
-    """Push a glued plan through the problem's selection oracle.
+def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem,
+           metric: MetricSpec | None = None) -> BridgeResult:
+    """Transform a solution for one marginal into one for another.
 
-    Every output pair is checked against the oracle contract: the new
-    decision must be feasible at the new parameter and its contribution
-    may move by at most ``set_lipschitz * d(x, x2)`` (plus
-    :data:`SELECT_TOL`).  Violations raise instead of being silently
-    accepted.
+    Couples the first marginal ``m0`` of ``mu0`` with ``m1`` by an
+    optimal plan, glues the plan onto ``mu0`` (one row per atom of
+    ``mu0`` and plan entry at its parameter, of weight
+    ``w_i * rho(x, x2) / m0(x)``; zero-weight atoms are ignored) and
+    moves every decision through the selection oracle.  Each selected
+    decision must be feasible at ``x2`` and move the contribution by at
+    most ``set_lipschitz * d(x, x2)`` (plus :data:`SELECT_TOL`);
+    violations raise :class:`~mfo.problem.OracleError`.  The output has
+    first marginal ``m1`` and its aggregate moves by at most
+    ``set_lipschitz`` times the transport cost.  Returns the bridged
+    measure with the coupling and diagnostics as a :class:`BridgeResult`.
     """
-    from .problem import OracleError  # local import to avoid a cycle
+    from .problem import OracleError, _contributions, aggregate  # local import to avoid a cycle
 
-    if nu.space != "ZX":
-        raise ValueError("apply_selection expects a glued measure on Z x X")
-    ys2 = np.asarray(problem.transport_select_batch(nu.xs, nu.ys, nu.x2s), dtype=float)
-    bad = np.flatnonzero(~np.asarray(problem.feasible_batch(nu.x2s, ys2), dtype=bool))
+    metric = metric if metric is not None else problem.metric
+    G_mu0 = _contributions(problem, mu0)
+    beta0 = problem.vector(mu0.weights @ G_mu0)
+    m0, group = _marginal_groups(mu0)
+    rho = ot_solve(m0, m1, metric)
+    # plan entries sorted by marginal atom (stably), then one glued row per
+    # (mu0 atom, entry at its marginal atom) in mu0 order, then plan order
+    entries = np.argsort(rho.rows, kind="stable")
+    per_group = np.bincount(rho.rows, minlength=len(m0))
+    counts = np.where(group >= 0, per_group[group], 0)
+    i = np.repeat(np.arange(len(mu0)), counts)
+    g = group[i]
+    rank = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    e = entries[np.cumsum(per_group)[g] - per_group[g] + rank]
+    weights = mu0.weights[i] * (rho.masses[e] / m0.weights[g])
+    if abs(weights.sum() - 1.0) > MARGINAL_TOL:
+        raise RuntimeError("glued plan lost mass")
+    x2s = m1.xs[rho.cols[e]]
+    ys2 = np.asarray(problem.transport_select_batch(mu0.xs[i], mu0.ys[i], x2s), dtype=float)
+    bad = np.flatnonzero(~np.asarray(problem.feasible_batch(x2s, ys2), dtype=bool))
     if len(bad):
-        raise OracleError(f"transport_select returned an infeasible decision at x2={nu.x2s[bad[0]]}")
-    diff = problem.g_eval_batch(nu.x2s, ys2) - problem.g_eval_batch(nu.xs, nu.ys)
+        raise OracleError(f"transport_select returned an infeasible decision at x2={x2s[bad[0]]}")
+    diff = problem.g_eval_batch(x2s, ys2) - G_mu0[i]
     shift = np.sqrt(np.maximum(np.sum(problem.hilbert_weights * diff * diff, axis=1), 0.0))
-    # distances between the distinct points, looked up by group id
-    (gx, fx), (gx2, fx2) = (_atom_groups((c,), np.ones(len(nu))) for c in (nu.xs, nu.x2s))
-    d = metric.pairwise(nu.xs[fx], nu.x2s[fx2])[gx, gx2]
+    d = rho.dists[e]
     allowed = problem.set_lipschitz * d + SELECT_TOL
     bad = np.flatnonzero(~(shift <= allowed))  # a non-finite shift is a violation too
     if len(bad):
         k = bad[0]
         raise OracleError(f"selection moved the contribution by {shift[k]:.3e} > {allowed[k]:.3e} "
                           f"for d(x, x2)={d[k]:.3e}")
-    return EmpiricalMeasure("Z", xs=nu.x2s, ys=ys2, weights=nu.weights, validate=False).merged()
-
-
-def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem,
-           metric: MetricSpec | None = None) -> BridgeResult:
-    """Transform a solution for one marginal into one for another.
-
-    Solves the optimal transport problem between the first marginal of
-    ``mu0`` and ``m1``, glues, and applies the selection oracle.  The
-    output has first marginal ``m1`` and its aggregate moves by at most
-    ``set_lipschitz`` times the transport cost.  Returns the bridged
-    measure with the coupling and diagnostics as a :class:`BridgeResult`.
-    """
-    from .problem import aggregate
-
-    metric = metric if metric is not None else problem.metric
-    m0 = first_marginal(mu0)
-    rho = ot_solve(m0, m1, metric)
-    nu = glue(mu0, rho)
-    mu1 = apply_selection(nu, problem, metric)
-    out_marg = first_marginal(mu1)
-    if not out_marg.allclose(m1.merged(), tol=MARGINAL_TOL):
+    mu1 = EmpiricalMeasure("Z", xs=x2s, ys=ys2, weights=weights, validate=False).merged()
+    if not first_marginal(mu1).allclose(m1, tol=MARGINAL_TOL):
         raise RuntimeError("bridged measure does not carry the requested marginal")
-    beta0 = aggregate(problem, mu0)
-    beta1 = aggregate(problem, mu1, validate=False)  # apply_selection checked every atom
+    beta1 = aggregate(problem, mu1, validate=False)  # every selected atom was checked above
     return BridgeResult(
         measure=mu1,
         coupling=rho,

@@ -102,6 +102,32 @@ class TestBridgeBasics:
         with pytest.raises(OracleError, match="moved the contribution"):
             bridge(mu0, uniform_marginal([4.9999]), prob)
 
+    def test_infeasible_mu0_raises(self, resource_problem):
+        prob = resource_problem
+        mu0 = EmpiricalMeasure.from_atoms("Z", [([0.1], np.full(prob.steps, 0.5), 1.0)])  # over budget
+        with pytest.raises(OracleError, match="infeasible atom"):
+            bridge(mu0, uniform_marginal([0.1]), prob)
+
+    @pytest.mark.parametrize("source, target, cols, message", [
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0, 1, 2], "glued plan lost mass"),  # an entry off mu0's marginal
+        ([0.0, 1.0], [0.0], [0, 0], "does not carry the requested marginal"),  # all mass onto one target
+    ], ids=["glued_mass", "output_marginal"])
+    def test_inconsistent_plan_raises(self, resource_problem, monkeypatch, source, target, cols, message):
+        # the plan of ot_solve always fits; a substituted one must still be caught
+        import mfo.transport
+
+        def wrong_plan(m0, m1, metric):
+            n = len(source)
+            return mfo.transport.Coupling(uniform_marginal(source), uniform_marginal(target),
+                                          np.arange(n), cols, np.full(n, 1 / n), np.full(n, 10.0))
+
+        monkeypatch.setattr(mfo.transport, "ot_solve", wrong_plan)
+        prob = resource_problem
+        q = np.full(prob.steps, 0.001)
+        mu0 = EmpiricalMeasure.from_atoms("Z", [([0.0], np.zeros(prob.steps), 0.5), ([1.0], q, 0.5)])
+        with pytest.raises(RuntimeError, match=message):
+            bridge(mu0, uniform_marginal([0.0, 1.0]), prob)
+
     def test_zero_weight_atom_at_empty_x(self, resource_problem):
         # the atom at x = 2 has no mass and no other atom shares its x
         prob = resource_problem

@@ -377,6 +377,32 @@ class TestBridgeVerb:
         assert main(["bridge", "--mu0", str(run / "final.json"),
                      "--m1", str(run / "marginal.json"), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--mu0", "--m1"])
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", "cannot read {path}: No such file or directory"),
+        ("not_json", "{path}: line 1, column 2: "),
+        ("config", "{path} holds no measure: missing key 'space'"),
+        ("wrong_space", "{path} holds a measure on {other}, not on {space}"),
+    ])
+    def test_bad_input_file_is_a_config_error(self, tmp_path, capsys, flag, fault, message):
+        files = {"--mu0": tmp_path / "mu0.json", "--m1": tmp_path / "m1.json"}
+        EmpiricalMeasure.from_atoms("Z", [([1.0], [0.0, 0.0], 1.0)]).save_json(files["--mu0"])
+        EmpiricalMeasure.from_atoms("X", [([1.0], 1.0)]).save_json(files["--m1"])
+        path = files[flag] = tmp_path / "bad.json"
+        if fault == "not_json":
+            path.write_text("{not json")
+        elif fault == "config":
+            write_config(path)
+        elif fault == "wrong_space":
+            path.write_bytes(files["--m1" if flag == "--mu0" else "--mu0"].read_bytes())
+        space, other = ("Z", "X") if flag == "--mu0" else ("X", "Z")
+        out = tmp_path / "o"
+        assert main(["bridge", "--mu0", str(files["--mu0"]), "--m1", str(files["--m1"]), "--problem", "resource",
+                     "--eps0", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag}: " + message.format(path=path, space=space, other=other) in err
+        assert not out.exists()
+
 
 class TestReportVerb:
     def test_prints_summary(self, tmp_path, capsys):
@@ -387,3 +413,7 @@ class TestReportVerb:
         assert main(["report", "--run", str(out)]) == 0
         text = capsys.readouterr().out
         assert "objective" in text and "gap" in text
+
+    def test_run_without_final_json_is_a_config_error(self, tmp_path, capsys):
+        assert main(["report", "--run", str(tmp_path)]) == 2
+        assert f"config error: --run: cannot read {tmp_path / 'final.json'}: " in capsys.readouterr().err

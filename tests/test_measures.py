@@ -36,7 +36,7 @@ def reference_merged(mu):
     sel = orig[rep[order_out]]
     picked = {c: col[sel] for c, col in zip(_SPACE_COLUMNS[mu.space], mu.columns())}
     return EmpiricalMeasure(mu.space, xs=picked.get("x"), ys=picked.get("y"),
-                            x2s=picked.get("x2"), weights=total[order_out], validate=False)
+                            weights=total[order_out], validate=False)
 
 
 def zmeasure(atoms):
@@ -83,15 +83,14 @@ class TestConstruction:
 
 def tricky_measure(rng, space, n):
     """Atoms with exact duplicates, near-duplicate chains and zero weights."""
-    dims = {"x": 2, "y": 2, "x2": 1}
+    dims = {"x": 2, "y": 2}
     base = {c: rng.integers(0, 2, size=(n, dims[c])).astype(float) for c in _SPACE_COLUMNS[space]}
     # chains of near-duplicates, each step 0.9 * ATOM_TOL in one coordinate
     steps = rng.integers(0, 4, size=n) * 0.9 * ATOM_TOL
     base[_SPACE_COLUMNS[space][0]][:, 0] += steps * rng.integers(0, 2, size=n)
     w = rng.random(n) * (rng.random(n) > 0.2)
     w[rng.integers(0, n)] += 0.5
-    return EmpiricalMeasure(space, xs=base.get("x"), ys=base.get("y"), x2s=base.get("x2"),
-                            weights=w / w.sum(), validate=False)
+    return EmpiricalMeasure(space, xs=base.get("x"), ys=base.get("y"), weights=w / w.sum(), validate=False)
 
 
 def assert_same_bits(a, b):
@@ -101,7 +100,7 @@ def assert_same_bits(a, b):
 
 
 class TestMergeMatchesReference:
-    @pytest.mark.parametrize("space", ["X", "Z", "ZX"])
+    @pytest.mark.parametrize("space", ["X", "Z"])
     def test_seeded_measures_bit_for_bit(self, space):
         rng = np.random.default_rng(31)
         for n in [1, 1, 2, 3, 5, 8, 20, 60, 200]:
@@ -203,7 +202,7 @@ class TestSerialization:
         assert lines[0] == "x0,x1,y0,w"
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("space", ["X", "Z", "ZX"])
+    @pytest.mark.parametrize("space", ["X", "Z"])
     def test_column_wise_json_matches_atom_by_atom_form(self, space):
         # reference: the per-atom writer and the from_atoms reader the
         # column-wise ones replaced; same text, same arrays
@@ -231,6 +230,7 @@ class TestSerialization:
             "nan coordinate": payload(([0.0], [float("nan"), 2.0], 1.0)),
             "infinite parameter": payload(([float("inf")], [1.0, 2.0], 1.0)),
             "nan weight": payload(([0.0], [1.0], float("nan")), ([1.0], [3.0], 1.0)),
+            "unknown space": dict(payload(([0.0], [1.0], 1.0)), space="ZX"),
         }
         for d in bad.values():
             with pytest.raises(ValueError):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mfo import EmpiricalMeasure, MetricSpec, first_marginal, glue, ot_solve
+from mfo import EmpiricalMeasure, MetricSpec, bridge, first_marginal, ot_solve
 from mfo.examples import TrafficProblem, grid_network
+from mfo.problem import QuadraticCostProblem
 from mfo.transport import Coupling
 
 from conftest import uniform_marginal
@@ -162,7 +163,16 @@ class TestCoupling:
         m0 = uniform_marginal([0.0, 1.0])
         m1 = uniform_marginal([0.0, 1.0])
         with pytest.raises(ValueError, match="residual"):
-            Coupling(m0, m1, rows=[0, 1], cols=[0, 1], masses=[0.6, 0.5], cost=0.0)
+            Coupling(m0, m1, rows=[0, 1], cols=[0, 1], masses=[0.6, 0.5], dists=[0.0, 0.0])
+
+    def test_dists_are_the_entries_ground_distances(self):
+        rng = np.random.default_rng(12)
+        m0 = EmpiricalMeasure("X", xs=rng.normal(size=(5, 2)), weights=np.full(5, 0.2))
+        m1 = EmpiricalMeasure("X", xs=rng.normal(size=(3, 2)), weights=np.full(3, 1 / 3))
+        plan = ot_solve(m0, m1, EUCLID)
+        D = EUCLID.pairwise(m0.xs, m1.xs)
+        assert plan.dists.tobytes() == D[plan.rows, plan.cols].tobytes()
+        assert plan.cost == float(np.sum(plan.masses * plan.dists))
 
     def test_json_dict(self):
         m0 = uniform_marginal([0.0, 1.0])
@@ -172,17 +182,40 @@ class TestCoupling:
         assert all(len(e) == 3 for e in d["entries"])
 
 
+class KeepDecision(QuadraticCostProblem):
+    """Every decision is feasible everywhere, counts as its own contribution
+    and is kept by the selection, so a bridge shows its glue alone."""
+
+    def __init__(self):
+        self.hilbert_weights = np.ones(1)
+        self.metric = EUCLID
+        self.grad_lipschitz = self.sup_g_norm = self.sup_g_diff_sq = self.sup_grad_norm = 0.0
+        self.set_lipschitz = 1.0
+
+    def g_eval_batch(self, xs, ys):
+        return np.asarray(ys, dtype=float)
+
+    def feasible_batch(self, xs, ys):
+        return np.ones(len(xs), dtype=bool)
+
+    def transport_select_batch(self, xs, ys, x2s):
+        return np.asarray(ys, dtype=float)
+
+
+def atoms(mu):
+    """Sorted ``(x, y, w)`` rows of a pair measure with scalar coordinates."""
+    return sorted(zip(mu.xs[:, 0].tolist(), mu.ys[:, 0].tolist(), mu.weights.tolist()))
+
+
 class TestGlue:
+    """The glue step of ``bridge``: one row per (pair atom, plan entry at its parameter)."""
+
     def test_diagonal_coupling_reproduces_mu0(self):
         mu0 = EmpiricalMeasure.from_atoms(
             "Z", [([0.0], [1.0], 0.5), ([1.0], [2.0], 0.5)]
         )
-        m0 = first_marginal(mu0)
-        rho = ot_solve(m0, m0, EUCLID)
-        nu = glue(mu0, rho)
-        pair = EmpiricalMeasure("Z", xs=nu.xs, ys=nu.ys, weights=nu.weights, validate=False)
-        assert pair.allclose(mu0, tol=1e-12)
-        np.testing.assert_allclose(nu.x2s, nu.xs, atol=1e-12)
+        out = bridge(mu0, first_marginal(mu0), KeepDecision()).measure
+        assert out.allclose(mu0, tol=1e-12)
 
     def test_permutation_coupling(self):
         rng = np.random.default_rng(13)
@@ -191,24 +224,20 @@ class TestGlue:
         ys = rng.normal(size=(n, 1))
         mu0 = EmpiricalMeasure("Z", xs=xs, ys=ys, weights=np.full(n, 1 / n))
         m1 = uniform_marginal(rng.normal(size=n))
-        rho = ot_solve(first_marginal(mu0), m1, EUCLID)
-        nu = glue(mu0, rho)
-        assert len(nu) == n
-        # pair marginal reproduces mu0, last marginal reproduces m1
-        assert EmpiricalMeasure("Z", xs=nu.xs, ys=nu.ys, weights=nu.weights,
-                                validate=False).allclose(mu0, tol=1e-9)
-        assert EmpiricalMeasure("X", xs=nu.x2s, weights=nu.weights,
-                                validate=False).merged().allclose(m1, tol=1e-9)
+        result = bridge(mu0, m1, KeepDecision())
+        rho = result.coupling
+        assert len(result.measure) == n
+        # each decision moves to its atom's plan target; the marginal is m1
+        want = EmpiricalMeasure("Z", xs=m1.xs[rho.cols], ys=ys[rho.rows], weights=rho.masses)
+        assert result.measure.allclose(want, tol=1e-12)
+        assert first_marginal(result.measure).allclose(m1, tol=1e-9)
 
     def test_product_split(self):
         # two decisions at one x, plan splits that x across two targets
         mu0 = EmpiricalMeasure.from_atoms("Z", [([0.0], [1.0], 0.5), ([0.0], [2.0], 0.5)])
-        m0 = first_marginal(mu0)
-        m1 = uniform_marginal([-1.0, 1.0])
-        rho = ot_solve(m0, m1, EUCLID)
-        nu = glue(mu0, rho)
-        assert len(nu) == 4
-        np.testing.assert_allclose(sorted(nu.weights), [0.25] * 4, atol=1e-12)
+        out = bridge(mu0, uniform_marginal([-1.0, 1.0]), KeepDecision()).measure
+        assert len(out) == 4
+        np.testing.assert_allclose(sorted(out.weights), [0.25] * 4, atol=1e-12)
 
     def test_chained_x_is_one_marginal_atom_of_full_mass(self):
         # x = 0, 0.9e-12, 1.8e-12 chain into one marginal atom; the plan at
@@ -216,25 +245,16 @@ class TestGlue:
         # ATOM_TOL of the first
         mu0 = EmpiricalMeasure("Z", xs=np.array([[0.0], [0.9e-12], [1.8e-12]]),
                                ys=np.array([[0.0], [1.0], [2.0]]), weights=np.full(3, 1 / 3))
-        m0 = first_marginal(mu0)
-        assert len(m0) == 1
-        nu = glue(mu0, ot_solve(m0, uniform_marginal([-1.0, 1.0]), EUCLID))
-        assert nu.weights.sum() == pytest.approx(1.0, abs=1e-15)
-        pair = EmpiricalMeasure("Z", xs=nu.xs, ys=nu.ys, weights=nu.weights, validate=False)
-        assert pair.allclose(mu0, tol=2e-12)
+        assert len(first_marginal(mu0)) == 1
+        out = bridge(mu0, uniform_marginal([-1.0, 1.0]), KeepDecision()).measure
+        assert out.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert [a[:2] for a in atoms(out)] == [(x2, y) for x2 in (-1.0, 1.0) for y in (0.0, 1.0, 2.0)]
+        np.testing.assert_allclose(out.weights, 1 / 6, atol=1e-15)
 
     def test_zero_weight_atom_at_empty_x_is_ignored(self):
         # x = 2 carries no mass, so the first marginal and the plan skip it
         mu0 = EmpiricalMeasure("Z", xs=np.array([[0.0], [1.0], [2.0]]),
                                ys=np.array([[5.0], [6.0], [7.0]]), weights=np.array([0.5, 0.5, 0.0]))
-        m1 = uniform_marginal([0.5, 3.0])
-        nu = glue(mu0, ot_solve(first_marginal(mu0), m1, EUCLID))
-        assert nu.xs.tolist() == [[0.0], [1.0]] and nu.ys.tolist() == [[5.0], [6.0]]
-        assert nu.x2s.tolist() == [[0.5], [3.0]] and nu.weights.tolist() == [0.5, 0.5]
-
-    def test_marginal_mismatch_rejected(self):
-        mu0 = EmpiricalMeasure.from_atoms("Z", [([0.0], [1.0], 1.0)])
-        other = uniform_marginal([5.0])
-        rho = ot_solve(other, other, EUCLID)
-        with pytest.raises(ValueError, match="marginal"):
-            glue(mu0, rho)
+        out = bridge(mu0, uniform_marginal([0.5, 3.0]), KeepDecision()).measure
+        assert out.xs.tolist() == [[0.5], [3.0]] and out.ys.tolist() == [[5.0], [6.0]]
+        assert out.weights.tolist() == [0.5, 0.5]
