@@ -1,4 +1,4 @@
-"""Property tests for merging and bridging on generated measures."""
+"""Property tests for merging, gluing and bridging on generated measures."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mfo import EmpiricalMeasure, bridge, first_marginal
 from mfo.examples import ResourceProblem
 from mfo.measures import ATOM_TOL
+from mfo.problem import QuadraticCostProblem
 
 PROPS = settings(max_examples=40, deadline=None)
 PROBLEM = ResourceProblem(horizon=2.0, steps=8)
@@ -42,6 +43,37 @@ def test_merge_conserves_mass_and_is_idempotent(mu):
     again = out.merged()
     for a, b in zip(again.columns() + (again.weights,), out.columns() + (out.weights,)):
         assert a.tobytes() == b.tobytes()
+
+
+class TagSource(QuadraticCostProblem):
+    """Selection keeps the source atom ``(x, y)`` as the decision; nothing
+    is infeasible and nothing contributes, so a bridge shows its glue."""
+
+    def __init__(self):
+        self.hilbert_weights = np.ones(1)
+        self.metric = PROBLEM.metric
+        self.grad_lipschitz = self.sup_g_norm = self.sup_g_diff_sq = self.sup_grad_norm = 0.0
+        self.set_lipschitz = 1.0
+
+    def g_eval_batch(self, xs, ys):
+        return np.zeros((len(xs), 1))
+
+    def feasible_batch(self, xs, ys):
+        return np.ones(len(xs), dtype=bool)
+
+    def transport_select_batch(self, xs, ys, x2s):
+        return np.hstack([xs, ys])
+
+
+@PROPS
+@given(z_measures, measure("X", {"x": 1}))
+def test_glue_marginals(mu0, m1):
+    result = bridge(mu0, m1, TagSource())
+    out = result.measure
+    pair = EmpiricalMeasure("Z", xs=out.ys[:, :1], ys=out.ys[:, 1:], weights=out.weights, validate=False)
+    last = EmpiricalMeasure("X", xs=out.xs, weights=out.weights, validate=False)
+    assert pair.allclose(mu0, tol=1e-9)
+    assert last.allclose(result.coupling.target, tol=1e-9)
 
 
 @st.composite
