@@ -16,7 +16,6 @@ from .measures import (
     validate_feasible,
 )
 from .problem import (
-    AggregateVector,
     DualCertificate,
     MfoProblem,
     OracleError,
@@ -31,7 +30,6 @@ from .solvers import SolveReport, SolverConfig, candidate_objective, fw_solve, s
 from .transport import Coupling, MetricSpec, bridge, ot_solve
 
 __all__ = [
-    "AggregateVector",
     "Coupling",
     "DualCertificate",
     "EmpiricalMeasure",

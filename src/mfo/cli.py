@@ -98,6 +98,21 @@ def build_problem(problem_cfg: dict):
         raise ConfigError(f"the {name} problem block: {exc}") from exc
 
 
+def _distribution(spec, label: str) -> SourceDistribution:
+    """``SourceDistribution.parse(spec)``; a bad spec or samples file is a config error naming ``label``."""
+    try:
+        return SourceDistribution.parse(spec)
+    except OSError as exc:
+        raise ConfigError(f"{label}: cannot read the samples file: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
+def _check_atom_count(n: int, label: str):
+    if n < 1:
+        raise ConfigError(f"{label} must be at least 1, got {n}")
+
+
 def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
     _check_keys(marginal_cfg, MARGINAL_KEYS, "the marginal block")
     sources = [key for key in MARGINAL_SOURCES if key in marginal_cfg]
@@ -110,16 +125,18 @@ def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
         raise ConfigError(f"{', '.join(dist_only)} in the marginal block apply to dist only, "
                           f"not to {sources[0]}")
     if "file" in marginal_cfg:
-        try:
-            return EmpiricalMeasure.load_json(marginal_cfg["file"])
-        except OSError as exc:
-            raise ConfigError(f"the marginal block: cannot read {exc.filename}: {exc.strerror}") from exc
+        return _read_marginal("the marginal block", marginal_cfg["file"])
     if "atoms" in marginal_cfg:
-        return EmpiricalMeasure.from_atoms(
-            "X", [(a["x"], a["w"]) for a in marginal_cfg["atoms"]], merge=False
-        )
-    dist = SourceDistribution.parse(_require(marginal_cfg, "dist", "marginal"))
+        try:
+            pairs = [(a["x"], a["w"]) for a in marginal_cfg["atoms"]]
+            return EmpiricalMeasure.from_atoms("X", pairs, merge=False)
+        except KeyError as exc:
+            raise ConfigError(f"the marginal block: an atoms entry has no key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"the marginal block: atoms: {exc}") from exc
+    dist = _distribution(_require(marginal_cfg, "dist", "marginal"), "the marginal block: dist")
     n = _integer(_require(marginal_cfg, "n", "marginal"), "n", "the marginal block")
+    _check_atom_count(n, "the marginal block: n")
     method = marginal_cfg.get("method", "sample")
     if method == "grid":
         m = quantize_grid(dist, n)
@@ -198,14 +215,13 @@ def _write_congestion_dumps(problem, report, m_n, out: Path):
 
 
 def _write_traffic_dumps(problem, report, m_n, out: Path):
-    beta = aggregate(problem, report.final_measure)
-    flows = problem.edge_flows(beta)
-    lam = problem.f_grad(beta)
+    flows = aggregate(problem, report.final_measure)
+    lam = problem.f_grad(flows)
     with open(out / "flows.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["edge", "tail", "head", "flow", "latency"])
         for e, edge in enumerate(problem.edges):
-            writer.writerow([e, edge.tail, edge.head, repr(float(flows[e])), repr(float(lam.values[e]))])
+            writer.writerow([e, edge.tail, edge.head, repr(float(flows[e])), repr(float(lam[e]))])
 
 
 _DUMPERS = {
@@ -298,6 +314,14 @@ def _read_measure(flag: str, path, read):
             raise ConfigError(f"{flag}: {path} holds no measure: {exc}") from exc
 
 
+def _read_marginal(flag: str, path) -> EmpiricalMeasure:
+    """A measure on X read from ``path``; anything else is a config error naming ``flag``."""
+    m = _read_measure(flag, path, EmpiricalMeasure.load_json)
+    if m.space != "X":
+        raise ConfigError(f"{flag}: {path} holds a measure on {m.space}, not on X")
+    return m
+
+
 def cmd_bridge(args) -> int:
     if args.config:
         problem = build_problem(_require(load_config(args.config), "problem", "config"))
@@ -306,10 +330,9 @@ def cmd_bridge(args) -> int:
     else:
         raise ConfigError("bridge needs --problem or --config")
     mu0, eps0 = _read_measure("--mu0", args.mu0, _load_mu0)
-    m1 = _read_measure("--m1", args.m1, EmpiricalMeasure.load_json)
-    for flag, path, mu, space in (("--mu0", args.mu0, mu0, "Z"), ("--m1", args.m1, m1, "X")):
-        if mu.space != space:
-            raise ConfigError(f"{flag}: {path} holds a measure on {mu.space}, not on {space}")
+    if mu0.space != "Z":
+        raise ConfigError(f"--mu0: {args.mu0} holds a measure on {mu0.space}, not on Z")
+    m1 = _read_marginal("--m1", args.m1)
     if eps0 is None:
         if args.eps0 is None:
             raise ConfigError("mu0 carries no gap certificate; pass --eps0")
@@ -341,7 +364,8 @@ def cmd_bridge(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    dist = SourceDistribution.parse(args.dist)
+    dist = _distribution(args.dist, "--dist")
+    _check_atom_count(args.n, "--n")
     if args.method == "grid":
         m = quantize_grid(dist, args.n)
         trunc = grid_truncation(dist, args.n)

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .._kernels import congestion_dp_batch
-from ..problem import FEAS_TOL, AggregateVector, QuadraticCostProblem
+from ..problem import FEAS_TOL, QuadraticCostProblem, _frozen_weights
 from ..transport import MetricSpec
 
 
@@ -96,8 +96,7 @@ class CongestionProblem(QuadraticCostProblem):
         self.dx = 1.0 / self.cells
         self.max_move = self.vmax * self.dt
         self.grid_step = self.max_move / self.grid_substeps
-        self.hilbert_weights = np.concatenate([[1.0], np.full(self.cells * self.steps, self.dt)])
-        self.hilbert_weights.setflags(write=False)
+        self.hilbert_weights = _frozen_weights(np.concatenate([[1.0], np.full(self.cells * self.steps, self.dt)]))
         T = self.horizon
         # kappa of the quadratic cost, whose density penalty is (alpha/dx) sum_t dt beta_t^2
         self.grad_lipschitz = 2.0 * self.alpha / self.dx
@@ -141,11 +140,11 @@ class CongestionProblem(QuadraticCostProblem):
         self._grid_memo = (key, grids)
         return grids
 
-    def best_response_batch(self, lam: AggregateVector, xs) -> np.ndarray:
+    def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
         starts = np.array(xs, dtype=float).reshape(len(xs), -1)[:, 0]
         positions, lengths, below, h0, Ht = self._grids(starts)
-        lam1 = float(lam.values[0])
-        lam2 = lam.values[1:].reshape(self.cells, self.steps)
+        lam1 = float(lam[0])
+        lam2 = lam[1:].reshape(self.cells, self.steps)
 
         def stage_cost(t):
             # a two-column product goes through gemm, which rounds each entry

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .._kernels import resource_br
-from ..problem import FEAS_TOL, AggregateVector, QuadraticCostProblem
+from ..problem import FEAS_TOL, QuadraticCostProblem, _frozen_weights
 from ..transport import MetricSpec
 
 
@@ -50,9 +50,12 @@ class ResourceProblem(QuadraticCostProblem):
         self.times = self.dt * np.arange(self.steps)
         # libm exp, not numpy's SIMD one, whose last bit depends on the CPU
         self.discount_factors = np.array([math.exp(-self.discount * t) for t in self.times.tolist()])
-        self.exp_rt = np.array([math.exp(self.discount * t) for t in self.times.tolist()])
-        self.hilbert_weights = np.concatenate([[1.0], self.dt * self.discount_factors])
-        self.hilbert_weights.setflags(write=False)
+        try:
+            self.exp_rt = np.array([math.exp(self.discount * t) for t in self.times.tolist()])
+        except OverflowError:
+            raise ValueError(f"discount={self.discount:g} with horizon={self.horizon:g}: "
+                             "the discount factor exp(discount * t) overflows") from None
+        self.hilbert_weights = _frozen_weights(np.concatenate([[1.0], self.dt * self.discount_factors]))
         mass = float(np.sum(self.dt * self.discount_factors))
         self.grad_lipschitz = self.price_impact     # kappa of the quadratic cost
         self.sup_g_norm = math.sqrt(mass ** 2 / 16.0 + mass / 4.0)
@@ -71,19 +74,19 @@ class ResourceProblem(QuadraticCostProblem):
 
     # -- oracles ------------------------------------------------------------
 
-    def best_response_with_multiplier(self, lam: AggregateVector, x):
+    def best_response_with_multiplier(self, lam: np.ndarray, x):
         """Best response plus the budget multiplier (for KKT checks)."""
         q, theta = self._br_batch(lam, np.array([[float(np.atleast_1d(x)[0])]]))
         return q[0], float(theta[0])
 
-    def best_response_batch(self, lam: AggregateVector, xs) -> np.ndarray:
+    def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
         return self._br_batch(lam, xs)[0]
 
     def _br_batch(self, lam, xs):
-        lam1 = float(lam.values[0])
+        lam1 = float(lam[0])
         if lam1 <= 0:
             raise ValueError("best response needs a positive self-interaction weight")
-        top = lam1 - np.asarray(lam.values[1:], dtype=float)
+        top = lam1 - np.asarray(lam[1:], dtype=float)
         budgets = np.asarray(xs, dtype=float).reshape(-1)
         return resource_br(top, self.exp_rt, lam1, self.dt, budgets)
 
@@ -123,9 +126,9 @@ class ResourceProblem(QuadraticCostProblem):
         x0 = float(np.atleast_1d(x)[0])
         return x0 - self.dt * np.concatenate([[0.0], np.cumsum(q)])
 
-    def aggregate_rate(self, beta: AggregateVector) -> np.ndarray:
+    def aggregate_rate(self, beta: np.ndarray) -> np.ndarray:
         """Population extraction rate per time step."""
-        return beta.values[1:].copy()
+        return beta[1:].copy()
 
     def depletion_step(self, x, q, tol=1e-6):
         """First step at which the remaining stock is exhausted, else None."""

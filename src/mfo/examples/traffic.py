@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from ..problem import FEAS_TOL, AggregateVector, MfoProblem
+from ..problem import FEAS_TOL, MfoProblem, _frozen_weights, aggregate
 from ..transport import MetricSpec
 
 
@@ -198,8 +198,7 @@ class TrafficProblem(MfoProblem):
         # so that the first-index argmin never takes a padding row
         self._table0 = np.nan_to_num(self._path_table, nan=0.0)
         self._pad_costs = np.where(np.isnan(self._path_table[:, :, 0]), np.inf, 0.0)
-        self.hilbert_weights = np.ones(n_e)
-        self.hilbert_weights.setflags(write=False)
+        self.hilbert_weights = _frozen_weights(np.ones(n_e))
         self.grad_lipschitz = max(e.latency_slope_bound() for e in self.edges)
         self.sup_g_norm = math.sqrt(max_len)
         self.sup_g_diff_sq = 2.0 * max_len
@@ -263,12 +262,12 @@ class TrafficProblem(MfoProblem):
             out[..., ids] = getattr(kind, formula)(q[..., ids], *coeffs)
         return out
 
-    def f_value(self, beta: AggregateVector) -> float:
+    def f_value(self, beta: np.ndarray) -> float:
         # left to right, edge by edge (sum() compensates float sums from Python 3.12)
-        return reduce(add, self._edgewise("potential", beta.values).tolist(), 0.0)
+        return reduce(add, self._edgewise("potential", beta).tolist(), 0.0)
 
-    def f_grad(self, beta: AggregateVector) -> AggregateVector:
-        return self.vector(self._edgewise("latency", beta.values))
+    def f_grad(self, beta: np.ndarray) -> np.ndarray:
+        return self._edgewise("latency", beta)
 
     # f_conj left unavailable: edge potentials are only defined
     # piecewise and the dual operations are exercised on the games with
@@ -276,9 +275,9 @@ class TrafficProblem(MfoProblem):
 
     # -- oracles ------------------------------------------------------------
 
-    def best_response_batch(self, lam: AggregateVector, xs) -> np.ndarray:
+    def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
         od = self._od_index(xs)
-        best = (self._table0 @ lam.values + self._pad_costs).argmin(axis=1)
+        best = (self._table0 @ lam + self._pad_costs).argmin(axis=1)
         return self._path_table[od, best[od]]
 
     def feasible_batch(self, xs, ys) -> np.ndarray:
@@ -297,17 +296,12 @@ class TrafficProblem(MfoProblem):
 
     # -- reporting helpers ---------------------------------------------------
 
-    def edge_flows(self, beta: AggregateVector) -> np.ndarray:
-        return beta.values.copy()
-
     def wardrop_residual(self, mu, used_mass=1e-9) -> float:
         """Worst excess of a used path's cost over the cheapest admissible one."""
-        from ..problem import aggregate
-
         lam = self.f_grad(aggregate(self, mu))
         used = mu.weights > used_mass
-        cheapest = self.best_response_batch(lam, mu.xs[used]) @ lam.values
-        return float(np.max(mu.ys[used] @ lam.values - cheapest, initial=0.0))
+        cheapest = self.best_response_batch(lam, mu.xs[used]) @ lam
+        return float(np.max(mu.ys[used] @ lam - cheapest, initial=0.0))
 
 
 # -- network builders ----------------------------------------------------

@@ -5,7 +5,9 @@ probability measures ``mu`` on feasible parameter/decision pairs with a
 prescribed parameter marginal.  The aggregate lives in a finite
 weighted-inner-product space (diagonal weights, e.g. discounted
 trapezoid weights for time-discretized models), so that discrete inner
-products reproduce the continuous ones bit for bit.
+products reproduce the continuous ones bit for bit.  Aggregates and
+dual points are plain 1-D float arrays; the weights are the problem's
+``hilbert_weights``.
 
 Concrete games subclass :class:`MfoProblem`, or
 :class:`QuadraticCostProblem` for the shared quadratic cost; the
@@ -16,61 +18,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .measures import EmpiricalMeasure, first_marginal, validate_feasible
-from .transport import MetricSpec
 
-
-@dataclass(frozen=True)
-class AggregateVector:
-    """Element of the aggregation space: values with diagonal weights.
-
-    The inner product is ``<a, b> = sum_i weights[i] * a[i] * b[i]``.
-    Weights are positive and shared by every vector of one problem
-    instance.
-    """
-
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.values.shape != self.weights.shape or self.values.ndim != 1:
-            raise ValueError("values and weights must be matching vectors")
-        if (self.weights <= 0).any():
-            raise ValueError("inner-product weights must be positive")
-        if not np.isfinite(self.values).all():
-            raise ValueError("aggregate entries must be finite")
-
-    def dot(self, other: "AggregateVector") -> float:
-        return float((self.weights * self.values * other.values).sum())
-
-    def norm(self) -> float:
-        return math.sqrt(max(self.dot(self), 0.0))
-
-    def with_values(self, values) -> "AggregateVector":
-        return AggregateVector(np.asarray(values, dtype=float), self.weights)
-
-    def __add__(self, other):
-        return self.with_values(self.values + other.values)
-
-    def __sub__(self, other):
-        return self.with_values(self.values - other.values)
-
-    def __mul__(self, scalar: float):
-        return self.with_values(self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def tolist(self):
-        return self.values.tolist()
+if TYPE_CHECKING:
+    from .transport import MetricSpec
 
 
 class OracleError(RuntimeError):
     """A problem oracle violated its contract."""
+
+
+def _frozen_weights(weights) -> np.ndarray:
+    """Inner-product weights as a read-only vector; each must be positive and finite."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("inner-product weights must be a vector of positive, finite numbers")
+    w.setflags(write=False)
+    return w
+
+
+def _inner(problem, a, b) -> float:
+    """``<a, b> = sum_i w_i a_i b_i`` with the problem's ``hilbert_weights`` ``w``."""
+    return float((problem.hilbert_weights * a * b).sum())
+
+
+def _norm(problem, a) -> float:
+    return math.sqrt(max(_inner(problem, a, a), 0.0))
 
 
 class MfoProblem:
@@ -78,15 +55,18 @@ class MfoProblem:
 
     Every oracle takes a batch: ``xs`` holds one parameter per row and
     ``ys`` one decision per row.  A game sets as attributes
-    ``hilbert_weights`` (diagonal weights of the aggregation space),
-    ``metric`` (ground metric on parameters) and the constants
-    ``grad_lipschitz``, ``sup_g_norm``, ``sup_g_diff_sq``,
-    ``sup_grad_norm`` and ``set_lipschitz``.  It implements the cost
-    ``f_value(beta)`` / ``f_grad(beta)`` (gradient taken w.r.t. the
-    weighted inner product), or inherits it from
+    ``hilbert_weights`` (positive, finite diagonal weights of the
+    aggregation space, passed through ``_frozen_weights``), ``metric``
+    (ground metric on parameters) and the constants ``grad_lipschitz``,
+    ``sup_g_norm``, ``sup_g_diff_sq``, ``sup_grad_norm`` and
+    ``set_lipschitz``.  Aggregates ``beta`` and dual points ``lam`` are
+    1-D float arrays with one entry per weight.  A game implements the
+    cost ``f_value(beta)`` / ``f_grad(beta)`` (gradient taken w.r.t.
+    the weighted inner product), or inherits it from
     :class:`QuadraticCostProblem`, and the five batch oracles:
 
-    * ``g_eval_batch(xs, ys)`` -- contribution matrix, one row per pair;
+    * ``g_eval_batch(xs, ys)`` -- contribution matrix, one row per pair
+      and one column per entry of ``hilbert_weights``;
     * ``best_response_batch(lam, xs)`` -- per row, a minimizer of
       ``<lam, g(x, .)>`` over the feasible decisions at ``x``;
     * ``feasible_batch(xs, ys)`` -- boolean vector, ``y in Z_x`` per row;
@@ -141,25 +121,19 @@ class MfoProblem:
         """The constants and the value of each ``config_keys`` entry."""
         return {**self._constants(), **{k: getattr(self, k) for k in self.config_keys}}
 
-    def vector(self, values) -> AggregateVector:
-        return AggregateVector(values, self.hilbert_weights)
-
-    def zero_vector(self) -> AggregateVector:
-        return self.vector(np.zeros_like(self.hilbert_weights))
-
-    def f_value(self, beta: AggregateVector) -> float:
+    def f_value(self, beta: np.ndarray) -> float:
         raise NotImplementedError
 
-    def f_grad(self, beta: AggregateVector) -> AggregateVector:
+    def f_grad(self, beta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def f_conj(self, lam: AggregateVector) -> float:
+    def f_conj(self, lam: np.ndarray) -> float:
         raise NotImplementedError("conjugate not available for this problem")
 
     def g_eval_batch(self, xs, ys) -> np.ndarray:
         raise NotImplementedError
 
-    def best_response_batch(self, lam: AggregateVector, xs) -> np.ndarray:
+    def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
         raise NotImplementedError
 
     def feasible_batch(self, xs, ys) -> np.ndarray:
@@ -171,10 +145,10 @@ class MfoProblem:
     def initial_decision_batch(self, xs) -> np.ndarray:
         raise NotImplementedError
 
-    def g_eval(self, x, y) -> AggregateVector:
-        return self.vector(self.g_eval_batch(_row(x), _row(y))[0])
+    def g_eval(self, x, y) -> np.ndarray:
+        return self.g_eval_batch(_row(x), _row(y))[0]
 
-    def best_response(self, lam: AggregateVector, x) -> np.ndarray:
+    def best_response(self, lam: np.ndarray, x) -> np.ndarray:
         return self.best_response_batch(lam, _row(x))[0]
 
     def feasible(self, x, y) -> bool:
@@ -196,20 +170,18 @@ class QuadraticCostProblem(MfoProblem):
     only at ``lam[1:] = 0``.
     """
 
-    def f_value(self, beta: AggregateVector) -> float:
-        v = beta.values
-        return float(v[0] + 0.5 * self.grad_lipschitz * np.sum(self.hilbert_weights[1:] * v[1:] ** 2))
+    def f_value(self, beta: np.ndarray) -> float:
+        return float(beta[0] + 0.5 * self.grad_lipschitz * np.sum(self.hilbert_weights[1:] * beta[1:] ** 2))
 
-    def f_grad(self, beta: AggregateVector) -> AggregateVector:
-        return self.vector(np.concatenate([[1.0], self.grad_lipschitz * beta.values[1:]]))
+    def f_grad(self, beta: np.ndarray) -> np.ndarray:
+        return np.concatenate([[1.0], self.grad_lipschitz * beta[1:]])
 
-    def f_conj(self, lam: AggregateVector) -> float:
-        v = lam.values
-        if abs(v[0] - 1.0) > 1e-9:
+    def f_conj(self, lam: np.ndarray) -> float:
+        if abs(lam[0] - 1.0) > 1e-9:
             return math.inf
         if self.grad_lipschitz == 0.0:
-            return 0.0 if float(np.max(np.abs(v[1:]), initial=0.0)) <= 1e-12 else math.inf
-        return float(np.sum(self.hilbert_weights[1:] * v[1:] ** 2) / (2.0 * self.grad_lipschitz))
+            return 0.0 if float(np.max(np.abs(lam[1:]), initial=0.0)) <= 1e-12 else math.inf
+        return float(np.sum(self.hilbert_weights[1:] * lam[1:] ** 2) / (2.0 * self.grad_lipschitz))
 
 
 def _row(p) -> np.ndarray:
@@ -225,7 +197,9 @@ GAP_NEGATIVITY_TOL = 1e-9
 
 
 def clamp_gap(raw: float) -> float:
-    """Zero out float-cancellation negatives; reject genuine ones."""
+    """Zero out float-cancellation negatives; reject genuine ones and non-finite gaps."""
+    if not math.isfinite(raw):
+        raise RuntimeError(f"non-finite optimality gap {raw}: an oracle violated its contract")
     if raw < -GAP_NEGATIVITY_TOL:
         raise RuntimeError(f"negative optimality gap {raw:.3e}: an oracle violated its contract")
     return max(raw, 0.0)
@@ -242,7 +216,7 @@ class DualCertificate:
     ``-dual_value`` is a certified lower bound on the optimal value).
     """
 
-    lam: AggregateVector
+    lam: np.ndarray
     primal_value: float
     dual_value: float
     gap: float
@@ -256,14 +230,14 @@ class DualCertificate:
         }
 
 
-def aggregate(problem: MfoProblem, mu: EmpiricalMeasure, validate: bool = True) -> AggregateVector:
+def aggregate(problem: MfoProblem, mu: EmpiricalMeasure, validate: bool = True) -> np.ndarray:
     """Weight-sum of contributions ``sum_i w_i g(x_i, y_i)``.
 
     Atoms are checked against the feasibility predicate unless
     ``validate=False`` (hot paths that construct feasible atoms by
     design skip the check).
     """
-    return problem.vector(mu.weights @ _contributions(problem, mu, validate))
+    return mu.weights @ _contributions(problem, mu, validate)
 
 
 def _contributions(problem: MfoProblem, mu: EmpiricalMeasure, validate: bool = True) -> np.ndarray:
@@ -280,25 +254,29 @@ def _contributions(problem: MfoProblem, mu: EmpiricalMeasure, validate: bool = T
 
 def _support_values(problem, lam, xs):
     """The best-response sweep: per row, the minimizer, its contribution and ``<lam, g>``."""
+    if not np.isfinite(lam).all():
+        raise ValueError("the dual point lam must be finite")
     ys = problem.best_response_batch(lam, xs)
     G = problem.g_eval_batch(xs, ys)
-    return ys, G, G @ (lam.weights * lam.values)
+    return ys, G, G @ (problem.hilbert_weights * lam)
 
 
-def _certify(problem, beta: AggregateVector, xs, w):
+def _certify(problem, beta: np.ndarray, xs, w):
     """Certificate at aggregate ``beta`` over the marginal ``(xs, w)``.
 
     Also returns the sweep's best responses and their contributions,
     which the solvers step towards.
     """
+    if not np.isfinite(beta).all():
+        raise ValueError("the aggregate must be finite")
     lam = problem.f_grad(beta)
     ys, G, values = _support_values(problem, lam, xs)
-    gap = clamp_gap(lam.dot(beta) - float(w @ values))
+    gap = clamp_gap(_inner(problem, lam, beta) - float(w @ values))
     primal = problem.f_value(beta)
     return DualCertificate(lam=lam, primal_value=primal, dual_value=gap - primal, gap=gap), ys, G
 
 
-def linearized_solve(problem: MfoProblem, lam: AggregateVector, m: EmpiricalMeasure) -> EmpiricalMeasure:
+def linearized_solve(problem: MfoProblem, lam: np.ndarray, m: EmpiricalMeasure) -> EmpiricalMeasure:
     """Minimize the linearized cost: one best response per support point."""
     if m.space != "X":
         raise ValueError("the prescribed marginal lives on X")
@@ -320,7 +298,7 @@ def fw_gap(problem: MfoProblem, mu: EmpiricalMeasure) -> DualCertificate:
     return _certify(problem, beta, m.xs, m.weights)[0]
 
 
-def dual_value(problem: MfoProblem, lam: AggregateVector, m: EmpiricalMeasure) -> float:
+def dual_value(problem: MfoProblem, lam: np.ndarray, m: EmpiricalMeasure) -> float:
     """Dual objective ``f_conj(lam) - sum_i w_i u_lam(x_i)``.
 
     Returns ``+inf`` when ``lam`` falls outside the conjugate's domain.
@@ -334,7 +312,7 @@ def dual_value(problem: MfoProblem, lam: AggregateVector, m: EmpiricalMeasure) -
     return conj - float(m.weights @ values)
 
 
-def value_directional_derivative(problem: MfoProblem, m0, m1, lam_star_m0: AggregateVector) -> float:
+def value_directional_derivative(problem: MfoProblem, m0, m1, lam_star_m0: np.ndarray) -> float:
     """Directional derivative of the optimal value along ``m1 - m0``.
 
     ``lam_star_m0`` must be the dual solution at ``m0`` (the gradient of

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import EmpiricalMeasure, first_marginal
-from .problem import DualCertificate, MfoProblem, OracleError, _certify, _support_values, aggregate, fw_gap
+from .problem import DualCertificate, MfoProblem, OracleError, _certify, _norm, _support_values, aggregate, fw_gap
 from .transport import MARGINAL_TOL, _is_uniform
 
 
@@ -62,6 +62,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iteration count must be at least 1")
+        tol = self.gap_tol
+        real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+        if tol is not None and not (real and 0.0 <= tol < np.inf):
+            raise ValueError(f"gap_tol must be None or a finite number >= 0, got {tol!r}")
         if np.ndim(self.n_sims) == 0:
             n_sims = _sim_count(self.n_sims)
         else:
@@ -171,7 +175,7 @@ def _check_marginal(m_N):
 def _warm_start(problem, xs, w):
     """Best responses, and their contributions, at the aggregate of a feasible start."""
     y0 = problem.initial_decision_batch(xs)
-    beta0 = problem.vector(w @ problem.g_eval_batch(xs, y0))
+    beta0 = w @ problem.g_eval_batch(xs, y0)
     ys, G, _ = _support_values(problem, problem.f_grad(beta0), xs)
     return ys, G
 
@@ -200,7 +204,7 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
     factor = 1.0
     if mu0 is None:
         ys0, G0 = _warm_start(problem, xs, w)
-        beta = problem.vector(w @ G0)
+        beta = w @ G0
         blocks = [(xs, ys0, w.copy())]     # (xs, ys, raw weights); effective weight = raw * factor
     else:
         if not first_marginal(mu0).allclose(m_N, tol=MARGINAL_TOL):
@@ -216,7 +220,7 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
         stopped_early = config.gap_tol is not None and cert.gap <= config.gap_tol
         if not stopped_early:
             om = config.omega(k)
-            beta = problem.vector((1.0 - om) * beta.values + om * (w @ G_br))
+            beta = (1.0 - om) * beta + om * (w @ G_br)
             if om >= 1.0:
                 blocks = []
                 factor = 1.0
@@ -224,7 +228,7 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
                 factor *= 1.0 - om
             if om > 0.0:
                 blocks.append((xs, ys_br, om * w / factor))
-        records.append(IterationRecord(k, cert.primal_value, cert.gap, cert.lam.norm(),
+        records.append(IterationRecord(k, cert.primal_value, cert.gap, _norm(problem, cert.lam),
                                        (time.perf_counter() - tic) * 1e3))
         if stopped_early:
             break
@@ -262,7 +266,7 @@ def candidate_rng(seed: int, k: int, j: int) -> np.random.Generator:
 def candidate_objective(problem: MfoProblem, m_N: EmpiricalMeasure, decisions) -> float:
     """Exact objective of one decision per support point."""
     G = problem.g_eval_batch(m_N.xs, np.asarray(decisions))
-    return problem.f_value(problem.vector(m_N.weights @ G))
+    return problem.f_value(m_N.weights @ G)
 
 
 def measure_from_state(m_N: EmpiricalMeasure, decisions) -> EmpiricalMeasure:
@@ -290,7 +294,7 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
     stopped_early = False
     for k in range(config.iterations):
         tic = time.perf_counter()
-        cert, y_br, G_br = _certify_iteration(problem, problem.vector(w @ G), xs, w, records)
+        cert, y_br, G_br = _certify_iteration(problem, w @ G, xs, w, records)
         objective = cert.primal_value
         stopped_early = config.gap_tol is not None and cert.gap <= config.gap_tol
         n_k = 0
@@ -302,13 +306,13 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
             best_pick = None
             for j in range(n_k):
                 pick = (candidate_rng(config.seed, k, j).random(n) < om)[:, None]
-                val = problem.f_value(problem.vector(w @ np.where(pick, G_br, G)))
+                val = problem.f_value(w @ np.where(pick, G_br, G))
                 if val < best_val:
                     best_val, best_pick = val, pick
             if not (config.monotone_guard and objective < best_val):
                 y = np.where(best_pick, y_br, y)
                 G = np.where(best_pick, G_br, G)
-        records.append(IterationRecord(k, objective, cert.gap, cert.lam.norm(),
+        records.append(IterationRecord(k, objective, cert.gap, _norm(problem, cert.lam),
                                        (time.perf_counter() - tic) * 1e3, n_candidates=n_k))
         if stopped_early:
             break

@@ -31,6 +31,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 
 from .measures import EmpiricalMeasure, _marginal_groups, first_marginal
+from .problem import OracleError, _contributions, _norm, aggregate
 
 #: tolerance on coupling marginal residuals
 MARGINAL_TOL = 1e-9
@@ -243,11 +244,9 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem,
     ``set_lipschitz`` times the transport cost.  Returns the bridged
     measure with the coupling and diagnostics as a :class:`BridgeResult`.
     """
-    from .problem import OracleError, _contributions, aggregate  # local import to avoid a cycle
-
     metric = metric if metric is not None else problem.metric
     G_mu0 = _contributions(problem, mu0)
-    beta0 = problem.vector(mu0.weights @ G_mu0)
+    beta0 = mu0.weights @ G_mu0
     m0, group = _marginal_groups(mu0)
     rho = ot_solve(m0, m1, metric)
     # plan entries sorted by marginal atom (stably), then one glued row per
@@ -284,7 +283,7 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem,
         measure=mu1,
         coupling=rho,
         transport_cost=rho.cost,
-        aggregate_shift=(beta1 - beta0).norm(),
+        aggregate_shift=_norm(problem, beta1 - beta0),
         objective_before=problem.f_value(beta0),
         objective_after=problem.f_value(beta1),
     )

@@ -167,8 +167,8 @@ def test_criterion_06_wardrop():
 
     beta = aggregate(pigou, rep.final_measure)
     lam = pigou.f_grad(beta)
-    flow_ok = abs(beta.values[0] - 1.0) <= 1e-3
-    latency_ok = abs(lam.values[0] - lam.values[1]) <= 1e-3
+    flow_ok = abs(beta[0] - 1.0) <= 1e-3
+    latency_ok = abs(lam[0] - lam[1]) <= 1e-3
     grid = TrafficProblem(*grid_network())
     m_grid = EmpiricalMeasure.from_atoms(
         "X", [([0, 7], 0.4), ([1, 7], 0.3), ([0, 6], 0.3)]
@@ -177,7 +177,7 @@ def test_criterion_06_wardrop():
     residual = grid.wardrop_residual(rep_grid.final_measure, used_mass=1e-6)
     ok = flow_ok and latency_ok and residual <= 1e-3
     check("criterion 6 (Wardrop: Pigou + 10-edge grid)", ok,
-          f"pigou flow {beta.values[0]:.6f}, grid residual {residual:.2e}")
+          f"pigou flow {beta[0]:.6f}, grid residual {residual:.2e}")
 
 
 def test_criterion_07_resource_qualitative(resource_problem):
@@ -203,7 +203,7 @@ def test_criterion_08_congestion_control():
     rng = np.random.default_rng(8)
     xs = rng.uniform(0.0, 0.2, size=(50, 1))
     m = EmpiricalMeasure("X", xs=xs, weights=np.full(50, 1.0 / 50))
-    lam0 = free.f_grad(free.zero_vector())
+    lam0 = free.f_grad(np.zeros(len(free.hilbert_weights)))
     max_speed_ok = all(
         np.array_equal(free.best_response(lam0, x), free.max_speed_trajectory(x)) for x in xs
     )

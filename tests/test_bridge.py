@@ -24,7 +24,7 @@ class TestBridgeBasics:
     def test_same_marginal_is_identity(self, resource_problem):
         prob = resource_problem
         m0 = uniform_marginal([0.8, 2.5])
-        lam = prob.vector(np.concatenate([[1.0], np.zeros(prob.steps)]))
+        lam = np.concatenate([[1.0], np.zeros(prob.steps)])
         from mfo import linearized_solve
 
         mu0 = linearized_solve(prob, lam, m0)
@@ -72,7 +72,7 @@ class TestBridgeBasics:
     def test_congestion_bridge(self, congestion_problem):
         prob = congestion_problem
         m0 = uniform_marginal([0.05, 0.15])
-        lam = prob.f_grad(prob.zero_vector())
+        lam = prob.f_grad(np.zeros(len(prob.hilbert_weights)))
         from mfo import linearized_solve
 
         mu0 = linearized_solve(prob, lam, m0)

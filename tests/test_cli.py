@@ -197,6 +197,35 @@ class TestSolveVerb:
         assert f"config error: the solver block: monotone_guard must be true or false, got {value!r}" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e-8", [1], True, float("nan"), -1e-8, float("inf")],
+                             ids=["string", "list", "true", "nan", "negative", "inf"])
+    def test_gap_tol_must_be_a_number(self, tmp_path, capsys, value):
+        data = json.loads(write_config(tmp_path / "cfg.json").read_text())
+        data["solver"]["gap_tol"] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert ("config error: the solver block: gap_tol must be None or a finite number >= 0, "
+                f"got {value!r}") in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", [None, 0, 1e-3])
+    def test_gap_tol_accepts_null_and_numbers(self, tmp_path, value):
+        data = json.loads(write_config(tmp_path / "cfg.json").read_text())
+        data["solver"]["gap_tol"] = value
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+        assert json.loads((tmp_path / "x" / "final.json").read_text())["config"]["gap_tol"] == value
+
+    def test_discount_overflow_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "resource", "horizon": 10.0, "steps": 30, "discount": 1000.0})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert ("config error: the resource problem block: discount=1000 with horizon=10: "
+                "the discount factor exp(discount * t) overflows") in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_file_is_a_config_error(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "x")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -323,6 +352,53 @@ class TestQuantizeVerb:
         main(["quantize", "--dist", "exponential:1", "--n", "16", "--seed", "7", "--out", str(a)])
         main(["quantize", "--dist", "exponential:1", "--n", "16", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dist", "foo:1", "the marginal block: dist: cannot parse distribution spec 'foo:1'"),
+    ("dist", "uniform:1,0", "the marginal block: dist: uniform needs high > low"),
+    ("dist", "uniform:a", "the marginal block: dist: could not convert string to float: 'a'"),
+    ("dist", "samples:{tmp}/gone.txt", "the marginal block: dist: cannot read the samples file: {tmp}/gone.txt"),
+    ("n", 0, "the marginal block: n must be at least 1, got 0"),
+    ("atoms", [{"x": [1.0]}], "the marginal block: an atoms entry has no key 'w'"),
+    ("atoms", [{"x": [1.0], "w": 0.5}], "the marginal block: atoms: weights sum to 0.5, expected 1"),
+    ("file", "not_json", "the marginal block: {tmp}/m.json: line 1, column 2: "),
+    ("file", "config", "the marginal block: {tmp}/m.json holds no measure: missing key 'space'"),
+    ("file", "pairs", "the marginal block: {tmp}/m.json holds a measure on Z, not on X"),
+    ("--dist", "foo:1", "--dist: cannot parse distribution spec 'foo:1'"),
+    ("--dist", "uniform:1,0", "--dist: uniform needs high > low"),
+    ("--dist", "uniform:a", "--dist: could not convert string to float: 'a'"),
+    ("--dist", "samples:{tmp}/gone.txt", "--dist: cannot read the samples file: {tmp}/gone.txt"),
+    ("--n", "0", "--n must be at least 1, got 0"),
+], ids=["dist_unknown", "dist_empty_interval", "dist_not_a_number", "dist_missing_samples", "n_zero",
+        "atom_without_w", "weights_sum_half", "file_not_json", "file_without_space", "file_on_pairs",
+        "flag_dist_unknown", "flag_dist_empty_interval", "flag_dist_not_a_number",
+        "flag_dist_missing_samples", "flag_n_zero"])
+def test_bad_marginal_is_a_config_error(tmp_path, capsys, key, value, message):
+    """The marginal block of a config and the quantize verb name the faulty key or flag."""
+    if isinstance(value, str):
+        value = value.format(tmp=tmp_path)
+    out = tmp_path / "out"
+    if key.startswith("--"):
+        args = {"--dist": "uniform:0,1", "--n": "5", key: value}
+        argv = ["quantize", "--dist", args["--dist"], "--n", args["--n"], "--out", str(out)]
+    else:
+        marginal = {"dist": "uniform:0,1", "n": 5} if key in ("dist", "n") else {}
+        if key == "file":
+            path = tmp_path / "m.json"
+            if value == "not_json":
+                path.write_text("{not json")
+            elif value == "config":
+                write_config(path)
+            else:
+                EmpiricalMeasure.from_atoms("Z", [([1.0], [0.0], 1.0)]).save_json(path)
+            value = str(path)
+        marginal[key] = value
+        argv = ["solve", "--config", str(write_config(tmp_path / "cfg.json", marginal=marginal)),
+                "--out", str(out)]
+    assert main(argv) == 2
+    assert "config error: " + message.format(tmp=tmp_path) in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestBridgeVerb:

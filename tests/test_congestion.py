@@ -9,6 +9,7 @@ from mfo import EmpiricalMeasure, SolverConfig, sfw_solve
 from mfo._kernels import congestion_dp_batch
 from mfo.examples import CongestionProblem
 from mfo.examples.congestion import bump_family, cell_bump, rising_step
+from mfo.problem import _inner, _norm
 
 from test_kernels import congestion_dp_loops
 
@@ -72,16 +73,16 @@ class TestBestResponseDP:
         rng = np.random.default_rng(1)
         for trial in range(20):
             ybar = rng.uniform(0.0, 1.0, size=(prob.cells, prob.steps))
-            lam = prob.vector(np.concatenate([[1.0], (2 * prob.alpha / prob.dx) * ybar.ravel()]))
+            lam = np.concatenate([[1.0], (2 * prob.alpha / prob.dx) * ybar.ravel()])
             x0 = rng.uniform(0.0, 1.1)
             traj = prob.best_response(lam, [x0])
             # exhaustive search over all grid step sequences
             best = np.inf
             for moves in itertools.product(range(prob.grid_substeps + 1), repeat=prob.steps):
                 pos = x0 + prob.grid_step * np.concatenate([[0], np.cumsum(moves)])
-                cost = float(lam.dot(prob.g_eval([x0], pos)))
+                cost = float(_inner(prob, lam, prob.g_eval([x0], pos)))
                 best = min(best, cost)
-            got = float(lam.dot(prob.g_eval([x0], traj)))
+            got = float(_inner(prob, lam, prob.g_eval([x0], traj)))
             assert got == pytest.approx(best, abs=1e-12)
             assert prob.feasible([x0], traj)
 
@@ -89,18 +90,18 @@ class TestBestResponseDP:
         prob = congestion_problem
         rng = np.random.default_rng(2)
         ybar = rng.uniform(0.0, 0.7, size=(prob.cells, prob.steps))
-        lam = prob.vector(np.concatenate([[1.0], (2 * prob.alpha / prob.dx) * ybar.ravel()]))
+        lam = np.concatenate([[1.0], (2 * prob.alpha / prob.dx) * ybar.ravel()])
         for x0 in (0.0, 0.07, 0.483):
             traj = prob.best_response(lam, [x0])
-            value = float(lam.dot(prob.g_eval([x0], traj)))
+            value = float(_inner(prob, lam, prob.g_eval([x0], traj)))
             stay = prob.initial_decision([x0])
             sprint = prob.max_speed_trajectory([x0])
             for other in (stay, sprint):
-                assert value <= float(lam.dot(prob.g_eval([x0], other))) + 1e-12
+                assert value <= float(_inner(prob, lam, prob.g_eval([x0], other))) + 1e-12
 
     def test_zero_penalty_gives_max_speed(self):
         prob = CongestionProblem(alpha=0.0)
-        lam = prob.f_grad(prob.zero_vector())
+        lam = prob.f_grad(np.zeros(len(prob.hilbert_weights)))
         rng = np.random.default_rng(3)
         for x0 in rng.uniform(0.0, 0.2, size=10):
             traj = prob.best_response(lam, [x0])
@@ -108,14 +109,14 @@ class TestBestResponseDP:
 
     def test_at_target_stays_put(self):
         prob = CongestionProblem(alpha=0.0)
-        lam = prob.f_grad(prob.zero_vector())
+        lam = prob.f_grad(np.zeros(len(prob.hilbert_weights)))
         traj = prob.best_response(lam, [1.02])
         np.testing.assert_allclose(traj, 1.02, atol=0.0)
 
 
 def random_dual(prob, rng, scale=0.7):
     ybar = rng.uniform(0.0, scale, size=(prob.cells, prob.steps))
-    return prob.vector(np.concatenate([[1.0], (2 * prob.alpha / prob.dx) * ybar.ravel()]))
+    return np.concatenate([[1.0], (2 * prob.alpha / prob.dx) * ybar.ravel()])
 
 
 def loop_reference_response(prob, lam, x0):
@@ -123,8 +124,8 @@ def loop_reference_response(prob, lam, x0):
     n_pos = max(1, math.ceil((1.0 + prob.max_move - x0) / prob.grid_step) + 1)
     positions = x0 + prob.grid_step * np.arange(n_pos)
     h0, H = prob.bumps(positions)
-    lam2 = lam.values[1:].reshape(prob.cells, prob.steps)
-    cost = prob.dt * (lam.values[0] * h0[:, None] + H.T @ lam2)
+    lam2 = lam[1:].reshape(prob.cells, prob.steps)
+    cost = prob.dt * (lam[0] * h0[:, None] + H.T @ lam2)
     _, path = congestion_dp_loops(cost, prob.grid_substeps, positions < 1.0, 0)
     return positions[path]
 
@@ -163,8 +164,8 @@ class TestBatchedBestResponse:
             xs = rng.uniform(0.0, 1.1, (10, 1))
             for x, traj in zip(xs, prob.best_response_batch(lam, xs)):
                 assert prob.feasible(x, traj)
-                got = lam.dot(prob.g_eval(x, traj))
-                ref = lam.dot(prob.g_eval(x, loop_reference_response(prob, lam, float(x[0]))))
+                got = _inner(prob, lam, prob.g_eval(x, traj))
+                ref = _inner(prob, lam, prob.g_eval(x, loop_reference_response(prob, lam, float(x[0]))))
                 assert got <= ref + 1e-12 * abs(ref)
 
     def test_full_size_batch_matches_the_loop_reference(self, monkeypatch):
@@ -185,7 +186,7 @@ class TestBatchedBestResponse:
         xs = np.array([[0.0], [0.083], [0.2]])
         rng = np.random.default_rng(20)
         # a congested dual, and the zero-penalty one whose flat costs tie everywhere
-        for lam in (random_dual(prob, rng), prob.f_grad(prob.zero_vector())):
+        for lam in (random_dual(prob, rng), prob.f_grad(np.zeros(len(prob.hilbert_weights)))):
             trajs = prob.best_response_batch(lam, xs)
             assert seen["lengths"].max() == 385
             for i, x0 in enumerate(xs[:, 0]):
@@ -201,14 +202,14 @@ class TestSelectionAndConstants:
     def test_translation_is_feasible_and_bounded(self, congestion_problem):
         prob = congestion_problem
         rng = np.random.default_rng(4)
-        lam = prob.f_grad(prob.zero_vector())
+        lam = prob.f_grad(np.zeros(len(prob.hilbert_weights)))
         for _ in range(50):
             x0 = rng.uniform(0.0, 0.8)
             x1 = rng.uniform(0.0, 0.8)
             traj = prob.best_response(lam, [x0])
             traj2 = prob.transport_select([x0], traj, [x1])
             assert prob.feasible([x1], traj2)
-            shift = (prob.g_eval([x1], traj2) - prob.g_eval([x0], traj)).norm()
+            shift = _norm(prob, prob.g_eval([x1], traj2) - prob.g_eval([x0], traj))
             assert shift <= prob.set_lipschitz * abs(x1 - x0) + 1e-12
 
     def test_identity_translation(self, congestion_problem):
@@ -236,8 +237,8 @@ class TestSelectionAndConstants:
             idx = rng.integers(0, n, size=16)
             mw = rng.random(16)
             mw /= mw.sum()
-            beta = prob.vector(mw @ G[idx])
-            assert prob.f_grad(beta).norm() <= prob.sup_grad_norm + 1e-12
+            beta = mw @ G[idx]
+            assert _norm(prob, prob.f_grad(beta)) <= prob.sup_grad_norm + 1e-12
 
     def test_smoothing_must_cover_cells(self):
         with pytest.raises(ValueError, match="smoothing"):
@@ -252,7 +253,7 @@ class TestCrowdBehavior:
         m = EmpiricalMeasure("X", xs=xs, weights=np.full(30, 1 / 30))
         report = sfw_solve(prob, m, SolverConfig(iterations=40, n_sims=3, seed=11))
         free = CongestionProblem(alpha=0.0, steps=prob.steps, vmax=prob.vmax)
-        lam0 = free.f_grad(free.zero_vector())
+        lam0 = free.f_grad(np.zeros(len(free.hilbert_weights)))
         delayed = 0
         for x, traj in zip(xs, report.decisions):
             t_free = free.arrival_step(free.best_response(lam0, x))

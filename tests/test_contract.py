@@ -7,6 +7,7 @@ batch contract, kept as references: the batch forms must equal them bit
 for bit, boundary cases included.
 """
 
+import importlib
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from mfo import EmpiricalMeasure, validate_feasible
 from mfo.examples import CongestionProblem, ResourceProblem, TrafficProblem, grid_network
+from mfo.problem import _frozen_weights
 
 FEAS_TOL = 1e-9
 BATCH_ORACLES = ("g_eval_batch", "best_response_batch", "feasible_batch",
@@ -161,7 +163,7 @@ def game(request):
 def _dual(prob, rng):
     values = rng.uniform(0.0, 0.5, len(prob.hilbert_weights))
     values[0] = 1.0   # the self-interaction weight of the resource and congestion games
-    return prob.vector(values)
+    return values
 
 
 class TestBatchMatchesReference:
@@ -217,7 +219,7 @@ class TestOneRowWrappers:
         for i, (x, y, x2) in enumerate(zip(xs, ys, x2s)):
             # a BLAS matrix-vector product rounds a row according to its place
             # in the batch, so contributions agree to roundoff, not bit for bit
-            np.testing.assert_allclose(prob.g_eval(x, y).values, batch["g_eval"][i],
+            np.testing.assert_allclose(prob.g_eval(x, y), batch["g_eval"][i],
                                        rtol=1e-15, atol=1e-15)
             assert prob.feasible(x, y) is bool(batch["feasible"][i])
             assert prob.transport_select(x, y, x2).tobytes() == batch["transport_select"][i].tobytes()
@@ -247,3 +249,41 @@ class TestValidateFeasible:
                 validate_feasible(mu, prob)
         good = EmpiricalMeasure("Z", xs=xs[ok], ys=ys[ok], weights=np.full(ok.sum(), 1.0 / ok.sum()))
         validate_feasible(good, prob)
+
+
+class TestAggregationSpace:
+    """Aggregates, contributions and gradients are vectors of ``len(hilbert_weights)`` entries."""
+
+    def test_contributions_and_gradient_match_the_weights(self, game):
+        prob, xs, ys, _, _, _ = game
+        d = len(prob.hilbert_weights)
+        ok = prob.feasible_batch(xs, ys)
+        assert prob.g_eval_batch(xs[ok], ys[ok]).shape == (ok.sum(), d)
+        assert prob.g_eval(xs[ok][0], ys[ok][0]).shape == (d,)
+        beta = np.full(ok.sum(), 1.0 / ok.sum()) @ prob.g_eval_batch(xs[ok], ys[ok])
+        assert prob.f_grad(beta).shape == (d,)
+        assert prob.best_response_batch(prob.f_grad(beta), xs[ok]).shape == ys[ok].shape
+
+    def test_weights_are_positive_finite_and_read_only(self, game):
+        w = game[0].hilbert_weights
+        assert w.ndim == 1 and np.all(np.isfinite(w) & (w > 0))
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 2.0
+
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_zero_weight_is_rejected_when_the_game_is_built(self, name, monkeypatch):
+        def with_a_zero(weights):
+            weights = np.array(weights, dtype=float)
+            weights[-1] = 0.0
+            return _frozen_weights(weights)
+
+        monkeypatch.setattr(importlib.import_module(f"mfo.examples.{name}"), "_frozen_weights", with_a_zero)
+        with pytest.raises(ValueError, match="positive, finite"):
+            GAMES[name][0]()
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0], [1.0, -0.5], [1.0, np.nan], [np.inf, 1.0],
+                                         [[1.0, 1.0]], 1.0],
+                             ids=["zero", "negative", "nan", "inf", "2-D", "scalar"])
+    def test_frozen_weights_rejects(self, weights):
+        with pytest.raises(ValueError, match="positive, finite"):
+            _frozen_weights(weights)

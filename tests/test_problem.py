@@ -16,9 +16,9 @@ from mfo import (
     ot_solve,
     value_directional_derivative,
 )
-from mfo.problem import MfoProblem, _support_values
+from mfo.problem import MfoProblem, _inner, _norm, _support_values, clamp_gap
 from mfo.examples import CongestionProblem, ResourceProblem, TrafficProblem
-from mfo.examples.traffic import Edge
+from mfo.examples.traffic import Edge, pigou_network
 
 from conftest import uniform_marginal
 
@@ -51,17 +51,17 @@ class QuadToy(MfoProblem):
         return np.asarray(ys, dtype=float)
 
     def f_value(self, beta):
-        return 0.5 * beta.dot(beta)
+        return 0.5 * _inner(self, beta, beta)
 
     def f_grad(self, beta):
-        return self.vector(beta.values.copy())
+        return beta.copy()
 
     def f_conj(self, lam):
-        return 0.5 * lam.dot(lam)
+        return 0.5 * _inner(self, lam, lam)
 
     def best_response_batch(self, lam, xs):
         # the decision set does not depend on x: one argmin serves every row
-        costs = self.options @ lam.values
+        costs = self.options @ lam
         return np.repeat(self.options[[int(np.argmin(costs))]], len(xs), axis=0)
 
     def feasible_batch(self, xs, ys):
@@ -107,8 +107,8 @@ class TestAggregate:
         q = np.full(resource_problem.steps, 0.25)
         mu = EmpiricalMeasure.from_atoms("Z", [([5.0], q, 1.0)])
         np.testing.assert_allclose(
-            aggregate(resource_problem, mu).values,
-            resource_problem.g_eval([5.0], q).values,
+            aggregate(resource_problem, mu),
+            resource_problem.g_eval([5.0], q),
             atol=1e-15,
         )
 
@@ -116,8 +116,8 @@ class TestAggregate:
         rng = np.random.default_rng(0)
         q1, q2 = rng.uniform(0, 0.5, size=(2, resource_problem.steps))
         mu = EmpiricalMeasure.from_atoms("Z", [([9.0], q1, 0.5), ([8.0], q2, 0.5)])
-        mid = 0.5 * (resource_problem.g_eval([9.0], q1).values + resource_problem.g_eval([8.0], q2).values)
-        np.testing.assert_allclose(aggregate(resource_problem, mu).values, mid, atol=1e-15)
+        mid = 0.5 * (resource_problem.g_eval([9.0], q1) + resource_problem.g_eval([8.0], q2))
+        np.testing.assert_allclose(aggregate(resource_problem, mu), mid, atol=1e-15)
 
     def test_resource_half_extraction_first_coordinate(self, resource_problem):
         # q identically 1/2 with ample stock: first coordinate is sum of
@@ -125,7 +125,7 @@ class TestAggregate:
         q = np.full(resource_problem.steps, 0.5)
         mu = EmpiricalMeasure.from_atoms("Z", [([resource_problem.horizon], q, 1.0)])
         expected = float(np.sum(resource_problem.dt * resource_problem.discount_factors * (0.25 - 0.5)))
-        assert aggregate(resource_problem, mu).values[0] == pytest.approx(expected, abs=1e-15)
+        assert aggregate(resource_problem, mu)[0] == pytest.approx(expected, abs=1e-15)
 
 
 class TestFeasibilityChecks:
@@ -155,13 +155,13 @@ def u_values(problem, lam, xs):
 
 class TestULambda:
     def test_zero_dual_gives_zero_value(self, pigou_problem):
-        lam = pigou_problem.zero_vector()
+        lam = np.zeros(len(pigou_problem.hilbert_weights))
         values, argmins = u_values(pigou_problem, lam, [[0, 1]])
         assert values.tolist() == [0.0]
         assert pigou_problem.feasible_batch([[0, 1]], argmins).all()
 
     def test_traffic_shortest_path(self, pigou_problem):
-        lam = pigou_problem.vector([0.7, 1.0])
+        lam = np.array([0.7, 1.0])
         values, argmins = u_values(pigou_problem, lam, [[0, 1]])
         assert values[0] == pytest.approx(0.7)
         np.testing.assert_allclose(argmins, [[1.0, 0.0]])
@@ -169,7 +169,7 @@ class TestULambda:
     def test_resource_closed_form(self, resource_problem):
         # with no aggregate pressure and ample stock the pointwise optimum
         # is q = 1/2 with value -1/4 of the discounted mass
-        lam = resource_problem.vector(np.concatenate([[1.0], np.zeros(resource_problem.steps)]))
+        lam = np.concatenate([[1.0], np.zeros(resource_problem.steps)])
         values, argmins = u_values(resource_problem, lam, [[resource_problem.horizon]])
         np.testing.assert_allclose(argmins, 0.5, atol=1e-12)
         mass = float(np.sum(resource_problem.dt * resource_problem.discount_factors))
@@ -180,40 +180,40 @@ class TestULambda:
         rng = np.random.default_rng(1)
         prob = resource_problem
         for _ in range(50):
-            lam1 = prob.vector(np.concatenate([[1.0], rng.uniform(0, 0.5, prob.steps)]))
-            lam2 = prob.vector(np.concatenate([[1.0], rng.uniform(0, 0.5, prob.steps)]))
+            lam1 = np.concatenate([[1.0], rng.uniform(0, 0.5, prob.steps)])
+            lam2 = np.concatenate([[1.0], rng.uniform(0, 0.5, prob.steps)])
             x1, x2 = rng.uniform(0, prob.stock_cap, size=2)
             (v1,), _ = u_values(prob, lam1, [[x1]])
             (v2,), _ = u_values(prob, lam2, [[x2]])
             bound = (
-                prob.set_lipschitz * lam1.norm() * prob.metric.dist([x1], [x2])
-                + prob.sup_g_norm * (lam1 - lam2).norm()
+                prob.set_lipschitz * _norm(prob, lam1) * prob.metric.dist([x1], [x2])
+                + prob.sup_g_norm * _norm(prob, lam1 - lam2)
             )
             assert abs(v1 - v2) <= bound + 1e-7
 
 
 class TestLinearizedSolve:
     def test_single_atom(self, resource_problem):
-        lam = resource_problem.vector(np.concatenate([[1.0], np.zeros(resource_problem.steps)]))
+        lam = np.concatenate([[1.0], np.zeros(resource_problem.steps)])
         m = uniform_marginal([2.0])
         mu = linearized_solve(resource_problem, lam, m)
         assert len(mu) == 1
         np.testing.assert_allclose(mu.ys[0], resource_problem.best_response(lam, [2.0]))
 
     def test_pigou_strict_preference(self, pigou_problem):
-        mu = linearized_solve(pigou_problem, pigou_problem.vector([0.3, 1.0]), uniform_marginal_od())
+        mu = linearized_solve(pigou_problem, np.array([0.3, 1.0]), uniform_marginal_od())
         assert len(mu) == 1
         np.testing.assert_allclose(mu.ys[0], [1.0, 0.0])
 
     def test_cost_matches_u_integral(self, resource_problem):
         rng = np.random.default_rng(2)
-        lam = resource_problem.vector(np.concatenate([[1.0], rng.uniform(0, 0.5, resource_problem.steps)]))
+        lam = np.concatenate([[1.0], rng.uniform(0, 0.5, resource_problem.steps)])
         m = EmpiricalMeasure("X", xs=rng.uniform(0, 5, size=(6, 1)), weights=np.full(6, 1 / 6))
         mu = linearized_solve(resource_problem, lam, m)
-        cost = lam.dot(aggregate(resource_problem, mu))
+        cost = _inner(resource_problem, lam, aggregate(resource_problem, mu))
         # one row at a time, apart from the batch sweep linearized_solve uses
         prob = resource_problem
-        expected = sum(w * lam.dot(prob.g_eval(x, prob.best_response(lam, x)))
+        expected = sum(w * _inner(prob, lam, prob.g_eval(x, prob.best_response(lam, x)))
                        for x, w in zip(m.xs, m.weights))
         assert cost == pytest.approx(expected, abs=1e-9)
 
@@ -228,7 +228,7 @@ class TestFwGap:
         cert = fw_gap(pigou_problem, mu)
         assert cert.gap == pytest.approx(0.0, abs=1e-12)
         # support containment: the atom is a best response at the certificate dual
-        y_cost = float(mu.ys[0] @ cert.lam.values)
+        y_cost = float(mu.ys[0] @ cert.lam)
         values, _ = u_values(pigou_problem, cert.lam, [[0, 1]])
         assert y_cost <= values[0] + 1e-9
 
@@ -269,19 +269,54 @@ class TestFwGap:
             assert cert.primal_value - val <= cert.gap + 1e-6
 
 
+class NanOnFirstEdge(TrafficProblem):
+    """Pigou routing whose contribution is NaN on every path using edge 0."""
+
+    def g_eval_batch(self, xs, ys):
+        G = np.array(ys, dtype=float)
+        G[G[:, 0] == 1.0] = np.nan
+        return G
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("raw", [math.nan, math.inf])
+    def test_clamp_gap_rejects_non_finite(self, raw):
+        with pytest.raises(RuntimeError, match="non-finite optimality gap"):
+            clamp_gap(raw)
+
+    def test_non_finite_aggregate_is_rejected(self):
+        mu = EmpiricalMeasure.from_atoms("Z", [([0, 1], [1.0, 0.0], 1.0)])
+        with pytest.raises(ValueError, match="the aggregate must be finite"):
+            fw_gap(NanOnFirstEdge(*pigou_network()), mu)
+
+    def test_non_finite_best_response_contribution_is_rejected(self):
+        # the atom sits on the constant edge; the best response takes edge 0
+        mu = EmpiricalMeasure.from_atoms("Z", [([0, 1], [0.0, 1.0], 1.0)])
+        with pytest.raises(RuntimeError, match="non-finite optimality gap nan"):
+            fw_gap(NanOnFirstEdge(*pigou_network()), mu)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_dual_point_is_rejected(self, pigou_problem, bad):
+        m = EmpiricalMeasure.from_atoms("X", [([0, 1], 1.0)])
+        lam = np.array([bad, 1.0])
+        with pytest.raises(ValueError, match="the dual point lam must be finite"):
+            linearized_solve(pigou_problem, lam, m)
+        with pytest.raises(ValueError, match="the dual point lam must be finite"):
+            value_directional_derivative(pigou_problem, m, m, lam)
+
+
 class TestDerivativeChecks:
     def test_f_grad_finite_differences(self, resource_problem, congestion_problem):
         rng = np.random.default_rng(5)
         for prob in (resource_problem, congestion_problem):
             w = prob.hilbert_weights
-            beta = prob.vector(rng.uniform(-0.3, 0.3, size=len(w)))
-            grad = prob.f_grad(beta).values
+            beta = rng.uniform(-0.3, 0.3, size=len(w))
+            grad = prob.f_grad(beta)
             h = 1e-6
             for i in rng.integers(0, len(w), size=8):
                 e = np.zeros(len(w))
                 e[i] = h
-                fd = (prob.f_value(prob.vector(beta.values + e)) -
-                      prob.f_value(prob.vector(beta.values - e))) / (2 * h)
+                fd = (prob.f_value(beta + e) - prob.f_value(beta - e)) / (2 * h)
                 # finite differences give the euclidean partial: weight times
                 # the weighted-inner-product gradient
                 assert fd == pytest.approx(w[i] * grad[i], rel=1e-6, abs=1e-9)
@@ -292,11 +327,11 @@ class TestDerivativeChecks:
         prob = make()
         dim = len(prob.hilbert_weights)
         for _ in range(30):
-            beta = prob.vector(rng.uniform(-0.3, 0.3, size=dim))
-            lam = prob.vector(np.concatenate([[1.0], rng.uniform(-0.5, 0.5, dim - 1)]))
-            assert prob.f_value(beta) + prob.f_conj(lam) >= lam.dot(beta) - 1e-12
+            beta = rng.uniform(-0.3, 0.3, size=dim)
+            lam = np.concatenate([[1.0], rng.uniform(-0.5, 0.5, dim - 1)])
+            assert prob.f_value(beta) + prob.f_conj(lam) >= _inner(prob, lam, beta) - 1e-12
             grad = prob.f_grad(beta)
-            equality = prob.f_value(beta) + prob.f_conj(grad) - grad.dot(beta)
+            equality = prob.f_value(beta) + prob.f_conj(grad) - _inner(prob, grad, beta)
             assert abs(equality) <= 1e-8
 
     @pytest.mark.parametrize("make", QUADRATIC_GAMES)
@@ -309,13 +344,13 @@ class TestDerivativeChecks:
         h = 1e-6
 
         def slope(beta, d):
-            return (prob.f_grad(beta + h * d) - prob.f_grad(beta)).norm() / (h * d.norm())
+            return _norm(prob, prob.f_grad(beta + h * d) - prob.f_grad(beta)) / (h * _norm(prob, d))
 
         for _ in range(20):
-            beta = prob.vector(rng.uniform(-0.3, 0.3, dim))
-            d = prob.vector(rng.uniform(-1.0, 1.0, dim))
+            beta = rng.uniform(-0.3, 0.3, dim)
+            d = rng.uniform(-1.0, 1.0, dim)
             assert slope(beta, d) <= prob.grad_lipschitz * (1 + 1e-6)
-            flat = prob.vector(np.concatenate([[0.0], d.values[1:]]))
+            flat = np.concatenate([[0.0], d[1:]])
             assert slope(beta, flat) == pytest.approx(prob.grad_lipschitz, rel=1e-6)
 
 
@@ -329,7 +364,7 @@ def test_cost_in_the_games_own_parameters(prob, coefficient):
     rng = np.random.default_rng(12)
     v = rng.uniform(-0.3, 0.3, len(prob.hilbert_weights))
     expected = v[0] + coefficient(prob) * np.sum(prob.hilbert_weights[1:] * v[1:] ** 2)
-    assert prob.f_value(prob.vector(v)) == pytest.approx(expected, rel=1e-14)
+    assert prob.f_value(v) == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("prob", [
@@ -349,19 +384,19 @@ class TestDualValue:
     def test_quadratic_toy_at_zero(self):
         toy = QuadToy(options=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         m = uniform_marginal([0.0])
-        lam = toy.vector([0.0, 0.0])
+        lam = np.array([0.0, 0.0])
         assert dual_value(toy, lam, m) == pytest.approx(0.0, abs=1e-15)
 
     def test_resource_conjugate_formula(self, resource_problem):
         prob = resource_problem
         rng = np.random.default_rng(7)
         lam2 = rng.uniform(-0.5, 0.5, prob.steps)
-        lam = prob.vector(np.concatenate([[1.0], lam2]))
+        lam = np.concatenate([[1.0], lam2])
         # Legendre transform computed independently: stationary point of
         # <lam, beta> - f(beta) over beta
         norm2 = float(np.sum(prob.hilbert_weights[1:] * lam2 ** 2))
         assert prob.f_conj(lam) == pytest.approx(norm2 / (2.0 * prob.price_impact), abs=1e-12)
-        bad = prob.vector(np.concatenate([[0.9], lam2]))
+        bad = np.concatenate([[0.9], lam2])
         assert prob.f_conj(bad) == math.inf
         assert dual_value(prob, bad, uniform_marginal([1.0])) == math.inf
 
@@ -369,9 +404,9 @@ class TestDualValue:
         prob = resource_problem
         rng = np.random.default_rng(8)
         m = exp_marginal_50
-        lam = prob.vector(np.concatenate([[1.0], rng.uniform(0, 0.5, prob.steps)]))
+        lam = np.concatenate([[1.0], rng.uniform(0, 0.5, prob.steps)])
         lower = -dual_value(prob, lam, m)
-        mu = linearized_solve(prob, prob.vector(np.concatenate([[1.0], np.zeros(prob.steps)])), m)
+        mu = linearized_solve(prob, np.concatenate([[1.0], np.zeros(prob.steps)]), m)
         assert lower <= prob.f_value(aggregate(prob, mu)) + 1e-12
 
     def test_strong_duality_at_convergence(self, resource_problem, exp_marginal_50):
@@ -387,12 +422,12 @@ class TestDualValue:
         m = uniform_marginal([0.4, 1.3, 2.7])
         rng = np.random.default_rng(9)
         for _ in range(10):
-            l1 = prob.vector(np.concatenate([[1.0], rng.uniform(-0.4, 0.6, prob.steps)]))
-            l2 = prob.vector(np.concatenate([[1.0], rng.uniform(-0.4, 0.6, prob.steps)]))
-            mid = prob.vector(0.5 * (l1.values + l2.values))
+            l1 = np.concatenate([[1.0], rng.uniform(-0.4, 0.6, prob.steps)])
+            l2 = np.concatenate([[1.0], rng.uniform(-0.4, 0.6, prob.steps)])
+            mid = 0.5 * (l1 + l2)
             d_mid = dual_value(prob, mid, m)
             d_avg = 0.5 * dual_value(prob, l1, m) + 0.5 * dual_value(prob, l2, m)
-            gap_term = (l1 - l2).dot(l1 - l2) / (8.0 * prob.grad_lipschitz)
+            gap_term = _inner(prob, l1 - l2, l1 - l2) / (8.0 * prob.grad_lipschitz)
             assert d_mid <= d_avg - gap_term + 1e-10
 
 
@@ -444,10 +479,10 @@ class TestDualStability:
                                            store_measure=False)).certificate
             for m in marginals
         ]
-        c_star = max(c.lam.norm() for c in certs)
+        c_star = max(_norm(prob, c.lam) for c in certs)
         for i in range(3):
             for j in range(i + 1, 3):
                 d = ot_solve(marginals[i], marginals[j], prob.metric).cost
-                lhs = (certs[i].lam - certs[j].lam).dot(certs[i].lam - certs[j].lam)
+                lhs = _inner(prob, certs[i].lam - certs[j].lam, certs[i].lam - certs[j].lam)
                 rhs = 2.0 * c_star * prob.set_lipschitz * prob.grad_lipschitz * d
                 assert lhs <= rhs + 1e-6

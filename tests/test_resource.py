@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import LinearConstraint, minimize
 
 from mfo import EmpiricalMeasure, OracleError, SolverConfig, aggregate, fw_solve
+from mfo.problem import _norm
 
 
 def scipy_best_response(prob, lam2, x):
@@ -36,12 +37,12 @@ def random_feasible_profile(prob, rng, x):
 
 class TestBestResponse:
     def test_zero_stock_extracts_nothing(self, resource_problem):
-        lam = resource_problem.vector(np.concatenate([[1.0], np.zeros(resource_problem.steps)]))
+        lam = np.concatenate([[1.0], np.zeros(resource_problem.steps)])
         np.testing.assert_allclose(resource_problem.best_response(lam, [0.0]), 0.0, atol=1e-15)
 
     def test_slack_budget_sits_at_half(self, resource_problem):
         prob = resource_problem
-        lam = prob.vector(np.concatenate([[1.0], np.zeros(prob.steps)]))
+        lam = np.concatenate([[1.0], np.zeros(prob.steps)])
         q, theta = prob.best_response_with_multiplier(lam, [prob.horizon / 2.0])
         np.testing.assert_allclose(q, 0.5, atol=1e-12)
         assert theta == 0.0
@@ -52,7 +53,7 @@ class TestBestResponse:
         for _ in range(5):
             lam2 = rng.uniform(0.0, 0.5, prob.steps)  # price signal in [0, 1/2]
             x = rng.uniform(0.05, 3.0)
-            lam = prob.vector(np.concatenate([[1.0], lam2]))
+            lam = np.concatenate([[1.0], lam2])
             q = prob.best_response(lam, [x])
             _, ref_val = scipy_best_response(prob, lam2, x)
             w = prob.dt * prob.discount_factors
@@ -67,7 +68,7 @@ class TestBestResponse:
         for _ in range(20):
             lam2 = rng.uniform(0.0, 0.5, prob.steps)
             x = rng.uniform(0.0, 2.0)
-            lam = prob.vector(np.concatenate([[1.0], lam2]))
+            lam = np.concatenate([[1.0], lam2])
             q, theta = prob.best_response_with_multiplier(lam, [x])
             assert theta >= 0.0
             # stationarity on strictly interior coordinates
@@ -84,7 +85,7 @@ class TestBestResponse:
         rng = np.random.default_rng(2)
         for _ in range(30):
             lam2 = rng.uniform(-0.5, 1.0, prob.steps)
-            lam = prob.vector(np.concatenate([[1.0], lam2]))
+            lam = np.concatenate([[1.0], lam2])
             q = prob.best_response(lam, [rng.uniform(0, prob.stock_cap)])
             assert np.all(q >= 0.0) and np.all(q <= 0.5)
 
@@ -112,7 +113,7 @@ class TestTransportSelect:
             q = random_feasible_profile(prob, rng, x)
             q2 = prob.transport_select([x], q, [x2])
             assert prob.feasible([x2], q2)
-            shift = (prob.g_eval([x2], q2) - prob.g_eval([x], q)).norm()
+            shift = _norm(prob, prob.g_eval([x2], q2) - prob.g_eval([x], q))
             assert shift <= prob.set_lipschitz * prob.metric.dist([x], [x2]) + 1e-12
 
 
@@ -161,14 +162,14 @@ class TestConstants:
             idx = rng.integers(0, n, size=32)
             mix_w = rng.random(32)
             mix_w /= mix_w.sum()
-            beta = prob.vector(mix_w @ G[idx])
-            assert prob.f_grad(beta).norm() <= prob.sup_grad_norm + 1e-12
+            beta = mix_w @ G[idx]
+            assert _norm(prob, prob.f_grad(beta)) <= prob.sup_grad_norm + 1e-12
         # gradient Lipschitz modulus
         for _ in range(50):
-            b1 = prob.vector(rng.uniform(-0.3, 0.3, len(w)))
-            b2 = prob.vector(rng.uniform(-0.3, 0.3, len(w)))
-            lhs = (prob.f_grad(b1) - prob.f_grad(b2)).norm()
-            assert lhs <= prob.grad_lipschitz * (b1 - b2).norm() + 1e-12
+            b1 = rng.uniform(-0.3, 0.3, len(w))
+            b2 = rng.uniform(-0.3, 0.3, len(w))
+            lhs = _norm(prob, prob.f_grad(b1) - prob.f_grad(b2))
+            assert lhs <= prob.grad_lipschitz * _norm(prob, b1 - b2) + 1e-12
 
     def test_invalid_parameters_rejected(self):
         from mfo.examples import ResourceProblem

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -42,10 +43,10 @@ class TestFrankWolfe:
     def test_pigou_converges_to_wardrop_flow(self, pigou_problem):
         report = fw_solve(pigou_problem, od_marginal(), SolverConfig(iterations=200))
         beta = aggregate(pigou_problem, report.final_measure)
-        assert beta.values[0] == pytest.approx(1.0, abs=1e-3)
+        assert beta[0] == pytest.approx(1.0, abs=1e-3)
         lam = pigou_problem.f_grad(beta)
-        assert lam.values[0] == pytest.approx(1.0, abs=1e-3)
-        assert lam.values[1] == pytest.approx(1.0, abs=1e-3)
+        assert lam[0] == pytest.approx(1.0, abs=1e-3)
+        assert lam[1] == pytest.approx(1.0, abs=1e-3)
 
     def test_rate_bound_along_the_run(self, resource_problem, exp_marginal_50):
         prob = resource_problem
@@ -80,7 +81,7 @@ class TestFrankWolfe:
 
     def test_warm_start_measure(self, resource_problem):
         m = uniform_marginal([0.5, 2.0])
-        lam = resource_problem.vector(np.concatenate([[1.0], np.zeros(resource_problem.steps)]))
+        lam = np.concatenate([[1.0], np.zeros(resource_problem.steps)])
         mu0 = linearized_solve(resource_problem, lam, m)
         report = fw_solve(resource_problem, m, SolverConfig(iterations=5), mu0=mu0)
         assert report.iterations_run == 5
@@ -109,9 +110,9 @@ class TestStochasticFrankWolfe:
         m = uniform_marginal([0.4, 1.1, 2.2])
         report = sfw_solve(prob, m, SolverConfig(iterations=1, n_sims=4, seed=3))
         y0 = np.vstack([prob.initial_decision(x) for x in m.xs])
-        lam0 = prob.f_grad(prob.vector(m.weights @ prob.g_eval_batch(m.xs, y0)))
+        lam0 = prob.f_grad(m.weights @ prob.g_eval_batch(m.xs, y0))
         y_first = prob.best_response_batch(lam0, m.xs)
-        lam1 = prob.f_grad(prob.vector(m.weights @ prob.g_eval_batch(m.xs, y_first)))
+        lam1 = prob.f_grad(m.weights @ prob.g_eval_batch(m.xs, y_first))
         expected = prob.best_response_batch(lam1, m.xs)
         np.testing.assert_allclose(report.decisions, expected, atol=1e-12)
 
@@ -177,20 +178,20 @@ def fw_reference(problem, m_N, config, mu0=None):
     def sweep(lam, xs):
         ys = problem.best_response_batch(lam, xs)
         G = problem.g_eval_batch(xs, ys)
-        return ys, G, G @ (wH * lam.values)
+        return ys, G, G @ (wH * lam)
 
     def certificate(beta, xs, w):
         lam = problem.f_grad(beta)
-        gap = clamp_gap(lam.dot(beta) - float(w @ sweep(lam, xs)[2]))
+        gap = clamp_gap(float((wH * lam * beta).sum()) - float(w @ sweep(lam, xs)[2]))
         primal = problem.f_value(beta)
-        return lam.values, primal, gap - primal, gap
+        return lam, primal, gap - primal, gap
 
     blocks, factor = [], 1.0
     if mu0 is None:
         y_init = problem.initial_decision_batch(xs)
-        beta0 = problem.vector(w @ problem.g_eval_batch(xs, y_init))
+        beta0 = w @ problem.g_eval_batch(xs, y_init)
         ys0, G0, _ = sweep(problem.f_grad(beta0), xs)
-        beta = problem.vector(w @ G0)
+        beta = w @ G0
         blocks.append((xs, ys0, w.copy()))
     else:
         beta = aggregate(problem, mu0)
@@ -199,13 +200,13 @@ def fw_reference(problem, m_N, config, mu0=None):
     for k in range(config.iterations):
         lam = problem.f_grad(beta)
         ys_br, G_br, u_vals = sweep(lam, xs)
-        gap = clamp_gap(lam.dot(beta) - float(w @ u_vals))
-        records.append((k, problem.f_value(beta), gap, lam.norm(), None))
+        gap = clamp_gap(float((wH * lam * beta).sum()) - float(w @ u_vals))
+        records.append((k, problem.f_value(beta), gap, math.sqrt(float((wH * lam * lam).sum())), None))
         if config.gap_tol is not None and gap <= config.gap_tol:
             stopped_early = True
             break
         om = config.omega(k)
-        beta = problem.vector((1.0 - om) * beta.values + om * (w @ G_br))
+        beta = (1.0 - om) * beta + om * (w @ G_br)
         if om >= 1.0:
             blocks, factor = [], 1.0
         else:
@@ -246,7 +247,7 @@ class TestFrankWolfeReference:
         assert [(r.k, r.objective, r.gap, r.lambda_norm, r.n_candidates)
                 for r in report.records] == records
         cert = report.certificate
-        np.testing.assert_array_equal(cert.lam.values, lam)
+        np.testing.assert_array_equal(cert.lam, lam)
         assert (cert.primal_value, cert.dual_value, cert.gap) == (primal, dual, gap)
         if final is None:
             assert report.final_measure is None
@@ -265,31 +266,31 @@ def sfw_reference(problem, m_N, config):
     xs, w, n = m_N.xs, m_N.weights, len(m_N)
     wH = problem.hilbert_weights
     y_feas = np.vstack([problem.initial_decision(x) for x in xs])
-    beta0 = problem.vector(w @ problem.g_eval_batch(xs, y_feas))
+    beta0 = w @ problem.g_eval_batch(xs, y_feas)
     y = problem.best_response_batch(problem.f_grad(beta0), xs)
     records = []
     for k in range(config.iterations):
-        beta = problem.vector(w @ problem.g_eval_batch(xs, y))
+        beta = w @ problem.g_eval_batch(xs, y)
         objective = problem.f_value(beta)
         lam = problem.f_grad(beta)
         y_br = problem.best_response_batch(lam, xs)
         G_br = problem.g_eval_batch(xs, y_br)
-        gap = clamp_gap(lam.dot(beta) - float(w @ (G_br @ (wH * lam.values))))
+        gap = clamp_gap(float((wH * lam * beta).sum()) - float(w @ (G_br @ (wH * lam))))
         if config.gap_tol is not None and gap <= config.gap_tol:
-            records.append((objective, gap, lam.norm(), 0))
+            records.append((objective, gap, math.sqrt(float((wH * lam * lam).sum())), 0))
             break
         n_k, om = config.sims_at(k), config.omega(k)
         best_val, best_y = np.inf, None
         for j in range(n_k):
             pick = candidate_rng(config.seed, k, j).random(n) < om
             y_cand = np.where(pick[:, None], y_br, y)
-            val = problem.f_value(problem.vector(w @ problem.g_eval_batch(xs, y_cand)))
+            val = problem.f_value(w @ problem.g_eval_batch(xs, y_cand))
             if val < best_val:
                 best_val, best_y = val, y_cand
         if config.monotone_guard and objective < best_val:
             best_y = y
         y = best_y
-        records.append((objective, gap, lam.norm(), n_k))
+        records.append((objective, gap, math.sqrt(float((wH * lam * lam).sum())), n_k))
     return records, y
 
 
@@ -390,7 +391,7 @@ class TestStepRules:
         # with the averaging rule, after K iterations the bad edge keeps
         # exactly the 1/K mass of the initial best-response measure
         beta = aggregate(pigou_problem, report.final_measure)
-        assert beta.values[0] == pytest.approx(1.0 - 0.0, abs=0.05)
+        assert beta[0] == pytest.approx(1.0 - 0.0, abs=0.05)
 
     def test_invalid_step_rejected(self, pigou_problem):
         cfg = SolverConfig(iterations=2, step_rule=lambda k: 1.5)
@@ -439,7 +440,7 @@ class TestCandidateObjective:
     def test_single_agent(self, resource_problem):
         prob = resource_problem
         m = uniform_marginal([1.0])
-        q = prob.best_response(prob.vector(np.concatenate([[1.0], np.zeros(prob.steps)])), [1.0])
+        q = prob.best_response(np.concatenate([[1.0], np.zeros(prob.steps)]), [1.0])
         expected = prob.f_value(prob.g_eval([1.0], q))
         assert candidate_objective(prob, m, q.reshape(1, -1)) == pytest.approx(expected, abs=1e-15)
 

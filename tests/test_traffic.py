@@ -6,6 +6,7 @@ import pytest
 from mfo import EmpiricalMeasure, SolverConfig, fw_solve
 from mfo.examples import TrafficProblem, grid_network, load_network, pigou_network
 from mfo.examples.traffic import EDGE_KINDS, Edge, _hop_distances
+from mfo.problem import _norm
 
 
 def five_node_network():
@@ -66,12 +67,12 @@ def exhaustive_best_cost(prob, lam_values, od):
 
 class TestBestResponse:
     def test_zero_costs_pick_lexicographic_first(self, pigou_problem):
-        lam = pigou_problem.zero_vector()
+        lam = np.zeros(len(pigou_problem.hilbert_weights))
         y = pigou_problem.best_response(lam, [0, 1])
         np.testing.assert_allclose(y, pigou_problem.indicators[(0, 1)][0])
 
     def test_pigou_direct_comparison(self, pigou_problem):
-        y = pigou_problem.best_response(pigou_problem.vector([0.7, 1.0]), [0, 1])
+        y = pigou_problem.best_response(np.array([0.7, 1.0]), [0, 1])
         np.testing.assert_allclose(y, [1.0, 0.0])
 
     def test_matches_exhaustive_enumeration(self):
@@ -79,9 +80,8 @@ class TestBestResponse:
         rng = np.random.default_rng(0)
         for _ in range(50):
             lam_values = rng.uniform(0.0, 2.0, len(prob.edges))
-            lam = prob.vector(lam_values)
             for od in prob.od_pairs:
-                y = prob.best_response(lam, od)
+                y = prob.best_response(lam_values, od)
                 assert float(y @ lam_values) == pytest.approx(
                     exhaustive_best_cost(prob, lam_values, od), abs=1e-12
                 )
@@ -99,7 +99,7 @@ class TestBestResponse:
         for lam_values in duals:
             expected = np.vstack([prob.indicators[od][np.argmin(prob.indicators[od] @ lam_values)]
                                   for od in map(tuple, xs.astype(int))])
-            np.testing.assert_array_equal(prob.best_response_batch(prob.vector(lam_values), xs),
+            np.testing.assert_array_equal(prob.best_response_batch(lam_values, xs),
                                           expected)
 
     def test_disconnected_od_rejected(self):
@@ -116,24 +116,23 @@ class TestBestResponse:
 class TestPotentialGradient:
     def test_affine_at_zero_flow(self):
         prob = five_node_network()
-        lam = prob.f_grad(prob.zero_vector())
-        np.testing.assert_allclose(lam.values, [e.coeffs[1] for e in prob.edges])
+        lam = prob.f_grad(np.zeros(len(prob.hilbert_weights)))
+        np.testing.assert_allclose(lam, [e.coeffs[1] for e in prob.edges])
 
     def test_pigou_at_full_flow(self, pigou_problem):
-        lam = pigou_problem.f_grad(pigou_problem.vector([1.0, 0.0]))
-        np.testing.assert_allclose(lam.values, [1.0, 1.0])
+        lam = pigou_problem.f_grad(np.array([1.0, 0.0]))
+        np.testing.assert_allclose(lam, [1.0, 1.0])
 
     def test_finite_difference_match(self):
         prob = five_node_network()
         rng = np.random.default_rng(1)
         q = rng.uniform(0.05, 0.95, len(prob.edges))
-        beta = prob.vector(q)
-        grad = prob.f_grad(beta).values
+        grad = prob.f_grad(q)
         h = 1e-6
         for i in range(len(q)):
             e = np.zeros(len(q))
             e[i] = h
-            fd = (prob.f_value(prob.vector(q + e)) - prob.f_value(prob.vector(q - e))) / (2 * h)
+            fd = (prob.f_value(q + e) - prob.f_value(q - e)) / (2 * h)
             assert fd == pytest.approx(grad[i], abs=1e-7)
 
     def test_bpr_latency(self):
@@ -179,7 +178,7 @@ class TestSelectionAndConstants:
                 for y in prob.indicators[od]:
                     y2 = prob.transport_select(od, y, od2)
                     assert prob.feasible(od2, y2)
-                    shift = (prob.g_eval(od2, y2) - prob.g_eval(od, y)).norm()
+                    shift = _norm(prob, prob.g_eval(od2, y2) - prob.g_eval(od, y))
                     assert shift <= prob.set_lipschitz * prob.metric.dist(od, od2) + 1e-12
 
     def test_constants_dominate_samples(self):
@@ -193,9 +192,9 @@ class TestSelectionAndConstants:
             assert np.sum((inds[i] - inds[j]) ** 2) <= prob.sup_g_diff_sq + 1e-12
         for _ in range(200):
             q = rng.random(len(prob.edges))
-            assert prob.f_grad(prob.vector(q)).norm() <= prob.sup_grad_norm + 1e-12
+            assert _norm(prob, prob.f_grad(q)) <= prob.sup_grad_norm + 1e-12
             q2 = rng.random(len(prob.edges))
-            lhs = (prob.f_grad(prob.vector(q)) - prob.f_grad(prob.vector(q2))).norm()
+            lhs = _norm(prob, prob.f_grad(q) - prob.f_grad(q2))
             assert lhs <= prob.grad_lipschitz * np.linalg.norm(q - q2) + 1e-12
 
 
@@ -228,7 +227,7 @@ class TestOdLookup:
         message = re.escape(f"x={np.array(x, dtype=float)} is not a configured origin-destination pair")
         calls = {
             "feasible": lambda: prob.feasible(x, y),
-            "best_response": lambda: prob.best_response(prob.zero_vector(), x),
+            "best_response": lambda: prob.best_response(np.zeros(len(prob.hilbert_weights)), x),
             "transport_select from x": lambda: prob.transport_select(x, y, [0, 7]),
             "transport_select to x": lambda: prob.transport_select([0, 7], y, x),
             "initial_decision": lambda: prob.initial_decision(x),
@@ -273,7 +272,7 @@ class TestNetworkFiles:
         ref = TrafficProblem(*pigou_network())
         assert prob.od_pairs == ref.od_pairs
         assert len(prob.edges) == 2
-        y = prob.best_response(prob.vector([0.3, 1.0]), [0, 1])
+        y = prob.best_response(np.array([0.3, 1.0]), [0, 1])
         np.testing.assert_allclose(y, [1.0, 0.0])
 
 
@@ -328,10 +327,9 @@ class TestGroupedCosts:
         flows += [rng.choice([-0.5, -1e-12, 0.0, 1e-12, 0.3, 1.0, 1.7], len(prob.edges)) for _ in range(20)]
         flows += [rng.uniform(-0.5, 1.5, len(prob.edges)) for _ in range(50)]
         for q in flows:
-            beta = prob.vector(q)
             lat = np.array([e.latency(qe) for e, qe in zip(prob.edges, q)])
-            assert prob.f_grad(beta).values.tobytes() == lat.tobytes()
-            assert prob.f_value(beta) == sum(e.potential(qe) for e, qe in zip(prob.edges, q))
+            assert prob.f_grad(q).tobytes() == lat.tobytes()
+            assert prob.f_value(q) == sum(e.potential(qe) for e, qe in zip(prob.edges, q))
 
 
 # -- the per-edge costs and the NaN-masked argmin from before the grouped costs --
@@ -356,14 +354,14 @@ def per_edge_potential(edge, q):
 
 class PerEdgeTraffic(TrafficProblem):
     def f_value(self, beta):
-        return float(sum(per_edge_potential(e, q) for e, q in zip(self.edges, beta.values)))
+        return float(sum(per_edge_potential(e, q) for e, q in zip(self.edges, beta)))
 
     def f_grad(self, beta):
-        return self.vector([float(per_edge_latency(e, q)) for e, q in zip(self.edges, beta.values)])
+        return np.array([float(per_edge_latency(e, q)) for e, q in zip(self.edges, beta)])
 
     def best_response_batch(self, lam, xs):
         od = self._od_index(xs)
-        costs = self._path_table @ lam.values
+        costs = self._path_table @ lam
         best = np.argmin(np.where(np.isnan(costs), np.inf, costs), axis=1)
         return self._path_table[od, best[od]]
 
@@ -396,6 +394,6 @@ class TestRecordsMatchPerEdgeCode:
         assert abs(new.certificate.primal_value - old.certificate.primal_value) <= 2 * np.spacing(
             old.certificate.primal_value)
         assert new.certificate.gap == old.certificate.gap
-        assert new.certificate.lam.values.tobytes() == old.certificate.lam.values.tobytes()
+        assert new.certificate.lam.tobytes() == old.certificate.lam.tobytes()
         for field in ("xs", "ys", "weights"):
             assert getattr(new.final_measure, field).tobytes() == getattr(old.final_measure, field).tobytes()
