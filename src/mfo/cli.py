@@ -26,7 +26,7 @@ import numpy as np
 
 from .examples import PROBLEM_CLASSES
 from .measures import EmpiricalMeasure
-from .problem import OracleError, aggregate
+from .problem import OracleError
 from .quantize import SourceDistribution, grid_truncation, quantize_grid, quantize_sample
 from .solvers import SolverConfig, fw_solve, sfw_solve
 from .transport import bridge
@@ -36,6 +36,8 @@ CONFIG_KEYS = ("schema", "problem", "marginal", "solver", "repeats")
 MARGINAL_SOURCES = ("file", "atoms", "dist")
 MARGINAL_KEYS = MARGINAL_SOURCES + ("n", "method", "seed")
 SOLVER_KEYS = ("algorithm", "seed", "iterations", "n_sims", "monotone_guard", "gap_tol")
+#: the rate bound ``factor * L * D / K`` each solver guarantees (SFW: in expectation)
+RATE_FACTORS = {"fw": 2, "sfw": 4}
 
 
 class ConfigError(ValueError):
@@ -191,14 +193,11 @@ def _write_resource_dumps(problem, report, m_n, out: Path):
         for i, (x, q) in enumerate(zip(m_n.xs, profiles)):
             stocks = problem.stock_trajectory(x, q).tolist()
             writer.writerows([i, t, times[t], qt, stocks[t]] for t, qt in enumerate(q.tolist()))
-    if report.final_measure is not None:
-        # the solver's certificate (fw_gap) already checked every atom
-        beta = aggregate(problem, report.final_measure, validate=False)
-        rate = problem.aggregate_rate(beta)
-        with open(out / "aggregate.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "time", "Q"])
-            writer.writerows(zip(range(problem.steps), problem.times.tolist(), rate.tolist()))
+    rate = problem.aggregate_rate(report.certificate.beta)
+    with open(out / "aggregate.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "time", "Q"])
+        writer.writerows(zip(range(problem.steps), problem.times.tolist(), rate.tolist()))
 
 
 def _write_congestion_dumps(problem, report, m_n, out: Path):
@@ -215,8 +214,7 @@ def _write_congestion_dumps(problem, report, m_n, out: Path):
 
 
 def _write_traffic_dumps(problem, report, m_n, out: Path):
-    flows = aggregate(problem, report.final_measure)
-    lam = problem.f_grad(flows)
+    flows, lam = report.certificate.beta, report.certificate.lam
     with open(out / "flows.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["edge", "tail", "head", "flow", "latency"])
@@ -274,11 +272,7 @@ def cmd_solve(args) -> int:
     results = [_run_single(cfg, base_seed + r, out / f"rep{r:03d}") for r in range(repeats)]
     problem = results[0][0]
     if problem.name == "resource":
-        rates = []
-        for prob, _, report in results:
-            beta = aggregate(prob, report.final_measure, validate=False)  # checked by fw_gap
-            rates.append(prob.aggregate_rate(beta))
-        rates = np.vstack(rates)
+        rates = np.vstack([prob.aggregate_rate(report.certificate.beta) for prob, _, report in results])
         with open(out / "aggregate_batch.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "time", "mean", "std"])
@@ -292,13 +286,10 @@ def cmd_solve(args) -> int:
 
 
 def _load_mu0(path):
+    """The measure of a run's ``final.json``, or a bare measure JSON."""
     with open(path) as fh:
         payload = json.load(fh)
-    if "measure" in payload:
-        mu0 = EmpiricalMeasure.from_json_dict(payload["measure"])
-        eps0 = float(payload["certificate"]["gap"])
-        return mu0, eps0
-    return EmpiricalMeasure.from_json_dict(payload), None
+    return EmpiricalMeasure.from_json_dict(payload["measure"] if "measure" in payload else payload)
 
 
 def _read_measure(flag: str, path, read):
@@ -329,27 +320,20 @@ def cmd_bridge(args) -> int:
         problem = build_problem({"name": args.problem})
     else:
         raise ConfigError("bridge needs --problem or --config")
-    mu0, eps0 = _read_measure("--mu0", args.mu0, _load_mu0)
+    mu0 = _read_measure("--mu0", args.mu0, _load_mu0)
     if mu0.space != "Z":
         raise ConfigError(f"--mu0: {args.mu0} holds a measure on {mu0.space}, not on Z")
     m1 = _read_marginal("--m1", args.m1)
-    if eps0 is None:
-        if args.eps0 is None:
-            raise ConfigError("mu0 carries no gap certificate; pass --eps0")
-        eps0 = args.eps0
     result = bridge(mu0, m1, problem)
-    eta = eps0 + 2.0 * problem.set_lipschitz * (
-        problem.sup_grad_norm + problem.grad_lipschitz * problem.sup_g_norm
-    ) * result.transport_cost
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result.measure.save_json(out / "bridged.json")
     report = {
         "schema": 1,
         "problem": problem.describe(),
-        "eps0": eps0,
+        "eps0": result.eps0,
         "d1": result.transport_cost,
-        "eta": eta,
+        "eta": result.eta,
         "aggregate_shift": result.aggregate_shift,
         "objective_before": result.objective_before,
         "objective_after": result.objective_after,
@@ -358,7 +342,7 @@ def cmd_bridge(args) -> int:
     # json.dumps uses the C encoder; json.dump always streams through pure Python
     with open(out / "bridge_report.json", "w") as fh:
         fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    print(f"bridge[{problem.name}] d1={result.transport_cost:.6g} eta={eta:.6g} "
+    print(f"bridge[{problem.name}] d1={result.transport_cost:.6g} eta={result.eta:.6g} "
           f"objective {result.objective_before:.8g} -> {result.objective_after:.8g}")
     return 0
 
@@ -391,9 +375,10 @@ def cmd_report(args) -> int:
     print(f"gap            : {cert['gap']:.4g}")
     print(f"lower bound    : {cert['primal_value'] - cert['gap']:.10g}")
     info = final["problem"]
-    if {"grad_lipschitz", "sup_g_diff_sq"} <= info.keys():
+    factor = RATE_FACTORS.get(final["algorithm"])
+    if factor and {"grad_lipschitz", "sup_g_diff_sq"} <= info.keys():
         k = final["iterations_run"]
-        print(f"2LD/K at K={k}  : {2 * info['grad_lipschitz'] * info['sup_g_diff_sq'] / k:.4g}")
+        print(f"{factor}LD/K at K={k}  : {factor * info['grad_lipschitz'] * info['sup_g_diff_sq'] / k:.4g}")
     if final.get("beyond_guarantee"):
         print("note           : K exceeds twice the support size; outside the guaranteed regime")
     hist = path.parent / "history.csv"
@@ -418,11 +403,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("bridge", help="transport a solution to a new marginal")
-    p.add_argument("--mu0", required=True, help="final.json of a run, or a bare measure JSON")
+    p.add_argument("--mu0", required=True,
+                   help="final.json of a run, or a bare measure JSON; the bridge certifies its gap itself")
     p.add_argument("--m1", required=True, help="target marginal JSON")
     p.add_argument("--problem", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--eps0", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bridge)
 

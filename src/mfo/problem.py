@@ -209,13 +209,15 @@ def clamp_gap(raw: float) -> float:
 class DualCertificate:
     """First-order certificate at a candidate measure.
 
-    ``gap = <lam, aggregate> - integral of the best-response value``
+    ``beta`` is the measure's aggregate and ``lam = f_grad(beta)``.
+    ``gap = <lam, beta> - integral of the best-response value``
     bounds the suboptimality of the measure from above; it vanishes
     exactly at solutions.  ``dual_value`` is the dual objective at
     ``lam`` (so ``gap = primal_value + dual_value`` and
     ``-dual_value`` is a certified lower bound on the optimal value).
     """
 
+    beta: np.ndarray
     lam: np.ndarray
     primal_value: float
     dual_value: float
@@ -230,32 +232,30 @@ class DualCertificate:
         }
 
 
-def aggregate(problem: MfoProblem, mu: EmpiricalMeasure, validate: bool = True) -> np.ndarray:
-    """Weight-sum of contributions ``sum_i w_i g(x_i, y_i)``.
-
-    Atoms are checked against the feasibility predicate unless
-    ``validate=False`` (hot paths that construct feasible atoms by
-    design skip the check).
-    """
-    return mu.weights @ _contributions(problem, mu, validate)
+def aggregate(problem: MfoProblem, mu: EmpiricalMeasure) -> np.ndarray:
+    """Weight-sum of contributions ``sum_i w_i g(x_i, y_i)``; every atom must be feasible."""
+    return mu.weights @ _contributions(problem, mu)
 
 
-def _contributions(problem: MfoProblem, mu: EmpiricalMeasure, validate: bool = True) -> np.ndarray:
+def _contributions(problem: MfoProblem, mu: EmpiricalMeasure) -> np.ndarray:
     """The contribution row ``g(x_i, y_i)`` of every atom, as :func:`aggregate` checks and sums them."""
     if mu.space != "Z":
         raise ValueError("aggregate needs a measure on pairs")
-    if validate:
-        try:
-            validate_feasible(mu, problem)
-        except ValueError as exc:
-            raise OracleError(str(exc)) from exc
+    try:
+        validate_feasible(mu, problem)
+    except ValueError as exc:
+        raise OracleError(str(exc)) from exc
     return problem.g_eval_batch(mu.xs, mu.ys)
+
+
+def _check_dual_point(lam):
+    if not np.isfinite(lam).all():
+        raise ValueError("the dual point lam must be finite")
 
 
 def _support_values(problem, lam, xs):
     """The best-response sweep: per row, the minimizer, its contribution and ``<lam, g>``."""
-    if not np.isfinite(lam).all():
-        raise ValueError("the dual point lam must be finite")
+    _check_dual_point(lam)
     ys = problem.best_response_batch(lam, xs)
     G = problem.g_eval_batch(xs, ys)
     return ys, G, G @ (problem.hilbert_weights * lam)
@@ -273,7 +273,7 @@ def _certify(problem, beta: np.ndarray, xs, w):
     ys, G, values = _support_values(problem, lam, xs)
     gap = clamp_gap(_inner(problem, lam, beta) - float(w @ values))
     primal = problem.f_value(beta)
-    return DualCertificate(lam=lam, primal_value=primal, dual_value=gap - primal, gap=gap), ys, G
+    return DualCertificate(beta=beta, lam=lam, primal_value=primal, dual_value=gap - primal, gap=gap), ys, G
 
 
 def linearized_solve(problem: MfoProblem, lam: np.ndarray, m: EmpiricalMeasure) -> EmpiricalMeasure:
@@ -305,6 +305,7 @@ def dual_value(problem: MfoProblem, lam: np.ndarray, m: EmpiricalMeasure) -> flo
     Minimizing this over the domain and flipping the sign gives the
     optimal value of the primal problem (strong duality).
     """
+    _check_dual_point(lam)
     conj = problem.f_conj(lam)
     if not math.isfinite(conj):
         return math.inf

@@ -37,9 +37,9 @@ class SourceDistribution:
             if not self.rate > 0:
                 raise ValueError("exponential needs a positive rate")
         elif self.kind == "samples":
-            data = np.atleast_2d(np.asarray(self.data, dtype=float))
-            if data.shape[1] != 1:
-                data = data.reshape(-1, 1)
+            data = np.asarray(self.data, dtype=float).reshape(-1, 1)
+            if not (len(data) and np.isfinite(data).all()):
+                raise ValueError("samples must be a non-empty list of finite numbers")
             object.__setattr__(self, "data", data)
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
@@ -47,6 +47,8 @@ class SourceDistribution:
     @classmethod
     def parse(cls, spec: str) -> "SourceDistribution":
         """Parse ``uniform:a,b`` / ``exponential:rate`` / ``samples:<file>``."""
+        if not isinstance(spec, str):
+            raise ValueError(f"a distribution spec is a string such as 'uniform:0,1', got {spec!r}")
         kind, _, rest = spec.partition(":")
         if kind == "uniform":
             a, b = (float(v) for v in rest.split(",")) if rest else (0.0, 1.0)

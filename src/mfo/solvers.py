@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import EmpiricalMeasure, first_marginal
-from .problem import DualCertificate, MfoProblem, OracleError, _certify, _norm, _support_values, aggregate, fw_gap
+from .problem import DualCertificate, MfoProblem, _certify, _norm, _support_values, aggregate, fw_gap
 from .transport import MARGINAL_TOL, _is_uniform
 
 
@@ -116,7 +116,6 @@ class SolveReport:
     final_measure: EmpiricalMeasure | None
     seed: int
     config: dict
-    n_support: int
     iterations_run: int
     stopped_early: bool = False
     beyond_guarantee: bool = False
@@ -180,15 +179,6 @@ def _warm_start(problem, xs, w):
     return ys, G
 
 
-def _certify_iteration(problem, beta, xs, w, records):
-    """:func:`_certify` for one iteration; an oracle failure carries the records so far."""
-    try:
-        return _certify(problem, beta, xs, w)
-    except OracleError as exc:
-        exc.partial_records = list(records)
-        raise
-
-
 def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
              mu0: EmpiricalMeasure | None = None) -> SolveReport:
     """Frank-Wolfe over measures with the prescribed marginal.
@@ -216,7 +206,7 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
     stopped_early = False
     for k in range(config.iterations):
         tic = time.perf_counter()
-        cert, ys_br, G_br = _certify_iteration(problem, beta, xs, w, records)
+        cert, ys_br, G_br = _certify(problem, beta, xs, w)
         stopped_early = config.gap_tol is not None and cert.gap <= config.gap_tol
         if not stopped_early:
             om = config.omega(k)
@@ -250,7 +240,6 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
         final_measure=final,
         seed=config.seed,
         config=config.to_json_dict(),
-        n_support=len(m_N),
         iterations_run=len(records),
         stopped_early=stopped_early,
         problem_info=problem.describe(),
@@ -294,7 +283,7 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
     stopped_early = False
     for k in range(config.iterations):
         tic = time.perf_counter()
-        cert, y_br, G_br = _certify_iteration(problem, w @ G, xs, w, records)
+        cert, y_br, G_br = _certify(problem, w @ G, xs, w)
         objective = cert.primal_value
         stopped_early = config.gap_tol is not None and cert.gap <= config.gap_tol
         n_k = 0
@@ -326,7 +315,6 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
         final_measure=final if config.store_measure else None,
         seed=config.seed,
         config=config.to_json_dict(),
-        n_support=n,
         iterations_run=len(records),
         stopped_early=stopped_early,
         beyond_guarantee=config.iterations > 2 * n,

@@ -31,7 +31,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 
 from .measures import EmpiricalMeasure, _marginal_groups, first_marginal
-from .problem import OracleError, _contributions, _norm, aggregate
+from .problem import OracleError, _certify, _contributions, _norm, aggregate
 
 #: tolerance on coupling marginal residuals
 MARGINAL_TOL = 1e-9
@@ -218,7 +218,7 @@ def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> 
 
 @dataclass(frozen=True)
 class BridgeResult:
-    """Bridged measure with the coupling and shift diagnostics."""
+    """Bridged measure with the coupling, shift diagnostics and certified bound (see :func:`bridge`)."""
 
     measure: EmpiricalMeasure
     coupling: Coupling
@@ -226,29 +226,33 @@ class BridgeResult:
     aggregate_shift: float
     objective_before: float
     objective_after: float
+    eps0: float
+    eta: float
 
 
-def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem,
-           metric: MetricSpec | None = None) -> BridgeResult:
+def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult:
     """Transform a solution for one marginal into one for another.
 
     Couples the first marginal ``m0`` of ``mu0`` with ``m1`` by an
-    optimal plan, glues the plan onto ``mu0`` (one row per atom of
-    ``mu0`` and plan entry at its parameter, of weight
-    ``w_i * rho(x, x2) / m0(x)``; zero-weight atoms are ignored) and
-    moves every decision through the selection oracle.  Each selected
-    decision must be feasible at ``x2`` and move the contribution by at
-    most ``set_lipschitz * d(x, x2)`` (plus :data:`SELECT_TOL`);
-    violations raise :class:`~mfo.problem.OracleError`.  The output has
-    first marginal ``m1`` and its aggregate moves by at most
-    ``set_lipschitz`` times the transport cost.  Returns the bridged
-    measure with the coupling and diagnostics as a :class:`BridgeResult`.
+    optimal plan under ``problem.metric``, glues the plan onto ``mu0``
+    (one row per atom of ``mu0`` and plan entry at its parameter, of
+    weight ``w_i * rho(x, x2) / m0(x)``; zero-weight atoms are ignored)
+    and moves every decision through the selection oracle.  Each
+    selected decision must be feasible at ``x2`` and move the
+    contribution by at most ``set_lipschitz * d(x, x2)`` (plus
+    :data:`SELECT_TOL`); violations raise
+    :class:`~mfo.problem.OracleError`.  The output has first marginal
+    ``m1`` and its aggregate moves by at most ``set_lipschitz`` times
+    the transport cost ``d1``.  ``eps0``, the gap of ``mu0`` for ``m0``
+    under ``problem``, is certified here; the output is then
+    ``eta``-optimal for ``m1`` with
+    ``eta = eps0 + 2 L_sel (sup_grad + L sup_g) d1``.
     """
-    metric = metric if metric is not None else problem.metric
     G_mu0 = _contributions(problem, mu0)
     beta0 = mu0.weights @ G_mu0
     m0, group = _marginal_groups(mu0)
-    rho = ot_solve(m0, m1, metric)
+    eps0 = _certify(problem, beta0, m0.xs, m0.weights)[0].gap
+    rho = ot_solve(m0, m1, problem.metric)
     # plan entries sorted by marginal atom (stably), then one glued row per
     # (mu0 atom, entry at its marginal atom) in mu0 order, then plan order
     entries = np.argsort(rho.rows, kind="stable")
@@ -278,7 +282,10 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem,
     mu1 = EmpiricalMeasure("Z", xs=x2s, ys=ys2, weights=weights, validate=False).merged()
     if not first_marginal(mu1).allclose(m1, tol=MARGINAL_TOL):
         raise RuntimeError("bridged measure does not carry the requested marginal")
-    beta1 = aggregate(problem, mu1, validate=False)  # every selected atom was checked above
+    beta1 = aggregate(problem, mu1)
+    eta = eps0 + 2.0 * problem.set_lipschitz * (
+        problem.sup_grad_norm + problem.grad_lipschitz * problem.sup_g_norm
+    ) * rho.cost
     return BridgeResult(
         measure=mu1,
         coupling=rho,
@@ -286,4 +293,6 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem,
         aggregate_shift=_norm(problem, beta1 - beta0),
         objective_before=problem.f_value(beta0),
         objective_after=problem.f_value(beta1),
+        eps0=eps0,
+        eta=eta,
     )

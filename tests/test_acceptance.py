@@ -128,6 +128,7 @@ def test_criterion_04_bridging_bound(resource_problem):
                                               store_measure=False))
         val_lower = ref.certificate.primal_value - ref.certificate.gap
         eta = eps0 + 2.0 * factor * result.transport_cost
+        assert result.eps0 == eps0 and result.eta == pytest.approx(eta, rel=1e-12)
         excess = (result.objective_after - val_lower) - eta
         worst = max(worst, excess)
         ok = ok and excess <= 1e-6

@@ -154,4 +154,6 @@ class TestEtaMinimizer:
         ref = fw_solve(prob, m1, SolverConfig(iterations=2000, gap_tol=1e-10, store_measure=False))
         val_lower = ref.certificate.primal_value - ref.certificate.gap
         eta = eps0 + 2.0 * stability_constant(prob) * result.transport_cost
+        assert result.eps0 == eps0
+        assert result.eta == pytest.approx(eta, rel=1e-12)
         assert result.objective_after - val_lower <= eta + 1e-6

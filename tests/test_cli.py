@@ -1,13 +1,14 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfo import EmpiricalMeasure
-from mfo.cli import main
+from mfo import EmpiricalMeasure, fw_gap
+from mfo.cli import build_problem, load_config, main
 
 
 def write_config(path, **overrides):
@@ -401,6 +402,27 @@ def test_bad_marginal_is_a_config_error(tmp_path, capsys, key, value, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, samples, message", [
+    ("quantize", "1.0\nnan\n", "--dist: samples must be a non-empty list of finite numbers"),
+    ("quantize", "", "--dist: samples must be a non-empty list of finite numbers"),
+    ("solve", None, "the marginal block: dist: a distribution spec is a string such as 'uniform:0,1', got 5"),
+], ids=["nan_sample", "empty_samples_file", "dist_not_a_string"])
+def test_bad_samples_or_dist_type_is_a_config_error(tmp_path, capsys, verb, samples, message):
+    out = tmp_path / "out"
+    if verb == "quantize":
+        data = tmp_path / "samples.txt"
+        data.write_text(samples)
+        argv = ["quantize", "--dist", f"samples:{data}", "--n", "5", "--out", str(out)]
+    else:
+        argv = ["solve", "--config", str(write_config(tmp_path / "cfg.json", marginal={"dist": 5, "n": 5})),
+                "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # np.loadtxt warns that an empty file holds no data
+        assert main(argv) == 2
+    assert "config error: " + message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBridgeVerb:
     def _run(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -438,7 +460,6 @@ class TestBridgeVerb:
         bridged = EmpiricalMeasure.load_json(out / "bridged.json")
         m1 = EmpiricalMeasure.load_json(m1_path)
         from mfo import SolverConfig, first_marginal, fw_solve
-        from mfo.cli import build_problem, load_config
 
         assert first_marginal(bridged).allclose(m1.merged(), tol=1e-9)
         # certified bound: bridged objective within eta of the direct value
@@ -447,6 +468,33 @@ class TestBridgeVerb:
                                                  store_measure=False))
         val_lower = ref.certificate.primal_value - ref.certificate.gap
         assert report["objective_after"] - val_lower <= report["eta"] + 1e-6
+
+    def test_bare_measure_is_certified_by_the_bridge(self, tmp_path):
+        cfg, run = self._run(tmp_path)
+        mu0 = EmpiricalMeasure.from_json_dict(json.loads((run / "final.json").read_text())["measure"])
+        bare = tmp_path / "mu0.json"
+        mu0.save_json(bare)
+        out = tmp_path / "bridged"
+        assert main(["bridge", "--mu0", str(bare), "--m1", str(run / "marginal.json"),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "bridge_report.json").read_text())
+        assert report["eps0"] == fw_gap(build_problem(load_config(cfg)["problem"]), mu0).gap
+
+    def test_eps0_is_the_gap_under_the_bridge_problem(self, tmp_path):
+        # mu0 solved with price_impact 0.5, bridged under price_impact 1:
+        # the gap stored in final.json does not certify mu0 for this problem
+        problem_cfg = json.loads(write_config(tmp_path / "base.json").read_text())["problem"]
+        cfg = write_config(tmp_path / "cfg.json", problem={**problem_cfg, "price_impact": 0.5})
+        run = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(run), "--seed", "4"]) == 0
+        final = json.loads((run / "final.json").read_text())
+        out = tmp_path / "bridged"
+        assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(run / "marginal.json"),
+                     "--config", str(tmp_path / "base.json"), "--out", str(out)]) == 0
+        report = json.loads((out / "bridge_report.json").read_text())
+        mu0 = EmpiricalMeasure.from_json_dict(final["measure"])
+        assert report["eps0"] == fw_gap(build_problem(problem_cfg), mu0).gap
+        assert report["eps0"] > 10 * final["certificate"]["gap"]
 
     def test_requires_problem_or_config(self, tmp_path, capsys):
         cfg, run = self._run(tmp_path)
@@ -474,7 +522,7 @@ class TestBridgeVerb:
         space, other = ("Z", "X") if flag == "--mu0" else ("X", "Z")
         out = tmp_path / "o"
         assert main(["bridge", "--mu0", str(files["--mu0"]), "--m1", str(files["--m1"]), "--problem", "resource",
-                     "--eps0", "0", "--out", str(out)]) == 2
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {flag}: " + message.format(path=path, space=space, other=other) in err
         assert not out.exists()
@@ -489,6 +537,17 @@ class TestReportVerb:
         assert main(["report", "--run", str(out)]) == 0
         text = capsys.readouterr().out
         assert "objective" in text and "gap" in text
+
+    @pytest.mark.parametrize("algorithm, factor", [("fw", 2), ("sfw", 4)])
+    def test_prints_the_rate_bound_of_the_algorithm(self, tmp_path, capsys, algorithm, factor):
+        cfg = write_config(tmp_path / "cfg.json", solver={"algorithm": algorithm, "iterations": 10})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 0
+        info = json.loads((out / "final.json").read_text())["problem"]
+        bound = factor * info["grad_lipschitz"] * info["sup_g_diff_sq"] / 10
+        assert f"{factor}LD/K at K=10  : {bound:.4g}\n" in capsys.readouterr().out
 
     def test_run_without_final_json_is_a_config_error(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path)]) == 2

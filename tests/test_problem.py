@@ -237,6 +237,13 @@ class TestFwGap:
         cert = fw_gap(pigou_problem, mu)
         assert cert.gap == pytest.approx(1.0, abs=1e-12)
 
+    def test_carries_the_aggregate_it_was_taken_at(self, resource_problem):
+        q = np.full(resource_problem.steps, 0.1)
+        mu = EmpiricalMeasure.from_atoms("Z", [([1.0], q, 0.5), ([3.0], 2 * q, 0.5)])
+        cert = fw_gap(resource_problem, mu)
+        assert cert.beta.tobytes() == aggregate(resource_problem, mu).tobytes()
+        assert cert.lam.tobytes() == resource_problem.f_grad(cert.beta).tobytes()
+
     def test_nonnegative_on_random_measures(self, resource_problem):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -303,6 +310,16 @@ class TestNonFiniteValues:
             linearized_solve(pigou_problem, lam, m)
         with pytest.raises(ValueError, match="the dual point lam must be finite"):
             value_directional_derivative(pigou_problem, m, m, lam)
+
+    @pytest.mark.parametrize("i, bad", [(1, math.nan), (0, math.nan), (1, math.inf)])
+    def test_dual_value_rejects_a_non_finite_dual_point(self, i, bad):
+        # the conjugate is NaN at [1, nan, 0, ...]; a non-finite lam is an
+        # error, not a point outside the conjugate's domain (+inf)
+        prob = ResourceProblem(steps=5)
+        lam = np.concatenate([[1.0], np.zeros(prob.steps)])
+        lam[i] = bad
+        with pytest.raises(ValueError, match="the dual point lam must be finite"):
+            dual_value(prob, lam, uniform_marginal([1.0]))
 
 
 class TestDerivativeChecks:

@@ -58,6 +58,9 @@ class TagSource(QuadraticCostProblem):
     def g_eval_batch(self, xs, ys):
         return np.zeros((len(xs), 1))
 
+    def best_response_batch(self, lam, xs):
+        return np.zeros((len(xs), 1))
+
     def feasible_batch(self, xs, ys):
         return np.ones(len(xs), dtype=bool)
 

@@ -183,8 +183,8 @@ class TestCoupling:
 
 
 class KeepDecision(QuadraticCostProblem):
-    """Every decision is feasible everywhere, counts as its own contribution
-    and is kept by the selection, so a bridge shows its glue alone."""
+    """Every decision is feasible everywhere, contributes nothing and is
+    kept by the selection, so a bridge shows its glue alone."""
 
     def __init__(self):
         self.hilbert_weights = np.ones(1)
@@ -193,7 +193,10 @@ class KeepDecision(QuadraticCostProblem):
         self.set_lipschitz = 1.0
 
     def g_eval_batch(self, xs, ys):
-        return np.asarray(ys, dtype=float)
+        return np.zeros((len(xs), 1))
+
+    def best_response_batch(self, lam, xs):
+        return np.zeros((len(xs), 1))
 
     def feasible_batch(self, xs, ys):
         return np.ones(len(xs), dtype=bool)
