@@ -115,7 +115,21 @@ def _check_atom_count(n: int, label: str):
         raise ConfigError(f"{label} must be at least 1, got {n}")
 
 
+def _check_parameters(problem, m: EmpiricalMeasure, label: str):
+    """A marginal atom the game cannot take (a traffic ``x`` that is no configured pair) is a config error."""
+    try:
+        problem.initial_decision_batch(m.xs)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
 def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
+    m = _marginal_source(marginal_cfg, problem, seed)
+    _check_parameters(problem, m, "the marginal block")
+    return m
+
+
+def _marginal_source(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
     _check_keys(marginal_cfg, MARGINAL_KEYS, "the marginal block")
     sources = [key for key in MARGINAL_SOURCES if key in marginal_cfg]
     if len(sources) != 1:
@@ -324,6 +338,7 @@ def cmd_bridge(args) -> int:
     if mu0.space != "Z":
         raise ConfigError(f"--mu0: {args.mu0} holds a measure on {mu0.space}, not on Z")
     m1 = _read_marginal("--m1", args.m1)
+    _check_parameters(problem, m1, "--m1")
     result = bridge(mu0, m1, problem)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -23,8 +23,6 @@ from operator import add
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from ..problem import FEAS_TOL, MfoProblem, _frozen_weights, aggregate
 from ..transport import MetricSpec
@@ -143,11 +141,26 @@ def _enumerate_paths(n_nodes, edges, origin, dest, hop_bound):
 
 
 def _hop_distances(n_nodes, edges):
-    """Undirected hop counts between all node pairs; ``inf`` between components."""
-    tails = [e.tail for e in edges]
-    heads = [e.head for e in edges]
-    adjacency = csr_matrix((np.ones(len(edges)), (tails, heads)), shape=(n_nodes, n_nodes))
-    return shortest_path(adjacency, directed=False, unweighted=True)
+    """Undirected hop counts between all node pairs; ``inf`` between components.
+
+    A breadth-first search from every node at once: row ``i`` of
+    ``frontier`` holds the nodes first reached from ``i`` at the current
+    hop count, and one boolean product with the adjacency matrix moves
+    every frontier one hop.
+    """
+    adjacency = np.zeros((n_nodes, n_nodes), dtype=bool)
+    adjacency[[e.tail for e in edges], [e.head for e in edges]] = True
+    adjacency |= adjacency.T
+    reached = np.eye(n_nodes, dtype=bool)
+    frontier = reached
+    hops = np.where(reached, 0.0, np.inf)
+    for k in range(1, n_nodes):
+        frontier = (frontier @ adjacency) & ~reached
+        if not frontier.any():
+            break
+        hops[frontier] = k
+        reached |= frontier
+    return hops
 
 
 class TrafficProblem(MfoProblem):
@@ -159,6 +172,10 @@ class TrafficProblem(MfoProblem):
         self.edges = list(edges)
         self.od_pairs = [tuple(int(v) for v in od) for od in od_pairs]
         self.hop_bound = int(hop_bound) if hop_bound else self.n_nodes - 1
+        ends = [(f"edge {e.tail}->{e.head}", (e.tail, e.head)) for e in self.edges]
+        for name, nodes in ends + [(f"origin-destination pair {od}", od) for od in self.od_pairs]:
+            if not all(0 <= v < self.n_nodes for v in nodes):
+                raise ValueError(f"{name}: node ids must lie in [0, {self.n_nodes})")
         n_e = len(self.edges)
         # (kind, edge ids, coefficient columns) for each kind present; a run
         # of consecutive ids is a slice, which indexes without a copy

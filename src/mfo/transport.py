@@ -20,6 +20,11 @@ marginals, monotone matching for one-dimensional Euclidean ground cost,
 and a transportation LP (HiGHS) otherwise.  Entropic approximations are
 deliberately avoided: the aggregate-shift certificates emitted here
 feed error bounds that assume exact optimality.
+
+scipy is needed only when :func:`ot_solve` builds a plan by the
+Hungarian method or the HiGHS LP; both are imported there, on first
+use, so importing this module (and solving, which never transports)
+does not load scipy.
 """
 
 from __future__ import annotations
@@ -27,11 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix
 
 from .measures import EmpiricalMeasure, _marginal_groups, first_marginal
-from .problem import OracleError, _certify, _contributions, _norm, aggregate
+from .problem import OracleError, _certify, _contributions, _norm
 
 #: tolerance on coupling marginal residuals
 MARGINAL_TOL = 1e-9
@@ -176,6 +179,9 @@ def _monotone_1d(m0, m1):
 
 
 def _transport_lp(m0, m1, D):
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
     n0, n1 = D.shape
     nvar = n0 * n1
     ii = np.repeat(np.arange(n0), n1)
@@ -207,6 +213,8 @@ def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> 
     if not np.all(np.isfinite(D)):
         raise ValueError("ground metric is not finite on the support pairs")
     if len(m0) == len(m1) and _is_uniform(m0) and _is_uniform(m1):
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(D)
         masses = np.full(len(rows), 1.0 / len(m0))
     elif metric.kind == "euclidean" and m0.xs.shape[1] == 1:
@@ -248,11 +256,13 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult
     ``eta``-optimal for ``m1`` with
     ``eta = eps0 + 2 L_sel (sup_grad + L sup_g) d1``.
     """
+    m0, group = _marginal_groups(mu0)
+    # the plan first: the first plan of a process imports scipy, and doing
+    # so beside the contribution rows below leaves a larger peak RSS
+    rho = ot_solve(m0, m1, problem.metric)
     G_mu0 = _contributions(problem, mu0)
     beta0 = mu0.weights @ G_mu0
-    m0, group = _marginal_groups(mu0)
     eps0 = _certify(problem, beta0, m0.xs, m0.weights)[0].gap
-    rho = ot_solve(m0, m1, problem.metric)
     # plan entries sorted by marginal atom (stably), then one glued row per
     # (mu0 atom, entry at its marginal atom) in mu0 order, then plan order
     entries = np.argsort(rho.rows, kind="stable")
@@ -282,7 +292,8 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult
     mu1 = EmpiricalMeasure("Z", xs=x2s, ys=ys2, weights=weights, validate=False).merged()
     if not first_marginal(mu1).allclose(m1, tol=MARGINAL_TOL):
         raise RuntimeError("bridged measure does not carry the requested marginal")
-    beta1 = aggregate(problem, mu1)
+    # the merged atoms are decisions checked feasible above
+    beta1 = mu1.weights @ problem.g_eval_batch(mu1.xs, mu1.ys)
     eta = eps0 + 2.0 * problem.set_lipschitz * (
         problem.sup_grad_norm + problem.grad_lipschitz * problem.sup_g_norm
     ) * rho.cost

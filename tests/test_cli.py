@@ -71,6 +71,19 @@ class TestSolveVerb:
             rows = {int(r["edge"]): float(r["flow"]) for r in csv.DictReader(fh)}
         assert rows[0] == pytest.approx(1.0, abs=1e-3)
 
+    def test_traffic_atom_off_the_od_pairs_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            problem={"name": "traffic", "network": "grid10"},
+            marginal={"atoms": [{"x": [0, 99], "w": 1}]},
+            solver={"algorithm": "fw", "iterations": 5},
+        )
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: the marginal block: x=[ 0. 99.] is not a configured origin-destination pair"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_congestion_dumps(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -525,6 +538,21 @@ class TestBridgeVerb:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {flag}: " + message.format(path=path, space=space, other=other) in err
+        assert not out.exists()
+
+    def test_traffic_target_off_the_od_pairs_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", problem={"name": "traffic", "network": "grid10"},
+                           marginal={"atoms": [{"x": [0, 7], "w": 1}]},
+                           solver={"algorithm": "fw", "iterations": 5})
+        run = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(run)]) == 0
+        m1 = tmp_path / "m1.json"
+        EmpiricalMeasure.from_atoms("X", [([0.0, 5.0], 1.0)]).save_json(m1)
+        out = tmp_path / "o"
+        assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(m1), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert ("config error: --m1: x=[0. 5.] is not a configured origin-destination pair"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 

@@ -2,6 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from mfo import EmpiricalMeasure, SolverConfig, fw_solve
 from mfo.examples import TrafficProblem, grid_network, load_network, pigou_network
@@ -217,6 +221,28 @@ class TestHopMetric:
         np.testing.assert_array_equal(_hop_distances(6, edges), expected)
         prob = TrafficProblem(6, edges, [(0, 2), (4, 5)])
         np.testing.assert_array_equal(prob.metric.node_distances, expected)
+
+    # node count, then (tail, head) pairs among those nodes: parallel edges,
+    # both directions, self-loops, isolated nodes and several components
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))))
+    def test_hop_distances_match_scipy(self, graph):
+        n, pairs = graph
+        edges = [Edge(u, v, "affine", (1.0, 0.0)) for u, v in pairs]
+        adjacency = csr_matrix((np.ones(len(pairs)), ([u for u, _ in pairs], [v for _, v in pairs])), shape=(n, n))
+        expected = shortest_path(adjacency, directed=False, unweighted=True)
+        got = _hop_distances(n, edges)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("edge, od, name", [
+        ((0, 2), (0, 1), "edge 0->2"), ((-1, 1), (0, 1), "edge -1->1"),
+        ((0, 1), (0, 5), "origin-destination pair (0, 5)"),
+    ], ids=["edge_past_the_nodes", "negative_edge_node", "od_past_the_nodes"])
+    def test_node_ids_must_be_nodes(self, edge, od, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name}: node ids must lie in [0, 2)")):
+            TrafficProblem(2, [Edge(*edge, "affine", (1.0, 0.0))], [od])
 
 
 class TestOdLookup:
