@@ -124,12 +124,6 @@ def _check_parameters(problem, m: EmpiricalMeasure, label: str):
 
 
 def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
-    m = _marginal_source(marginal_cfg, problem, seed)
-    _check_parameters(problem, m, "the marginal block")
-    return m
-
-
-def _marginal_source(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
     _check_keys(marginal_cfg, MARGINAL_KEYS, "the marginal block")
     sources = [key for key in MARGINAL_SOURCES if key in marginal_cfg]
     if len(sources) != 1:
@@ -250,6 +244,7 @@ def _run_single(cfg, seed, out: Path):
         marginal_cfg["seed"] = seed
     algorithm, solver_cfg = build_solver_config(cfg.get("solver", {}), seed)
     m_n = build_marginal(marginal_cfg, problem, solver_cfg.seed)
+    _check_parameters(problem, m_n, "the marginal block")
     solver = sfw_solve if algorithm == "sfw" else fw_solve
     try:
         report = solver(problem, m_n, solver_cfg)

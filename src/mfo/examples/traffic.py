@@ -140,27 +140,42 @@ def _enumerate_paths(n_nodes, edges, origin, dest, hop_bound):
     return paths
 
 
-def _hop_distances(n_nodes, edges):
+def _hop_distances(n_nodes, edges, block=64):
     """Undirected hop counts between all node pairs; ``inf`` between components.
 
-    A breadth-first search from every node at once: row ``i`` of
-    ``frontier`` holds the nodes first reached from ``i`` at the current
-    hop count, and one boolean product with the adjacency matrix moves
-    every frontier one hop.
+    A breadth-first search from ``block`` sources at once. The frontier
+    holds the (source, node) pairs first reached at the current hop count,
+    as flat indices into the block's rows; each level expands them through
+    the adjacency lists, so the whole search costs O(n_nodes * n_edges).
+    A block's rows stay small enough to sit in cache on large networks.
     """
-    adjacency = np.zeros((n_nodes, n_nodes), dtype=bool)
-    adjacency[[e.tail for e in edges], [e.head for e in edges]] = True
-    adjacency |= adjacency.T
-    reached = np.eye(n_nodes, dtype=bool)
-    frontier = reached
-    hops = np.where(reached, 0.0, np.inf)
-    for k in range(1, n_nodes):
-        frontier = (frontier @ adjacency) & ~reached
-        if not frontier.any():
-            break
-        hops[frontier] = k
-        reached |= frontier
-    return hops
+    ends = np.array([(e.tail, e.head) for e in edges], dtype=np.intp).reshape(-1, 2)
+    # undirected adjacency lists: the neighbours of u are neighbours[start[u]:start[u + 1]]
+    tails = np.concatenate([ends[:, 0], ends[:, 1]])
+    order = np.argsort(tails, kind="stable")
+    neighbours = np.concatenate([ends[:, 1], ends[:, 0]])[order]
+    start = np.searchsorted(tails[order], np.arange(n_nodes + 1))
+    degree = np.diff(start)
+    out = np.full((n_nodes, n_nodes), np.inf)
+    for lo in range(0, n_nodes, block):
+        hops = out[lo:lo + block].reshape(-1)
+        frontier = np.arange(hops.size // n_nodes) * (n_nodes + 1) + lo
+        hops[frontier] = 0.0
+        k = 0
+        while frontier.size:
+            k += 1
+            row, node = np.divmod(frontier, n_nodes)
+            d = degree[node]
+            # every pair's neighbour list, laid end to end
+            slot = np.repeat(start[node] - (np.cumsum(d) - d), d) + np.arange(d.sum())
+            reach = np.repeat(row * n_nodes, d) + neighbours[slot]
+            reach = reach[np.isinf(hops[reach])]
+            # keep one copy of each newly reached pair: the last write of a tag wins
+            tag = -1.0 - np.arange(reach.size)
+            hops[reach] = tag
+            frontier = reach[hops[reach] == tag]
+            hops[frontier] = k
+    return out
 
 
 class TrafficProblem(MfoProblem):

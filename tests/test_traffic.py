@@ -222,19 +222,29 @@ class TestHopMetric:
         prob = TrafficProblem(6, edges, [(0, 2), (4, 5)])
         np.testing.assert_array_equal(prob.metric.node_distances, expected)
 
-    # node count, then (tail, head) pairs among those nodes: parallel edges,
-    # both directions, self-loops, isolated nodes and several components
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))))
-    def test_hop_distances_match_scipy(self, graph):
-        n, pairs = graph
+    @staticmethod
+    def _check_against_scipy(n, pairs, **kwargs):
         edges = [Edge(u, v, "affine", (1.0, 0.0)) for u, v in pairs]
         adjacency = csr_matrix((np.ones(len(pairs)), ([u for u, _ in pairs], [v for _, v in pairs])), shape=(n, n))
         expected = shortest_path(adjacency, directed=False, unweighted=True)
-        got = _hop_distances(n, edges)
+        got = _hop_distances(n, edges, **kwargs)
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
+
+    # node count, then (tail, head) pairs among those nodes: parallel edges,
+    # both directions, self-loops, isolated nodes and several components;
+    # the block of sources searched together ranges from one node to all
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))),
+        st.integers(1, 13))
+    def test_hop_distances_match_scipy(self, graph, block):
+        self._check_against_scipy(*graph, block=block)
+
+    def test_hop_distances_match_scipy_over_several_default_blocks(self):
+        rng = np.random.default_rng(0)
+        n = 150
+        self._check_against_scipy(n, rng.integers(0, n, size=(180, 2)).tolist())
 
     @pytest.mark.parametrize("edge, od, name", [
         ((0, 2), (0, 1), "edge 0->2"), ((-1, 1), (0, 1), "edge -1->1"),
