@@ -26,7 +26,7 @@ from .problem import (
     value_directional_derivative,
 )
 from .quantize import SourceDistribution, estimate_d1, quantize_grid, quantize_sample
-from .solvers import SolveReport, SolverConfig, candidate_objective, fw_solve, sfw_solve
+from .solvers import SolveReport, SolverConfig, fw_solve, sfw_solve
 from .transport import Coupling, MetricSpec, bridge, ot_solve
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "SourceDistribution",
     "aggregate",
     "bridge",
-    "candidate_objective",
     "dual_value",
     "estimate_d1",
     "first_marginal",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .examples import PROBLEM_CLASSES
 from .measures import EmpiricalMeasure
-from .problem import OracleError
+from .problem import OracleError, _integer as _plain_integer
 from .quantize import SourceDistribution, grid_truncation, quantize_grid, quantize_sample
 from .solvers import SolverConfig, fw_solve, sfw_solve
 from .transport import bridge
@@ -52,10 +52,10 @@ def _require(cfg: dict, field: str, context: str):
 
 def _integer(value, key: str, context: str) -> int:
     """A config value as an int; a boolean or a fraction is an error, not truncated."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{context}: {key} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        return _plain_integer(value, key)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 def _check_keys(cfg: dict, accepted, context: str):
@@ -166,25 +166,17 @@ def build_solver_config(solver_cfg: dict, seed_override=None) -> tuple[str, Solv
     algorithm = solver_cfg.get("algorithm", "fw")
     if algorithm not in ("fw", "sfw"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    context = "the solver block"
-    if seed_override is None:
-        seed = _integer(solver_cfg.get("seed", 0), "seed", context)
-    else:
-        seed = seed_override
-    iterations = _integer(solver_cfg.get("iterations", 100), "iterations", context)
-    guard = solver_cfg.get("monotone_guard", True)
-    if not isinstance(guard, bool):
-        raise ConfigError(f"{context}: monotone_guard must be true or false, got {guard!r}")
+    # SolverConfig checks every value, under the same integer rule as the rest of the config
     try:
         cfg = SolverConfig(
-            iterations=iterations,
+            iterations=solver_cfg.get("iterations", 100),
             n_sims=solver_cfg.get("n_sims", 1),
-            seed=seed,
-            monotone_guard=guard,
+            seed=solver_cfg.get("seed", 0) if seed_override is None else seed_override,
+            monotone_guard=solver_cfg.get("monotone_guard", True),
             gap_tol=solver_cfg.get("gap_tol"),
         )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+        raise ConfigError(f"the solver block: {exc}") from exc
     return algorithm, cfg
 
 

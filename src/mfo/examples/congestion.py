@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .._kernels import congestion_dp_batch
-from ..problem import FEAS_TOL, QuadraticCostProblem, _frozen_weights
+from ..problem import FEAS_TOL, QuadraticCostProblem, _count, _frozen_weights
 from ..transport import MetricSpec
 
 
@@ -81,17 +81,17 @@ class CongestionProblem(QuadraticCostProblem):
 
     def __init__(self, horizon=1.0, steps=20, vmax=3.0, alpha=1.0, cells=5,
                  smoothing=20, grid_substeps=50):
-        if smoothing < cells:
+        self.steps = _count(steps, "steps")
+        self.cells = _count(cells, "cells")
+        self.smoothing = _count(smoothing, "smoothing")
+        self.grid_substeps = _count(grid_substeps, "grid_substeps")
+        if self.smoothing < self.cells:
             raise ValueError("smoothing parameter must be at least the cell count")
-        if alpha < 0 or vmax <= 0 or horizon <= 0 or steps < 1 or grid_substeps < 1:
+        if alpha < 0 or vmax <= 0 or horizon <= 0:
             raise ValueError("bad congestion instance parameters")
         self.horizon = float(horizon)
-        self.steps = int(steps)
         self.vmax = float(vmax)
         self.alpha = float(alpha)
-        self.cells = int(cells)
-        self.smoothing = int(smoothing)
-        self.grid_substeps = int(grid_substeps)
         self.dt = self.horizon / self.steps
         self.dx = 1.0 / self.cells
         self.max_move = self.vmax * self.dt

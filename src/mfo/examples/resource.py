@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .._kernels import resource_br
-from ..problem import FEAS_TOL, QuadraticCostProblem, _frozen_weights
+from ..problem import FEAS_TOL, QuadraticCostProblem, _count, _frozen_weights
 from ..transport import MetricSpec
 
 
@@ -39,10 +39,10 @@ class ResourceProblem(QuadraticCostProblem):
                  stock_cap=15.0):
         if not 0.0 < price_impact <= 1.0:
             raise ValueError("price impact must lie in (0, 1]")
-        if discount < 0 or horizon <= 0 or steps < 1:
+        self.steps = _count(steps, "steps")
+        if discount < 0 or horizon <= 0:
             raise ValueError("bad resource instance parameters")
         self.horizon = float(horizon)
-        self.steps = int(steps)
         self.discount = float(discount)
         self.price_impact = float(price_impact)
         self.stock_cap = float(stock_cap)

@@ -18,13 +18,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Callable
 
 import numpy as np
 
-from ..problem import FEAS_TOL, MfoProblem, _frozen_weights, aggregate
+from ..problem import FEAS_TOL, MfoProblem, _count, _frozen_weights, aggregate
 from ..transport import MetricSpec
 
 
@@ -140,44 +140,6 @@ def _enumerate_paths(n_nodes, edges, origin, dest, hop_bound):
     return paths
 
 
-def _hop_distances(n_nodes, edges, block=64):
-    """Undirected hop counts between all node pairs; ``inf`` between components.
-
-    A breadth-first search from ``block`` sources at once. The frontier
-    holds the (source, node) pairs first reached at the current hop count,
-    as flat indices into the block's rows; each level expands them through
-    the adjacency lists, so the whole search costs O(n_nodes * n_edges).
-    A block's rows stay small enough to sit in cache on large networks.
-    """
-    ends = np.array([(e.tail, e.head) for e in edges], dtype=np.intp).reshape(-1, 2)
-    # undirected adjacency lists: the neighbours of u are neighbours[start[u]:start[u + 1]]
-    tails = np.concatenate([ends[:, 0], ends[:, 1]])
-    order = np.argsort(tails, kind="stable")
-    neighbours = np.concatenate([ends[:, 1], ends[:, 0]])[order]
-    start = np.searchsorted(tails[order], np.arange(n_nodes + 1))
-    degree = np.diff(start)
-    out = np.full((n_nodes, n_nodes), np.inf)
-    for lo in range(0, n_nodes, block):
-        hops = out[lo:lo + block].reshape(-1)
-        frontier = np.arange(hops.size // n_nodes) * (n_nodes + 1) + lo
-        hops[frontier] = 0.0
-        k = 0
-        while frontier.size:
-            k += 1
-            row, node = np.divmod(frontier, n_nodes)
-            d = degree[node]
-            # every pair's neighbour list, laid end to end
-            slot = np.repeat(start[node] - (np.cumsum(d) - d), d) + np.arange(d.sum())
-            reach = np.repeat(row * n_nodes, d) + neighbours[slot]
-            reach = reach[np.isinf(hops[reach])]
-            # keep one copy of each newly reached pair: the last write of a tag wins
-            tag = -1.0 - np.arange(reach.size)
-            hops[reach] = tag
-            frontier = reach[hops[reach] == tag]
-            hops[frontier] = k
-    return out
-
-
 class TrafficProblem(MfoProblem):
     name = "traffic"
     config_keys = ("network", "hop_bound")
@@ -186,7 +148,8 @@ class TrafficProblem(MfoProblem):
         self.n_nodes = int(n_nodes)
         self.edges = list(edges)
         self.od_pairs = [tuple(int(v) for v in od) for od in od_pairs]
-        self.hop_bound = int(hop_bound) if hop_bound else self.n_nodes - 1
+        # no bound: every simple path
+        self.hop_bound = self.n_nodes - 1 if hop_bound is None else _count(hop_bound, "hop_bound")
         ends = [(f"edge {e.tail}->{e.head}", (e.tail, e.head)) for e in self.edges]
         for name, nodes in ends + [(f"origin-destination pair {od}", od) for od in self.od_pairs]:
             if not all(0 <= v < self.n_nodes for v in nodes):
@@ -237,8 +200,21 @@ class TrafficProblem(MfoProblem):
         lat_at_one = self._edgewise("latency", np.ones(n_e)).tolist()
         self.sup_grad_norm = math.sqrt(sum(v ** 2 for v in lat_at_one))
         self.set_lipschitz = math.sqrt(2.0 * max_len)
-        self.metric = MetricSpec("graph_hop", node_distances=_hop_distances(self.n_nodes, self.edges))
         self._od_memo = (None, None)
+
+    @cached_property
+    def metric(self) -> MetricSpec:
+        """Undirected hop counts between nodes, ``inf`` between components.
+
+        Built on first access: only transport plans read it, and they load scipy anyway.
+        """
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        tails = [e.tail for e in self.edges]
+        heads = [e.head for e in self.edges]
+        adjacency = csr_matrix((np.ones(len(self.edges)), (tails, heads)), shape=(self.n_nodes, self.n_nodes))
+        return MetricSpec("graph_hop", node_distances=shortest_path(adjacency, directed=False, unweighted=True))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TrafficProblem":

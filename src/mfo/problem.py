@@ -41,6 +41,22 @@ def _frozen_weights(weights) -> np.ndarray:
     return w
 
 
+def _integer(value, key: str) -> int:
+    """``value`` as an int; an integral float passes, a boolean or a fraction is an error, not truncated."""
+    integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _count(value, key: str) -> int:
+    """``value`` as an int of at least 1, under the rule of :func:`_integer`."""
+    n = _integer(value, key)
+    if n < 1:
+        raise ValueError(f"{key} must be at least 1, got {value!r}")
+    return n
+
+
 def _inner(problem, a, b) -> float:
     """``<a, b> = sum_i w_i a_i b_i`` with the problem's ``hilbert_weights`` ``w``."""
     return float((problem.hilbert_weights * a * b).sum())
@@ -57,13 +73,14 @@ class MfoProblem:
     ``ys`` one decision per row.  A game sets as attributes
     ``hilbert_weights`` (positive, finite diagonal weights of the
     aggregation space, passed through ``_frozen_weights``), ``metric``
-    (ground metric on parameters) and the constants ``grad_lipschitz``,
-    ``sup_g_norm``, ``sup_g_diff_sq``, ``sup_grad_norm`` and
-    ``set_lipschitz``.  Aggregates ``beta`` and dual points ``lam`` are
-    1-D float arrays with one entry per weight.  A game implements the
-    cost ``f_value(beta)`` / ``f_grad(beta)`` (gradient taken w.r.t.
-    the weighted inner product), or inherits it from
-    :class:`QuadraticCostProblem`, and the five batch oracles:
+    (ground metric on parameters; only transport plans read it, so a
+    game may compute it on first access) and the constants
+    ``grad_lipschitz``, ``sup_g_norm``, ``sup_g_diff_sq``,
+    ``sup_grad_norm`` and ``set_lipschitz``.  Aggregates ``beta`` and
+    dual points ``lam`` are 1-D float arrays with one entry per weight.
+    A game implements the cost ``f_value(beta)`` / ``f_grad(beta)``
+    (gradient taken w.r.t. the weighted inner product), or inherits it
+    from :class:`QuadraticCostProblem`, and the five batch oracles:
 
     * ``g_eval_batch(xs, ys)`` -- contribution matrix, one row per pair
       and one column per entry of ``hilbert_weights``;

@@ -1,10 +1,10 @@
 """Frank-Wolfe and stochastic Frank-Wolfe solvers over a fixed marginal.
 
 The deterministic solver mixes the running measure with one
-best-response measure per iteration (open-loop step ``2/(k+2)``),
-growing the support by at most one atom per support point per
-iteration; the aggregate is updated incrementally so the per-iteration
-cost does not grow with the support.
+best-response measure per iteration (open-loop step ``2/(k+2)``, or
+``1/(k+1)``: fictitious play), growing the support by at most one atom
+per support point per iteration; the aggregate is updated
+incrementally so the per-iteration cost does not grow with the support.
 
 The stochastic variant keeps exactly one decision per support point:
 each iteration draws, independently per agent, Bernoulli switches from
@@ -26,25 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import EmpiricalMeasure, first_marginal
-from .problem import DualCertificate, MfoProblem, _certify, _norm, _support_values, aggregate, fw_gap
+from .problem import (DualCertificate, MfoProblem, _certify, _count, _integer, _norm, _support_values,
+                      aggregate, fw_gap)
 from .transport import MARGINAL_TOL, _is_uniform
 
-
-def default_step(k: int) -> float:
-    return 2.0 / (k + 2.0)
-
-
-def fictitious_play_step(k: int) -> float:
-    """Step rule 1/(k+1): the iterate becomes the running average of the
-    best-response measures, i.e. fictitious play."""
-    return 1.0 / (k + 1.0)
-
-
-def _sim_count(n) -> int:
-    """One simulation count: an integer of at least 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"simulation counts must be integers >= 1, got {n!r}")
-    return int(n)
+#: the open-loop step weights by name; under ``1/(k+1)`` the iterate is the
+#: running average of the best-response measures (fictitious play)
+STEP_RULES = {
+    "2/(k+2)": lambda k: 2.0 / (k + 2.0),
+    "1/(k+1)": lambda k: 1.0 / (k + 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -52,7 +43,7 @@ class SolverConfig:
     """Iteration budget, step rule, simulation counts and seeding."""
 
     iterations: int = 100
-    step_rule: object = None          # callable k -> weight in [0, 1]; default 2/(k+2)
+    step_rule: str = "2/(k+2)"        # a key of STEP_RULES
     n_sims: object = 1                # int, or a sequence of ints: count at k, the last one repeating
     seed: int = 0
     monotone_guard: bool = True
@@ -60,25 +51,29 @@ class SolverConfig:
     store_measure: bool = True
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iteration count must be at least 1")
+        # the fields are written to final.json, so each becomes a plain Python value
+        if not isinstance(self.step_rule, str) or self.step_rule not in STEP_RULES:
+            raise ValueError(f"unknown step rule {self.step_rule!r}; supported: {', '.join(STEP_RULES)}")
         tol = self.gap_tol
         real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
         if tol is not None and not (real and 0.0 <= tol < np.inf):
             raise ValueError(f"gap_tol must be None or a finite number >= 0, got {tol!r}")
         if np.ndim(self.n_sims) == 0:
-            n_sims = _sim_count(self.n_sims)
+            n_sims = _count(self.n_sims, "simulation counts")
         else:
-            n_sims = tuple(_sim_count(n) for n in self.n_sims)
+            n_sims = tuple(_count(n, "simulation counts") for n in self.n_sims)
             if not n_sims:
                 raise ValueError("the simulation-count schedule is empty")
+        if not isinstance(self.monotone_guard, (bool, np.bool_)):
+            raise ValueError(f"monotone_guard must be true or false, got {self.monotone_guard!r}")
+        object.__setattr__(self, "monotone_guard", bool(self.monotone_guard))
+        object.__setattr__(self, "iterations", _count(self.iterations, "iterations"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "gap_tol", None if tol is None else float(tol))
         object.__setattr__(self, "n_sims", n_sims)
 
     def omega(self, k: int) -> float:
-        w = default_step(k) if self.step_rule is None else self.step_rule(k)
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"step weight {w} outside [0, 1] at iteration {k}")
-        return float(w)
+        return STEP_RULES[self.step_rule](k)
 
     def sims_at(self, k: int) -> int:
         if isinstance(self.n_sims, int):
@@ -88,7 +83,7 @@ class SolverConfig:
     def to_json_dict(self):
         return {
             "iterations": self.iterations,
-            "step_rule": "2/(k+2)" if self.step_rule is None else "custom",
+            "step_rule": self.step_rule,
             "n_sims": self.n_sims if isinstance(self.n_sims, int) else list(self.n_sims),
             "seed": self.seed,
             "monotone_guard": self.monotone_guard,
@@ -129,12 +124,6 @@ class SolveReport:
     @property
     def gaps(self):
         return np.array([r.gap for r in self.records])
-
-    def lower_bound(self) -> float:
-        """Certified lower bound on the optimal value."""
-        per_iter = min((r.objective - r.gap for r in self.records), default=-np.inf)
-        final = self.certificate.primal_value - self.certificate.gap
-        return max(per_iter, final)
 
     def write_history_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -185,9 +174,11 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
 
     Unless supplied, the starting measure is the best-response measure
     at the gradient of an arbitrary feasible aggregate; a supplied
-    ``mu0`` must have first marginal ``m_N``.  After ``K`` iterations
-    with the default step rule the suboptimality is at most
-    ``2 * grad_lipschitz * sup_g_diff_sq / K``.
+    ``mu0`` must have first marginal ``m_N``.  Both step rules give the
+    first step weight 1, so ``mu0`` sets only the first linearization
+    point, and the result only when the run stops at ``k = 0``.  After
+    ``K`` iterations with the default step rule the suboptimality is at
+    most ``2 * grad_lipschitz * sup_g_diff_sq / K``.
     """
     _check_marginal(m_N)
     xs, w = m_N.xs, m_N.weights
@@ -250,12 +241,6 @@ def candidate_rng(seed: int, k: int, j: int) -> np.random.Generator:
     """Counter-based stream for candidate ``j`` of iteration ``k``."""
     bitgen = np.random.Philox(key=np.uint64(seed & (2 ** 64 - 1)), counter=[0, 0, k, j])
     return np.random.Generator(bitgen)
-
-
-def candidate_objective(problem: MfoProblem, m_N: EmpiricalMeasure, decisions) -> float:
-    """Exact objective of one decision per support point."""
-    G = problem.g_eval_batch(m_N.xs, np.asarray(decisions))
-    return problem.f_value(m_N.weights @ G)
 
 
 def measure_from_state(m_N: EmpiricalMeasure, decisions) -> EmpiricalMeasure:

@@ -63,14 +63,10 @@ class MetricSpec:
       * ``graph_hop``       -- parameters are (origin, destination) node
         id pairs; distance is the sum of hop distances between origins
         and between destinations (``node_distances`` required)
-      * ``table``           -- explicit distance matrix over the finite
-        point list ``points``
     """
 
     kind: str = "euclidean"
     node_distances: np.ndarray | None = None
-    points: np.ndarray | None = None
-    table: np.ndarray | None = None
 
     def pairwise(self, X0: np.ndarray, X1: np.ndarray) -> np.ndarray:
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
@@ -85,24 +81,7 @@ class MetricSpec:
             hops = np.asarray(self.node_distances, dtype=float)
             (o0, d0), (o1, d1) = _node_ids(X0, len(hops)), _node_ids(X1, len(hops))
             return hops[np.ix_(o0, o1)] + hops[np.ix_(d0, d1)]
-        if self.kind == "table":
-            if self.table is None or self.points is None:
-                raise ValueError("table metric needs points and table")
-            i0 = self._match(X0)
-            i1 = self._match(X1)
-            return np.asarray(self.table, dtype=float)[np.ix_(i0, i1)]
         raise ValueError(f"unknown metric kind {self.kind!r}")
-
-    def _match(self, X):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        hits = np.all(np.abs(X[:, None, :] - pts[None, :, :]) <= 1e-9, axis=2)
-        bad = np.flatnonzero(hits.sum(axis=1) != 1)
-        if len(bad):
-            raise ValueError(f"point {X[bad[0]]} not uniquely found in the metric table")
-        return hits.argmax(axis=1)
-
-    def dist(self, x, x2) -> float:
-        return float(self.pairwise(np.atleast_2d(x), np.atleast_2d(x2))[0, 0])
 
 
 @dataclass(frozen=True)

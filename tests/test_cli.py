@@ -181,6 +181,7 @@ class TestSolveVerb:
         ("marginal", "seed", 0.5, "the marginal block"),
         (None, "repeats", 2.5, "the config"),
         (None, "repeats", True, "the config"),
+        ("problem", "steps", 2.5, "the resource problem block"),
     ])
     def test_count_must_be_an_integer(self, tmp_path, capsys, block, key, value, name):
         data = json.loads(write_config(tmp_path / "cfg.json").read_text())

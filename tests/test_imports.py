@@ -4,6 +4,7 @@ Each case runs in a fresh interpreter, since the test process itself has
 long imported scipy.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -79,3 +80,22 @@ print(repr(rho.cost), rho.rows.tolist(), rho.cols.tolist(), rho.masses.tolist())
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == (
         "1.011432741538942 [0, 0, 1, 2] [0, 1, 1, 1] [0.25, 0.25, 0.3, 0.2]").split()
+
+
+def test_traffic_hop_metric_loads_scipy_on_first_use():
+    result = run_python("""
+import json
+import sys
+
+from mfo.examples import TrafficProblem, grid_network
+
+traffic = TrafficProblem(*grid_network())
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+hops = traffic.metric.node_distances
+assert "scipy.sparse.csgraph" in sys.modules
+assert traffic.metric is traffic.metric
+print(json.dumps([hops[0].tolist(), hops[7].tolist()]))
+""")
+    assert result.returncode == 0, result.stderr
+    # 0..3 top row, 4..7 bottom row; directions are ignored
+    assert json.loads(result.stdout) == [[0, 1, 2, 3, 1, 2, 3, 4], [4, 3, 2, 1, 3, 2, 1, 0]]

@@ -186,7 +186,7 @@ class TestULambda:
             (v1,), _ = u_values(prob, lam1, [[x1]])
             (v2,), _ = u_values(prob, lam2, [[x2]])
             bound = (
-                prob.set_lipschitz * _norm(prob, lam1) * prob.metric.dist([x1], [x2])
+                prob.set_lipschitz * _norm(prob, lam1) * prob.metric.pairwise([x1], [x2])[0, 0]
                 + prob.sup_g_norm * _norm(prob, lam1 - lam2)
             )
             assert abs(v1 - v2) <= bound + 1e-7
@@ -395,6 +395,30 @@ def test_from_config_rebuilds_the_described_instance(prob):
     fresh = type(prob).from_config(described)
     assert fresh.describe() == described
     np.testing.assert_array_equal(fresh.hilbert_weights, prob.hilbert_weights)
+
+
+@pytest.mark.parametrize("cls, key", [
+    (ResourceProblem, "steps"), (CongestionProblem, "steps"), (CongestionProblem, "cells"),
+    (CongestionProblem, "smoothing"), (CongestionProblem, "grid_substeps"),
+])
+@pytest.mark.parametrize("value, message", [
+    (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+    ("4", "must be an integer, got '4'"), (0, "must be at least 1, got 0"), (-3, "must be at least 1, got -3"),
+], ids=["fraction", "boolean", "string", "zero", "negative"])
+def test_integer_keys_are_integers(cls, key, value, message):
+    # a fraction is an error, not truncated
+    with pytest.raises(ValueError, match=f"^{key} {message}$"):
+        cls.from_config({key: value})
+
+
+@pytest.mark.parametrize("cls, cfg", [
+    (ResourceProblem, {"steps": 20.0}),
+    (CongestionProblem, {"steps": np.int64(10), "cells": 4.0, "smoothing": 12, "grid_substeps": 20.0}),
+], ids=["resource", "congestion"])
+def test_integral_values_of_integer_keys_pass(cls, cfg):
+    described = cls.from_config(cfg).describe()
+    for key, value in cfg.items():
+        assert type(described[key]) is int and described[key] == value
 
 
 class TestDualValue:

@@ -114,7 +114,7 @@ class TestTransportSelect:
             q2 = prob.transport_select([x], q, [x2])
             assert prob.feasible([x2], q2)
             shift = _norm(prob, prob.g_eval([x2], q2) - prob.g_eval([x], q))
-            assert shift <= prob.set_lipschitz * prob.metric.dist([x], [x2]) + 1e-12
+            assert shift <= prob.set_lipschitz * prob.metric.pairwise([x], [x2])[0, 0] + 1e-12
 
 
 class TestEquilibrium:

@@ -8,7 +8,6 @@ from mfo import (
     EmpiricalMeasure,
     SolverConfig,
     aggregate,
-    candidate_objective,
     first_marginal,
     fw_solve,
     linearized_solve,
@@ -17,7 +16,7 @@ from mfo import (
 from mfo.examples import TrafficProblem, grid_network
 from mfo.examples.traffic import Edge
 from mfo.problem import clamp_gap
-from mfo.solvers import candidate_rng, measure_from_state
+from mfo.solvers import STEP_RULES, candidate_rng
 
 from conftest import uniform_marginal
 
@@ -67,8 +66,10 @@ class TestFrankWolfe:
     def test_gap_history_nonnegative_and_lower_bound(self, resource_problem, exp_marginal_50):
         report = fw_solve(resource_problem, exp_marginal_50, SolverConfig(iterations=80))
         assert np.all(report.gaps >= 0.0)
+        # every record's objective - gap is a certified lower bound on the optimal value
         final = report.certificate.primal_value
-        assert final - report.lower_bound() <= report.gaps.min() + 1e-12
+        lower_bound = max(r.objective - r.gap for r in report.records)
+        assert final - lower_bound <= report.gaps.min() + 1e-12
 
     def test_early_exit_on_gap_tol(self, resource_problem, exp_marginal_50):
         report = fw_solve(resource_problem, exp_marginal_50,
@@ -86,9 +87,21 @@ class TestFrankWolfe:
         report = fw_solve(resource_problem, m, SolverConfig(iterations=5), mu0=mu0)
         assert report.iterations_run == 5
 
+    def test_warm_start_stopping_at_k0_returns_mu0_merged(self, resource_problem):
+        m = uniform_marginal([0.5, 2.0])
+        mu0 = fw_solve(resource_problem, m, SolverConfig(iterations=5)).final_measure
+        # two copies of each atom at half weight
+        split = EmpiricalMeasure("Z", xs=np.vstack([mu0.xs, mu0.xs]), ys=np.vstack([mu0.ys, mu0.ys]),
+                                 weights=np.concatenate([mu0.weights, mu0.weights]) / 2)
+        report = fw_solve(resource_problem, m, SolverConfig(iterations=5, gap_tol=1e9), mu0=split)
+        assert report.stopped_early and report.iterations_run == 1
+        final, merged = report.final_measure, split.merged()
+        np.testing.assert_array_equal(final.xs, merged.xs)
+        np.testing.assert_array_equal(final.ys, merged.ys)
+        np.testing.assert_array_equal(final.weights, merged.weights)
+
     def test_rejects_warm_start_on_another_marginal(self, resource_problem):
-        # a step rule below 1 at k = 0 keeps mu0's atoms in the iterate
-        cfg = SolverConfig(iterations=5, step_rule=lambda k: 1.0 / (k + 2.0))
+        cfg = SolverConfig(iterations=5)
         mu0 = fw_solve(resource_problem, uniform_marginal([0.5, 2.0]), cfg).final_measure
         with pytest.raises(ValueError, match="marginal"):
             fw_solve(resource_problem, uniform_marginal([1.0, 3.0]), cfg, mu0=mu0)
@@ -233,7 +246,7 @@ class TestFrankWolfeReference:
             cfg = SolverConfig(iterations=5000, gap_tol=1e-5)
         elif case == "warm_start":
             mu0 = fw_solve(prob, m, SolverConfig(iterations=5)).final_measure
-            cfg = SolverConfig(iterations=20, step_rule=lambda k: 1.0 / (k + 2.0))
+            cfg = SolverConfig(iterations=20)
         elif case == "grid10_gap_tol":
             prob = TrafficProblem(*grid_network())
             m = EmpiricalMeasure("X", xs=np.array([[0, 7], [1, 7], [0, 6]], dtype=float),
@@ -380,20 +393,30 @@ class TestOracleFailure:
 
 class TestStepRules:
     def test_fictitious_play_is_running_average(self, pigou_problem):
-        from mfo.solvers import fictitious_play_step
-
         m = od_marginal()
-        cfg = SolverConfig(iterations=50, step_rule=fictitious_play_step)
+        cfg = SolverConfig(iterations=50, step_rule="1/(k+1)")
         report = fw_solve(pigou_problem, m, cfg)
         # with the averaging rule, after K iterations the bad edge keeps
         # exactly the 1/K mass of the initial best-response measure
         beta = aggregate(pigou_problem, report.final_measure)
         assert beta[0] == pytest.approx(1.0 - 0.0, abs=0.05)
 
-    def test_invalid_step_rejected(self, pigou_problem):
-        cfg = SolverConfig(iterations=2, step_rule=lambda k: 1.5)
-        with pytest.raises(ValueError, match="step weight"):
-            fw_solve(pigou_problem, od_marginal(), cfg)
+    def test_invalid_step_rejected(self):
+        # a rule is a name, so a run's final.json can rebuild it
+        for rule in ["2/(k+3)", "custom", None, lambda k: 2.0 / (k + 2.0), ["2/(k+2)"]]:
+            with pytest.raises(ValueError, match="unknown step rule"):
+                SolverConfig(step_rule=rule)
+
+    @pytest.mark.parametrize("rule", list(STEP_RULES))
+    @pytest.mark.parametrize("solve", [fw_solve, sfw_solve], ids=["fw", "sfw"])
+    def test_final_json_config_rebuilds_the_config(self, resource_problem, tmp_path, rule, solve):
+        cfg = SolverConfig(iterations=3, step_rule=rule, n_sims=(2, 1), seed=4, gap_tol=1e-12)
+        report = solve(resource_problem, uniform_marginal([0.5, 2.0]), cfg)
+        report.save_final_json(tmp_path / "final.json")
+        with open(tmp_path / "final.json") as fh:
+            echoed = json.load(fh)["config"]
+        assert echoed["step_rule"] == rule
+        assert SolverConfig(**echoed) == cfg
 
 
 class TestSimulationCounts:
@@ -425,34 +448,23 @@ class TestSimulationCounts:
             SolverConfig(n_sims=n_sims)
 
     def test_numpy_count_reaches_final_json(self, resource_problem, tmp_path):
-        report = sfw_solve(resource_problem, uniform_marginal([0.5, 2.0]),
-                           SolverConfig(iterations=2, n_sims=np.int64(3)))
-        report.save_final_json(tmp_path / "final.json")
-        with open(tmp_path / "final.json") as fh:
-            assert json.load(fh)["config"]["n_sims"] == 3
+        # numpy scalars become plain values, or json cannot write them
+        cfg = SolverConfig(iterations=np.int64(2), n_sims=np.int64(3), seed=np.int64(3),
+                           monotone_guard=np.bool_(True), gap_tol=np.float64(1e-3))
+        for solve in (fw_solve, sfw_solve):
+            report = solve(resource_problem, uniform_marginal([0.5, 2.0]), cfg)
+            report.save_final_json(tmp_path / "final.json")
+            with open(tmp_path / "final.json") as fh:
+                final = json.load(fh)
+            assert {k: final["config"][k] for k in ("iterations", "n_sims", "seed", "monotone_guard", "gap_tol")} == {
+                "iterations": 2, "n_sims": 3, "seed": 3, "monotone_guard": True, "gap_tol": 1e-3}
+            assert final["stopped_early"] is False
         assert [r.n_candidates for r in report.records] == [3, 3]
 
-
-class TestCandidateObjective:
-    def test_single_agent(self, resource_problem):
-        prob = resource_problem
-        m = uniform_marginal([1.0])
-        q = prob.best_response(np.concatenate([[1.0], np.zeros(prob.steps)]), [1.0])
-        expected = prob.f_value(prob.g_eval([1.0], q))
-        assert candidate_objective(prob, m, q.reshape(1, -1)) == pytest.approx(expected, abs=1e-15)
-
-    def test_matches_aggregate_path(self, resource_problem):
-        prob = resource_problem
-        rng = np.random.default_rng(5)
-        m = uniform_marginal([0.7, 1.5, 2.9])
-        qs = rng.uniform(0, 0.4, size=(3, prob.steps))
-        qs = np.vstack([prob.transport_select([prob.horizon], q, x) for q, x in zip(qs, m.xs)])
-        via_measure = prob.f_value(aggregate(prob, measure_from_state(m, qs)))
-        assert candidate_objective(prob, m, qs) == pytest.approx(via_measure, abs=1e-12)
-
-    def test_identical_agents_reduce_to_one(self, pigou_problem):
-        m = EmpiricalMeasure("X", xs=np.array([[0, 1], [0, 1]], dtype=float),
-                             weights=np.array([0.5, 0.5]))
-        y = pigou_problem.indicators[(0, 1)][0]
-        expected = pigou_problem.f_value(pigou_problem.g_eval([0, 1], y))
-        assert candidate_objective(pigou_problem, m, np.vstack([y, y])) == pytest.approx(expected, abs=1e-15)
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", True), ("iterations", 2.5), ("iterations", 0), ("seed", 1.5), ("seed", False),
+        ("monotone_guard", 1), ("monotone_guard", "yes"),
+    ])
+    def test_bad_fields_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SolverConfig(**{field: value})

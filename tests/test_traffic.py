@@ -2,14 +2,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from mfo import EmpiricalMeasure, SolverConfig, fw_solve
 from mfo.examples import TrafficProblem, grid_network, load_network, pigou_network
-from mfo.examples.traffic import EDGE_KINDS, Edge, _hop_distances
+from mfo.examples.traffic import EDGE_KINDS, Edge
 from mfo.problem import _norm
 
 
@@ -106,6 +102,24 @@ class TestBestResponse:
             np.testing.assert_array_equal(prob.best_response_batch(lam_values, xs),
                                           expected)
 
+    @pytest.mark.parametrize("hop_bound, message", [
+        (0, "hop_bound must be at least 1, got 0"), (-1, "hop_bound must be at least 1, got -1"),
+        (2.7, "hop_bound must be an integer, got 2.7"), (True, "hop_bound must be an integer, got True"),
+        ("3", "hop_bound must be an integer, got '3'"),
+    ])
+    def test_hop_bound_is_a_positive_integer(self, hop_bound, message):
+        # 0 must not read as unset, and a bad bound must not look like a disconnected pair
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrafficProblem(*grid_network(), hop_bound=hop_bound)
+
+    def test_hop_bound_counts_edges(self):
+        # grid10's four paths from 0 to 7 take four hops each; no bound admits every simple path
+        unbounded = TrafficProblem(*grid_network())
+        assert len(unbounded.paths[(0, 7)]) == 4
+        assert TrafficProblem(*grid_network(), hop_bound=4.0).paths == unbounded.paths
+        with pytest.raises(ValueError, match=re.escape("origin-destination pair (0, 7) is disconnected")):
+            TrafficProblem(*grid_network(), hop_bound=3)
+
     def test_disconnected_od_rejected(self):
         edges = [Edge(0, 1, "affine", (1.0, 0.0))]
         with pytest.raises(ValueError, match="disconnected"):
@@ -183,7 +197,7 @@ class TestSelectionAndConstants:
                     y2 = prob.transport_select(od, y, od2)
                     assert prob.feasible(od2, y2)
                     shift = _norm(prob, prob.g_eval(od2, y2) - prob.g_eval(od, y))
-                    assert shift <= prob.set_lipschitz * prob.metric.dist(od, od2) + 1e-12
+                    assert shift <= prob.set_lipschitz * prob.metric.pairwise(od, od2)[0, 0] + 1e-12
 
     def test_constants_dominate_samples(self):
         prob = five_node_network()
@@ -218,33 +232,8 @@ class TestHopMetric:
             [inf, inf, inf, inf, 0, 1],
             [inf, inf, inf, inf, 1, 0],
         ])
-        np.testing.assert_array_equal(_hop_distances(6, edges), expected)
         prob = TrafficProblem(6, edges, [(0, 2), (4, 5)])
         np.testing.assert_array_equal(prob.metric.node_distances, expected)
-
-    @staticmethod
-    def _check_against_scipy(n, pairs, **kwargs):
-        edges = [Edge(u, v, "affine", (1.0, 0.0)) for u, v in pairs]
-        adjacency = csr_matrix((np.ones(len(pairs)), ([u for u, _ in pairs], [v for _, v in pairs])), shape=(n, n))
-        expected = shortest_path(adjacency, directed=False, unweighted=True)
-        got = _hop_distances(n, edges, **kwargs)
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
-
-    # node count, then (tail, head) pairs among those nodes: parallel edges,
-    # both directions, self-loops, isolated nodes and several components;
-    # the block of sources searched together ranges from one node to all
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))),
-        st.integers(1, 13))
-    def test_hop_distances_match_scipy(self, graph, block):
-        self._check_against_scipy(*graph, block=block)
-
-    def test_hop_distances_match_scipy_over_several_default_blocks(self):
-        rng = np.random.default_rng(0)
-        n = 150
-        self._check_against_scipy(n, rng.integers(0, n, size=(180, 2)).tolist())
 
     @pytest.mark.parametrize("edge, od, name", [
         ((0, 2), (0, 1), "edge 0->2"), ((-1, 1), (0, 1), "edge -1->1"),

@@ -56,8 +56,8 @@ class TestMetricSpec:
     def test_graph_hop(self):
         hops = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         spec = MetricSpec("graph_hop", node_distances=hops)
-        assert spec.dist([0, 2], [1, 2]) == 1.0
-        assert spec.dist([0, 2], [2, 0]) == 4.0
+        assert spec.pairwise([0, 2], [1, 2])[0, 0] == 1.0
+        assert spec.pairwise([0, 2], [2, 0])[0, 0] == 4.0
 
     @pytest.mark.parametrize("bad", [[0.0, 7.4], [0.0, -1.0], [0.0, 8.0], [0.0, 9.0], [np.nan, 1.0], [np.inf, 1.0]])
     def test_graph_hop_rejects_points_that_are_not_node_ids(self, bad):
@@ -76,21 +76,6 @@ class TestMetricSpec:
         spec = MetricSpec("graph_hop", node_distances=np.zeros((3, 3)))
         with pytest.raises(ValueError, match="origin, destination"):
             spec.pairwise([[0.0]], [[1.0]])
-
-    def test_table(self):
-        pts = np.array([[0.0], [1.0]])
-        tab = np.array([[0.0, 3.0], [3.0, 0.0]])
-        spec = MetricSpec("table", points=pts, table=tab)
-        assert spec.dist([0.0], [1.0]) == 3.0
-
-    def test_table_lookup_and_unknown_point(self):
-        pts = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
-        tab = np.arange(9.0).reshape(3, 3)
-        spec = MetricSpec("table", points=pts, table=tab)
-        X = np.array([[2.0, 1.0], [0.0, 0.0], [0.0, 1.0 + 1e-12]])
-        np.testing.assert_array_equal(spec.pairwise(X, pts[:2]), tab[[2, 0, 1]][:, [0, 1]])
-        with pytest.raises(ValueError, match=r"point \[0. 2.\] not uniquely found"):
-            spec.pairwise(np.array([[0.0, 0.0], [0.0, 2.0]]), pts)
 
 
 class TestOtSolve:
