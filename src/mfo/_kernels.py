@@ -66,64 +66,73 @@ def resource_br(top, ert, lam1, dt, budgets):
 # -- forward-only trajectory DP (congestion game) ----------------------------
 #
 # Positions live on a uniform per-agent grid; a step may advance 0..qmax
-# grid cells.  The stage cost of sitting at grid state s at time t is
-# stage_cost(t)[i, s] for agent i.
+# grid cells.  All agents share one value table, state-major and agent-
+# minor: values[t, s, i] is agent i's optimal cost-to-go from grid state
+# s at time t, of shape (steps + 1, n + qmax, N).  The last qmax state
+# rows are +inf, so that no window reaches past a grid.
 #
-# The backward pass fills one value table of shape (steps + 1, N,
-# n + qmax): values[t, i, s] is agent i's optimal cost-to-go from state s
-# at time t, and the last qmax columns are +inf so that no window reaches
-# past a grid.  A step keeps only the window minimum:
-#     values[t, :, s] = stage_cost(t)[:, s] + min(values[t + 1, :, s:s + qmax + 1]),
+# The stage costs are written into the table itself: fill_costs gets the
+# (steps, n, N) view values[:steps, :n] and writes the cost of sitting at
+# state s at time t there.  The backward pass then adds, in place, the
+# window minimum of the next row:
+#     values[t, s] = cost[t, s] + min(values[t + 1, s:s + qmax + 1]),
 # built by doubling (a sparse table): windows of length 2a are pairs of
 # windows of length a, and the last pass overlaps two windows of the
 # largest power of two that fits, so a step costs O(b_t log qmax) per
-# agent.  Every path starts at state 0, so at time t it is at most t*qmax
-# cells along: step t computes only the band [0, b_t), b_t = min(n,
-# t*qmax + 1).  Its windows read [0, b_t + qmax), which lies inside the
-# band of step t + 1 or in the +inf columns, so columns past a band are
-# never written and never read.
+# agent.  The agents of a state are one contiguous row of the table, so
+# each pass is one np.minimum over two contiguous row blocks.  Every path
+# starts at state 0, so at time t it is at most t*qmax cells along: step
+# t computes only the band [0, b_t), b_t = min(n, t*qmax + 1).  Its
+# windows read [0, b_t + qmax), which lies inside the band of step t + 1
+# or in the +inf rows, so the costs left past a band are never read.
 #
 # The forward pass recovers the policy along each path only: at time t
-# it gathers the qmax + 1 values of values[t + 1] in the agent's window
-# and moves to the farthest state that reaches their minimum while
-# strictly below the target point, the nearest (stay) once at or past
-# it, so zero-cost regions yield the canonical halt-at-target path.  The
-# minimum is a selection, so values and paths are bit-identical to a
-# successor-by-successor scan with that tie-break.  Memory is the table:
-# (steps + 1) * N * (n + qmax) doubles.
+# it gathers, from the flattened table, the qmax + 1 values of values[t
+# + 1] in the agent's window and moves to the farthest state that
+# reaches their minimum while strictly below the target point, the
+# nearest (stay) once at or past it, so zero-cost regions yield the
+# canonical halt-at-target path.  The minimum is a selection, so values
+# and paths are bit-identical to a successor-by-successor scan with that
+# tie-break.  Memory is the table alone: (steps + 1) * (n + qmax) * N
+# doubles.
 
 
-def congestion_dp_batch(stage_cost, steps, qmax, below_target, lengths):
+def congestion_dp_batch(fill_costs, steps, qmax, below_target, lengths):
     """Backward DP for a batch of agents; returns ``(values, paths)``.
 
-    Row ``i`` of the ``(N, n)`` arrays is agent ``i``'s grid: its first
-    ``lengths[i]`` states are real, the rest padding.  ``stage_cost(t)``
-    gives the ``(N, n)`` stage costs at time ``t``: finite on real states,
-    finite or +inf on padding (padding states never enter a path: their
-    value stays +inf).  Every path starts at state 0: ``paths[i]`` are
-    the ``steps + 1`` visited states and ``values[i]`` its total cost.
+    Row ``i`` of the ``(N, n)`` mask ``below_target`` is agent ``i``'s
+    grid: its first ``lengths[i]`` states are real, the rest padding.
+    ``fill_costs(out)`` writes the stage costs into the ``(steps, n, N)``
+    view ``out``: ``out[t, s, i]`` is agent ``i``'s cost of state ``s``
+    at time ``t``, finite on real states, finite or +inf on padding
+    (padding states never enter a path: their value stays +inf).  Every
+    path starts at state 0: ``paths[i]`` are the ``steps + 1`` visited
+    states and ``values[i]`` its total cost.
     """
     below_target = np.asarray(below_target, dtype=bool)
     n_agents, n = below_target.shape
-    values = np.empty((steps + 1, n_agents, n + qmax))
-    values[:, :, n:] = np.inf
-    values[steps, :, :n] = np.where(np.arange(n) < np.asarray(lengths)[:, None], 0.0, np.inf)
+    rows = n + qmax
+    values = np.empty((steps + 1, rows, n_agents))
+    values[:, n:] = np.inf
+    values[steps, :n] = np.where(np.arange(n)[:, None] < np.asarray(lengths), 0.0, np.inf)
+    fill_costs(values[:steps, :n])
     for t in range(steps - 1, -1, -1):
         b = min(n, t * qmax + 1)
-        best = values[t + 1, :, : b + qmax]
+        best = values[t + 1, : b + qmax]
         width, a = qmax + 1, 1
         while a < width:
             shift = min(a, width - a)
-            best = np.minimum(best[:, :-shift], best[:, shift:])
+            best = np.minimum(best[:-shift], best[shift:])
             a += shift
-        np.add(stage_cost(t)[:, :b], best, out=values[t, :, :b])
-    rows = np.arange(n_agents)
-    window = np.arange(qmax + 1)
+        values[t, :b] += best
+    flat = values.reshape(-1)
+    agents = np.arange(n_agents)
+    window = agents[:, None] + n_agents * np.arange(qmax + 1)
     paths = np.zeros((n_agents, steps + 1), dtype=np.intp)
     for t in range(steps):
         s = paths[:, t]
-        ahead = values[t + 1, rows[:, None], s[:, None] + window]
+        ahead = flat.take(window + (n_agents * ((t + 1) * rows + s))[:, None])
         hit = ahead == ahead.min(axis=1, keepdims=True)
         nearest, farthest = hit.argmax(axis=1), qmax - hit[:, ::-1].argmax(axis=1)
-        paths[:, t + 1] = s + np.where(below_target[rows, s], farthest, nearest)
-    return values[0, :, 0].copy(), paths
+        paths[:, t + 1] = s + np.where(below_target[agents, s], farthest, nearest)
+    return values[0, 0].copy(), paths

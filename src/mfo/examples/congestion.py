@@ -126,33 +126,40 @@ class CongestionProblem(QuadraticCostProblem):
     def _grids(self, starts):
         """Padded position grids, lengths, before-target masks and bumps of a batch.
 
-        Depends on the starts only; the last batch's grids are memoized,
-        and the memo is replaced whole, never updated in place.
+        The grid is built state-major, in the layout of the DP table, and
+        the bumps are evaluated on it as it lies in memory: ``h0`` is ``(n,
+        N)`` and ``H`` is ``(cells, n*N)``; ``positions`` and the masks are
+        its ``(N, n)`` transposes.  Depends on the starts only; the last
+        batch's grids are memoized, and the memo is replaced whole, never
+        updated in place.
         """
         key = starts.tobytes()
         if self._grid_memo[0] == key:
             return self._grid_memo[1]
         pos_cap = 1.0 + self.max_move
         lengths = np.maximum(1, np.ceil((pos_cap - starts) / self.grid_step).astype(np.intp) + 1)
-        positions = starts[:, None] + self.grid_step * np.arange(lengths.max())
+        positions = starts + self.grid_step * np.arange(lengths.max())[:, None]
         h0, H = self.bumps(positions.ravel())
-        grids = (positions, lengths, positions < 1.0, h0.reshape(positions.shape), H.T)
+        grids = (positions.T, lengths, positions.T < 1.0, h0.reshape(positions.shape), H)
         self._grid_memo = (key, grids)
         return grids
 
     def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
         starts = np.array(xs, dtype=float).reshape(len(xs), -1)[:, 0]
-        positions, lengths, below, h0, Ht = self._grids(starts)
+        positions, lengths, below, h0, H = self._grids(starts)
         lam1 = float(lam[0])
         lam2 = lam[1:].reshape(self.cells, self.steps)
 
-        def stage_cost(t):
-            # a two-column product goes through gemm, which rounds each entry
-            # as the full (positions x steps) product does; a matrix-vector
-            # product (gemv) sums the cells in another order
-            return self.dt * (lam1 * h0 + (Ht @ lam2[:, [t, t]])[:, 0].reshape(h0.shape))
+        def fill_costs(out):
+            # the cell terms of every step from one (steps x cells) @ (cells x
+            # n*N) gemm, written straight into the DP table: no cost array of
+            # its own; a matrix-vector product (gemv) per step would sum the
+            # cells in another order and move the last bits of the artifacts
+            np.matmul(lam2.T, H, out=out.reshape(self.steps, -1))
+            out += lam1 * h0
+            out *= self.dt
 
-        _, paths = congestion_dp_batch(stage_cost, self.steps, self.grid_substeps, below, lengths)
+        _, paths = congestion_dp_batch(fill_costs, self.steps, self.grid_substeps, below, lengths)
         return np.take_along_axis(positions, paths, axis=1)
 
     def feasible_batch(self, xs, trajs) -> np.ndarray:

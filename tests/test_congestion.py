@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,17 +173,8 @@ class TestBatchedBestResponse:
         # the benchmark's SFW instance: grids of up to 385 states and 51-wide
         # windows, so the reachable band t*50 + 1 is narrower than the grid for
         # t < 8; the loop DP gets exactly the stage costs the kernel saw
-        prob = CongestionProblem(horizon=1.0, steps=20, vmax=3.0, alpha=1.0, cells=5,
-                                 smoothing=20, grid_substeps=50)
-        seen = {}
-
-        def recording_dp(stage_cost, steps, qmax, below, lengths):
-            seen.update(costs=np.stack([stage_cost(t) for t in range(steps)], axis=2),
-                        below=below, lengths=lengths)
-            seen["values"], seen["paths"] = congestion_dp_batch(stage_cost, steps, qmax, below, lengths)
-            return seen["values"], seen["paths"]
-
-        monkeypatch.setattr(mfo.examples.congestion, "congestion_dp_batch", recording_dp)
+        prob = full_size_problem()
+        seen = record_dp(monkeypatch)
         xs = np.array([[0.0], [0.083], [0.2]])
         rng = np.random.default_rng(20)
         # a congested dual, and the zero-penalty one whose flat costs tie everywhere
@@ -196,6 +188,70 @@ class TestBatchedBestResponse:
                 assert seen["values"][i] == value
                 np.testing.assert_array_equal(seen["paths"][i], path)
                 np.testing.assert_array_equal(trajs[i], (x0 + prob.grid_step * np.arange(n))[path])
+
+    def test_one_wide_gemm_rounds_as_the_per_step_products(self, monkeypatch):
+        # the stage costs of all steps come from one (steps x cells) @ (cells x
+        # n*N) product written into the DP table; each must equal, bit for bit,
+        # the per-step two-column product on agent-major bumps, or artifacts
+        # would drift with the BLAS
+        prob = full_size_problem()
+        seen = record_dp(monkeypatch)
+        rng = np.random.default_rng(21)
+        xs = rng.uniform(0.0, 0.2, (50, 1))
+        positions = prob._grids(xs[:, 0])[0]
+        h0, H = prob.bumps(positions.ravel())
+        h0, Ht = h0.reshape(positions.shape), H.T
+        duals = [random_dual(prob, rng, scale) for scale in (0.2, 0.7, 2.0)]
+        for lam in duals + [prob.f_grad(np.zeros(len(prob.hilbert_weights)))]:
+            prob.best_response_batch(lam, xs)
+            lam1, lam2 = float(lam[0]), lam[1:].reshape(prob.cells, prob.steps)
+            for t in range(prob.steps):
+                want = prob.dt * (lam1 * h0 + (Ht @ lam2[:, [t, t]])[:, 0].reshape(h0.shape))
+                assert seen["costs"][:, :, t].tobytes() == want.tobytes(), t
+
+    def test_memory_is_the_value_table(self):
+        # the stage costs live in the DP table: a call allocates little beyond
+        # its (steps + 1) x (n + qmax) x N doubles
+        prob = full_size_problem()
+        rng = np.random.default_rng(22)
+        xs = rng.uniform(0.0, 0.2, (50, 1))
+        lam = random_dual(prob, rng)
+        prob.best_response_batch(lam, xs)       # fills the grid memo
+        n = prob._grids(xs[:, 0])[0].shape[1]
+        table = (prob.steps + 1) * (n + prob.grid_substeps) * len(xs) * 8
+        tracemalloc.start()
+        try:
+            prob.best_response_batch(lam, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table
+
+
+def full_size_problem():
+    return CongestionProblem(horizon=1.0, steps=20, vmax=3.0, alpha=1.0, cells=5,
+                             smoothing=20, grid_substeps=50)
+
+
+def record_dp(monkeypatch):
+    """Route the game's kernel calls through a recorder of what the kernel saw.
+
+    The returned dict holds the last call's ``(N, n, steps)`` stage costs as
+    written into the DP table, its masks and lengths, and its results.
+    """
+    seen = {}
+
+    def recording_dp(fill_costs, steps, qmax, below, lengths):
+        def recording_fill(out):
+            fill_costs(out)
+            seen["costs"] = out.transpose(2, 1, 0).copy()
+
+        seen.update(below=below, lengths=lengths)
+        seen["values"], seen["paths"] = congestion_dp_batch(recording_fill, steps, qmax, below, lengths)
+        return seen["values"], seen["paths"]
+
+    monkeypatch.setattr(mfo.examples.congestion, "congestion_dp_batch", recording_dp)
+    return seen
 
 
 class TestSelectionAndConstants:

@@ -178,7 +178,8 @@ def dp_batch(costs, qmax, belows, pad=np.inf):
         block[i, : len(c)] = c
         below[i, : len(b)] = b
     lengths = np.array([len(c) for c in costs])
-    return _kernels.congestion_dp_batch(lambda t: block[:, :, t], steps, qmax, below, lengths)
+    return _kernels.congestion_dp_batch(lambda out: np.copyto(out, block.transpose(2, 1, 0)),
+                                        steps, qmax, below, lengths)
 
 
 def assert_matches_loop_reference(costs, qmax, belows, pad=np.inf):
