@@ -4,9 +4,9 @@ Agents start at positions in ``[0, 1]``, move forward with speed in
 ``[0, vmax]`` on a uniform time grid, and pay for every step spent
 before the target point ``1`` plus a quadratic penalty on the local
 crowd density.  Densities are measured through a smooth partition of
-unity: one plateau bump per spatial cell, built from a smoothstep so
-that the cell bumps sum exactly to the before-target indicator bump on
-``[0, 1 - 1/smoothing]``.
+unity: one plateau bump per spatial cell, each the difference of one
+smoothstep shifted to the cell's two boundaries, so that the cell bumps
+sum exactly to the before-target indicator bump on ``[0, inf)``.
 
 Best responses are computed by dynamic programming over a per-agent
 position grid aligned with the agent's start, with the one-step move
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .._kernels import congestion_dp_batch
-from ..problem import FEAS_TOL, QuadraticCostProblem, _count, _frozen_weights
+from ..problem import FEAS_TOL, QuadraticCostProblem, _count, _frozen_weights, _real
 from ..transport import MetricSpec
 
 
@@ -41,38 +41,28 @@ def smoothstep(u):
     return out
 
 
-def rising_step(x, k):
-    """Smooth 0-to-1 transition over ``(0, 1/k)``."""
-    return smoothstep(k * np.asarray(x, dtype=float))
-
-
-def cell_bump(x, k, dx):
-    """Smoothed indicator of ``[0, dx]`` with transition width ``1/k``.
-
-    Rises over ``(-1/k, 0)``, plateaus at 1 on ``[0, dx - 1/k]`` and
-    falls over ``(dx - 1/k, dx)``; consecutive shifted copies overlap so
-    that they sum to one.
-    """
-    x = np.asarray(x, dtype=float)
-    up = rising_step(x + 1.0 / k, k)
-    down = 1.0 - rising_step(x - dx + 1.0 / k, k)
-    out = np.where(x < 0.0, up, down)
-    return np.where(x <= -1.0 / k, 0.0, np.where((x >= 0.0) & (x <= dx - 1.0 / k), 1.0, out))
-
-
 def bump_family(x, cells, k):
     """Evaluate the target bump and the cell bumps.
 
     Returns ``(h0, H)`` with ``h0`` the smoothed before-target indicator
-    and ``H[j - 1]`` the bump of spatial cell ``j``; the cell bumps sum
-    to ``h0`` on ``[0, 1 - 1/k]``.
+    and ``H[j]`` the bump of spatial cell ``j + 1``.  All of them are
+    differences of one step taken at the ``cells + 1`` cell boundaries,
+    ``R_j(x) = smoothstep(k*(x - j/cells) + 1)``, which rises over
+    ``(j/cells - 1/k, j/cells)``: ``H[j] = R_j - R_{j+1}`` and ``h0 = 1 -
+    R_cells``.  As ``k >= cells``, at most one ``R_j`` is strictly
+    between 0 and 1 at any ``x``, so each cell bump plateaus at 1 on
+    ``[j/cells, (j+1)/cells - 1/k]``, and on ``[0, inf)`` (where ``R_0
+    = 1``) the cell bumps sum to ``h0`` bit for bit: the sum is
+    ``(1 - r) + r``, ``1 - r`` or 0 for the one fractional value ``r``.
     """
     x = np.asarray(x, dtype=float)
-    dx = 1.0 / cells
-    h0 = np.where(x < 1.0 - 1.0 / k, 1.0, 1.0 - rising_step(x - 1.0 + 1.0 / k, k))
-    h0 = np.where(x < 0.0, 1.0, h0)
-    H = np.stack([cell_bump(x - j * dx, k, dx) for j in range(cells)])
-    return h0, H
+    H = np.empty((cells,) + x.shape)
+    upper = smoothstep(k * x + 1.0)
+    for j in range(cells):
+        lower = smoothstep(k * (x - (j + 1) / cells) + 1.0)
+        np.subtract(upper, lower, out=H[j])
+        upper = lower
+    return 1.0 - upper, H
 
 
 class CongestionProblem(QuadraticCostProblem):
@@ -87,11 +77,9 @@ class CongestionProblem(QuadraticCostProblem):
         self.grid_substeps = _count(grid_substeps, "grid_substeps")
         if self.smoothing < self.cells:
             raise ValueError("smoothing parameter must be at least the cell count")
-        if alpha < 0 or vmax <= 0 or horizon <= 0:
-            raise ValueError("bad congestion instance parameters")
-        self.horizon = float(horizon)
-        self.vmax = float(vmax)
-        self.alpha = float(alpha)
+        self.horizon = _real(horizon, "horizon", positive=True)
+        self.vmax = _real(vmax, "vmax", positive=True)
+        self.alpha = _real(alpha, "alpha")
         self.dt = self.horizon / self.steps
         self.dx = 1.0 / self.cells
         self.max_move = self.vmax * self.dt

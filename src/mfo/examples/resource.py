@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .._kernels import resource_br
-from ..problem import FEAS_TOL, QuadraticCostProblem, _count, _frozen_weights
+from ..problem import FEAS_TOL, QuadraticCostProblem, _count, _frozen_weights, _real
 from ..transport import MetricSpec
 
 
@@ -37,15 +37,13 @@ class ResourceProblem(QuadraticCostProblem):
 
     def __init__(self, horizon=10.0, steps=50, discount=1.0, price_impact=1.0,
                  stock_cap=15.0):
-        if not 0.0 < price_impact <= 1.0:
-            raise ValueError("price impact must lie in (0, 1]")
+        self.price_impact = _real(price_impact, "price_impact", positive=True)
+        if self.price_impact > 1.0:
+            raise ValueError(f"price_impact must be at most 1, got {price_impact!r}")
         self.steps = _count(steps, "steps")
-        if discount < 0 or horizon <= 0:
-            raise ValueError("bad resource instance parameters")
-        self.horizon = float(horizon)
-        self.discount = float(discount)
-        self.price_impact = float(price_impact)
-        self.stock_cap = float(stock_cap)
+        self.horizon = _real(horizon, "horizon", positive=True)
+        self.discount = _real(discount, "discount")
+        self.stock_cap = _real(stock_cap, "stock_cap")
         self.dt = self.horizon / self.steps
         self.times = self.dt * np.arange(self.steps)
         # libm exp, not numpy's SIMD one, whose last bit depends on the CPU

@@ -57,6 +57,16 @@ def _count(value, key: str) -> int:
     return n
 
 
+def _real(value, key: str, positive: bool = False) -> float:
+    """``value`` as a finite float of at least 0 (above 0 if ``positive``); a boolean or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    x = float(value)
+    if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
+        raise ValueError(f"{key} must be finite and {'positive' if positive else 'at least 0'}, got {value!r}")
+    return x
+
+
 def _inner(problem, a, b) -> float:
     """``<a, b> = sum_i w_i a_i b_i`` with the problem's ``hilbert_weights`` ``w``."""
     return float((problem.hilbert_weights * a * b).sum())

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, _marginal_groups, first_marginal
+from .measures import EmpiricalMeasure, _atom_groups, _marginal_groups, first_marginal
 from .problem import OracleError, _certify, _contributions, _norm
 
 #: tolerance on coupling marginal residuals
@@ -268,7 +268,13 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult
         k = bad[0]
         raise OracleError(f"selection moved the contribution by {shift[k]:.3e} > {allowed[k]:.3e} "
                           f"for d(x, x2)={d[k]:.3e}")
-    mu1 = EmpiricalMeasure("Z", xs=x2s, ys=ys2, weights=weights, validate=False).merged()
+    # merge on the target's atom under m1's own rule, then on the decision:
+    # merging on (x2, y) compares sort neighbours across near-equal targets
+    # and can chain decisions that mu0 keeps apart; the target's group, not
+    # its plan column, still merges rows glued onto exact duplicates in m1
+    target = _atom_groups((m1.xs,), m1.weights)[0][rho.cols[e]]
+    glued = EmpiricalMeasure("Z", xs=x2s, ys=ys2, weights=weights, validate=False)
+    mu1 = glued._collapse(*_atom_groups((target[:, None].astype(float), ys2), weights))
     if not first_marginal(mu1).allclose(m1, tol=MARGINAL_TOL):
         raise RuntimeError("bridged measure does not carry the requested marginal")
     # the merged atoms are decisions checked feasible above

@@ -241,6 +241,26 @@ class TestSolveVerb:
                 "the discount factor exp(discount * t) overflows") in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("game, key, value, message", [
+        ("congestion", "alpha", float("nan"), "alpha must be finite and at least 0, got nan"),
+        ("congestion", "alpha", float("inf"), "alpha must be finite and at least 0, got inf"),
+        ("congestion", "vmax", float("nan"), "vmax must be finite and positive, got nan"),
+        ("congestion", "horizon", float("nan"), "horizon must be finite and positive, got nan"),
+        ("resource", "horizon", float("inf"), "horizon must be finite and positive, got inf"),
+        ("resource", "stock_cap", float("nan"), "stock_cap must be finite and at least 0, got nan"),
+        ("resource", "stock_cap", -1, "stock_cap must be finite and at least 0, got -1"),
+        ("congestion", "vmax", True, "vmax must be a number, got True"),
+        ("resource", "price_impact", True, "price_impact must be a number, got True"),
+    ], ids=["alpha_nan", "alpha_inf", "vmax_nan", "congestion_horizon_nan", "resource_horizon_inf",
+            "stock_cap_nan", "stock_cap_negative", "vmax_boolean", "price_impact_boolean"])
+    def test_non_finite_game_parameter_is_a_config_error(self, tmp_path, capsys, game, key, value, message):
+        # JSON NaN and Infinity parse to floats; the game rejects them by name
+        cfg = write_config(tmp_path / "cfg.json", problem={"name": game, "steps": 5, key: value},
+                           marginal={"dist": "uniform:0,0.2", "n": 5, "method": "sample"})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: the {game} problem block: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_file_is_a_config_error(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "x")]) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -9,26 +9,34 @@ import mfo.examples.congestion
 from mfo import EmpiricalMeasure, SolverConfig, sfw_solve
 from mfo._kernels import congestion_dp_batch
 from mfo.examples import CongestionProblem
-from mfo.examples.congestion import bump_family, cell_bump, rising_step
+from mfo.examples.congestion import bump_family
 from mfo.problem import _inner, _norm
 
 from test_kernels import congestion_dp_loops
 
 class TestBumps:
-    def test_rising_step_limits(self):
+    def test_step_limits(self):
+        # the step rises over (-1/k, 0) in front of each cell boundary: the
+        # first cell's bump rises there, the target bump falls there at 1
         k = 20
-        x = np.array([-1.0, 0.0, 1.0 / (2 * k), 1.0 / k, 1.0])
-        vals = rising_step(x, k)
-        assert vals[0] == 0.0 and vals[1] == 0.0
-        assert vals[2] == pytest.approx(0.5)
-        assert vals[3] == 1.0 and vals[4] == 1.0
+        offsets = np.array([-1.0, 0.0, 1.0 / (2 * k), 1.0 / k, 1.0])
+        _, H = bump_family(offsets - 1.0 / k, cells=5, k=k)
+        assert H[0, 0] == 0.0 and H[0, 1] == 0.0
+        assert H[0, 2] == pytest.approx(0.5)
+        assert H[0, 3] == 1.0
+        h0, _ = bump_family(1.0 - 1.0 / k + offsets, cells=5, k=k)
+        assert h0[0] == 1.0 and h0[1] == 1.0
+        assert h0[2] == pytest.approx(0.5)
+        assert h0[3] == 0.0 and h0[4] == 0.0
 
     def test_cell_plateau_and_support(self):
-        k, dx = 20, 0.2
-        assert cell_bump(np.array([0.0]), k, dx)[0] == 1.0
-        assert cell_bump(np.array([dx - 1.0 / k]), k, dx)[0] == 1.0
-        assert cell_bump(np.array([-1.0 / k]), k, dx)[0] == 0.0
-        assert cell_bump(np.array([dx]), k, dx)[0] == 0.0
+        for cells, k in [(5, 20), (5, 5), (3, 7)]:
+            for j in range(cells):
+                lo, hi = j / cells, (j + 1) / cells
+                _, H = bump_family(np.array([lo, hi - 1.0 / k, lo - 1.0 / k, hi]), cells=cells, k=k)
+                # plateau ends at 1, support ends at 0; no other cell is on the plateau
+                np.testing.assert_array_equal(H[j], [1.0, 1.0, 0.0, 0.0])
+                assert np.all(np.delete(H, j, axis=0)[:, :2] == 0.0)
 
     def test_values_in_unit_interval(self):
         x = np.linspace(-0.5, 2.0, 5001)
@@ -44,6 +52,16 @@ class TestBumps:
         h0, H = bump_family(x, cells=5, k=k)
         assert np.max(np.abs(H.sum(axis=0) - h0)) <= 1e-12
         np.testing.assert_allclose(h0, 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("cells, k", [(5, 20), (5, 5), (4, 7), (3, 50)])
+    def test_partition_is_exact_on_the_half_line(self, cells, k):
+        # each cell bump is a difference of two shifted steps, at most one of
+        # them fractional, so the sum telescopes without rounding
+        rng = np.random.default_rng(1)
+        x = np.concatenate([np.linspace(0.0, 1.5, 20001), rng.uniform(0.0, 1.5, 20000),
+                            np.arange(cells + 1) / cells])
+        h0, H = bump_family(x, cells=cells, k=k)
+        np.testing.assert_array_equal(H.sum(axis=0), h0)
 
     def test_first_cell_owns_origin(self):
         h0, H = bump_family(np.array([0.0]), cells=5, k=20)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfo import EmpiricalMeasure, bridge, first_marginal
+from mfo import EmpiricalMeasure, SolverConfig, bridge, first_marginal, fw_solve
 from mfo.examples import ResourceProblem
 from mfo.measures import ATOM_TOL
 from mfo.problem import QuadraticCostProblem
@@ -68,15 +68,43 @@ class TagSource(QuadraticCostProblem):
         return np.hstack([xs, ys])
 
 
-@PROPS
-@given(z_measures, measure("X", {"x": 1}))
-def test_glue_marginals(mu0, m1):
+def check_glue(mu0, m1):
     result = bridge(mu0, m1, TagSource())
     out = result.measure
     pair = EmpiricalMeasure("Z", xs=out.ys[:, :1], ys=out.ys[:, 1:], weights=out.weights, validate=False)
     last = EmpiricalMeasure("X", xs=out.xs, weights=out.weights, validate=False)
     assert pair.allclose(mu0, tol=1e-9)
     assert last.allclose(result.coupling.target, tol=1e-9)
+
+
+@PROPS
+@given(z_measures, measure("X", {"x": 1}))
+def test_glue_marginals(mu0, m1):
+    check_glue(mu0, m1)
+
+
+def test_glue_keeps_decisions_apart_across_near_equal_targets():
+    # m1's two atoms are one point under its own rule; merging the glued rows
+    # on (x2, y) chained rows across them and moved mass 1/6 between decisions
+    mu0 = EmpiricalMeasure("Z", xs=np.array([[1.0], [0.0], [0.0], [0.0], [1.0], [1.0]]),
+                           ys=np.array([[0.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [9e-13, 1.0]]),
+                           weights=np.array([1.0, 0.0, 0.0, 0.0, 1.0, 1.0]) / 3, validate=False)
+    m1 = EmpiricalMeasure("X", xs=np.array([[1.0], [1.0 + 9e-13]]), weights=np.array([0.5, 0.5]), validate=False)
+    check_glue(mu0, m1)
+
+
+def test_bridge_onto_duplicate_atoms_is_merged():
+    # a samples: marginal repeats atoms exactly; rows glued onto copies of one
+    # atom are one atom of the output
+    m0 = EmpiricalMeasure("X", xs=np.array([[0.5], [1.0], [1.5], [2.5]]), weights=np.full(4, 0.25))
+    mu0 = fw_solve(PROBLEM, m0, SolverConfig(iterations=20)).final_measure
+    m1 = EmpiricalMeasure("X", xs=np.array([[0.7], [1.2], [0.7], [2.0], [1.2], [1.2]]),
+                          weights=np.full(6, 1 / 6))
+    out = bridge(mu0, m1, PROBLEM).measure
+    again = out.merged()
+    for a, b in zip(again.columns() + (again.weights,), out.columns() + (out.weights,)):
+        assert a.tobytes() == b.tobytes()
+    assert len(np.unique(out.xs)) == 3
 
 
 @st.composite
