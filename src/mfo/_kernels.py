@@ -86,12 +86,15 @@ def resource_br(top, ert, lam1, dt, budgets):
 # windows read [0, b_t + qmax), which lies inside the band of step t + 1
 # or in the +inf rows, so the costs left past a band are never read.
 #
-# The forward pass recovers the policy along each path only: at time t
-# it gathers, from the flattened table, the qmax + 1 values of values[t
-# + 1] in the agent's window and moves to the farthest state that
-# reaches their minimum while strictly below the target point, the
-# nearest (stay) once at or past it, so zero-cost regions yield the
-# canonical halt-at-target path.  The minimum is a selection, so values
+# The forward pass recovers the policy along each path only.  One
+# sliding-window view of the table, windows[t, s, i] = values[t, s:s +
+# qmax + 1, i], makes each agent's successors one gather at time t:
+# windows[t + 1, s, agent], with no copy of the table and no index
+# arithmetic.  The agent moves to the farthest state reaching the
+# window's minimum while strictly below the target point (the first
+# minimum of the reversed window), the nearest (stay) once at or past it
+# (the first minimum, argmin's own tie-break), so zero-cost regions yield
+# the canonical halt-at-target path.  The minimum is a selection, so values
 # and paths are bit-identical to a successor-by-successor scan with that
 # tie-break.  Memory is the table alone: (steps + 1) * (n + qmax) * N
 # doubles.
@@ -125,14 +128,17 @@ def congestion_dp_batch(fill_costs, steps, qmax, below_target, lengths):
             best = np.minimum(best[:-shift], best[shift:])
             a += shift
         values[t, :b] += best
-    flat = values.reshape(-1)
+    # the view sliding_window_view(values, qmax + 1, axis=1) gives, from one
+    # constructor call bounded by its buffer check: sliding_window_view makes
+    # dozens of small Python objects while the table is live, and one that
+    # grows the heap above the table makes every later table grow it again
+    windows = np.ndarray((steps + 1, n, n_agents, qmax + 1), buffer=values,
+                         strides=values.strides + values.strides[1:2])
     agents = np.arange(n_agents)
-    window = agents[:, None] + n_agents * np.arange(qmax + 1)
     paths = np.zeros((n_agents, steps + 1), dtype=np.intp)
     for t in range(steps):
         s = paths[:, t]
-        ahead = flat.take(window + (n_agents * ((t + 1) * rows + s))[:, None])
-        hit = ahead == ahead.min(axis=1, keepdims=True)
-        nearest, farthest = hit.argmax(axis=1), qmax - hit[:, ::-1].argmax(axis=1)
-        paths[:, t + 1] = s + np.where(below_target[agents, s], farthest, nearest)
+        ahead = windows[t + 1, s, agents]
+        farthest = qmax - ahead[:, ::-1].argmin(axis=1)
+        paths[:, t + 1] = s + np.where(below_target[agents, s], farthest, ahead.argmin(axis=1))
     return values[0, 0].copy(), paths

@@ -16,6 +16,11 @@ is the exact maximal-speed path halting at the target.  One batched DP
 serves all agents; their grids and bump values depend on the starts
 only, so the last batch's are kept (a single-entry memo keyed on the
 start column) and reused while the solver changes the dual point.
+Every point of a best response lies on its agent's grid, so the
+solvers' sweep (``best_response_rows``) gathers the contribution rows
+of the best responses from the memo instead of evaluating the bumps
+again; a gather is a selection, so the rows are ``g_eval_batch``'s bit
+for bit.
 """
 
 from __future__ import annotations
@@ -132,9 +137,11 @@ class CongestionProblem(QuadraticCostProblem):
         self._grid_memo = (key, grids)
         return grids
 
-    def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
+    def _best_paths(self, lam, xs):
+        """The grids of the starts of ``xs`` and the DP's ``(N, steps + 1)`` state paths at ``lam``."""
         starts = np.array(xs, dtype=float).reshape(len(xs), -1)[:, 0]
-        positions, lengths, below, h0, H = self._grids(starts)
+        grids = self._grids(starts)
+        _, lengths, below, h0, H = grids
         lam1 = float(lam[0])
         lam2 = lam[1:].reshape(self.cells, self.steps)
 
@@ -148,7 +155,21 @@ class CongestionProblem(QuadraticCostProblem):
             out *= self.dt
 
         _, paths = congestion_dp_batch(fill_costs, self.steps, self.grid_substeps, below, lengths)
+        return grids, paths
+
+    def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
+        (positions, *_), paths = self._best_paths(lam, xs)
         return np.take_along_axis(positions, paths, axis=1)
+
+    def best_response_rows(self, lam: np.ndarray, xs):
+        # the memo's bumps at the visited states, laid out as g_eval_batch lays
+        # out fresh ones: state s of agent i is entry s*N + i of the memo
+        (positions, _, _, h0, H), paths = self._best_paths(lam, xs)
+        n = len(paths)
+        flat = paths[:, : self.steps] * n + np.arange(n)[:, None]
+        g1 = self.dt * h0.reshape(-1)[flat].sum(axis=1)
+        g2 = H.take(flat, axis=1).transpose(1, 0, 2).reshape(n, -1)
+        return np.take_along_axis(positions, paths, axis=1), np.column_stack([g1, g2])
 
     def feasible_batch(self, xs, trajs) -> np.ndarray:
         trajs = np.asarray(trajs, dtype=float)

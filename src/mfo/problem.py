@@ -103,6 +103,13 @@ class MfoProblem:
     * ``initial_decision_batch(xs)`` -- any feasible decision per row
       (solver warm start).
 
+    One optional oracle serves the solvers' best-response sweep:
+    ``best_response_rows(lam, xs)`` returns ``(ys, G)``, the best
+    responses and their contribution rows.  By default it is
+    ``best_response_batch`` followed by ``g_eval_batch``; a game that
+    has the contributions at hand may override it, and must return the
+    rows ``g_eval_batch`` would, bit for bit.
+
     The one-row forms ``g_eval``, ``best_response``, ``feasible``,
     ``transport_select`` and ``initial_decision`` are derived here, and
     so are ``from_config`` and ``describe``, from ``config_keys``.
@@ -162,6 +169,10 @@ class MfoProblem:
 
     def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
         raise NotImplementedError
+
+    def best_response_rows(self, lam: np.ndarray, xs):
+        ys = self.best_response_batch(lam, xs)
+        return ys, self.g_eval_batch(xs, ys)
 
     def feasible_batch(self, xs, ys) -> np.ndarray:
         raise NotImplementedError
@@ -283,8 +294,7 @@ def _check_dual_point(lam):
 def _support_values(problem, lam, xs):
     """The best-response sweep: per row, the minimizer, its contribution and ``<lam, g>``."""
     _check_dual_point(lam)
-    ys = problem.best_response_batch(lam, xs)
-    G = problem.g_eval_batch(xs, ys)
+    ys, G = problem.best_response_rows(lam, xs)
     return ys, G, G @ (problem.hilbert_weights * lam)
 
 

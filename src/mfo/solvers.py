@@ -202,13 +202,14 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
         if not stopped_early:
             om = config.omega(k)
             beta = (1.0 - om) * beta + om * (w @ G_br)
-            if om >= 1.0:
-                blocks = []
-                factor = 1.0
-            else:
-                factor *= 1.0 - om
-            if om > 0.0:
-                blocks.append((xs, ys_br, om * w / factor))
+            if config.store_measure:        # an unstored run builds no measure: it keeps no blocks
+                if om >= 1.0:
+                    blocks = []
+                    factor = 1.0
+                else:
+                    factor *= 1.0 - om
+                if om > 0.0:
+                    blocks.append((xs, ys_br, om * w / factor))
         records.append(IterationRecord(k, cert.primal_value, cert.gap, _norm(problem, cert.lam),
                                        (time.perf_counter() - tic) * 1e3))
         if stopped_early:
@@ -263,6 +264,10 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
         raise ValueError("the stochastic solver needs uniform weights 1/N")
     xs, w = m_N.xs, m_N.weights
     y, G = _warm_start(problem, xs, w)
+    # one generator serves every candidate: its state is reset to the one
+    # candidate_rng(seed, k, j) starts in, which is cheaper than building it
+    rng = candidate_rng(config.seed, 0, 0)
+    state = rng.bit_generator.state
 
     records = []
     stopped_early = False
@@ -279,7 +284,9 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
             best_val = np.inf
             best_pick = None
             for j in range(n_k):
-                pick = (candidate_rng(config.seed, k, j).random(n) < om)[:, None]
+                state["state"]["counter"][2:] = k, j
+                rng.bit_generator.state = state
+                pick = (rng.random(n) < om)[:, None]
                 val = problem.f_value(w @ np.where(pick, G_br, G))
                 if val < best_val:
                     best_val, best_pick = val, pick

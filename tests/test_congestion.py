@@ -173,6 +173,25 @@ class TestBatchedBestResponse:
         for x, row in zip(xs, batch):
             np.testing.assert_array_equal(prob.best_response(lam, x), row)
 
+    def test_gathered_rows_are_the_contributions(self, congestion_problem):
+        # best_response_rows gathers the bumps of each best response from the
+        # grid memo; the rows must be g_eval_batch's on the same paths, byte
+        # for byte: random duals, the zero-penalty dual, one agent, and starts
+        # some of which are at or past the target
+        prob = congestion_problem
+        rng = np.random.default_rng(23)
+        duals = [random_dual(prob, rng, scale) for scale in (0.2, 0.7, 2.0, 5.0)]
+        duals.append(prob.f_grad(np.zeros(len(prob.hilbert_weights))))
+        batches = [rng.uniform(0.0, 1.2, (n, 1)) for n in (1, 7, 40)]
+        batches += [np.array([[0.0], [1.0], [1.2], [0.5]]), np.array([[1.1]])]
+        for xs in batches:
+            for lam in duals:
+                ys, G = prob.best_response_rows(lam, xs)
+                assert ys.tobytes() == prob.best_response_batch(lam, xs).tobytes()
+                want = prob.g_eval_batch(xs, ys)
+                assert G.shape == want.shape and G.flags.c_contiguous
+                assert G.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("substeps", [7, 12])
     def test_never_costlier_than_the_loop_reference(self, substeps):
         prob = CongestionProblem(horizon=1.0, steps=12, vmax=3.0, alpha=1.0, cells=5,

@@ -198,10 +198,14 @@ _finite = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: v + 0.0)
 
 @st.composite
 def dp_instances(draw):
-    """Ragged grids, costs on a few levels (ties), masks with holes, finite or +inf padding."""
+    """Ragged grids, costs on a few levels (ties), masks with holes, finite or +inf padding.
+
+    About half the instances cost 0 or 1 per state, so nearly every window holds
+    several minimizers and the tie-break decides each move.
+    """
     steps = draw(st.integers(1, 6))
     qmax = draw(st.integers(0, 8))
-    levels = draw(st.lists(_finite, min_size=1, max_size=4, unique=True))
+    levels = draw(st.one_of(st.just([0.0, 1.0]), st.lists(_finite, min_size=1, max_size=4, unique=True)))
     sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))
     costs = [np.array(levels)[draw(arrays(np.intp, (n, steps), elements=st.integers(0, len(levels) - 1)))]
              for n in sizes]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,19 @@ class TestFrankWolfe:
         assert report.records[-1].gap <= 1e-6
         # the returned measure is the iterate that met the tolerance
         assert report.certificate.gap <= 2e-6
+
+    def test_unstored_run_keeps_no_blocks(self, resource_problem, exp_marginal_50):
+        # without a stored measure nothing is kept per iteration: 500 best
+        # responses of 50 x 50 would be about 10 MiB
+        config = SolverConfig(iterations=500, store_measure=False)
+        tracemalloc.start()
+        try:
+            report = fw_solve(resource_problem, exp_marginal_50, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations_run == 500 and report.final_measure is None
+        assert peak < 2 * 2 ** 20
 
     def test_warm_start_measure(self, resource_problem):
         m = uniform_marginal([0.5, 2.0])
@@ -319,6 +333,13 @@ class TestStochasticFrankWolfeSweep:
         prob, m = self.instance(game, request, exp_marginal_50)
         cfg = SolverConfig(iterations=20, n_sims=3, seed=17, monotone_guard=guard)
         self.compare(prob, m, cfg)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 63 + 7])
+    def test_reused_stream_keeps_the_key_masking(self, seed, request, exp_marginal_50):
+        # one generator serves every candidate of a solve; its key must be
+        # candidate_rng's, which masks the seed to 64 bits
+        prob, m = self.instance("congestion", request, exp_marginal_50)
+        self.compare(prob, m, SolverConfig(iterations=20, n_sims=3, seed=seed))
 
     @pytest.mark.parametrize("game, gap_tol", [("resource", 1e-7), ("congestion", 0.1)])
     def test_early_exit_matches_the_reference(self, game, gap_tol, request, exp_marginal_50):
