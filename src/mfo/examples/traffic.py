@@ -206,7 +206,7 @@ class TrafficProblem(MfoProblem):
     def metric(self) -> MetricSpec:
         """Undirected hop counts between nodes, ``inf`` between components.
 
-        Built on first access: only transport plans read it, and they load scipy anyway.
+        Built on first access: only transport plans read it, so building the game and solving load no scipy.
         """
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import shortest_path

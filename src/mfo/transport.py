@@ -15,16 +15,17 @@ over index arrays:
    the plan entry's ground distance, and merge the rows into the
    bridged pair measure.
 
-Plans are solved exactly: Hungarian assignment for uniform equal-size
-marginals, monotone matching for one-dimensional Euclidean ground cost,
-and a transportation LP (HiGHS) otherwise.  Entropic approximations are
-deliberately avoided: the aggregate-shift certificates emitted here
-feed error bounds that assume exact optimality.
+Plans are solved exactly: monotone matching for one-dimensional
+Euclidean ground cost, shortest augmenting paths for uniform equal-size
+marginals, and a transportation LP (HiGHS) otherwise.  Entropic
+approximations are deliberately avoided: the aggregate-shift
+certificates emitted here feed error bounds that assume exact
+optimality.  The assignment and LP plans come with dual potentials, and
+:func:`ot_solve` checks each against them before returning it.
 
-scipy is needed only when :func:`ot_solve` builds a plan by the
-Hungarian method or the HiGHS LP; both are imported there, on first
-use, so importing this module (and solving, which never transports)
-does not load scipy.
+scipy is needed only when :func:`ot_solve` builds a plan by the HiGHS
+LP, which it imports then, on first use; monotone and assignment plans
+are built with numpy alone.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from .problem import OracleError, _certify, _contributions, _norm
 
 #: tolerance on coupling marginal residuals
 MARGINAL_TOL = 1e-9
+#: tolerance on a plan's dual certificate: the most negative reduced cost
+#: and the gap between the plan cost and the dual value
+DUAL_TOL = 1e-9
 #: additive slack when checking the selection oracle's shift bound
 SELECT_TOL = 1e-7
 
@@ -177,30 +181,114 @@ def _transport_lp(m0, m1, D):
     plan = res.x.reshape(n0, n1)
     plan[plan < 1e-15] = 0.0
     rows, cols = np.nonzero(plan)
-    return rows, cols, plan[rows, cols]
+    duals = res.eqlin.marginals
+    return rows, cols, plan[rows, cols], duals[:n0], duals[n0:]
+
+
+def _assignment(D):
+    """Optimal assignment of a square cost matrix, with its dual potentials.
+
+    Returns ``(cols, u, v)``: row ``i`` takes column ``cols[i]``, every
+    reduced cost ``D - u[:, None] - v`` is nonnegative, and it is zero on
+    the assignment, so ``sum(u + v)`` is the optimal cost (up to
+    roundoff).  Shortest augmenting paths (Crouse 2016) start from a
+    column reduction (Jonker & Volgenant 1987): ``u = 0``, ``v`` the
+    column minima, and each column's cheapest row takes the column if
+    the row is still free.  Each free row then grows one Dijkstra tree
+    over the reduced costs, one vectorised scan per column reached,
+    until the nearest column is free; the potentials of the tree move so
+    that its path stays tight, and the path augments.
+    """
+    n = len(D)
+    u = np.zeros(n)
+    v = D.min(axis=0)
+    row4col = np.full(n, -1)
+    col4row = np.full(n, -1)
+    rows, first = np.unique(D.argmin(axis=0), return_index=True)
+    col4row[rows] = first
+    row4col[first] = rows
+    free = np.flatnonzero(row4col < 0)
+    dist = np.empty(n)  # tentative distance of each column not yet scanned, inf once scanned
+    w = np.empty(n)  # v, with -inf at scanned columns so that no scan lowers them again
+    scan = np.empty(n)
+    for r in np.flatnonzero(col4row < 0):
+        dist.fill(np.inf)
+        w[:] = v
+        # rows of the tree in scan order, the distance at which each was reached,
+        # and for each scanned column the number of rows scanned before it
+        tree, reached, before = [r], [0.0], {}
+        i, low = r, 0.0
+        while True:
+            np.subtract(D[i], w, out=scan)
+            scan += low - u[i]
+            np.minimum(dist, scan, out=dist)
+            j = dist.argmin()
+            low = dist[j]
+            # a free column at the lowest distance ends the search
+            at_free = dist[free]
+            k = at_free.argmin()
+            if at_free[k] <= low:
+                j = free[k]
+                break
+            dist[j] = np.inf
+            w[j] = -np.inf
+            before[j] = len(tree)
+            i = row4col[j]
+            tree.append(i)
+            reached.append(low)
+        tree = np.array(tree)
+        reached = np.array(reached)
+        scanned = col4row[tree[1:]]
+        # walk back from the free column: each column's predecessor is the first
+        # row, among those scanned before it, that gave its distance (the same sum)
+        offset = reached - u[tree]
+        m = len(tree)
+        while True:
+            i = tree[np.argmin((D[tree[:m], j] - v[j]) + offset[:m])]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == r:
+                break
+            m = before[j]
+        free = free[row4col[free] < 0]
+        u[r] += low
+        u[tree[1:]] += low - reached[1:]
+        v[scanned] -= low - reached[1:]
+    return col4row, u, v
 
 
 def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> Coupling:
     """Exactly optimal coupling of two empirical marginals.
 
     The cost of the returned plan is the Kantorovich-Rubinstein
-    distance of the marginals under the ground metric.
+    distance of the marginals under the ground metric.  Assignment and LP
+    plans are checked against their dual potentials ``(u, v)``: every
+    reduced cost ``d(x, x2) - u - v`` is at least ``-DUAL_TOL``, and the
+    plan cost is within ``DUAL_TOL`` of the dual value ``u.m0 + v.m1``;
+    a plan that fails raises ``RuntimeError``.
     """
     _check_marginal_input(m0, "m0")
     _check_marginal_input(m1, "m1")
     D = metric.pairwise(m0.xs, m1.xs)
     if not np.all(np.isfinite(D)):
         raise ValueError("ground metric is not finite on the support pairs")
-    if len(m0) == len(m1) and _is_uniform(m0) and _is_uniform(m1):
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(D)
-        masses = np.full(len(rows), 1.0 / len(m0))
-    elif metric.kind == "euclidean" and m0.xs.shape[1] == 1:
+    if metric.kind == "euclidean" and m0.xs.shape[1] == 1:
+        # optimal for |x - x2| by monotonicity; this plan has no duals to check
         rows, cols, masses = _monotone_1d(m0, m1)
+        return Coupling(m0, m1, rows, cols, masses, D[rows, cols])
+    if len(m0) == len(m1) and _is_uniform(m0) and _is_uniform(m1):
+        cols, u, v = _assignment(D)
+        rows = np.arange(len(cols))
+        masses = np.full(len(cols), 1.0 / len(m0))
     else:
-        rows, cols, masses = _transport_lp(m0, m1, D)
-    return Coupling(m0, m1, rows, cols, masses, D[rows, cols])
+        rows, cols, masses, u, v = _transport_lp(m0, m1, D)
+    rho = Coupling(m0, m1, rows, cols, masses, D[rows, cols])
+    slack = float(np.min(D - u[:, None] - v))
+    gap = rho.cost - float(m0.weights @ u + m1.weights @ v)
+    if slack < -DUAL_TOL or abs(gap) > DUAL_TOL:
+        raise RuntimeError(f"transport plan failed its optimality check: least reduced cost {slack:.3e}, "
+                           f"plan cost minus dual value {gap:.3e} (tolerance {DUAL_TOL})")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -236,8 +324,8 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult
     ``eta = eps0 + 2 L_sel (sup_grad + L sup_g) d1``.
     """
     m0, group = _marginal_groups(mu0)
-    # the plan first: the first plan of a process imports scipy, and doing
-    # so beside the contribution rows below leaves a larger peak RSS
+    # the plan first: an LP plan or the traffic hop metric imports scipy, and
+    # doing so beside the contribution rows below leaves a larger peak RSS
     rho = ot_solve(m0, m1, problem.metric)
     G_mu0 = _contributions(problem, mu0)
     beta0 = mu0.weights @ G_mu0

@@ -1,4 +1,4 @@
-"""scipy is loaded only when an optimal-transport plan needs it.
+"""scipy is loaded only when a transportation LP or the traffic hop metric needs it.
 
 Each case runs in a fresh interpreter, since the test process itself has
 long imported scipy.
@@ -58,6 +58,41 @@ print(mfo.__file__)
 """)
     assert result.returncode == 0, result.stderr
     assert Path(result.stdout.strip()) == SRC / "mfo" / "__init__.py"
+
+
+def test_uniform_plans_and_the_resource_bridge_run_without_scipy(tmp_path):
+    cfg = {"problem": {"name": "resource", "steps": 10},
+           "marginal": {"dist": "exponential:1", "n": 20, "method": "sample"},
+           "solver": {"algorithm": "fw", "iterations": 5}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    result = run_python(NO_SCIPY + f"""
+import contextlib
+import io
+import os
+
+import numpy as np
+
+from mfo import EmpiricalMeasure, MetricSpec, ot_solve
+from mfo.cli import main
+
+rng = np.random.default_rng(0)
+m0, m1 = (EmpiricalMeasure("X", xs=rng.exponential(size=(30, 1)), weights=np.full(30, 1 / 30))
+          for _ in range(2))
+rho = ot_solve(m0, m1, MetricSpec("sqrt_euclidean"))
+
+os.chdir({str(tmp_path)!r})
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["quantize", "--dist", "exponential:1", "--n", "20", "--method", "sample",
+                 "--seed", "7", "--out", "m1.json"]) == 0
+    assert main(["solve", "--config", "cfg.json", "--out", "runs/base", "--seed", "1"]) == 0
+    assert main(["bridge", "--mu0", "runs/base/final.json", "--m1", "m1.json",
+                 "--config", "cfg.json", "--out", "runs/bridged"]) == 0
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+print(rho.cost)
+""")
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) > 0
+    assert json.loads((tmp_path / "runs/bridged/bridge_report.json").read_text())["d1"] > 0
 
 
 def test_ot_solve_loads_scipy_for_its_plan():

@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
+import mfo.transport
 from mfo import EmpiricalMeasure, MetricSpec, bridge, first_marginal, ot_solve
 from mfo.examples import TrafficProblem, grid_network
 from mfo.problem import QuadraticCostProblem
-from mfo.transport import Coupling
+from mfo.transport import Coupling, _assignment
 
 from conftest import uniform_marginal
 
@@ -125,6 +126,19 @@ class TestOtSolve:
         D = EUCLID.pairwise(m0.xs, m1.xs)
         assert plan.cost == pytest.approx(dual_lp_value(D, m0.weights, m1.weights), abs=1e-10)
 
+    def test_1d_euclidean_uniform_pairs_take_the_monotone_plan(self, monkeypatch):
+        # |x - x2| has many optimal plans here; the monotone one needs no assignment
+        monkeypatch.setattr(mfo.transport, "_assignment", None)
+        rng = np.random.default_rng(10)
+        m0 = uniform_marginal(rng.integers(0, 3, size=6))
+        m1 = uniform_marginal(rng.integers(1, 4, size=6))
+        plan = ot_solve(m0, m1, EUCLID)
+        D = EUCLID.pairwise(m0.xs, m1.xs)
+        assert plan.cost == pytest.approx(brute_force_cost(D), abs=1e-12)
+        # no two entries cross: x0 < x0' implies x1 <= x1'
+        x0, x1 = m0.xs[plan.rows, 0], m1.xs[plan.cols, 0]
+        assert np.all((x0[:, None] < x0) <= (x1[:, None] <= x1))
+
     def test_metric_axioms_on_random_triples(self):
         rng = np.random.default_rng(9)
         ms = [uniform_marginal(rng.normal(size=5)) for _ in range(3)]
@@ -141,6 +155,65 @@ class TestOtSolve:
         m = uniform_marginal([0.0])
         with pytest.raises(ValueError):
             ot_solve(mu, m, EUCLID)
+
+
+def assert_duals_certify(D, cols, u, v):
+    """(u, v) are feasible for the dual of the assignment and price it exactly."""
+    assert np.min(D - u[:, None] - v) >= -1e-12
+    assert D[np.arange(len(D)), cols].sum() == pytest.approx(u.sum() + v.sum(), abs=1e-12)
+
+
+class TestAssignment:
+    """``_assignment`` against scipy's ``linear_sum_assignment``."""
+
+    @pytest.mark.parametrize("kind, dim", [("sqrt_euclidean", 1), ("euclidean", 2)])
+    def test_continuous_costs_give_scipys_plan(self, kind, dim):
+        rng = np.random.default_rng(21)
+        spec = MetricSpec(kind)
+        for n in range(1, 61):
+            D = spec.pairwise(rng.exponential(size=(n, dim)), rng.exponential(size=(n, dim)))
+            cols, u, v = _assignment(D)
+            assert cols.tolist() == linear_sum_assignment(D)[1].tolist()
+            assert_duals_certify(D, cols, u, v)
+
+    def test_tied_costs_give_scipys_cost(self):
+        # random integers, and |x - x2| on repeated points: many optimal plans
+        rng = np.random.default_rng(22)
+        for n in range(1, 61):
+            points = rng.integers(0, 6, size=(2, n, 1)) / 4
+            for D in (rng.integers(0, 5, size=(n, n)).astype(float), EUCLID.pairwise(*points)):
+                cols, u, v = _assignment(D)
+                assert sorted(cols.tolist()) == list(range(n))
+                rows, want = linear_sum_assignment(D)
+                assert D[rows, cols].sum() == pytest.approx(D[rows, want].sum(), abs=1e-12)
+                assert_duals_certify(D, cols, u, v)
+
+    @pytest.mark.parametrize("n1", [6, 4])  # the assignment, then the LP
+    def test_ot_solve_rejects_a_plan_its_duals_do_not_certify(self, monkeypatch, n1):
+        rng = np.random.default_rng(23)
+        m0, m1 = (EmpiricalMeasure("X", xs=rng.exponential(size=(n, 1)), weights=np.full(n, 1 / n))
+                  for n in (6, n1))
+        spec = MetricSpec("sqrt_euclidean")
+        ot_solve(m0, m1, spec)
+
+        def swapped(D):
+            # two rows trade their columns: a plan of higher cost, same duals
+            cols, u, v = _assignment(D)
+            cols[[0, 1]] = cols[[1, 0]]
+            return cols, u, v
+
+        lp = mfo.transport._transport_lp
+
+        def raised(m0, m1, D):
+            # one column potential above what the plan allows
+            rows, cols, masses, u, v = lp(m0, m1, D)
+            v[0] += 1e-6
+            return rows, cols, masses, u, v
+
+        monkeypatch.setattr(mfo.transport, "_assignment", swapped)
+        monkeypatch.setattr(mfo.transport, "_transport_lp", raised)
+        with pytest.raises(RuntimeError, match="optimality check"):
+            ot_solve(m0, m1, spec)
 
 
 class TestCoupling:
