@@ -20,46 +20,88 @@ import numpy as np
 # so spend(theta) = dt*sum(q(theta)) is piecewise linear and
 # non-increasing, with kinks where some q_t leaves 1/2 or reaches 0.
 # The kinks depend on (top, ert, lam1) only, which every agent shares:
-# the multiplier of each budget is found by interpolating between them
+# one sweep computes the spend at every kink, and each budget's
+# multiplier is interpolated between the two kinks around it
 # (water-filling; Boyd & Vandenberghe, Convex Optimization, Ex. 5.2).
+#
+# Every q row, at a kink or at a budget's multiplier, is computed by the
+# same passes in the same order, and spend is non-increasing in theta in
+# floating point too.  So the spend at a budget's upper kink hi fits the
+# budget exactly as the sweep found it, and hi is a safe multiplier.
+# The interpolated multiplier can overshoot by a few ulps of spend; it is
+# raised by _GUARD_ULPS spacings of hi (capped at hi) for every agent at
+# once, which settles nearly all of them, and a doubling loop nudges the
+# rare agent that still overshoots, never past hi.
+
+#: how far above the interpolated multiplier, in spacings of the upper
+#: kink, every agent's multiplier starts
+_GUARD_ULPS = 16.0
+
+
+def _q_rows(theta, top, ert, denom, out):
+    """Writes ``clip((top - theta[:, None] * ert) / denom, 0, 1/2)`` into ``out``, with no temporaries.
+
+    ``maximum(out, 0.0)`` turns a ``-0.0`` into ``+0.0``, so ``q`` holds no negative zero.
+    """
+    np.multiply(theta[:, None], ert, out=out)
+    np.subtract(top, out, out=out)
+    np.divide(out, denom, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 0.5, out=out)
+    return out
 
 
 def resource_br(top, ert, lam1, dt, budgets):
     """Exact best responses for a batch of budgets: returns ``(q, theta)``.
 
-    ``q`` has one row per budget; ``theta`` is the smallest multiplier
-    whose spend fits the budget.  The spend never exceeds the budget:
-    where roundoff in the interpolation overshoots, theta is nudged up
-    until it fits, never past the segment's upper kink, whose spend
-    fits by construction.
+    ``q`` has one row per budget and never spends more than it.
+    ``theta`` is the budget's multiplier: 0 where the budget is slack,
+    else the multiplier interpolated between the kinks around the
+    budget, raised by ``_GUARD_ULPS`` spacings of the upper kink ``hi``
+    (and by twice as many more per round while the spend overshoots),
+    never past ``hi``.  So it is not the smallest multiplier whose spend
+    fits, but a few dozen spacings of ``hi`` at most above it on every
+    instance measured, and a binding budget is spent to within roundoff.
     """
     top = np.asarray(top, dtype=float)
     ert = np.asarray(ert, dtype=float)
     budgets = np.asarray(budgets, dtype=float)
     denom = 2.0 * lam1
-
-    def q_of(theta):
-        return np.clip((top - theta[:, None] * ert) / denom, 0.0, 0.5)
-
-    kinks = np.unique(np.concatenate([[0.0], (top - lam1) / ert, top / ert]).clip(min=0.0))
-    spend = dt * q_of(kinks).sum(axis=1)
-    # First kink whose spend fits: theta lies in [kinks[i-1], kinks[i]].  At
-    # the last kink roundoff can leave a spend of a few ulps above a zero
-    # budget (i == len); at twice that kink every q_t is exactly zero.
-    i = np.searchsorted(-spend, -budgets)
-    hi = np.append(kinks, 2.0 * kinks[-1])[i]
-    theta = kinks[np.maximum(i - 1, 0)]
-    seg = np.flatnonzero((i > 0) & (i < len(kinks)))
-    j = i[seg]
-    theta[seg] += (spend[j - 1] - budgets[seg]) / (spend[j - 1] - spend[j]) * (kinks[j] - kinks[j - 1])
-    q = q_of(theta)
+    m = len(top)
+    # the distinct kinks, sorted, then 2 * the last one: at the last kink
+    # roundoff can leave a spend of a few ulps above a zero budget, and at
+    # twice that kink every q_t is exactly zero
+    kinks = np.empty(2 * m + 2)
+    kinks[0] = 0.0
+    np.subtract(top, lam1, out=kinks[1:m + 1])
+    np.divide(kinks[1:m + 1], ert, out=kinks[1:m + 1])
+    np.divide(top, ert, out=kinks[m + 1:-1])
+    np.maximum(kinks[:-1], 0.0, out=kinks[:-1])
+    kinks[:-1].sort()
+    kinks[-1] = 2.0 * kinks[-2]
+    distinct = np.empty(2 * m + 2, dtype=bool)
+    distinct[0] = distinct[-1] = True
+    np.not_equal(kinks[1:-1], kinks[:-2], out=distinct[1:-1])
+    kinks = kinks[distinct]
+    spend = _q_rows(kinks[:-1], top, ert, denom, np.empty((len(kinks) - 1, m))).sum(axis=1)
+    spend *= dt
+    # hi is the first kink whose spend fits; the spend is non-increasing, so
+    # its reverse is the ascending abscissa np.interp needs, and a budget
+    # equal to a plateau's spend gets the plateau's smallest kink
+    hi = kinks[np.searchsorted(-spend, -budgets)]
+    theta = np.interp(budgets, spend[::-1], kinks[-2::-1])
+    step = _GUARD_ULPS * np.spacing(hi)
+    theta += step
+    np.minimum(theta, hi, out=theta)
+    q = _q_rows(theta, top, ert, denom, np.empty((len(budgets), m)))
     over = np.flatnonzero(dt * q.sum(axis=1) > budgets)
-    step = np.spacing(hi[over])
+    step = step[over]
     while over.size:
+        step *= 2.0
         theta[over] = np.minimum(theta[over] + step, hi[over])
-        q[over] = q_of(theta[over])
+        q[over] = _q_rows(theta[over], top, ert, denom, np.empty((len(over), m)))
         still = (dt * q[over].sum(axis=1) > budgets[over]) & (theta[over] < hi[over])
-        over, step = over[still], 2.0 * step[still]
+        over, step = over[still], step[still]
     return q, theta
 
 

@@ -35,7 +35,7 @@ CONFIG_SCHEMA = 1
 CONFIG_KEYS = ("schema", "problem", "marginal", "solver", "repeats")
 MARGINAL_SOURCES = ("file", "atoms", "dist")
 MARGINAL_KEYS = MARGINAL_SOURCES + ("n", "method", "seed")
-SOLVER_KEYS = ("algorithm", "seed", "iterations", "n_sims", "monotone_guard", "gap_tol")
+SOLVER_KEYS = ("algorithm", "seed", "iterations", "step_rule", "n_sims", "monotone_guard", "gap_tol")
 #: the rate bound ``factor * L * D / K`` each solver guarantees (SFW: in expectation)
 RATE_FACTORS = {"fw": 2, "sfw": 4}
 
@@ -170,6 +170,7 @@ def build_solver_config(solver_cfg: dict, seed_override=None) -> tuple[str, Solv
     try:
         cfg = SolverConfig(
             iterations=solver_cfg.get("iterations", 100),
+            step_rule=solver_cfg.get("step_rule", SolverConfig.step_rule),
             n_sims=solver_cfg.get("n_sims", 1),
             seed=solver_cfg.get("seed", 0) if seed_override is None else seed_override,
             monotone_guard=solver_cfg.get("monotone_guard", True),
@@ -339,13 +340,16 @@ def cmd_bridge(args) -> int:
         "aggregate_shift": result.aggregate_shift,
         "objective_before": result.objective_before,
         "objective_after": result.objective_after,
+        "gap_after": result.gap_after,
+        "lower_bound_after": result.lower_bound_after,
         "coupling": result.coupling.to_json_dict(),
     }
     # json.dumps uses the C encoder; json.dump always streams through pure Python
     with open(out / "bridge_report.json", "w") as fh:
         fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    print(f"bridge[{problem.name}] d1={result.transport_cost:.6g} eta={result.eta:.6g} "
-          f"objective {result.objective_before:.8g} -> {result.objective_after:.8g}")
+    print(f"bridge[{problem.name}] d1={result.transport_cost:.6g} eta={result.eta:.6g} (a priori) "
+          f"objective {result.objective_before:.8g} -> {result.objective_after:.8g} "
+          f"gap_after={result.gap_after:.3g} lower_bound_after={result.lower_bound_after:.8g}")
     return 0
 
 

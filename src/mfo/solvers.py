@@ -53,7 +53,7 @@ class SolverConfig:
     def __post_init__(self):
         # the fields are written to final.json, so each becomes a plain Python value
         if not isinstance(self.step_rule, str) or self.step_rule not in STEP_RULES:
-            raise ValueError(f"unknown step rule {self.step_rule!r}; supported: {', '.join(STEP_RULES)}")
+            raise ValueError(f"unknown step rule {self.step_rule!r}: step_rule must be one of {', '.join(STEP_RULES)}")
         tol = self.gap_tol
         real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
         if tol is not None and not (real and 0.0 <= tol < np.inf):

@@ -303,6 +303,8 @@ class BridgeResult:
     objective_after: float
     eps0: float
     eta: float
+    gap_after: float
+    lower_bound_after: float
 
 
 def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult:
@@ -321,7 +323,11 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult
     the transport cost ``d1``.  ``eps0``, the gap of ``mu0`` for ``m0``
     under ``problem``, is certified here; the output is then
     ``eta``-optimal for ``m1`` with
-    ``eta = eps0 + 2 L_sel (sup_grad + L sup_g) d1``.
+    ``eta = eps0 + 2 L_sel (sup_grad + L sup_g) d1``, the a-priori
+    bound.  ``gap_after`` certifies the output itself: its duality gap
+    for ``m1``, from one best-response sweep over ``m1``, so that
+    ``lower_bound_after = objective_after - gap_after`` lies below the
+    optimal value for ``m1``.
     """
     m0, group = _marginal_groups(mu0)
     # the plan first: an LP plan or the traffic hop metric imports scipy, and
@@ -370,13 +376,16 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult
     eta = eps0 + 2.0 * problem.set_lipschitz * (
         problem.sup_grad_norm + problem.grad_lipschitz * problem.sup_g_norm
     ) * rho.cost
+    after = _certify(problem, beta1, m1.xs, m1.weights)[0]
     return BridgeResult(
         measure=mu1,
         coupling=rho,
         transport_cost=rho.cost,
         aggregate_shift=_norm(problem, beta1 - beta0),
         objective_before=problem.f_value(beta0),
-        objective_after=problem.f_value(beta1),
+        objective_after=after.primal_value,
         eps0=eps0,
         eta=eta,
+        gap_after=after.gap,
+        lower_bound_after=after.primal_value - after.gap,
     )

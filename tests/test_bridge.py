@@ -8,6 +8,7 @@ from mfo import (
     aggregate,
     bridge,
     first_marginal,
+    fw_gap,
     fw_solve,
     ot_solve,
     sfw_solve,
@@ -80,6 +81,7 @@ class TestBridgeBasics:
         result = bridge(mu0, m1, prob)
         assert first_marginal(result.measure).allclose(m1.merged(), tol=1e-9)
         assert result.aggregate_shift <= prob.set_lipschitz * result.transport_cost + 1e-7
+        assert 0.0 <= result.gap_after <= result.eta
 
     def test_broken_selection_raises(self, resource_problem):
         class Broken(type(resource_problem)):
@@ -157,3 +159,19 @@ class TestEtaMinimizer:
         assert result.eps0 == eps0
         assert result.eta == pytest.approx(eta, rel=1e-12)
         assert result.objective_after - val_lower <= eta + 1e-6
+
+    def test_bridged_measure_is_certified_after(self, resource_problem):
+        # one best-response sweep over m1 certifies the bridged measure: its gap
+        # lies within the a-priori eta, and objective - gap bounds val(m1) below
+        prob = resource_problem
+        rng = np.random.default_rng(9)
+        m0 = uniform_marginal(np.clip(rng.exponential(1.0, 20), 0, prob.stock_cap))
+        m1 = uniform_marginal(np.clip(rng.exponential(1.0, 30), 0, prob.stock_cap))
+        rep0 = fw_solve(prob, m0, SolverConfig(iterations=200))
+        result = bridge(rep0.final_measure, m1, prob)
+        assert 0.0 <= result.gap_after <= result.eta
+        assert result.gap_after == pytest.approx(fw_gap(prob, result.measure).gap, rel=1e-9, abs=1e-15)
+        assert result.lower_bound_after == result.objective_after - result.gap_after
+        ref = fw_solve(prob, m1, SolverConfig(iterations=2000, gap_tol=1e-10, store_measure=False))
+        assert result.lower_bound_after <= ref.certificate.primal_value
+        assert ref.certificate.primal_value <= result.objective_after

@@ -143,6 +143,25 @@ class TestSolveVerb:
         assert f"config error: {name}: " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_step_rule_from_the_solver_block(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json",
+                           solver={"algorithm": "fw", "iterations": 5, "step_rule": "1/(k+1)"})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        final = json.loads((tmp_path / "run" / "final.json").read_text())
+        assert final["config"]["step_rule"] == "1/(k+1)"
+        default = write_config(tmp_path / "default.json", solver={"algorithm": "fw", "iterations": 5})
+        assert main(["solve", "--config", str(default), "--out", str(tmp_path / "default")]) == 0
+        final = json.loads((tmp_path / "default" / "final.json").read_text())
+        assert final["config"]["step_rule"] == "2/(k+2)"
+
+    def test_unknown_step_rule_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           solver={"algorithm": "fw", "iterations": 5, "step_rule": "1/k"})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: the solver block: " in err and "step_rule" in err and "'1/k'" in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("missing", ["edges_csv", "od_csv", "marginal_file"])
     def test_missing_input_file_is_a_config_error(self, tmp_path, capsys, missing):
         (tmp_path / "edges.csv").write_text("from,to,phi_kind,a,b\n0,1,affine,1.0,0.0\n0,1,affine,0.0,1.0\n")
@@ -502,6 +521,22 @@ class TestBridgeVerb:
                                                  store_measure=False))
         val_lower = ref.certificate.primal_value - ref.certificate.gap
         assert report["objective_after"] - val_lower <= report["eta"] + 1e-6
+        # the bridged measure's own certificate, beside the a-priori eta
+        assert 0.0 <= report["gap_after"] <= report["eta"]
+        assert report["gap_after"] == pytest.approx(fw_gap(problem, bridged).gap, rel=1e-9, abs=1e-15)
+        assert report["lower_bound_after"] == report["objective_after"] - report["gap_after"]
+        assert report["lower_bound_after"] <= ref.certificate.primal_value
+
+    def test_bridge_line_reports_the_certificate_after(self, tmp_path, capsys):
+        cfg, run = self._run(tmp_path)
+        capsys.readouterr()
+        assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(run / "marginal.json"),
+                     "--config", str(cfg), "--out", str(tmp_path / "bridged")]) == 0
+        line = capsys.readouterr().out
+        report = json.loads((tmp_path / "bridged" / "bridge_report.json").read_text())
+        assert "(a priori)" in line
+        assert f"gap_after={report['gap_after']:.3g}" in line
+        assert f"lower_bound_after={report['lower_bound_after']:.8g}" in line
 
     def test_bare_measure_is_certified_by_the_bridge(self, tmp_path):
         cfg, run = self._run(tmp_path)

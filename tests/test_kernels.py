@@ -69,6 +69,36 @@ def resource_br_bisection(top, ert, lam1, dt, budgets):
     return q, theta
 
 
+def resource_br_reference(top, ert, lam1, dt, budgets):
+    """The water-filling kernel before its guard started above the interpolated multiplier.
+
+    theta is the interpolated multiplier, nudged by 1, 2, 4, ... spacings of
+    the segment's upper kink while the spend overshoots, never past it.
+    """
+    denom = 2.0 * lam1
+
+    def q_of(theta):
+        return np.clip((top - theta[:, None] * ert) / denom, 0.0, 0.5)
+
+    kinks = np.unique(np.concatenate([[0.0], (top - lam1) / ert, top / ert]).clip(min=0.0))
+    spend = dt * q_of(kinks).sum(axis=1)
+    i = np.searchsorted(-spend, -budgets)
+    hi = np.append(kinks, 2.0 * kinks[-1])[i]
+    theta = kinks[np.maximum(i - 1, 0)]
+    seg = np.flatnonzero((i > 0) & (i < len(kinks)))
+    j = i[seg]
+    theta[seg] += (spend[j - 1] - budgets[seg]) / (spend[j - 1] - spend[j]) * (kinks[j] - kinks[j - 1])
+    q = q_of(theta)
+    over = np.flatnonzero(dt * q.sum(axis=1) > budgets)
+    step = np.spacing(hi[over])
+    while over.size:
+        theta[over] = np.minimum(theta[over] + step, hi[over])
+        q[over] = q_of(theta[over])
+        still = (dt * q[over].sum(axis=1) > budgets[over]) & (theta[over] < hi[over])
+        over, step = over[still], 2.0 * step[still]
+    return q, theta, hi
+
+
 def congestion_dp_loops(cost, qmax, below_target, s0):
     """Backward DP scanning every successor, with the kernel's tie-break."""
     n, m = cost.shape
@@ -119,6 +149,33 @@ def spend_at(top, ert, lam1, dt, theta):
     return dt * q.sum(axis=1)
 
 
+def edge_instances():
+    """Random instances plus the edges of the water-filling search.
+
+    Yields ``(top, ert, lam1, dt, budgets, spend0)``: a zero budget, the
+    unconstrained spend ``spend0``, the spend at every kink, one step (M =
+    1), no profitable step (top <= 0) and a flat discount (tied kinks).
+    """
+    rng = np.random.default_rng(4)
+    for case in range(1200):
+        steps = 1 if case % 5 == 0 else int(rng.integers(2, 61))
+        dt = rng.uniform(0.05, 1.0)
+        rate = 0.0 if case % 3 == 0 else rng.uniform(0.0, 1.5)
+        ert = np.exp(rate * dt * np.arange(steps))
+        lam1 = rng.uniform(0.5, 2.0)
+        top = rng.uniform(-0.5, 1.0, steps) * rng.choice([1.0, 4.0])
+        if case % 7 == 0:
+            top = -np.abs(top)
+        spend0 = spend_at(top, ert, lam1, dt, 0.0)[0]
+        kinks = np.concatenate([(top - lam1) / ert, top / ert]).clip(min=0.0)
+        budgets = np.concatenate([
+            rng.uniform(0.0, 1.2 * spend0, int(rng.integers(1, 30))),
+            [0.0, spend0],
+            spend_at(top, ert, lam1, dt, kinks),
+        ])
+        yield top, ert, lam1, dt, budgets, spend0
+
+
 class TestResourceKernel:
     def test_numpy_output_is_feasible(self):
         rng = np.random.default_rng(0)
@@ -138,26 +195,7 @@ class TestResourceKernel:
             np.testing.assert_allclose(theta, theta_ref, rtol=0, atol=1e-10)
 
     def test_budget_never_overshot(self):
-        # random instances plus the edges of the water-filling search: a zero
-        # budget, the unconstrained spend, the spend at every kink, one step
-        # (M = 1), no profitable step (top <= 0) and a flat discount (tied kinks)
-        rng = np.random.default_rng(4)
-        for case in range(1200):
-            steps = 1 if case % 5 == 0 else int(rng.integers(2, 61))
-            dt = rng.uniform(0.05, 1.0)
-            rate = 0.0 if case % 3 == 0 else rng.uniform(0.0, 1.5)
-            ert = np.exp(rate * dt * np.arange(steps))
-            lam1 = rng.uniform(0.5, 2.0)
-            top = rng.uniform(-0.5, 1.0, steps) * rng.choice([1.0, 4.0])
-            if case % 7 == 0:
-                top = -np.abs(top)
-            spend0 = spend_at(top, ert, lam1, dt, 0.0)[0]
-            kinks = np.concatenate([(top - lam1) / ert, top / ert]).clip(min=0.0)
-            budgets = np.concatenate([
-                rng.uniform(0.0, 1.2 * spend0, int(rng.integers(1, 30))),
-                [0.0, spend0],
-                spend_at(top, ert, lam1, dt, kinks),
-            ])
+        for case, (top, ert, lam1, dt, budgets, spend0) in enumerate(edge_instances()):
             q, theta = _kernels.resource_br(top, ert, lam1, dt, budgets)
             spend = dt * q.sum(axis=1)
             assert np.all(spend <= budgets), case
@@ -166,6 +204,38 @@ class TestResourceKernel:
             assert np.all(theta[budgets >= spend0] == 0.0), case
             # complementary slackness: a positive multiplier means the budget binds
             assert np.all(budgets[theta > 0] - spend[theta > 0] <= 1e-12), case
+
+    def test_matches_reference_kernel(self):
+        # from the interpolated multiplier, the reference stops at the first
+        # of 0, 1, 3, 7, 15, 31, 63 spacings of the upper kink hi whose spend
+        # fits, the kernel at the first of 16, 48, 112: where no agent needs
+        # more than 63, theta moves by under 64 spacings of hi and q by roundoff
+        rng = np.random.default_rng(5)
+        instances = [random_br_inputs(rng) + (None,) for _ in range(20)]
+        for case, (top, ert, lam1, dt, budgets, _) in enumerate(instances + list(edge_instances())):
+            q, theta = _kernels.resource_br(top, ert, lam1, dt, budgets)
+            q_ref, theta_ref, hi = resource_br_reference(top, ert, lam1, dt, budgets)
+            np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-13, err_msg=str(case))
+            assert np.all(np.abs(theta - theta_ref) < 64 * np.spacing(hi)), case
+            assert np.all(theta <= hi), case
+
+    def test_no_negative_zero(self):
+        # np.clip(-0.0, 0.0, 0.5) and np.maximum(0.0, -0.0) keep the -0.0 of a
+        # zero top_t at theta = 0, and a -0.0 would reach final.json as text;
+        # every zero the kernel returns is +0.0, bit for bit
+        rng = np.random.default_rng(6)
+        instances = [random_br_inputs(rng) + (None,) for _ in range(20)] + list(edge_instances())
+        top = np.array([-0.0, 0.0, 0.3, -0.2, 0.9])
+        ert = np.exp(0.4 * np.arange(5))
+        instances.append((top, ert, 1.0, 0.5, np.array([0.0, 0.05, 0.2, 5.0]), None))
+        for case, (top, ert, lam1, dt, budgets, _) in enumerate(instances):
+            q, theta = _kernels.resource_br(top, ert, lam1, dt, budgets)
+            q_ref, _, _ = resource_br_reference(top, ert, lam1, dt, budgets)
+            assert not np.signbit(q[q == 0.0]).any(), case
+            assert not np.signbit(theta[theta == 0.0]).any(), case
+            # where both kernels return a zero from a nonzero top_t, they agree bit for bit
+            both = (q == 0.0) & (q_ref == 0.0) & (top != 0.0)
+            assert q[both].tobytes() == q_ref[both].tobytes(), case
 
 
 def dp_batch(costs, qmax, belows, pad=np.inf):
