@@ -36,7 +36,8 @@ CONFIG_KEYS = ("schema", "problem", "marginal", "solver", "repeats")
 MARGINAL_SOURCES = ("file", "atoms", "dist")
 MARGINAL_KEYS = MARGINAL_SOURCES + ("n", "method", "seed")
 SOLVER_KEYS = ("algorithm", "seed", "iterations", "step_rule", "n_sims", "monotone_guard", "gap_tol")
-#: the rate bound ``factor * L * D / K`` each solver guarantees (SFW: in expectation)
+#: the rate bound ``factor * L * D / K`` each solver guarantees under the
+#: default step rule ``2/(k+2)`` (SFW: in expectation)
 RATE_FACTORS = {"fw": 2, "sfw": 4}
 
 
@@ -382,7 +383,8 @@ def cmd_report(args) -> int:
     print(f"lower bound    : {cert['primal_value'] - cert['gap']:.10g}")
     info = final["problem"]
     factor = RATE_FACTORS.get(final["algorithm"])
-    if factor and {"grad_lipschitz", "sup_g_diff_sq"} <= info.keys():
+    default_rule = final["config"].get("step_rule", "2/(k+2)") == "2/(k+2)"
+    if factor and default_rule and {"grad_lipschitz", "sup_g_diff_sq"} <= info.keys():
         k = final["iterations_run"]
         print(f"{factor}LD/K at K={k}  : {factor * info['grad_lipschitz'] * info['sup_g_diff_sq'] / k:.4g}")
     if final.get("beyond_guarantee"):

@@ -46,8 +46,12 @@ def _affine_latency(q, a, b):
 
 
 def _affine_potential(q, a, b):
-    qp = np.maximum(q, 0.0)
-    return 0.5 * a * (qp * qp) + b * q
+    # 0.5 * a * (qp * qp) + b * q, in place; products and sums commute exactly
+    out = np.maximum(q, 0.0)
+    out *= out
+    out *= 0.5 * a
+    out += b * q
+    return out
 
 
 def _bpr_latency(q, t0, c, p):

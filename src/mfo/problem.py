@@ -291,25 +291,47 @@ def _check_dual_point(lam):
         raise ValueError("the dual point lam must be finite")
 
 
-def _support_values(problem, lam, xs):
-    """The best-response sweep: per row, the minimizer, its contribution and ``<lam, g>``."""
+def _support_values(problem, lam, xs, hl=None):
+    """The best-response sweep: per row, the minimizer, its contribution and ``<lam, g>``.
+
+    ``hl`` is ``hilbert_weights * lam``, for a caller that has formed it.
+    """
     _check_dual_point(lam)
+    if hl is None:
+        hl = problem.hilbert_weights * lam
     ys, G = problem.best_response_rows(lam, xs)
-    return ys, G, G @ (problem.hilbert_weights * lam)
+    return ys, G, G @ hl
+
+
+def _certificate_pass(problem, beta: np.ndarray, xs, w):
+    """The certificate at aggregate ``beta`` over the marginal ``(xs, w)``, as plain values.
+
+    Returns ``(lam, ys, G, gap, primal, lambda_norm)``: the dual point
+    ``lam = f_grad(beta)``, the sweep's best responses and their
+    contribution rows (which the solvers step towards), the gap, the
+    primal value and ``|lam|``.  ``hl = hilbert_weights * lam`` is formed
+    once and serves the sweep values, ``<lam, beta>`` and ``|lam|``;
+    as :func:`_inner` evaluates ``(w * a) * b``, each number has the bits
+    of its :func:`_inner` form.  FW and SFW call this every iteration.
+    """
+    if not np.isfinite(beta).all():
+        raise ValueError("the aggregate must be finite")
+    lam = problem.f_grad(beta)
+    hl = problem.hilbert_weights * lam
+    ys, G, values = _support_values(problem, lam, xs, hl)
+    gap = clamp_gap(float((hl * beta).sum()) - float(w @ values))
+    lambda_norm = math.sqrt(max(float((hl * lam).sum()), 0.0))
+    return lam, ys, G, gap, problem.f_value(beta), lambda_norm
 
 
 def _certify(problem, beta: np.ndarray, xs, w):
     """Certificate at aggregate ``beta`` over the marginal ``(xs, w)``.
 
-    Also returns the sweep's best responses and their contributions,
-    which the solvers step towards.
+    Wraps :func:`_certificate_pass` in a :class:`DualCertificate`, for
+    :func:`fw_gap`, the bridge and each solver's final certificate.
+    Also returns the sweep's best responses and their contributions.
     """
-    if not np.isfinite(beta).all():
-        raise ValueError("the aggregate must be finite")
-    lam = problem.f_grad(beta)
-    ys, G, values = _support_values(problem, lam, xs)
-    gap = clamp_gap(_inner(problem, lam, beta) - float(w @ values))
-    primal = problem.f_value(beta)
+    lam, ys, G, gap, primal, _ = _certificate_pass(problem, beta, xs, w)
     return DualCertificate(beta=beta, lam=lam, primal_value=primal, dual_value=gap - primal, gap=gap), ys, G
 
 

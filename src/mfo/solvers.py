@@ -5,6 +5,11 @@ best-response measure per iteration (open-loop step ``2/(k+2)``, or
 ``1/(k+1)``: fictitious play), growing the support by at most one atom
 per support point per iteration; the aggregate is updated
 incrementally so the per-iteration cost does not grow with the support.
+A stored run keeps each step's best responses plus two scalars, its
+step weight and the running scale factor, in flat float arrays, and
+forms the atoms' weights in one vectorized pass at the end.  Every
+iteration certifies its iterate with one pass of
+:func:`~mfo.problem._certificate_pass`, which returns plain numbers.
 
 The stochastic variant keeps exactly one decision per support point:
 each iteration draws, independently per agent, Bernoulli switches from
@@ -21,13 +26,14 @@ from __future__ import annotations
 import csv
 import json
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import EmpiricalMeasure, first_marginal
-from .problem import (DualCertificate, MfoProblem, _certify, _count, _integer, _norm, _support_values,
-                      aggregate, fw_gap)
+from .problem import (DualCertificate, MfoProblem, _certificate_pass, _certify, _count, _integer,
+                      _support_values, aggregate, fw_gap)
 from .transport import MARGINAL_TOL, _is_uniform
 
 #: the open-loop step weights by name; under ``1/(k+1)`` the iterate is the
@@ -91,7 +97,7 @@ class SolverConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     k: int
     objective: float
@@ -182,43 +188,50 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
     """
     _check_marginal(m_N)
     xs, w = m_N.xs, m_N.weights
-    factor = 1.0
     if mu0 is None:
         ys0, G0 = _warm_start(problem, xs, w)
         beta = w @ G0
-        blocks = [(xs, ys0, w.copy())]     # (xs, ys, raw weights); effective weight = raw * factor
+        start = (xs, ys0, w.copy())        # (xs, ys, raw weights); effective weight = raw * factor
     else:
         if not first_marginal(mu0).allclose(m_N, tol=MARGINAL_TOL):
             raise ValueError("the warm start mu0 does not have the prescribed marginal")
         beta = aggregate(problem, mu0)
-        blocks = [(mu0.xs, mu0.ys, mu0.weights.copy())]
+        start = (mu0.xs, mu0.ys, mu0.weights.copy())
+    # each stored step keeps its best responses, its step weight and the
+    # factor at that step; its raw weights om * w / factor are formed at the end
+    steps, oms, factors = [], array("d"), array("d")
+    factor = 1.0
 
     records = []
     stopped_early = False
     for k in range(config.iterations):
         tic = time.perf_counter()
-        cert, ys_br, G_br = _certify(problem, beta, xs, w)
-        stopped_early = config.gap_tol is not None and cert.gap <= config.gap_tol
+        _, ys_br, G_br, gap, primal, lambda_norm = _certificate_pass(problem, beta, xs, w)
+        stopped_early = config.gap_tol is not None and gap <= config.gap_tol
         if not stopped_early:
             om = config.omega(k)
-            beta = (1.0 - om) * beta + om * (w @ G_br)
-            if config.store_measure:        # an unstored run builds no measure: it keeps no blocks
+            beta = (1.0 - om) * beta
+            beta += om * (w @ G_br)
+            if config.store_measure:        # an unstored run builds no measure: it keeps no steps
                 if om >= 1.0:
-                    blocks = []
-                    factor = 1.0
+                    start, factor = None, 1.0
+                    del steps[:], oms[:], factors[:]
                 else:
                     factor *= 1.0 - om
                 if om > 0.0:
-                    blocks.append((xs, ys_br, om * w / factor))
-        records.append(IterationRecord(k, cert.primal_value, cert.gap, _norm(problem, cert.lam),
-                                       (time.perf_counter() - tic) * 1e3))
+                    steps.append(ys_br)
+                    oms.append(om)
+                    factors.append(factor)
+        records.append(IterationRecord(k, primal, gap, lambda_norm, (time.perf_counter() - tic) * 1e3))
         if stopped_early:
             break
 
     if config.store_measure:
-        xs_all = np.vstack([b[0] for b in blocks])
-        ys_all = np.vstack([b[1] for b in blocks])
-        w_all = np.concatenate([b[2] for b in blocks]) * factor
+        raw = (np.frombuffer(oms)[:, None] * w) / np.frombuffer(factors)[:, None]
+        head = [] if start is None else [start]
+        xs_all = np.vstack([b[0] for b in head] + [xs] * len(steps))
+        ys_all = np.vstack([b[1] for b in head] + steps)
+        w_all = np.concatenate([b[2] for b in head] + [raw.ravel()]) * factor
         final = EmpiricalMeasure("Z", xs=xs_all, ys=ys_all, weights=w_all, validate=False).merged()
         cert = fw_gap(problem, final)
     else:
@@ -273,9 +286,8 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
     stopped_early = False
     for k in range(config.iterations):
         tic = time.perf_counter()
-        cert, y_br, G_br = _certify(problem, w @ G, xs, w)
-        objective = cert.primal_value
-        stopped_early = config.gap_tol is not None and cert.gap <= config.gap_tol
+        _, y_br, G_br, gap, objective, lambda_norm = _certificate_pass(problem, w @ G, xs, w)
+        stopped_early = config.gap_tol is not None and gap <= config.gap_tol
         n_k = 0
         if not stopped_early:
             n_k, om = config.sims_at(k), config.omega(k)
@@ -293,8 +305,8 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
             if not (config.monotone_guard and objective < best_val):
                 y = np.where(best_pick, y_br, y)
                 G = np.where(best_pick, G_br, G)
-        records.append(IterationRecord(k, objective, cert.gap, _norm(problem, cert.lam),
-                                       (time.perf_counter() - tic) * 1e3, n_candidates=n_k))
+        records.append(IterationRecord(k, objective, gap, lambda_norm, (time.perf_counter() - tic) * 1e3,
+                                       n_candidates=n_k))
         if stopped_early:
             break
 

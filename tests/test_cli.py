@@ -633,6 +633,18 @@ class TestReportVerb:
         bound = factor * info["grad_lipschitz"] * info["sup_g_diff_sq"] / 10
         assert f"{factor}LD/K at K=10  : {bound:.4g}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algorithm", ["fw", "sfw"])
+    def test_no_rate_bound_under_another_step_rule(self, tmp_path, capsys, algorithm):
+        # the 2LD/K and 4LD/K bounds are proved for the 2/(k+2) rule only
+        cfg = write_config(tmp_path / "cfg.json",
+                           solver={"algorithm": algorithm, "iterations": 10, "step_rule": "1/(k+1)"})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "gap" in text and "LD/K" not in text
+
     def test_run_without_final_json_is_a_config_error(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path)]) == 2
         assert f"config error: --run: cannot read {tmp_path / 'final.json'}: " in capsys.readouterr().err

@@ -31,6 +31,11 @@ def od_marginal():
     return EmpiricalMeasure.from_atoms("X", [([0, 1], 1.0)])
 
 
+def grid10_marginal():
+    return EmpiricalMeasure("X", xs=np.array([[0, 7], [1, 7], [0, 6]], dtype=float),
+                            weights=np.array([0.4, 0.3, 0.3]))
+
+
 class TestFrankWolfe:
     def test_linear_objective_is_solved_in_one_step(self):
         # constant latencies make the objective linear: the best-response
@@ -93,6 +98,20 @@ class TestFrankWolfe:
             tracemalloc.stop()
         assert report.iterations_run == 500 and report.final_measure is None
         assert peak < 2 * 2 ** 20
+
+    def test_stored_run_keeps_steps_lean(self):
+        # a stored step keeps its best responses and two floats, and records
+        # have slots: this run peaks at 4.99 MiB, and at 5.98 MiB when each
+        # step also keeps a weight vector and a tuple and records a dict
+        prob = TrafficProblem(*grid_network())
+        tracemalloc.start()
+        try:
+            report = fw_solve(prob, grid10_marginal(), SolverConfig(iterations=5000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations_run == 5000 and len(report.final_measure) > 0
+        assert peak < 5.5 * 2 ** 20
 
     def test_warm_start_measure(self, resource_problem):
         m = uniform_marginal([0.5, 2.0])
@@ -252,8 +271,9 @@ def fw_reference(problem, m_N, config, mu0=None):
 
 class TestFrankWolfeReference:
     @pytest.mark.parametrize("case", ["stored", "unstored", "gap_tol", "warm_start",
-                                      "grid10_gap_tol"])
-    def test_matches_reference_bit_for_bit(self, case, resource_problem, exp_marginal_50):
+                                      "grid10_gap_tol", "grid10_stored", "fictitious_play",
+                                      "congestion_stored"])
+    def test_matches_reference_bit_for_bit(self, case, resource_problem, exp_marginal_50, request):
         prob, m, mu0 = resource_problem, exp_marginal_50, None
         cfg = SolverConfig(iterations=40, store_measure=case != "unstored")
         if case == "gap_tol":
@@ -262,10 +282,17 @@ class TestFrankWolfeReference:
             mu0 = fw_solve(prob, m, SolverConfig(iterations=5)).final_measure
             cfg = SolverConfig(iterations=20)
         elif case == "grid10_gap_tol":
-            prob = TrafficProblem(*grid_network())
-            m = EmpiricalMeasure("X", xs=np.array([[0, 7], [1, 7], [0, 6]], dtype=float),
-                                 weights=np.array([0.4, 0.3, 0.3]))
+            prob, m = TrafficProblem(*grid_network()), grid10_marginal()
             cfg = SolverConfig(iterations=1000, gap_tol=5e-3)
+        elif case == "grid10_stored":
+            # the traffic benchmark's path: a long stored run that never stops early
+            prob, m = TrafficProblem(*grid_network()), grid10_marginal()
+            cfg = SolverConfig(iterations=3000)
+        elif case == "fictitious_play":
+            cfg = SolverConfig(iterations=40, step_rule="1/(k+1)")
+        elif case == "congestion_stored":
+            # the congestion game overrides best_response_rows; the reference does not call it
+            prob, m = request.getfixturevalue("congestion_problem"), congestion_starts(30, 5)
         report = fw_solve(prob, m, cfg, mu0=mu0)
         records, (lam, primal, dual, gap), final, stopped_early = fw_reference(prob, m, cfg, mu0)
         assert stopped_early == case.endswith("gap_tol")
