@@ -15,7 +15,11 @@ global for the discretized decision set, and the zero-penalty optimum
 is the exact maximal-speed path halting at the target.  One batched DP
 serves all agents; their grids and bump values depend on the starts
 only, so the last batch's are kept (a single-entry memo keyed on the
-start column) and reused while the solver changes the dual point.
+start column) and reused while the solver changes the dual point.  The
+bumps are kept stacked, the cell bumps over the target bump, so the
+stage costs at a dual point are one matrix product: the ``(steps, cells
++ 1)`` dual coefficients, scaled by ``dt``, times the stacked bumps,
+written straight into the DP table.
 Every point of a best response lies on its agent's grid, so the
 solvers' sweep (``best_response_rows``) gathers the contribution rows
 of the best responses from the memo instead of evaluating the bumps
@@ -47,27 +51,30 @@ def smoothstep(u):
 
 
 def bump_family(x, cells, k):
-    """Evaluate the target bump and the cell bumps.
+    """Evaluate the cell bumps and the target bump, stacked in one array.
 
-    Returns ``(h0, H)`` with ``h0`` the smoothed before-target indicator
-    and ``H[j]`` the bump of spatial cell ``j + 1``.  All of them are
+    Returns the ``(cells + 1,) + x.shape`` array whose row ``j < cells``
+    is the bump of spatial cell ``j + 1`` and whose last row is the
+    smoothed before-target indicator ``h0``.  All of them are
     differences of one step taken at the ``cells + 1`` cell boundaries,
     ``R_j(x) = smoothstep(k*(x - j/cells) + 1)``, which rises over
-    ``(j/cells - 1/k, j/cells)``: ``H[j] = R_j - R_{j+1}`` and ``h0 = 1 -
-    R_cells``.  As ``k >= cells``, at most one ``R_j`` is strictly
-    between 0 and 1 at any ``x``, so each cell bump plateaus at 1 on
-    ``[j/cells, (j+1)/cells - 1/k]``, and on ``[0, inf)`` (where ``R_0
-    = 1``) the cell bumps sum to ``h0`` bit for bit: the sum is
-    ``(1 - r) + r``, ``1 - r`` or 0 for the one fractional value ``r``.
+    ``(j/cells - 1/k, j/cells)``: row ``j`` is ``R_j - R_{j+1}`` and the
+    last row ``1 - R_cells``, each written in place.  As ``k >= cells``,
+    at most one ``R_j`` is strictly between 0 and 1 at any ``x``, so each
+    cell bump plateaus at 1 on ``[j/cells, (j+1)/cells - 1/k]``, and on
+    ``[0, inf)`` (where ``R_0 = 1``) the cell rows sum to the last row
+    bit for bit: the sum is ``(1 - r) + r``, ``1 - r`` or 0 for the one
+    fractional value ``r``.
     """
     x = np.asarray(x, dtype=float)
-    H = np.empty((cells,) + x.shape)
+    bumps = np.empty((cells + 1,) + x.shape)
     upper = smoothstep(k * x + 1.0)
     for j in range(cells):
         lower = smoothstep(k * (x - (j + 1) / cells) + 1.0)
-        np.subtract(upper, lower, out=H[j])
+        np.subtract(upper, lower, out=bumps[j])
         upper = lower
-    return 1.0 - upper, H
+    np.subtract(1.0, upper, out=bumps[cells])
+    return bumps
 
 
 class CongestionProblem(QuadraticCostProblem):
@@ -109,9 +116,9 @@ class CongestionProblem(QuadraticCostProblem):
         trajs = np.asarray(trajs, dtype=float)
         n = trajs.shape[0]
         p = trajs[:, : self.steps].ravel()
-        h0, H = self.bumps(p)
-        g1 = self.dt * h0.reshape(n, self.steps).sum(axis=1)
-        g2 = H.reshape(self.cells, n, self.steps).transpose(1, 0, 2).reshape(n, -1)
+        bumps = self.bumps(p)
+        g1 = self.dt * bumps[-1].reshape(n, self.steps).sum(axis=1)
+        g2 = bumps[:-1].reshape(self.cells, n, self.steps).transpose(1, 0, 2).reshape(n, -1)
         return np.column_stack([g1, g2])
 
     # -- oracles ------------------------------------------------------------
@@ -120,9 +127,10 @@ class CongestionProblem(QuadraticCostProblem):
         """Padded position grids, lengths, before-target masks and bumps of a batch.
 
         The grid is built state-major, in the layout of the DP table, and
-        the bumps are evaluated on it as it lies in memory: ``h0`` is ``(n,
-        N)`` and ``H`` is ``(cells, n*N)``; ``positions`` and the masks are
-        its ``(N, n)`` transposes.  Depends on the starts only; the last
+        the bumps are evaluated on it as it lies in memory: the stacked
+        ``(cells + 1, n*N)`` array of :func:`bump_family`, the target bump
+        its last row; ``positions`` and the masks are the ``(N, n)``
+        transposes of the grid.  Depends on the starts only; the last
         batch's grids are memoized, and the memo is replaced whole, never
         updated in place.
         """
@@ -132,8 +140,7 @@ class CongestionProblem(QuadraticCostProblem):
         pos_cap = 1.0 + self.max_move
         lengths = np.maximum(1, np.ceil((pos_cap - starts) / self.grid_step).astype(np.intp) + 1)
         positions = starts + self.grid_step * np.arange(lengths.max())[:, None]
-        h0, H = self.bumps(positions.ravel())
-        grids = (positions.T, lengths, positions.T < 1.0, h0.reshape(positions.shape), H)
+        grids = (positions.T, lengths, positions.T < 1.0, self.bumps(positions.ravel()))
         self._grid_memo = (key, grids)
         return grids
 
@@ -141,18 +148,21 @@ class CongestionProblem(QuadraticCostProblem):
         """The grids of the starts of ``xs`` and the DP's ``(N, steps + 1)`` state paths at ``lam``."""
         starts = np.array(xs, dtype=float).reshape(len(xs), -1)[:, 0]
         grids = self._grids(starts)
-        _, lengths, below, h0, H = grids
-        lam1 = float(lam[0])
-        lam2 = lam[1:].reshape(self.cells, self.steps)
+        _, lengths, below, bumps = grids
+        # coef[t] weighs the stacked bumps into the stage cost of step t:
+        # dt * lam2[j, t] for cell j, then dt * lam1 for the target bump
+        coef = np.empty((self.steps, self.cells + 1))
+        coef[:, :-1] = lam[1:].reshape(self.cells, self.steps).T
+        coef[:, -1] = lam[0]
+        coef *= self.dt
 
         def fill_costs(out):
-            # the cell terms of every step from one (steps x cells) @ (cells x
-            # n*N) gemm, written straight into the DP table: no cost array of
-            # its own; a matrix-vector product (gemv) per step would sum the
-            # cells in another order and move the last bits of the artifacts
-            np.matmul(lam2.T, H, out=out.reshape(self.steps, -1))
-            out += lam1 * h0
-            out *= self.dt
+            # the finished stage costs of every step from one (steps x cells+1)
+            # @ (cells+1 x n*N) gemm, written straight into the DP table: with
+            # dt and lam1 in coef, the table is touched once and no cost array
+            # is made; a matrix-vector product (gemv) per step would sum the
+            # bumps in another order and move the last bits of the artifacts
+            np.matmul(coef, bumps, out=out.reshape(self.steps, -1))
 
         _, paths = congestion_dp_batch(fill_costs, self.steps, self.grid_substeps, below, lengths)
         return grids, paths
@@ -163,12 +173,13 @@ class CongestionProblem(QuadraticCostProblem):
 
     def best_response_rows(self, lam: np.ndarray, xs):
         # the memo's bumps at the visited states, laid out as g_eval_batch lays
-        # out fresh ones: state s of agent i is entry s*N + i of the memo
-        (positions, _, _, h0, H), paths = self._best_paths(lam, xs)
+        # out fresh ones: state s of agent i is column s*N + i of the memo
+        (positions, _, _, bumps), paths = self._best_paths(lam, xs)
         n = len(paths)
         flat = paths[:, : self.steps] * n + np.arange(n)[:, None]
-        g1 = self.dt * h0.reshape(-1)[flat].sum(axis=1)
-        g2 = H.take(flat, axis=1).transpose(1, 0, 2).reshape(n, -1)
+        visited = bumps.take(flat, axis=1)
+        g1 = self.dt * visited[-1].sum(axis=1)
+        g2 = visited[:-1].transpose(1, 0, 2).reshape(n, -1)
         return np.take_along_axis(positions, paths, axis=1), np.column_stack([g1, g2])
 
     def feasible_batch(self, xs, trajs) -> np.ndarray:

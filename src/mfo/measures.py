@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -25,6 +26,8 @@ ATOM_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 
 _SPACE_COLUMNS = {"X": ("x",), "Z": ("x", "y")}
+#: atoms per json.dumps call when a measure is written (see _write_json)
+_JSON_CHUNK_ATOMS = 256
 
 
 def _atom_groups(columns, weights):
@@ -196,9 +199,13 @@ class EmpiricalMeasure:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self):
+        return {"space": self.space, "atoms": self._json_atoms(0, len(self))}
+
+    def _json_atoms(self, start, stop):
+        """The atom records of rows ``start:stop``, as ``to_json_dict`` lists them."""
         keys = _SPACE_COLUMNS[self.space] + ("w",)
-        columns = [arr.tolist() for arr in self.columns()] + [self.weights.tolist()]
-        return {"space": self.space, "atoms": [dict(zip(keys, rec)) for rec in zip(*columns)]}
+        columns = [arr[start:stop].tolist() for arr in self.columns()] + [self.weights[start:stop].tolist()]
+        return [dict(zip(keys, rec)) for rec in zip(*columns)]
 
     @classmethod
     def from_json_dict(cls, d):
@@ -209,9 +216,7 @@ class EmpiricalMeasure:
         return cls._from_lists(space, points, [rec["w"] for rec in atoms])
 
     def save_json(self, path):
-        # json.dumps uses the C encoder; json.dump always streams through pure Python
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_json_dict()))
+        _write_json(path, self)
 
     @classmethod
     def load_json(cls, path):
@@ -275,3 +280,38 @@ def validate_feasible(mu: EmpiricalMeasure, problem) -> None:
     if len(bad):
         i = bad[0]
         raise ValueError(f"infeasible atom {i}: y not in Z_x for x={mu.xs[i]}")
+
+
+def _write_json(path, obj, **dumps_kwargs):
+    """Writes ``json.dumps(obj, **dumps_kwargs)`` to ``path``, byte for byte.
+
+    ``obj`` may hold one :class:`EmpiricalMeasure`, written as its
+    ``to_json_dict()``.  Its atoms are encoded :data:`_JSON_CHUNK_ATOMS`
+    at a time, each chunk through the same ``json.dumps`` call with its
+    brackets cut off, and the chunks are joined by the encoder's item
+    separator; so a measure of any size never has more than one chunk of
+    atoms as Python objects.  (``json.dumps`` uses the C encoder;
+    ``json.dump`` always streams through pure Python.)
+    """
+    measures, atoms = [], []
+
+    def head(o):
+        # the measure as its dict with the shared atom list in place of its atoms
+        if not isinstance(o, EmpiricalMeasure) or (measures and measures[0] is not o):
+            raise TypeError(f"cannot write {type(o).__name__} into a JSON artifact")
+        measures.append(o)
+        return {"space": o.space, "atoms": atoms}
+
+    text = json.dumps(obj, default=head, **dumps_kwargs)
+    with open(path, "w") as fh:
+        if measures:
+            # the two encodings differ first just past the atom list's "["
+            atoms.append(0)
+            cut = len(os.path.commonprefix([text, json.dumps(obj, default=head, **dumps_kwargs)]))
+            fh.write(text[:cut])
+            mu, sep = measures[0], dumps_kwargs.get("separators", (", ", ": "))[0]
+            for start in range(0, len(mu), _JSON_CHUNK_ATOMS):
+                chunk = json.dumps(mu._json_atoms(start, start + _JSON_CHUNK_ATOMS), **dumps_kwargs)
+                fh.write(sep + chunk[1:-1] if start else chunk[1:-1])
+            text = text[cut:]
+        fh.write(text)

@@ -24,14 +24,13 @@ bit-reproducible.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, first_marginal
+from .measures import EmpiricalMeasure, _write_json, first_marginal
 from .problem import (DualCertificate, MfoProblem, _certificate_pass, _certify, _count, _integer,
                       _support_values, aggregate, fw_gap)
 from .transport import MARGINAL_TOL, _is_uniform
@@ -140,6 +139,13 @@ class SolveReport:
                                  repr(r.lambda_norm), repr(r.time_ms)])
 
     def final_json_dict(self):
+        out = self._final_fields()
+        if "measure" in out:
+            out["measure"] = out["measure"].to_json_dict()
+        return out
+
+    def _final_fields(self):
+        """``final_json_dict()``, with the stored measure as the measure itself."""
         out = {
             "schema": 1,
             "algorithm": self.algorithm,
@@ -152,13 +158,11 @@ class SolveReport:
             "certificate": self.certificate.to_json_dict(),
         }
         if self.final_measure is not None:
-            out["measure"] = self.final_measure.to_json_dict()
+            out["measure"] = self.final_measure
         return out
 
     def save_final_json(self, path):
-        # json.dumps uses the C encoder; json.dump always streams through pure Python
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.final_json_dict(), sort_keys=True, separators=(",", ":")))
+        _write_json(path, self._final_fields(), sort_keys=True, separators=(",", ":"))
 
 
 def _check_marginal(m_N):

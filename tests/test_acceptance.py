@@ -228,8 +228,8 @@ def test_criterion_09_bump_partition():
         np.linspace(0.0, 1.0 - 1.0 / k, 5000),
         rng.uniform(0.0, 1.0 - 1.0 / k, 5000),
     ])
-    h0, H = bump_family(x, cells=cells, k=k)
-    err = float(np.max(np.abs(H.sum(axis=0) - h0)))
+    bumps = bump_family(x, cells=cells, k=k)
+    err = float(np.max(np.abs(bumps[:-1].sum(axis=0) - bumps[-1])))
     ok = err <= 1e-12
     check("criterion 9 (bump partition identity at 1e4 points)", ok, f"max error {err:.2e}")
 

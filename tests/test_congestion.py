@@ -9,7 +9,7 @@ import mfo.examples.congestion
 from mfo import EmpiricalMeasure, SolverConfig, sfw_solve
 from mfo._kernels import congestion_dp_batch
 from mfo.examples import CongestionProblem
-from mfo.examples.congestion import bump_family
+from mfo.examples.congestion import bump_family, smoothstep
 from mfo.problem import _inner, _norm
 
 from test_kernels import congestion_dp_loops
@@ -20,11 +20,11 @@ class TestBumps:
         # first cell's bump rises there, the target bump falls there at 1
         k = 20
         offsets = np.array([-1.0, 0.0, 1.0 / (2 * k), 1.0 / k, 1.0])
-        _, H = bump_family(offsets - 1.0 / k, cells=5, k=k)
+        H = bump_family(offsets - 1.0 / k, cells=5, k=k)[:-1]
         assert H[0, 0] == 0.0 and H[0, 1] == 0.0
         assert H[0, 2] == pytest.approx(0.5)
         assert H[0, 3] == 1.0
-        h0, _ = bump_family(1.0 - 1.0 / k + offsets, cells=5, k=k)
+        h0 = bump_family(1.0 - 1.0 / k + offsets, cells=5, k=k)[-1]
         assert h0[0] == 1.0 and h0[1] == 1.0
         assert h0[2] == pytest.approx(0.5)
         assert h0[3] == 0.0 and h0[4] == 0.0
@@ -33,15 +33,14 @@ class TestBumps:
         for cells, k in [(5, 20), (5, 5), (3, 7)]:
             for j in range(cells):
                 lo, hi = j / cells, (j + 1) / cells
-                _, H = bump_family(np.array([lo, hi - 1.0 / k, lo - 1.0 / k, hi]), cells=cells, k=k)
+                H = bump_family(np.array([lo, hi - 1.0 / k, lo - 1.0 / k, hi]), cells=cells, k=k)[:-1]
                 # plateau ends at 1, support ends at 0; no other cell is on the plateau
                 np.testing.assert_array_equal(H[j], [1.0, 1.0, 0.0, 0.0])
                 assert np.all(np.delete(H, j, axis=0)[:, :2] == 0.0)
 
     def test_values_in_unit_interval(self):
         x = np.linspace(-0.5, 2.0, 5001)
-        h0, H = bump_family(x, cells=5, k=20)
-        for arr in (h0, *H):
+        for arr in bump_family(x, cells=5, k=20):
             assert np.min(arr) >= 0.0 and np.max(arr) <= 1.0
 
     def test_partition_identity(self):
@@ -49,9 +48,9 @@ class TestBumps:
         rng = np.random.default_rng(0)
         k = 20
         x = np.concatenate([np.linspace(0.0, 1.0 - 1.0 / k, 5000), rng.uniform(0, 1 - 1 / k, 5000)])
-        h0, H = bump_family(x, cells=5, k=k)
-        assert np.max(np.abs(H.sum(axis=0) - h0)) <= 1e-12
-        np.testing.assert_allclose(h0, 1.0, atol=1e-15)
+        bumps = bump_family(x, cells=5, k=k)
+        assert np.max(np.abs(bumps[:-1].sum(axis=0) - bumps[-1])) <= 1e-12
+        np.testing.assert_allclose(bumps[-1], 1.0, atol=1e-15)
 
     @pytest.mark.parametrize("cells, k", [(5, 20), (5, 5), (4, 7), (3, 50)])
     def test_partition_is_exact_on_the_half_line(self, cells, k):
@@ -60,23 +59,37 @@ class TestBumps:
         rng = np.random.default_rng(1)
         x = np.concatenate([np.linspace(0.0, 1.5, 20001), rng.uniform(0.0, 1.5, 20000),
                             np.arange(cells + 1) / cells])
-        h0, H = bump_family(x, cells=cells, k=k)
-        np.testing.assert_array_equal(H.sum(axis=0), h0)
+        bumps = bump_family(x, cells=cells, k=k)
+        np.testing.assert_array_equal(bumps[:-1].sum(axis=0), bumps[-1])
+
+    @pytest.mark.parametrize("cells, k", [(5, 20), (3, 7)])
+    def test_stacked_layout(self, cells, k):
+        # one (cells + 1,) + x.shape array: row j is R_j - R_{j+1} for the
+        # step R_j at boundary j/cells, the last row 1 - R_cells, and on
+        # [0, inf) the cell rows sum to the last row bit for bit
+        x = np.random.default_rng(2).uniform(0.0, 1.5, (40, 25))
+        bumps = bump_family(x, cells=cells, k=k)
+        assert bumps.shape == (cells + 1, 40, 25) and bumps.flags.c_contiguous
+        R = [smoothstep(k * (x - j / cells) + 1.0) for j in range(cells + 1)]
+        for j in range(cells):
+            assert bumps[j].tobytes() == (R[j] - R[j + 1]).tobytes()
+        assert bumps[-1].tobytes() == (1.0 - R[cells]).tobytes()
+        assert bumps[:-1].sum(axis=0).tobytes() == bumps[-1].tobytes()
 
     def test_first_cell_owns_origin(self):
-        h0, H = bump_family(np.array([0.0]), cells=5, k=20)
+        H = bump_family(np.array([0.0]), cells=5, k=20)[:-1]
         assert H[0, 0] == 1.0
         assert np.max(H[1:, 0]) == 0.0
 
     def test_past_target_is_free(self):
-        h0, _ = bump_family(np.array([1.0, 1.3, 7.0]), cells=5, k=20)
+        h0 = bump_family(np.array([1.0, 1.3, 7.0]), cells=5, k=20)[-1]
         np.testing.assert_allclose(h0, 0.0, atol=1e-15)
 
     def test_smooth_with_bounded_slope(self):
         k = 20
         x = np.linspace(-0.1, 1.3, 20001)
         h = 1e-7
-        for fn in (lambda v: bump_family(v, 5, k)[0], lambda v: bump_family(v, 5, k)[1][2]):
+        for fn in (lambda v: bump_family(v, 5, k)[-1], lambda v: bump_family(v, 5, k)[2]):
             slope = (fn(x + h) - fn(x - h)) / (2 * h)
             assert np.max(np.abs(slope)) <= 2 * k * (1 + 1e-3)
 
@@ -142,9 +155,9 @@ def loop_reference_response(prob, lam, x0):
     """One agent's grid, its full cost matrix and the plain-Python loop DP."""
     n_pos = max(1, math.ceil((1.0 + prob.max_move - x0) / prob.grid_step) + 1)
     positions = x0 + prob.grid_step * np.arange(n_pos)
-    h0, H = prob.bumps(positions)
+    bumps = prob.bumps(positions)
     lam2 = lam[1:].reshape(prob.cells, prob.steps)
-    cost = prob.dt * (lam[0] * h0[:, None] + H.T @ lam2)
+    cost = prob.dt * (lam[0] * bumps[-1][:, None] + bumps[:-1].T @ lam2)
     _, path = congestion_dp_loops(cost, prob.grid_substeps, positions < 1.0, 0)
     return positions[path]
 
@@ -227,23 +240,24 @@ class TestBatchedBestResponse:
                 np.testing.assert_array_equal(trajs[i], (x0 + prob.grid_step * np.arange(n))[path])
 
     def test_one_wide_gemm_rounds_as_the_per_step_products(self, monkeypatch):
-        # the stage costs of all steps come from one (steps x cells) @ (cells x
-        # n*N) product written into the DP table; each must equal, bit for bit,
-        # the per-step two-column product on agent-major bumps, or artifacts
-        # would drift with the BLAS
+        # the finished stage costs of all steps come from one (steps x cells+1)
+        # @ (cells+1 x n*N) product of the dt-scaled duals with the stacked
+        # bumps, written into the DP table; each must equal, bit for bit, the
+        # per-step two-column product on agent-major bumps, or artifacts would
+        # drift with the BLAS
         prob = full_size_problem()
         seen = record_dp(monkeypatch)
         rng = np.random.default_rng(21)
         xs = rng.uniform(0.0, 0.2, (50, 1))
         positions = prob._grids(xs[:, 0])[0]
-        h0, H = prob.bumps(positions.ravel())
-        h0, Ht = h0.reshape(positions.shape), H.T
+        HH = prob.bumps(positions.ravel())
         duals = [random_dual(prob, rng, scale) for scale in (0.2, 0.7, 2.0)]
         for lam in duals + [prob.f_grad(np.zeros(len(prob.hilbert_weights)))]:
             prob.best_response_batch(lam, xs)
-            lam1, lam2 = float(lam[0]), lam[1:].reshape(prob.cells, prob.steps)
+            lam2 = lam[1:].reshape(prob.cells, prob.steps)
+            coef = prob.dt * np.column_stack([lam2.T, np.full(prob.steps, lam[0])])
             for t in range(prob.steps):
-                want = prob.dt * (lam1 * h0 + (Ht @ lam2[:, [t, t]])[:, 0].reshape(h0.shape))
+                want = (HH.T @ coef[[t, t]].T)[:, 0].reshape(positions.shape)
                 assert seen["costs"][:, :, t].tobytes() == want.tobytes(), t
 
     def test_memory_is_the_value_table(self):

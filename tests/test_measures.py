@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mfo.measures
 from mfo import EmpiricalMeasure, first_marginal, mix
 from mfo.measures import ATOM_TOL, _SPACE_COLUMNS
 
@@ -216,6 +217,20 @@ class TestSerialization:
         ref = EmpiricalMeasure.from_atoms(
             space, [tuple(a[c] for c in cols) + (a["w"],) for a in atoms], merge=False)
         assert_same_bits(again, ref)
+
+    @pytest.mark.parametrize("space", ["X", "Z"])
+    @pytest.mark.parametrize("chunk, sizes", [(None, [1, 40, 2500]), (7, [1, 6, 7, 8, 40])],
+                             ids=["default_chunk", "small_chunk"])
+    def test_file_is_the_one_shot_encoding(self, tmp_path, monkeypatch, space, chunk, sizes):
+        # the atoms are encoded a chunk at a time; single-chunk, exactly-full
+        # and multi-chunk files must all be json.dumps of the whole dict
+        if chunk is not None:
+            monkeypatch.setattr(mfo.measures, "_JSON_CHUNK_ATOMS", chunk)
+        rng = np.random.default_rng(8)
+        for n in sizes:
+            mu = tricky_measure(rng, space, n)
+            mu.save_json(tmp_path / "mu.json")
+            assert (tmp_path / "mu.json").read_text() == json.dumps(mu.to_json_dict()), n
 
     def test_reader_rejects_malformed_input(self):
         def payload(*atoms):

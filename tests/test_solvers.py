@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from mfo import (
     linearized_solve,
     sfw_solve,
 )
+import mfo.measures
 from mfo.examples import TrafficProblem, grid_network
 from mfo.examples.traffic import Edge
 from mfo.problem import clamp_gap
@@ -465,6 +467,27 @@ class TestStepRules:
             echoed = json.load(fh)["config"]
         assert echoed["step_rule"] == rule
         assert SolverConfig(**echoed) == cfg
+
+
+class TestFinalJson:
+    @pytest.mark.parametrize("chunk", [None, 3], ids=["default_chunk", "small_chunk"])
+    @pytest.mark.parametrize("store", [True, False], ids=["measure", "no_measure"])
+    def test_file_is_the_one_shot_encoding(self, resource_problem, tmp_path, monkeypatch, chunk, store):
+        # the measure's atoms are spliced in chunk by chunk; the file must be
+        # json.dumps of final_json_dict(), also when empty "atoms" lists sort
+        # before and after the measure
+        if chunk is not None:
+            monkeypatch.setattr(mfo.measures, "_JSON_CHUNK_ATOMS", chunk)
+        cfg = SolverConfig(iterations=4, store_measure=store)
+        report = fw_solve(resource_problem, uniform_marginal([0.5, 1.0, 2.0]), cfg)
+        assert (report.final_measure is not None) == store
+        if store:
+            assert len(report.final_measure) > 3
+        report = dataclasses.replace(report, config=dict(report.config, atoms=[]),
+                                     problem_info={"atoms": [], "space": "X"})
+        report.save_final_json(tmp_path / "final.json")
+        want = json.dumps(report.final_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert (tmp_path / "final.json").read_text() == want
 
 
 class TestSimulationCounts:
