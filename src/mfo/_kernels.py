@@ -9,6 +9,8 @@ runs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # -- budgeted quadratic best response (resource game) ------------------------
@@ -23,6 +25,9 @@ import numpy as np
 # one sweep computes the spend at every kink, and each budget's
 # multiplier is interpolated between the two kinks around it
 # (water-filling; Boyd & Vandenberghe, Convex Optimization, Ex. 5.2).
+# The sweep takes the kinks in descending order, so its spends come out
+# ascending, the abscissa np.interp needs, and the kinks whose spend fits
+# a budget are a prefix of it: the last of them is the smallest.
 #
 # Every q row, at a kink or at a budget's multiplier, is computed by the
 # same passes in the same order, and spend is non-increasing in theta in
@@ -32,20 +37,40 @@ import numpy as np
 # raised by _GUARD_ULPS spacings of hi (capped at hi) for every agent at
 # once, which settles nearly all of them, and a doubling loop nudges the
 # rare agent that still overshoots, never past hi.
+#
+# The division by 2*lam1 is a multiplication by its reciprocal when
+# 2*lam1 is a power of two whose reciprocal is finite (the solvers' dual
+# points have lam1 = 1).  The reciprocal is then exact, so x/denom and
+# x*(1/denom) are the correctly rounded values of one real number and
+# agree bit for bit, subnormal results included.  A power of two below
+# 2**-1023 has no finite reciprocal and keeps the division, as does
+# every other denominator.  The choice is made once per call, so the
+# sweep and every agent's rows still go through the same passes.
 
 #: how far above the interpolated multiplier, in spacings of the upper
 #: kink, every agent's multiplier starts
 _GUARD_ULPS = 16.0
 
 
-def _q_rows(theta, top, ert, denom, out):
+def _scaling(denom):
+    """``(ufunc, operand)`` that applies ``x / denom`` to ``x``, bit for bit."""
+    if math.frexp(denom)[0] == 0.5:     # a power of two
+        recip = 1.0 / float(denom)
+        if math.isfinite(recip):
+            return np.multiply, recip
+    return np.divide, denom
+
+
+def _q_rows(theta, top, ert, scale, out):
     """Writes ``clip((top - theta[:, None] * ert) / denom, 0, 1/2)`` into ``out``, with no temporaries.
 
-    ``maximum(out, 0.0)`` turns a ``-0.0`` into ``+0.0``, so ``q`` holds no negative zero.
+    ``scale = _scaling(denom)``.  ``maximum(out, 0.0)`` turns a ``-0.0``
+    into ``+0.0``, so ``q`` holds no negative zero.
     """
+    op, operand = scale
     np.multiply(theta[:, None], ert, out=out)
     np.subtract(top, out, out=out)
-    np.divide(out, denom, out=out)
+    op(out, operand, out=out)
     np.maximum(out, 0.0, out=out)
     np.minimum(out, 0.5, out=out)
     return out
@@ -66,7 +91,7 @@ def resource_br(top, ert, lam1, dt, budgets):
     top = np.asarray(top, dtype=float)
     ert = np.asarray(ert, dtype=float)
     budgets = np.asarray(budgets, dtype=float)
-    denom = 2.0 * lam1
+    scale = _scaling(2.0 * lam1)
     m = len(top)
     # the distinct kinks, sorted, then 2 * the last one: at the last kink
     # roundoff can leave a spend of a few ulps above a zero budget, and at
@@ -83,23 +108,27 @@ def resource_br(top, ert, lam1, dt, budgets):
     distinct[0] = distinct[-1] = True
     np.not_equal(kinks[1:-1], kinks[:-2], out=distinct[1:-1])
     kinks = kinks[distinct]
-    spend = _q_rows(kinks[:-1], top, ert, denom, np.empty((len(kinks) - 1, m))).sum(axis=1)
-    spend *= dt
-    # hi is the first kink whose spend fits; the spend is non-increasing, so
-    # its reverse is the ascending abscissa np.interp needs, and a budget
-    # equal to a plateau's spend gets the plateau's smallest kink
-    hi = kinks[np.searchsorted(-spend, -budgets)]
-    theta = np.interp(budgets, spend[::-1], kinks[-2::-1])
+    # the spend at every kink but the last, largest kink first: ascending
+    descending = kinks[-2::-1]
+    rise = _q_rows(descending, top, ert, scale, np.empty((len(kinks) - 1, m))).sum(axis=1)
+    rise *= dt
+    # hi is the smallest kink whose spend fits, so a budget equal to a
+    # plateau's spend gets the plateau's smallest kink; where none fits,
+    # searchsorted gives 0 and hi is the last kink, 2 * the largest
+    hi = kinks[::-1][np.searchsorted(rise, budgets, side="right")]
+    theta = np.interp(budgets, rise, descending)
     step = _GUARD_ULPS * np.spacing(hi)
     theta += step
     np.minimum(theta, hi, out=theta)
-    q = _q_rows(theta, top, ert, denom, np.empty((len(budgets), m)))
-    over = np.flatnonzero(dt * q.sum(axis=1) > budgets)
+    q = _q_rows(theta, top, ert, scale, np.empty((len(budgets), m)))
+    spent = q.sum(axis=1)
+    spent *= dt
+    over = np.flatnonzero(spent > budgets)
     step = step[over]
     while over.size:
         step *= 2.0
         theta[over] = np.minimum(theta[over] + step, hi[over])
-        q[over] = _q_rows(theta[over], top, ert, denom, np.empty((len(over), m)))
+        q[over] = _q_rows(theta[over], top, ert, scale, np.empty((len(over), m)))
         still = (dt * q[over].sum(axis=1) > budgets[over]) & (theta[over] < hi[over])
         over, step = over[still], step[still]
     return q, theta

@@ -53,8 +53,10 @@ class ResourceProblem(QuadraticCostProblem):
         except OverflowError:
             raise ValueError(f"discount={self.discount:g} with horizon={self.horizon:g}: "
                              "the discount factor exp(discount * t) overflows") from None
-        self.hilbert_weights = _frozen_weights(np.concatenate([[1.0], self.dt * self.discount_factors]))
-        mass = float(np.sum(self.dt * self.discount_factors))
+        #: dt * exp(-discount * t), the weight of each step's rate
+        self.step_weights = self.dt * self.discount_factors
+        self.hilbert_weights = _frozen_weights(np.concatenate([[1.0], self.step_weights]))
+        mass = float(np.sum(self.step_weights))
         self.grad_lipschitz = self.price_impact     # kappa of the quadratic cost
         self.sup_g_norm = math.sqrt(mass ** 2 / 16.0 + mass / 4.0)
         self.sup_g_diff_sq = mass ** 2 / 16.0 + mass / 4.0
@@ -66,9 +68,12 @@ class ResourceProblem(QuadraticCostProblem):
 
     def g_eval_batch(self, xs, qs):
         qs = np.asarray(qs, dtype=float)
-        w = self.dt * self.discount_factors
-        self_terms = (qs * qs - qs) @ w
-        return np.column_stack([self_terms, qs])
+        G = np.empty((len(qs), self.steps + 1))
+        G[:, 1:] = qs
+        sq = qs * qs
+        sq -= qs
+        G[:, 0] = sq @ self.step_weights
+        return G
 
     # -- oracles ------------------------------------------------------------
 

@@ -209,10 +209,15 @@ class QuadraticCostProblem(MfoProblem):
     """
 
     def f_value(self, beta: np.ndarray) -> float:
-        return float(beta[0] + 0.5 * self.grad_lipschitz * np.sum(self.hilbert_weights[1:] * beta[1:] ** 2))
+        sq = np.multiply(beta[1:], beta[1:])
+        sq *= self.hilbert_weights[1:]
+        return float(beta[0] + 0.5 * self.grad_lipschitz * sq.sum())
 
     def f_grad(self, beta: np.ndarray) -> np.ndarray:
-        return np.concatenate([[1.0], self.grad_lipschitz * beta[1:]])
+        lam = np.empty(len(beta))
+        lam[0] = 1.0
+        np.multiply(beta[1:], self.grad_lipschitz, out=lam[1:])
+        return lam
 
     def f_conj(self, lam: np.ndarray) -> float:
         if abs(lam[0] - 1.0) > 1e-9:

@@ -99,6 +99,55 @@ def resource_br_reference(top, ert, lam1, dt, budgets):
     return q, theta, hi
 
 
+def resource_br_dividing(top, ert, lam1, dt, budgets):
+    """The water-filling kernel as it was when it always divided by 2*lam1 and swept ascending kinks.
+
+    The arithmetic of every q row, the kink sweep, the interpolation and
+    the guard are the kernel's; only the order of the sweep and the
+    division differ, so at a power-of-two 2*lam1 the two agree bit for bit.
+    """
+    denom = 2.0 * lam1
+
+    def q_rows(theta):
+        out = np.multiply(theta[:, None], ert)
+        np.subtract(top, out, out=out)
+        np.divide(out, denom, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.minimum(out, 0.5, out=out)
+        return out
+
+    m = len(top)
+    kinks = np.empty(2 * m + 2)
+    kinks[0] = 0.0
+    np.subtract(top, lam1, out=kinks[1:m + 1])
+    np.divide(kinks[1:m + 1], ert, out=kinks[1:m + 1])
+    np.divide(top, ert, out=kinks[m + 1:-1])
+    np.maximum(kinks[:-1], 0.0, out=kinks[:-1])
+    kinks[:-1].sort()
+    kinks[-1] = 2.0 * kinks[-2]
+    distinct = np.empty(2 * m + 2, dtype=bool)
+    distinct[0] = distinct[-1] = True
+    np.not_equal(kinks[1:-1], kinks[:-2], out=distinct[1:-1])
+    kinks = kinks[distinct]
+    spend = q_rows(kinks[:-1]).sum(axis=1)
+    spend *= dt
+    hi = kinks[np.searchsorted(-spend, -budgets)]
+    theta = np.interp(budgets, spend[::-1], kinks[-2::-1])
+    step = _kernels._GUARD_ULPS * np.spacing(hi)
+    theta += step
+    np.minimum(theta, hi, out=theta)
+    q = q_rows(theta)
+    over = np.flatnonzero(dt * q.sum(axis=1) > budgets)
+    step = step[over]
+    while over.size:
+        step *= 2.0
+        theta[over] = np.minimum(theta[over] + step, hi[over])
+        q[over] = q_rows(theta[over])
+        still = (dt * q[over].sum(axis=1) > budgets[over]) & (theta[over] < hi[over])
+        over, step = over[still], step[still]
+    return q, theta
+
+
 def congestion_dp_loops(cost, qmax, below_target, s0):
     """Backward DP scanning every successor, with the kernel's tie-break."""
     n, m = cost.shape
@@ -236,6 +285,87 @@ class TestResourceKernel:
             # where both kernels return a zero from a nonzero top_t, they agree bit for bit
             both = (q == 0.0) & (q_ref == 0.0) & (top != 0.0)
             assert q[both].tobytes() == q_ref[both].tobytes(), case
+
+
+def unit_lam1_instances():
+    """``edge_instances()`` rescaled to ``lam1 = 1``, the solvers' case, plus the spend at each kink.
+
+    Yields ``(top, ert, lam1, dt, budgets)``.
+    """
+    for top, ert, lam1, dt, budgets, _ in edge_instances():
+        top = top / lam1
+        kinks = np.concatenate([top - 1.0, top]) / np.concatenate([ert, ert])
+        yield top, ert, 1.0, dt, np.concatenate([budgets, spend_at(top, ert, 1.0, dt, kinks.clip(min=0.0))])
+
+
+def bits_across_the_range(rng, denom):
+    """Finite doubles of every exponent, the largest ones, and ones whose quotient by ``denom`` is subnormal."""
+    fmax, tiny = np.finfo(float).max, np.finfo(float).tiny
+    raw = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(float)
+    return np.concatenate([
+        raw[np.isfinite(raw)],
+        [fmax, -fmax, np.nextafter(fmax, 0.0), tiny, -tiny, 5e-324, -5e-324, 3 * 5e-324, 0.0, -0.0],
+        tiny * denom * rng.uniform(-2.0, 2.0, 5000),
+        5e-324 * denom * rng.integers(-4096, 4096, 5000) * rng.choice([0.25, 0.5, 0.75, 1.0], 5000),
+    ])
+
+
+class TestResourceReciprocal:
+    @pytest.mark.parametrize("k", range(-3, 6))
+    def test_exact_reciprocal_rounds_like_the_division(self, k):
+        # 1/2**k is exact, so x * (1/2**k) and x / 2**k are the correctly
+        # rounded values of one real number: equal bytes, overflow to inf
+        # and subnormal results included
+        denom = 2.0 ** k
+        x = bits_across_the_range(np.random.default_rng(k + 10), denom)
+        op, operand = _kernels._scaling(denom)
+        assert op is np.multiply and operand == 1.0 / denom
+        with np.errstate(over="ignore"):
+            quotient = x / denom
+            assert (x * (1.0 / denom)).tobytes() == quotient.tobytes()
+            assert op(x, operand).tobytes() == quotient.tobytes()
+        assert np.any((quotient != 0.0) & (np.abs(quotient) < np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("denom", [2.0**-1074, 2.0**-1024, 3.0, 2.0 * 0.7, -2.0, 0.0, np.inf])
+    def test_other_denominators_divide(self, denom):
+        # 2**-1074 and 2**-1024 are powers of two whose reciprocals overflow
+        assert _kernels._scaling(denom) == (np.divide, denom)
+
+    def test_unit_lam1_matches_dividing_kernel_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        instances = [random_br_inputs(rng) for _ in range(20)] + list(unit_lam1_instances())
+        for case, (top, ert, lam1, dt, budgets) in enumerate(instances):
+            assert lam1 == 1.0
+            q, theta = _kernels.resource_br(top, ert, lam1, dt, budgets)
+            q_ref, theta_ref = resource_br_dividing(top, ert, lam1, dt, budgets)
+            assert q.tobytes() == q_ref.tobytes(), case
+            assert theta.tobytes() == theta_ref.tobytes(), case
+
+    @pytest.mark.parametrize("lam1", [2.0**-4, 0.25, 2.0, 16.0, 0.7, 1.3])
+    def test_any_lam1_matches_dividing_kernel_bit_for_bit(self, lam1):
+        # powers of two multiply, the rest divide; both keep the old bits
+        rng = np.random.default_rng(9)
+        for case in range(30):
+            top, ert, _, dt, budgets = random_br_inputs(rng)
+            top = top * lam1
+            q, theta = _kernels.resource_br(top, ert, lam1, dt, budgets)
+            q_ref, theta_ref = resource_br_dividing(top, ert, lam1, dt, budgets)
+            assert q.tobytes() == q_ref.tobytes(), case
+            assert theta.tobytes() == theta_ref.tobytes(), case
+
+    def test_reciprocal_overflow_keeps_the_division(self):
+        # at 2*lam1 = 2**-1073 a multiplication by 1/denom = inf would turn
+        # the zero numerators (top_t = 0 at theta = 0, top_t at its own
+        # kink) into nan; the division leaves them 0
+        top = np.array([0.0, 0.3, -0.2, 0.9, 0.0])
+        ert = np.exp(0.4 * np.arange(5))
+        budgets = np.array([0.0, 0.1, 0.5, 1.0, 5.0])
+        with np.errstate(over="ignore"):
+            q, theta = _kernels.resource_br(top, ert, 5e-324, 0.5, budgets)
+            q_ref, theta_ref = resource_br_dividing(top, ert, 5e-324, 0.5, budgets)
+        assert not np.isnan(q).any()
+        assert q.tobytes() == q_ref.tobytes()
+        assert theta.tobytes() == theta_ref.tobytes()
 
 
 def dp_batch(costs, qmax, belows, pad=np.inf):

@@ -139,6 +139,25 @@ class TestFeasibility:
             aggregate(prob, short)
 
 
+class TestContributionArithmetic:
+    def test_rows_and_cost_keep_the_bits_of_their_formulas(self, resource_problem):
+        # g_eval_batch, f_value and f_grad fill their outputs in place; they
+        # return the bytes of the plain expressions they stand for
+        prob = resource_problem
+        rng = np.random.default_rng(12)
+        w = prob.dt * prob.discount_factors
+        for n in (0, 1, 50):
+            qs = rng.uniform(0.0, 0.5, size=(n, prob.steps))
+            expected = np.column_stack([(qs * qs - qs) @ w, qs])
+            assert prob.g_eval_batch(rng.uniform(0, 5, (n, 1)), qs).tobytes() == expected.tobytes()
+        for _ in range(50):
+            beta = rng.normal(size=prob.steps + 1)
+            value = float(beta[0] + 0.5 * prob.grad_lipschitz * np.sum(prob.hilbert_weights[1:] * beta[1:] ** 2))
+            assert np.float64(prob.f_value(beta)).tobytes() == np.float64(value).tobytes()
+            grad = np.concatenate([[1.0], prob.grad_lipschitz * beta[1:]])
+            assert prob.f_grad(beta).tobytes() == grad.tobytes()
+
+
 class TestConstants:
     def test_declared_constants_dominate_samples(self, resource_problem):
         prob = resource_problem
