@@ -168,6 +168,8 @@ class TrafficProblem(MfoProblem):
                 coeffs = tuple(np.array([self.edges[e].coeffs for e in ids]).T)
                 run = ids == list(range(ids[0], ids[-1] + 1))
                 self._groups.append((kind, slice(ids[0], ids[-1] + 1) if run else np.array(ids), coeffs))
+        # one family covers every edge, in id order: its formulas take the whole vector
+        self._one_kind = len(self._groups) == 1
         probe = np.linspace(0.0, 1.0, 17)
         lat = self._edgewise("latency", np.repeat(probe[:, None], n_e, axis=1))
         bad = (lat < 0).any(axis=0) | (np.diff(lat, axis=0) < -1e-12).any(axis=0)
@@ -269,6 +271,9 @@ class TrafficProblem(MfoProblem):
 
     def _edgewise(self, formula: str, q) -> np.ndarray:
         """The ``formula`` ("latency" or "potential") of every edge; edges on the last axis of ``q``."""
+        if self._one_kind:
+            kind, _, coeffs = self._groups[0]
+            return getattr(kind, formula)(q, *coeffs)
         out = np.empty(q.shape)
         for kind, ids, coeffs in self._groups:
             out[..., ids] = getattr(kind, formula)(q[..., ids], *coeffs)

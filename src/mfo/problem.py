@@ -299,10 +299,12 @@ def _check_dual_point(lam):
 def _support_values(problem, lam, xs, hl=None):
     """The best-response sweep: per row, the minimizer, its contribution and ``<lam, g>``.
 
-    ``hl`` is ``hilbert_weights * lam``, for a caller that has formed it.
+    ``hl`` is ``hilbert_weights * lam``, for a caller that has formed it
+    and checked ``lam`` (:func:`_certificate_pass` does); without ``hl``
+    the sweep checks ``lam`` itself.
     """
-    _check_dual_point(lam)
     if hl is None:
+        _check_dual_point(lam)
         hl = problem.hilbert_weights * lam
     ys, G = problem.best_response_rows(lam, xs)
     return ys, G, G @ hl
@@ -318,15 +320,25 @@ def _certificate_pass(problem, beta: np.ndarray, xs, w):
     once and serves the sweep values, ``<lam, beta>`` and ``|lam|``;
     as :func:`_inner` evaluates ``(w * a) * b``, each number has the bits
     of its :func:`_inner` form.  FW and SFW call this every iteration.
+
+    This pass checks ``lam`` before the sweep, through ``<hl, lam>``: its
+    terms ``w_i lam_i^2`` are nonnegative, so it is finite whenever
+    ``lam`` is, and only when it is not does :func:`_check_dual_point`
+    look at ``lam`` itself (a finite ``lam`` whose square sum overflows
+    passes, as it would there).
     """
-    if not np.isfinite(beta).all():
+    if not np.logical_and.reduce(np.isfinite(beta)):
         raise ValueError("the aggregate must be finite")
     lam = problem.f_grad(beta)
     hl = problem.hilbert_weights * lam
+    lam_sq = float(np.add.reduce(hl * lam))
+    if not math.isfinite(lam_sq):
+        _check_dual_point(lam)
     ys, G, values = _support_values(problem, lam, xs, hl)
-    gap = clamp_gap(float((hl * beta).sum()) - float(w @ values))
-    lambda_norm = math.sqrt(max(float((hl * lam).sum()), 0.0))
-    return lam, ys, G, gap, problem.f_value(beta), lambda_norm
+    # on two contiguous vectors (measure weights, a fresh product) ndarray.dot
+    # calls the same BLAS ddot as @, with less dispatch
+    gap = clamp_gap(float(np.add.reduce(hl * beta)) - float(w.dot(values)))
+    return lam, ys, G, gap, problem.f_value(beta), math.sqrt(max(lam_sq, 0.0))
 
 
 def _certify(problem, beta: np.ndarray, xs, w):

@@ -5,10 +5,15 @@ best-response measure per iteration (open-loop step ``2/(k+2)``, or
 ``1/(k+1)``: fictitious play), growing the support by at most one atom
 per support point per iteration; the aggregate is updated
 incrementally so the per-iteration cost does not grow with the support.
-A stored run keeps each step's best responses plus two scalars, its
-step weight and the running scale factor, in flat float arrays, and
-forms the atoms' weights in one vectorized pass at the end.  Every
-iteration certifies its iterate with one pass of
+A stored run copies each step's best responses into one float buffer
+of steps, which starts at :data:`_FIRST_STEPS` steps and doubles in
+place when full, up to the iteration budget; so a run that stops early
+holds no more than twice the steps it took, or the first buffer.  Each
+step also keeps two scalars, its step weight and the running scale
+factor, in flat float arrays.  At the end the filled steps of the
+buffer, as a view, and the atoms' weights, formed in one vectorized
+pass, make the measure that is merged.  Every iteration certifies its
+iterate with one pass of
 :func:`~mfo.problem._certificate_pass`, which returns plain numbers.
 
 The stochastic variant keeps exactly one decision per support point:
@@ -178,6 +183,10 @@ def _warm_start(problem, xs, w):
     return ys, G
 
 
+#: steps that a stored run's first step buffer holds
+_FIRST_STEPS = 64
+
+
 def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
              mu0: EmpiricalMeasure | None = None) -> SolveReport:
     """Frank-Wolfe over measures with the prescribed marginal.
@@ -201,41 +210,53 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
             raise ValueError("the warm start mu0 does not have the prescribed marginal")
         beta = aggregate(problem, mu0)
         start = (mu0.xs, mu0.ys, mu0.weights.copy())
-    # each stored step keeps its best responses, its step weight and the
-    # factor at that step; its raw weights om * w / factor are formed at the end
-    steps, oms, factors = [], array("d"), array("d")
+    # each stored step copies its best responses into the first free step of
+    # the buffer steps, and keeps its step weight and the factor at that step;
+    # its raw weights om * w / factor are formed at the end
+    steps, n_steps, oms, factors = None, 0, array("d"), array("d")
     factor = 1.0
+    rule, gap_tol, store = STEP_RULES[config.step_rule], config.gap_tol, config.store_measure
 
     records = []
     stopped_early = False
     for k in range(config.iterations):
         tic = time.perf_counter()
         _, ys_br, G_br, gap, primal, lambda_norm = _certificate_pass(problem, beta, xs, w)
-        stopped_early = config.gap_tol is not None and gap <= config.gap_tol
+        stopped_early = gap_tol is not None and gap <= gap_tol
         if not stopped_early:
-            om = config.omega(k)
-            beta = (1.0 - om) * beta
+            om = rule(k)
+            beta *= 1.0 - om        # beta is this loop's own array
             beta += om * (w @ G_br)
-            if config.store_measure:        # an unstored run builds no measure: it keeps no steps
+            if store:        # an unstored run builds no measure: it keeps no steps
                 if om >= 1.0:
-                    start, factor = None, 1.0
-                    del steps[:], oms[:], factors[:]
+                    start, factor, n_steps = None, 1.0, 0
+                    del oms[:], factors[:]
                 else:
                     factor *= 1.0 - om
                 if om > 0.0:
-                    steps.append(ys_br)
+                    if steps is None:
+                        steps = np.empty((min(_FIRST_STEPS, config.iterations),) + ys_br.shape)
+                    elif n_steps == len(steps):
+                        # in place (realloc): no view of the buffer exists before the loop ends
+                        steps.resize((min(2 * n_steps, config.iterations),) + ys_br.shape, refcheck=False)
+                    steps[n_steps] = ys_br
+                    n_steps += 1
                     oms.append(om)
                     factors.append(factor)
         records.append(IterationRecord(k, primal, gap, lambda_norm, (time.perf_counter() - tic) * 1e3))
         if stopped_early:
             break
 
-    if config.store_measure:
-        raw = (np.frombuffer(oms)[:, None] * w) / np.frombuffer(factors)[:, None]
-        head = [] if start is None else [start]
-        xs_all = np.vstack([b[0] for b in head] + [xs] * len(steps))
-        ys_all = np.vstack([b[1] for b in head] + steps)
-        w_all = np.concatenate([b[2] for b in head] + [raw.ravel()]) * factor
+    if store:
+        raw = ((np.frombuffer(oms)[:, None] * w) / np.frombuffer(factors)[:, None]).ravel()
+        # the filled steps of the buffer as a view: merged() copies the rows it keeps
+        ys_steps = steps[:n_steps].reshape(-1, ys_br.shape[1]) if n_steps else ys_br[:0]
+        if start is None:
+            xs_all, ys_all, w_all = np.tile(xs, (n_steps, 1)), ys_steps, np.multiply(raw, factor, out=raw)
+        else:
+            xs_all = np.vstack([start[0]] + [xs] * n_steps)
+            ys_all = np.vstack([start[1], ys_steps])
+            w_all = np.concatenate([start[2], raw]) * factor
         final = EmpiricalMeasure("Z", xs=xs_all, ys=ys_all, weights=w_all, validate=False).merged()
         cert = fw_gap(problem, final)
     else:

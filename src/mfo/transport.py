@@ -175,7 +175,10 @@ def _transport_lp(m0, m1, D):
     data = np.ones(2 * nvar)
     A_eq = coo_matrix((data, (rows_a, cols_a)), shape=(n0 + n1, nvar)).tocsr()
     b_eq = np.concatenate([m0.weights, m1.weights])
-    res = linprog(D.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS's default tolerances (1e-7) accept bases whose reduced costs fail
+    # the DUAL_TOL check that ot_solve applies to every plan
+    res = linprog(D.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"dual_feasibility_tolerance": 1e-10, "primal_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
     plan = res.x.reshape(n0, n1)

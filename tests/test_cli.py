@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfo import EmpiricalMeasure, fw_gap
+from mfo import EmpiricalMeasure, first_marginal, fw_gap
 from mfo.cli import build_problem, load_config, main
 
 
@@ -526,6 +526,23 @@ class TestBridgeVerb:
         assert report["gap_after"] == pytest.approx(fw_gap(problem, bridged).gap, rel=1e-9, abs=1e-15)
         assert report["lower_bound_after"] == report["objective_after"] - report["gap_after"]
         assert report["lower_bound_after"] <= ref.certificate.primal_value
+
+    def test_bridge_through_the_lp_to_a_larger_target(self, tmp_path):
+        # 200 -> 800 atoms takes the transport LP, whose plan under HiGHS's
+        # default tolerances failed ot_solve's dual check: a traceback, exit 1
+        cfg = write_config(tmp_path / "cfg.json", marginal={"dist": "exponential:1", "n": 200, "method": "sample"},
+                           solver={"algorithm": "sfw", "iterations": 5, "n_sims": 1})
+        run, m1_path, out = tmp_path / "run", tmp_path / "m1.json", tmp_path / "bridged"
+        assert main(["solve", "--config", str(cfg), "--out", str(run), "--seed", "1"]) == 0
+        assert main(["quantize", "--dist", "exponential:1", "--n", "800", "--seed", "2",
+                     "--out", str(m1_path)]) == 0
+        assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(m1_path),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        bridged = EmpiricalMeasure.load_json(out / "bridged.json")
+        m1 = EmpiricalMeasure.load_json(m1_path)
+        assert first_marginal(bridged).allclose(m1.merged(), tol=1e-9)
+        report = json.loads((out / "bridge_report.json").read_text())
+        assert report["d1"] > 0 and report["eta"] >= report["eps0"]
 
     def test_bridge_line_reports_the_certificate_after(self, tmp_path, capsys):
         cfg, run = self._run(tmp_path)

@@ -16,10 +16,10 @@ from mfo import (
     sfw_solve,
 )
 import mfo.measures
-from mfo.examples import TrafficProblem, grid_network
+from mfo.examples import TrafficProblem, grid_network, pigou_network
 from mfo.examples.traffic import Edge
-from mfo.problem import clamp_gap
-from mfo.solvers import STEP_RULES, candidate_rng
+from mfo.problem import _certificate_pass, clamp_gap
+from mfo.solvers import STEP_RULES, _warm_start, candidate_rng
 
 from conftest import uniform_marginal
 
@@ -36,6 +36,19 @@ def od_marginal():
 def grid10_marginal():
     return EmpiricalMeasure("X", xs=np.array([[0, 7], [1, 7], [0, 6]], dtype=float),
                             weights=np.array([0.4, 0.3, 0.3]))
+
+
+def stored_grid10_peak(iterations):
+    """The tracemalloc peak of a stored grid10 FW run of ``iterations`` steps."""
+    prob = TrafficProblem(*grid_network())
+    tracemalloc.start()
+    try:
+        report = fw_solve(prob, grid10_marginal(), SolverConfig(iterations=iterations))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations_run == iterations and len(report.final_measure) > 0
+    return peak
 
 
 class TestFrankWolfe:
@@ -102,18 +115,26 @@ class TestFrankWolfe:
         assert peak < 2 * 2 ** 20
 
     def test_stored_run_keeps_steps_lean(self):
-        # a stored step keeps its best responses and two floats, and records
-        # have slots: this run peaks at 4.99 MiB, and at 5.98 MiB when each
-        # step also keeps a weight vector and a tuple and records a dict
+        # a stored step's best responses are copied into one buffer, and
+        # records have slots: this run peaks at 3.08 MiB, and at 4.99 MiB
+        # when each step keeps its own array, stacked at the end
+        assert stored_grid10_peak(5000) < 4 * 2 ** 20
+
+    def test_long_stored_run_keeps_steps_lean(self):
+        # the traffic benchmark's cap: 12.35 MiB, and 20.0 MiB with an array per step
+        assert stored_grid10_peak(20_000) < 14 * 2 ** 20
+
+    def test_early_stop_does_not_reserve_the_budget(self):
+        # ten million steps of three 10-edge rows would be 2.2 GiB
         prob = TrafficProblem(*grid_network())
         tracemalloc.start()
         try:
-            report = fw_solve(prob, grid10_marginal(), SolverConfig(iterations=5000))
+            report = fw_solve(prob, grid10_marginal(), SolverConfig(iterations=10 ** 7, gap_tol=1e-3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.iterations_run == 5000 and len(report.final_measure) > 0
-        assert peak < 5.5 * 2 ** 20
+        assert report.stopped_early and 100 < report.iterations_run < 10_000
+        assert peak < 2 * 2 ** 20
 
     def test_warm_start_measure(self, resource_problem):
         m = uniform_marginal([0.5, 2.0])
@@ -311,6 +332,130 @@ class TestFrankWolfeReference:
             for got, want in zip((*report.final_measure.columns(), report.final_measure.weights),
                                  (*final.columns(), final.weights)):
                 np.testing.assert_array_equal(got, want)
+
+
+def vstacked_steps_measure(problem, m_N, config, mu0=None):
+    """The stored measure as FW assembled it before its step buffer.
+
+    Each step's best responses are one array in a list, and the start
+    and the steps are stacked with ``np.vstack`` at the end.
+    """
+    xs, w = m_N.xs, m_N.weights
+    if mu0 is None:
+        ys0, G0 = _warm_start(problem, xs, w)
+        beta, start = w @ G0, (xs, ys0, w.copy())
+    else:
+        beta, start = aggregate(problem, mu0), (mu0.xs, mu0.ys, mu0.weights.copy())
+    steps, oms, factors, factor = [], [], [], 1.0
+    for k in range(config.iterations):
+        _, ys_br, G_br, gap, _, _ = _certificate_pass(problem, beta, xs, w)
+        if config.gap_tol is not None and gap <= config.gap_tol:
+            break
+        om = config.omega(k)
+        beta = (1.0 - om) * beta
+        beta += om * (w @ G_br)
+        if om >= 1.0:
+            start, factor = None, 1.0
+            del steps[:], oms[:], factors[:]
+        else:
+            factor *= 1.0 - om
+        if om > 0.0:
+            steps.append(ys_br)
+            oms.append(om)
+            factors.append(factor)
+    raw = (np.array(oms)[:, None] * w) / np.array(factors)[:, None]
+    head = [] if start is None else [start]
+    xs_all = np.vstack([b[0] for b in head] + [xs] * len(steps))
+    ys_all = np.vstack([b[1] for b in head] + steps)
+    w_all = np.concatenate([b[2] for b in head] + [raw.ravel()]) * factor
+    return EmpiricalMeasure("Z", xs=xs_all, ys=ys_all, weights=w_all, validate=False).merged()
+
+
+class TestStepBuffer:
+    # the buffer starts at 64 steps and doubles up to the iteration budget
+    CASES = {
+        "grid10_3000": SolverConfig(iterations=3000),
+        "grid10_64": SolverConfig(iterations=64),
+        "grid10_65": SolverConfig(iterations=65),
+        "grid10_gap_tol": SolverConfig(iterations=1000, gap_tol=5e-3),
+        "resource": SolverConfig(iterations=150),
+        "fictitious_play": SolverConfig(iterations=300, step_rule="1/(k+1)"),
+        "stop_at_k0": SolverConfig(iterations=300, gap_tol=1e9),
+        "warm_start": SolverConfig(iterations=300),
+        "warm_start_stop_at_k0": SolverConfig(iterations=300, gap_tol=1e9),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_stored_measure_matches_the_stacked_steps(self, case, resource_problem):
+        prob, m, mu0, cfg = TrafficProblem(*grid_network()), grid10_marginal(), None, self.CASES[case]
+        if case == "resource":
+            prob, m = resource_problem, uniform_marginal([0.5, 1.5, 3.0])
+        elif case.startswith("warm_start"):
+            mu0 = fw_solve(prob, m, SolverConfig(iterations=40)).final_measure
+        report = fw_solve(prob, m, cfg, mu0=mu0)
+        assert report.stopped_early == (cfg.gap_tol is not None)
+        want = vstacked_steps_measure(prob, m, cfg, mu0)
+        got = report.final_measure
+        for a, b in zip((*got.columns(), got.weights), (*want.columns(), want.weights)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class NonFiniteGradient(TrafficProblem):
+    """Pigou routing whose gradient on edge 0 is ``bad`` from its second call on.
+
+    The first call is the solvers' warm start, so the certificate pass
+    is the first to see ``bad``.  The best response records each dual point.
+    """
+
+    def __init__(self, bad):
+        super().__init__(*pigou_network())
+        self.bad, self.calls, self.swept = bad, 0, []
+
+    def f_grad(self, beta):
+        self.calls += 1
+        lam = super().f_grad(beta)
+        if self.calls > 1:
+            lam[0] = self.bad
+        return lam
+
+    def best_response_batch(self, lam, xs):
+        self.swept.append(lam.copy())
+        return super().best_response_batch(lam, xs)
+
+
+class NanContributions(TrafficProblem):
+    """Pigou routing whose best responses contribute NaN rows: the aggregate after the warm start is NaN."""
+
+    def __init__(self):
+        super().__init__(*pigou_network())
+
+    def best_response_rows(self, lam, xs):
+        ys, G = super().best_response_rows(lam, xs)
+        return ys, np.full_like(G, np.nan)
+
+
+class TestSolverErrorSemantics:
+    # the certificate pass checks lam through <hilbert_weights * lam, lam>
+    @pytest.mark.parametrize("solve", [fw_solve, sfw_solve], ids=["fw_solve", "sfw_solve"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dual_point_is_rejected(self, solve, bad):
+        prob = NonFiniteGradient(bad)
+        with pytest.raises(ValueError, match="the dual point lam must be finite"):
+            solve(prob, od_marginal(), SolverConfig(iterations=5))
+        assert prob.calls == 2 and len(prob.swept) == 1
+
+    @pytest.mark.parametrize("solve", [fw_solve, sfw_solve], ids=["fw_solve", "sfw_solve"])
+    def test_finite_dual_point_whose_norm_overflows_reaches_the_oracle(self, solve):
+        prob = NonFiniteGradient(1e200)
+        with np.errstate(over="ignore"):
+            report = solve(prob, od_marginal(), SolverConfig(iterations=2))
+        assert len(prob.swept) >= 2 and prob.swept[1][0] == 1e200
+        assert report.records[0].lambda_norm == math.inf
+
+    @pytest.mark.parametrize("solve", [fw_solve, sfw_solve], ids=["fw_solve", "sfw_solve"])
+    def test_non_finite_aggregate_is_rejected(self, solve):
+        with pytest.raises(ValueError, match="the aggregate must be finite"):
+            solve(NanContributions(), od_marginal(), SolverConfig(iterations=5))
 
 
 def sfw_reference(problem, m_N, config):

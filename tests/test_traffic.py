@@ -357,6 +357,31 @@ class TestGroupedCosts:
             assert prob.f_value(q) == sum(e.potential(qe) for e, qe in zip(prob.edges, q))
 
 
+class TestWholeVectorCosts:
+    @pytest.mark.parametrize("network", [grid_network, pigou_network, braess_bpr_problem])
+    def test_one_kind_matches_the_grouped_path(self, network):
+        built = network()
+        if isinstance(built, TrafficProblem):
+            built = (built.n_nodes, built.edges, built.od_pairs)
+        whole, grouped = TrafficProblem(*built), TrafficProblem(*built)
+        assert whole._one_kind
+        grouped._one_kind = False
+        n_e = len(whole.edges)
+        rng = np.random.default_rng(11)
+        flows = [np.zeros(n_e), np.ones(n_e), np.full(n_e, -0.0)]
+        flows += [rng.choice([-0.5, -1e-12, -0.0, 0.0, 1e-12, 0.3, 1.0, 1.7], n_e) for _ in range(20)]
+        flows += [rng.uniform(-0.5, 1.5, n_e) for _ in range(50)]
+        for q in flows:
+            assert whole.f_grad(q).tobytes() == grouped.f_grad(q).tobytes()
+            assert whole.f_value(q).hex() == grouped.f_value(q).hex()
+        batch = np.array(flows)
+        for formula in ("latency", "potential"):
+            assert whole._edgewise(formula, batch).tobytes() == grouped._edgewise(formula, batch).tobytes()
+
+    def test_mixed_network_keeps_the_grouped_path(self, tmp_path):
+        assert not TrafficProblem(*mixed_network(tmp_path))._one_kind
+
+
 # -- the per-edge costs and the NaN-masked argmin from before the grouped costs --
 
 def per_edge_latency(edge, q):

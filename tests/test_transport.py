@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
 import mfo.transport
-from mfo import EmpiricalMeasure, MetricSpec, bridge, first_marginal, ot_solve
+from mfo import EmpiricalMeasure, MetricSpec, SourceDistribution, bridge, first_marginal, ot_solve, quantize_sample
 from mfo.examples import TrafficProblem, grid_network
 from mfo.problem import QuadraticCostProblem
 from mfo.transport import Coupling, _assignment
@@ -116,6 +116,15 @@ class TestOtSolve:
             plan = ot_solve(m0, m1, EUCLID)
             D = EUCLID.pairwise(m0.xs, m1.xs)
             assert plan.cost == pytest.approx(dual_lp_value(D, m0.weights, m1.weights), abs=1e-9)
+
+    def test_lp_plan_of_200_to_800_atoms_passes_its_dual_check(self):
+        # unequal sizes take the LP; under HiGHS's default tolerances its least
+        # reduced cost here was -2.9e-8, and ot_solve rejected the plan
+        dist = SourceDistribution.parse("exponential:1")
+        m0, m1 = quantize_sample(dist, 200, 1), quantize_sample(dist, 800, 2)
+        plan = ot_solve(m0, m1, MetricSpec("sqrt_euclidean"))
+        assert max(plan.marginal_residuals()) <= 1e-12
+        assert plan.cost == pytest.approx(0.18155376988729827, abs=1e-9)
 
     def test_1d_monotone_path_matches_lp(self):
         rng = np.random.default_rng(8)
