@@ -114,11 +114,17 @@ class CongestionProblem(QuadraticCostProblem):
 
     def g_eval_batch(self, xs, trajs):
         trajs = np.asarray(trajs, dtype=float)
-        n = trajs.shape[0]
-        p = trajs[:, : self.steps].ravel()
-        bumps = self.bumps(p)
-        g1 = self.dt * bumps[-1].reshape(n, self.steps).sum(axis=1)
-        g2 = bumps[:-1].reshape(self.cells, n, self.steps).transpose(1, 0, 2).reshape(n, -1)
+        bumps = self.bumps(trajs[:, : self.steps].ravel())
+        return self._rows(bumps.reshape(self.cells + 1, len(trajs), self.steps))
+
+    def _rows(self, bumps):
+        """Contribution rows from the ``(cells + 1, N, steps)`` stacked bumps at the agents' positions.
+
+        Row ``i`` is ``dt`` times the sum of agent ``i``'s target bumps,
+        then its cell bumps in cell-major order.
+        """
+        g1 = self.dt * bumps[-1].sum(axis=1)
+        g2 = bumps[:-1].transpose(1, 0, 2).reshape(len(g1), -1)
         return np.column_stack([g1, g2])
 
     # -- oracles ------------------------------------------------------------
@@ -172,15 +178,12 @@ class CongestionProblem(QuadraticCostProblem):
         return np.take_along_axis(positions, paths, axis=1)
 
     def best_response_rows(self, lam: np.ndarray, xs):
-        # the memo's bumps at the visited states, laid out as g_eval_batch lays
-        # out fresh ones: state s of agent i is column s*N + i of the memo
+        # the memo's bumps at the visited states, as (cells + 1, N, steps):
+        # state s of agent i is column s*N + i of the memo
         (positions, _, _, bumps), paths = self._best_paths(lam, xs)
         n = len(paths)
         flat = paths[:, : self.steps] * n + np.arange(n)[:, None]
-        visited = bumps.take(flat, axis=1)
-        g1 = self.dt * visited[-1].sum(axis=1)
-        g2 = visited[:-1].transpose(1, 0, 2).reshape(n, -1)
-        return np.take_along_axis(positions, paths, axis=1), np.column_stack([g1, g2])
+        return np.take_along_axis(positions, paths, axis=1), self._rows(bumps.take(flat, axis=1))
 
     def feasible_batch(self, xs, trajs) -> np.ndarray:
         trajs = np.asarray(trajs, dtype=float)

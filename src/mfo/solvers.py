@@ -8,11 +8,10 @@ incrementally so the per-iteration cost does not grow with the support.
 A stored run copies each step's best responses into one float buffer
 of steps, which starts at :data:`_FIRST_STEPS` steps and doubles in
 place when full, up to the iteration budget; so a run that stops early
-holds no more than twice the steps it took, or the first buffer.  Each
-step also keeps two scalars, its step weight and the running scale
-factor, in flat float arrays.  At the end the filled steps of the
-buffer, as a view, and the atoms' weights, formed in one vectorized
-pass, make the measure that is merged.  Every iteration certifies its
+holds no more than twice the steps it took, or the first buffer.  The
+step rule alone fixes the steps' weights, so they are formed in one
+vectorized pass at the end, and with the filled steps of the buffer, as
+a view, make the measure that is merged.  Every iteration certifies its
 iterate with one pass of
 :func:`~mfo.problem._certificate_pass`, which returns plain numbers.
 
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import time
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +99,7 @@ class SolverConfig:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IterationRecord:
     k: int
     objective: float
@@ -193,28 +191,27 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
 
     Unless supplied, the starting measure is the best-response measure
     at the gradient of an arbitrary feasible aggregate; a supplied
-    ``mu0`` must have first marginal ``m_N``.  Both step rules give the
-    first step weight 1, so ``mu0`` sets only the first linearization
-    point, and the result only when the run stops at ``k = 0``.  After
-    ``K`` iterations with the default step rule the suboptimality is at
-    most ``2 * grad_lipschitz * sup_g_diff_sq / K``.
+    ``mu0`` must have first marginal ``m_N``.  Every rule of
+    :data:`STEP_RULES` gives step 0 the weight 1 and acts elementwise on
+    arrays, so the start sets only the first linearization point, and
+    the result only when the run stops at ``k = 0``; after ``n`` steps,
+    step ``j`` keeps the weight ``om_j * prod_{j<i<n} (1 - om_i)``.
+    After ``K`` iterations with the default step rule the suboptimality
+    is at most ``2 * grad_lipschitz * sup_g_diff_sq / K``.
     """
     _check_marginal(m_N)
     xs, w = m_N.xs, m_N.weights
     if mu0 is None:
         ys0, G0 = _warm_start(problem, xs, w)
         beta = w @ G0
-        start = (xs, ys0, w.copy())        # (xs, ys, raw weights); effective weight = raw * factor
+        atoms = (xs, ys0, w)        # (xs, ys, weights): the result of a run that stops at k = 0
     else:
         if not first_marginal(mu0).allclose(m_N, tol=MARGINAL_TOL):
             raise ValueError("the warm start mu0 does not have the prescribed marginal")
         beta = aggregate(problem, mu0)
-        start = (mu0.xs, mu0.ys, mu0.weights.copy())
-    # each stored step copies its best responses into the first free step of
-    # the buffer steps, and keeps its step weight and the factor at that step;
-    # its raw weights om * w / factor are formed at the end
-    steps, n_steps, oms, factors = None, 0, array("d"), array("d")
-    factor = 1.0
+        atoms = (mu0.xs, mu0.ys, mu0.weights)
+    # each stored step copies its best responses into the first free step of the buffer steps
+    steps, n_steps = None, 0
     rule, gap_tol, store = STEP_RULES[config.step_rule], config.gap_tol, config.store_measure
 
     records = []
@@ -228,36 +225,26 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
             beta *= 1.0 - om        # beta is this loop's own array
             beta += om * (w @ G_br)
             if store:        # an unstored run builds no measure: it keeps no steps
-                if om >= 1.0:
-                    start, factor, n_steps = None, 1.0, 0
-                    del oms[:], factors[:]
-                else:
-                    factor *= 1.0 - om
-                if om > 0.0:
-                    if steps is None:
-                        steps = np.empty((min(_FIRST_STEPS, config.iterations),) + ys_br.shape)
-                    elif n_steps == len(steps):
-                        # in place (realloc): no view of the buffer exists before the loop ends
-                        steps.resize((min(2 * n_steps, config.iterations),) + ys_br.shape, refcheck=False)
-                    steps[n_steps] = ys_br
-                    n_steps += 1
-                    oms.append(om)
-                    factors.append(factor)
+                if steps is None:
+                    steps = np.empty((min(_FIRST_STEPS, config.iterations),) + ys_br.shape)
+                elif n_steps == len(steps):
+                    # in place (realloc): no view of the buffer exists before the loop ends
+                    steps.resize((min(2 * n_steps, config.iterations),) + ys_br.shape, refcheck=False)
+                steps[n_steps] = ys_br
+                n_steps += 1
         records.append(IterationRecord(k, primal, gap, lambda_norm, (time.perf_counter() - tic) * 1e3))
         if stopped_early:
             break
 
     if store:
-        raw = ((np.frombuffer(oms)[:, None] * w) / np.frombuffer(factors)[:, None]).ravel()
-        # the filled steps of the buffer as a view: merged() copies the rows it keeps
-        ys_steps = steps[:n_steps].reshape(-1, ys_br.shape[1]) if n_steps else ys_br[:0]
-        if start is None:
-            xs_all, ys_all, w_all = np.tile(xs, (n_steps, 1)), ys_steps, np.multiply(raw, factor, out=raw)
-        else:
-            xs_all = np.vstack([start[0]] + [xs] * n_steps)
-            ys_all = np.vstack([start[1], ys_steps])
-            w_all = np.concatenate([start[2], raw]) * factor
-        final = EmpiricalMeasure("Z", xs=xs_all, ys=ys_all, weights=w_all, validate=False).merged()
+        if n_steps:
+            # step j's weight om_j * w / F_j, times F_{n-1}: F_j is the product of 1 - om_i over 0 < i <= j
+            om = rule(np.arange(n_steps, dtype=float))
+            F = np.cumprod(np.concatenate(([1.0], 1.0 - om[1:])))
+            # the filled steps of the buffer as a view: merged() copies the rows it keeps
+            atoms = (np.tile(xs, (n_steps, 1)), steps[:n_steps].reshape(-1, ys_br.shape[1]),
+                     (om[:, None] * w / F[:, None]).ravel() * F[-1])
+        final = EmpiricalMeasure("Z", *atoms, validate=False).merged()
         cert = fw_gap(problem, final)
     else:
         final = None
@@ -282,19 +269,13 @@ def candidate_rng(seed: int, k: int, j: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def measure_from_state(m_N: EmpiricalMeasure, decisions) -> EmpiricalMeasure:
-    """The empirical pair measure of one decision per support point (support kept as-is)."""
-    return EmpiricalMeasure("Z", xs=m_N.xs, ys=np.asarray(decisions, dtype=float),
-                            weights=m_N.weights, validate=False)
-
-
 def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) -> SolveReport:
     """Stochastic Frank-Wolfe keeping one decision per support point.
 
     Requires a uniform marginal.  For ``K`` up to twice the support
     size, the expected suboptimality after ``K`` iterations is at most
     ``4 * grad_lipschitz * sup_g_diff_sq / K`` whatever the simulation
-    counts; runs past that horizon are flagged ``beyond_guarantee``.
+    counts; runs of more iterations are flagged ``beyond_guarantee``.
     """
     _check_marginal(m_N)
     n = len(m_N)
@@ -336,7 +317,8 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
             break
 
     decisions = np.asarray(y, dtype=float)
-    final = measure_from_state(m_N, decisions)
+    # one decision per support point, on the support as it is
+    final = EmpiricalMeasure("Z", xs=xs, ys=decisions, weights=w, validate=False)
     return SolveReport(
         algorithm="sfw",
         records=records,
@@ -346,7 +328,7 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
         config=config.to_json_dict(),
         iterations_run=len(records),
         stopped_early=stopped_early,
-        beyond_guarantee=config.iterations > 2 * n,
+        beyond_guarantee=len(records) > 2 * n,
         decisions=decisions,
         problem_info=problem.describe(),
     )

@@ -232,6 +232,10 @@ class TestStochasticFrankWolfe:
         long = sfw_solve(resource_problem, m, SolverConfig(iterations=5, n_sims=1, seed=0))
         assert not short.beyond_guarantee
         assert long.beyond_guarantee
+        # the flag is the run's, not the budget's: this one stops after 1 iteration
+        early = sfw_solve(resource_problem, m, SolverConfig(iterations=500, n_sims=1, seed=0, gap_tol=1e9))
+        assert early.stopped_early and early.iterations_run == 1
+        assert not early.beyond_guarantee
 
 
 def fw_reference(problem, m_N, config, mu0=None):
@@ -595,6 +599,15 @@ class TestStepRules:
         # exactly the 1/K mass of the initial best-response measure
         beta = aggregate(pigou_problem, report.final_measure)
         assert beta[0] == pytest.approx(1.0 - 0.0, abs=0.05)
+
+    @pytest.mark.parametrize("rule", list(STEP_RULES))
+    def test_rules_give_the_stored_weights_their_shape(self, rule):
+        # fw_solve keeps the start only for a run that stops at k = 0, and
+        # forms every step's weight from the rule at once when the run ends
+        om = STEP_RULES[rule]
+        oms = [om(k) for k in range(10 ** 5)]
+        assert oms[0] == 1.0 and all(0.0 < x < 1.0 for x in oms[1:])
+        assert om(np.arange(len(oms), dtype=float)).tobytes() == np.array(oms).tobytes()
 
     def test_invalid_step_rejected(self):
         # a rule is a name, so a run's final.json can rebuild it
