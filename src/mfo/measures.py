@@ -42,16 +42,38 @@ def _atom_groups(columns, weights):
     keys = [col[:, k] for col in columns for k in range(col.shape[1])]
     order = np.lexsort(keys[::-1])
     order = order[weights[order] > 0.0]
-    ids = np.full(len(weights), -1, dtype=np.intp)
     if not len(order):
-        return ids, order
+        return np.full(len(weights), -1, dtype=np.intp), order
+    starts = np.flatnonzero(np.concatenate(([True], ~_chained(keys, order))))
+    first = np.minimum.reduceat(order, starts)
+    # the group number of every sorted row, by first appearance: it steps at
+    # each group's first row by the change of number, and a running sum, in
+    # place, carries it to the group's other rows
+    label = np.zeros(len(order), dtype=np.intp)
+    label[starts] = np.diff(np.argsort(np.argsort(first)), prepend=0)
+    np.cumsum(label, out=label)
+    ids = np.full(len(weights), -1, dtype=np.intp)
+    ids[order] = label
+    return ids, np.sort(first)
+
+
+def _chained(keys, order):
+    """Whether each row of ``order`` is within :data:`ATOM_TOL` of the next in every key.
+
+    The distances go through one buffer, reused across the keys: each key
+    is gathered into it in sort order, and its neighbour differences and
+    their absolute values overwrite it in place.
+    """
+    gathered = np.empty(len(order))
+    step = gathered[:-1]
+    close = np.empty(len(order) - 1, dtype=bool)
     chained = np.ones(len(order) - 1, dtype=bool)
     for key in keys:
-        chained &= np.abs(np.diff(key[order])) <= ATOM_TOL
-    new = np.concatenate(([True], ~chained))
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
-    ids[order] = np.argsort(np.argsort(first))[np.cumsum(new) - 1]
-    return ids, np.sort(first)
+        gathered[:] = key[order]
+        np.subtract(gathered[1:], step, out=step)
+        np.abs(step, out=step)
+        chained &= np.less_equal(step, ATOM_TOL, out=close)
+    return chained
 
 
 class EmpiricalMeasure:

@@ -20,7 +20,8 @@ Euclidean ground cost, shortest augmenting paths for uniform equal-size
 marginals, and a transportation LP (HiGHS) otherwise.  Entropic
 approximations are deliberately avoided: the aggregate-shift
 certificates emitted here feed error bounds that assume exact
-optimality.  The assignment and LP plans come with dual potentials, and
+optimality.  Every plan comes with dual potentials (the assignment's
+and the LP's own, the Kantorovich potential for a monotone plan), and
 :func:`ot_solve` checks each against them before returning it.
 
 scipy is needed only when :func:`ot_solve` builds a plan by the HiGHS
@@ -161,6 +162,25 @@ def _monotone_1d(m0, m1):
     return np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(masses, dtype=float)
 
 
+def _monotone_potential(m0, m1):
+    """The Kantorovich potential of ``|x - x2|`` between two marginals on R, as ``(u, v)``.
+
+    ``phi`` is 0 at the least point of the sorted union of the supports,
+    and on each gap between consecutive points its slope is
+    ``-sign(F0 - F1)``, the two cumulative distributions on the gap.  It
+    is 1-Lipschitz, so ``u = phi`` on m0's points and ``v = -phi`` on
+    m1's points have no negative reduced cost, and its dual value
+    ``u.m0 + v.m1`` is the integral of ``|F0 - F1|``, the distance itself.
+    """
+    n0 = len(m0)
+    points, where = np.unique(np.concatenate([m0.xs[:, 0], m1.xs[:, 0]]), return_inverse=True)
+    excess = np.cumsum(np.bincount(where[:n0], weights=m0.weights, minlength=len(points))
+                       - np.bincount(where[n0:], weights=m1.weights, minlength=len(points)))
+    phi = np.zeros(len(points))
+    np.cumsum(-np.sign(excess[:-1]) * np.diff(points), out=phi[1:])
+    return phi[where[:n0]], -phi[where[n0:]]
+
+
 def _transport_lp(m0, m1, D):
     from scipy.optimize import linprog
     from scipy.sparse import coo_matrix
@@ -264,11 +284,13 @@ def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> 
     """Exactly optimal coupling of two empirical marginals.
 
     The cost of the returned plan is the Kantorovich-Rubinstein
-    distance of the marginals under the ground metric.  Assignment and LP
-    plans are checked against their dual potentials ``(u, v)``: every
-    reduced cost ``d(x, x2) - u - v`` is at least ``-DUAL_TOL``, and the
-    plan cost is within ``DUAL_TOL`` of the dual value ``u.m0 + v.m1``;
-    a plan that fails raises ``RuntimeError``.
+    distance of the marginals under the ground metric.  Every plan is
+    checked against dual potentials ``(u, v)``: the assignment's and the
+    LP's own, and for a monotone plan on R the Kantorovich potential of
+    :func:`_monotone_potential`.  Every reduced cost ``d(x, x2) - u - v``
+    must be at least ``-DUAL_TOL``, and the plan cost within ``DUAL_TOL``
+    of the dual value ``u.m0 + v.m1``; a plan that fails raises
+    ``RuntimeError``.
     """
     _check_marginal_input(m0, "m0")
     _check_marginal_input(m1, "m1")
@@ -276,10 +298,10 @@ def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> 
     if not np.all(np.isfinite(D)):
         raise ValueError("ground metric is not finite on the support pairs")
     if metric.kind == "euclidean" and m0.xs.shape[1] == 1:
-        # optimal for |x - x2| by monotonicity; this plan has no duals to check
+        # optimal for |x - x2| by monotonicity
         rows, cols, masses = _monotone_1d(m0, m1)
-        return Coupling(m0, m1, rows, cols, masses, D[rows, cols])
-    if len(m0) == len(m1) and _is_uniform(m0) and _is_uniform(m1):
+        u, v = _monotone_potential(m0, m1)
+    elif len(m0) == len(m1) and _is_uniform(m0) and _is_uniform(m1):
         cols, u, v = _assignment(D)
         rows = np.arange(len(cols))
         masses = np.full(len(cols), 1.0 / len(m0))

@@ -81,9 +81,32 @@ class TestBumps:
         assert H[0, 0] == 1.0
         assert np.max(H[1:, 0]) == 0.0
 
-    def test_past_target_is_free(self):
-        h0 = bump_family(np.array([1.0, 1.3, 7.0]), cells=5, k=20)[-1]
-        np.testing.assert_allclose(h0, 0.0, atol=1e-15)
+    def test_past_target_is_free(self, monkeypatch):
+        # every stacked bump row is exactly +0.0 on [1, inf): at 1.0 itself,
+        # just above it, at every grid point at or past it and at each grid's
+        # last point; so the game's stage costs there are +-0.0 for any
+        # finite duals, which is what lets the DP skip those states
+        rng = np.random.default_rng(24)
+        for cells, k in [(5, 20), (5, 5), (4, 7), (3, 50)]:
+            x = np.concatenate([[1.0, np.nextafter(1.0, 2.0)], rng.uniform(1.0, 7.0, 2000)])
+            bumps = bump_family(x, cells=cells, k=k)
+            assert bumps.tobytes() == np.zeros(bumps.shape).tobytes()
+        prob = full_size_problem()
+        starts = np.concatenate([rng.uniform(0.0, 1.2, 40), [0.0, 1.0, 1.0 - prob.grid_step, 1.3]])
+        positions, lengths, below, bumps, live = prob._grids(starts)
+        agents = np.arange(len(starts))
+        past = positions >= 1.0
+        assert past[starts == 1.0, 0].all() and past[agents, lengths - 1].all()
+        assert live == below.sum(axis=1).max() < positions.shape[1]
+        at_states = bumps.reshape(prob.cells + 1, positions.shape[1], len(starts)).transpose(0, 2, 1)
+        assert at_states[:, past].tobytes() == np.zeros(at_states[:, past].shape).tobytes()
+        # the costs the game's fill writes at states past each agent's target,
+        # for random finite duals of either sign
+        seen = record_dp(monkeypatch, prob)
+        for scale in (0.1, 3.0, 100.0):
+            lam = rng.normal(0.0, scale, len(prob.hilbert_weights))
+            prob.best_response_batch(lam, starts[:, None])
+            assert np.all(seen["costs"][~seen["below"]] == 0.0)
 
     def test_smooth_with_bounded_slope(self):
         k = 20
@@ -222,15 +245,16 @@ class TestBatchedBestResponse:
     def test_full_size_batch_matches_the_loop_reference(self, monkeypatch):
         # the benchmark's SFW instance: grids of up to 385 states and 51-wide
         # windows, so the reachable band t*50 + 1 is narrower than the grid for
-        # t < 8; the loop DP gets exactly the stage costs the kernel saw
+        # t < 8; the first 334 states are live, the rest past every target.
+        # The loop DP gets the stage costs the kernel saw, zeros past live
         prob = full_size_problem()
-        seen = record_dp(monkeypatch)
+        seen = record_dp(monkeypatch, prob)
         xs = np.array([[0.0], [0.083], [0.2]])
         rng = np.random.default_rng(20)
         # a congested dual, and the zero-penalty one whose flat costs tie everywhere
         for lam in (random_dual(prob, rng), prob.f_grad(np.zeros(len(prob.hilbert_weights)))):
             trajs = prob.best_response_batch(lam, xs)
-            assert seen["lengths"].max() == 385
+            assert seen["lengths"].max() == 385 and seen["live"] == 334
             for i, x0 in enumerate(xs[:, 0]):
                 n = seen["lengths"][i]
                 value, path = congestion_dp_loops(seen["costs"][i, :n], prob.grid_substeps,
@@ -241,12 +265,12 @@ class TestBatchedBestResponse:
 
     def test_one_wide_gemm_rounds_as_the_per_step_products(self, monkeypatch):
         # the finished stage costs of all steps come from one (steps x cells+1)
-        # @ (cells+1 x n*N) product of the dt-scaled duals with the stacked
+        # @ (cells+1 x live*N) product of the dt-scaled duals with the stacked
         # bumps, written into the DP table; each must equal, bit for bit, the
-        # per-step two-column product on agent-major bumps, or artifacts would
-        # drift with the BLAS
+        # per-step two-column product on agent-major bumps over the full grid
+        # (zeros past live), or artifacts would drift with the BLAS
         prob = full_size_problem()
-        seen = record_dp(monkeypatch)
+        seen = record_dp(monkeypatch, prob)
         rng = np.random.default_rng(21)
         xs = rng.uniform(0.0, 0.2, (50, 1))
         positions = prob._grids(xs[:, 0])[0]
@@ -284,21 +308,29 @@ def full_size_problem():
                              smoothing=20, grid_substeps=50)
 
 
-def record_dp(monkeypatch):
+def record_dp(monkeypatch, prob):
     """Route the game's kernel calls through a recorder of what the kernel saw.
 
-    The returned dict holds the last call's ``(N, n, steps)`` stage costs as
-    written into the DP table, its masks and lengths, and its results.
+    The returned dict holds the last call's ``(N, n, steps)`` stage costs,
+    its masks, lengths and ``live``, and its results.  The game writes the
+    costs of the first ``live`` states only; the recorder asserts, from
+    the grid memo's bumps, that every bump past them is zero, so their
+    costs are too, and records them as +0.0 over the full grid.
     """
     seen = {}
 
-    def recording_dp(fill_costs, steps, qmax, below, lengths):
+    def recording_dp(fill_costs, steps, qmax, below, lengths, live):
+        positions, _, _, bumps, _ = prob._grid_memo[1]
+        n_agents, n = positions.shape
+        assert not bumps.reshape(-1, n, n_agents)[:, live:].any()
+        costs = np.zeros((n_agents, n, steps))
+
         def recording_fill(out):
             fill_costs(out)
-            seen["costs"] = out.transpose(2, 1, 0).copy()
+            costs[:, :live] = out.transpose(2, 1, 0)
 
-        seen.update(below=below, lengths=lengths)
-        seen["values"], seen["paths"] = congestion_dp_batch(recording_fill, steps, qmax, below, lengths)
+        seen.update(below=below, lengths=lengths, live=live, costs=costs)
+        seen["values"], seen["paths"] = congestion_dp_batch(recording_fill, steps, qmax, below, lengths, live)
         return seen["values"], seen["paths"]
 
     monkeypatch.setattr(mfo.examples.congestion, "congestion_dp_batch", recording_dp)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -418,6 +418,61 @@ def dp_instances(draw):
 @given(dp_instances())
 def test_congestion_dp_batch_matches_loop_reference_bit_for_bit(instance):
     assert_matches_loop_reference(*instance)
+
+
+@st.composite
+def live_instances(draw):
+    """Game-shaped instances: below-target prefixes, zero costs past them, ragged grids, and ``live``.
+
+    Each agent's mask is a prefix of its grid, from empty to full.  Its
+    costs are drawn on the prefix and are zero (+0.0 or -0.0, as the
+    game's are) on the rest of its grid; padding costs are finite or
+    +inf.  ``live`` lies between the longest prefix and the padded grid.
+    """
+    steps = draw(st.integers(1, 6))
+    qmax = draw(st.integers(0, 8))
+    levels = draw(st.one_of(st.just([0.0, 1.0]), st.lists(_finite, min_size=1, max_size=4, unique=True)))
+    sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))
+    prefixes = [draw(st.integers(0, n)) for n in sizes]
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    costs = []
+    for n, c in zip(sizes, prefixes):
+        cost = np.array(levels)[draw(arrays(np.intp, (n, steps), elements=st.integers(0, len(levels) - 1)))]
+        cost[c:] = zero
+        costs.append(cost)
+    pad = draw(st.one_of(st.just(np.inf), _finite))
+    live = draw(st.integers(max(prefixes), max(sizes)))
+    return costs, qmax, prefixes, pad, live
+
+
+@settings(max_examples=300, deadline=None)
+@given(live_instances())
+# every start at or past its target (live = 0), and live = n with full prefixes
+@example(([np.zeros((3, 4)), -np.zeros((6, 4))], 2, [0, 0], np.inf, 0))
+@example(([np.arange(24.0).reshape(6, 4) % 3, np.ones((4, 4))], 3, [6, 4], 1.5, 6))
+@example(([np.arange(10.0).reshape(5, 2) % 2, np.ones((9, 2))], 4, [2, 9], np.inf, 9))
+def test_live_path_matches_full_path_and_loop_reference_bit_for_bit(instance):
+    costs, qmax, prefixes, pad, live = instance
+    steps = costs[0].shape[1]
+    belows = [np.arange(len(c)) < p for c, p in zip(costs, prefixes)]
+    full_values, full_paths = dp_batch(costs, qmax, belows, pad)
+    n = max(len(c) for c in costs)
+    block = np.full((len(costs), n, steps), pad)
+    for i, c in enumerate(costs):
+        block[i, : len(c)] = c
+
+    def fill(out):
+        assert out.shape == (steps, live, len(costs))
+        np.copyto(out, block.transpose(2, 1, 0)[:, :live])
+
+    values, paths = _kernels.congestion_dp_batch(fill, steps, qmax, np.arange(n) < np.array(prefixes)[:, None],
+                                                 np.array([len(c) for c in costs]), live)
+    assert values.tobytes() == full_values.tobytes()
+    assert paths.tobytes() == full_paths.tobytes()
+    for i, (c, b) in enumerate(zip(costs, belows)):
+        value_ref, path_ref = congestion_dp_loops(c, qmax, b, 0)
+        assert values[i].tobytes() == np.float64(value_ref).tobytes()
+        np.testing.assert_array_equal(paths[i], path_ref)
 
 
 class TestCongestionKernel:

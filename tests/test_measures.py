@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,28 @@ class TestMergeMatchesReference:
         rng = np.random.default_rng(32)
         mu = random_zmeasure(rng, 500, n_x=40)
         assert_same_bits(mu.merged(), reference_merged(mu))
+
+    def test_merge_of_a_long_stored_run_allocates_little(self):
+        # 60,000 rows of 12 coordinates that repeat, as a long stored run's
+        # do: each coordinate goes through one reused buffer in sort order,
+        # and the group numbers are carried by one in-place running sum, so
+        # the merge allocates under 3.75 arrays of one double per row at its
+        # peak (4.27 with a gather, a difference and an absolute value per
+        # coordinate); the atoms keep their bits
+        rng = np.random.default_rng(33)
+        n = 60_000
+        xs = rng.integers(0, 3, (n, 2)).astype(float)
+        ys = np.repeat(rng.integers(0, 40, (n, 1)).astype(float), 10, axis=1)
+        ys[:, -1] += rng.integers(0, 2, n) * 0.9 * ATOM_TOL
+        mu = EmpiricalMeasure("Z", xs=xs, ys=ys, weights=np.full(n, 1.0 / n))
+        assert_same_bits(mu.merged(), reference_merged(mu))
+        tracemalloc.start()
+        try:
+            mu.merged()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.75 * n * 8
 
     def test_non_adjacent_duplicates_stay_apart(self):
         # the rule compares sort neighbours only; (0,3) and (1e-13,3) are split by (0,5)

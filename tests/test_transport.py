@@ -148,6 +148,43 @@ class TestOtSolve:
         x0, x1 = m0.xs[plan.rows, 0], m1.xs[plan.cols, 0]
         assert np.all((x0[:, None] < x0) <= (x1[:, None] <= x1))
 
+    def test_monotone_plans_pass_their_dual_check(self):
+        # unequal sizes, points repeated on either side and points shared by
+        # both: the Kantorovich potential prices each monotone plan at its
+        # cost, and no reduced cost is negative beyond roundoff
+        rng = np.random.default_rng(11)
+        for case in range(200):
+            grid = rng.normal(size=8)
+            n0, n1 = rng.integers(1, 30, 2)
+            x0 = rng.choice(grid, n0) if case % 2 else rng.normal(size=n0)
+            x1 = np.concatenate([rng.choice(x0, 1 + n1 // 3), rng.choice(grid, n1)])
+            m0, m1 = (EmpiricalMeasure("X", xs=x[:, None], weights=w / w.sum())
+                      for x, w in ((x0, rng.random(len(x0))), (x1, rng.random(len(x1)))))
+            plan = ot_solve(m0, m1, EUCLID)
+            u, v = mfo.transport._monotone_potential(m0, m1)
+            D = EUCLID.pairwise(m0.xs, m1.xs)
+            assert np.min(D - u[:, None] - v) >= -1e-12
+            assert plan.cost == pytest.approx(m0.weights @ u + m1.weights @ v, abs=1e-12)
+            if case % 20 == 0:
+                assert plan.cost == pytest.approx(dual_lp_value(D, m0.weights, m1.weights), abs=1e-10)
+
+    def test_ot_solve_rejects_a_monotone_plan_its_potential_does_not_certify(self, monkeypatch):
+        # the first and last atoms trade their targets: the marginals hold,
+        # the plan crosses and costs more than the potential's dual value
+        x0 = np.arange(6.0)
+        m0, m1 = uniform_marginal(x0), uniform_marginal(x0 + 0.1)
+        ot_solve(m0, m1, EUCLID)
+        monotone = mfo.transport._monotone_1d
+
+        def crossed(m0, m1):
+            rows, cols, masses = monotone(m0, m1)
+            cols[[0, -1]] = cols[[-1, 0]]
+            return rows, cols, masses
+
+        monkeypatch.setattr(mfo.transport, "_monotone_1d", crossed)
+        with pytest.raises(RuntimeError, match="optimality check"):
+            ot_solve(m0, m1, EUCLID)
+
     def test_metric_axioms_on_random_triples(self):
         rng = np.random.default_rng(9)
         ms = [uniform_marginal(rng.normal(size=5)) for _ in range(3)]
