@@ -142,11 +142,14 @@ def resource_br(top, ert, lam1, dt, budgets):
 # s at time t, of shape (steps + 1, n + qmax, N).  The last qmax state
 # rows are +inf, so that no window reaches past a grid.
 #
-# The stage costs are written into the table itself: fill_costs gets the
-# (steps, live, N) view values[:steps, :live] (live = n unless the caller
-# gives it) and writes the cost of sitting at state s at time t there.
-# The backward pass then adds, in place, the window minimum of the next
-# row:
+# Agent i's states before its target are the first arrivals[i] of its
+# grid, and it pays exactly zero (+0.0 or -0.0) from there on.  A path
+# never leaves those states, so their cost-to-go is 0.0 on a real state
+# at every time, +inf on padding: the terminal row.  So
+# fill_costs gets only the (steps, live, N) view values[:steps, :live],
+# live = max(arrivals), and writes the cost of sitting at state s at time
+# t there; the rows [live, n) get the terminal row at every step.  The
+# backward pass then adds, in place, the window minimum of the next row:
 #     values[t, s] = cost[t, s] + min(values[t + 1, s:s + qmax + 1]),
 # built by doubling (a sparse table): windows of length 2a are pairs of
 # windows of length a, and the last pass overlaps two windows of the
@@ -159,63 +162,43 @@ def resource_br(top, ert, lam1, dt, budgets):
 # in the rows [live, n) or in the +inf rows, so the costs left past a
 # band are never read.
 #
-# A caller that gives live promises that every agent's below-target
-# states are a prefix of its grid no longer than live, and that every
-# stage cost at or past an agent's target is exactly zero (+0.0 or
-# -0.0).  From a state at or past the target every later state is too,
-# so its cost-to-go is cost + min(...) = 0.0 on a real state at every
-# time, +inf on padding: the terminal row.  The rows [live, n) are
-# therefore given the terminal row at every step instead of costs and a
-# sweep, and once no agent is below its target, every path stays where
-# it is (the nearest of the window's zeros), so the forward pass ends
-# there.  Values and paths are the bits of the full DP.
-#
 # The forward pass recovers the policy along each path only.  One
 # sliding-window view of the table, windows[t, s, i] = values[t, s:s +
 # qmax + 1, i], makes each agent's successors one gather at time t:
 # windows[t + 1, s, agent], with no copy of the table and no index
 # arithmetic.  The agent moves to the farthest state reaching the
-# window's minimum while strictly below the target point (the first
-# minimum of the reversed window), the nearest (stay) once at or past it
-# (the first minimum, argmin's own tie-break), so zero-cost regions yield
-# the canonical halt-at-target path.  The minimum is a selection, so values
-# and paths are bit-identical to a successor-by-successor scan with that
-# tie-break.  Memory is the table alone: (steps + 1) * (n + qmax) * N
-# doubles.
+# window's minimum while strictly below the target point (s < arrivals,
+# the first minimum of the reversed window), the nearest (stay) once at
+# or past it (the first minimum, argmin's own tie-break), so zero-cost
+# regions yield the canonical halt-at-target path.  Once every agent has
+# arrived, every path stays where it is, so the forward pass ends there.
+# The minimum is a selection, so values and paths are bit-identical to a
+# successor-by-successor scan with that tie-break over the whole grid.
+# Memory is the table alone: (steps + 1) * (n + qmax) * N doubles.
 
 
-def congestion_dp_batch(fill_costs, steps, qmax, below_target, lengths, live=None):
-    """Backward DP for a batch of agents; returns ``(values, paths)``.
+def congestion_dp_batch(fill_costs, steps, qmax, arrivals, lengths):
+    """Minimal-time DP for a batch of agents; returns ``(values, paths)``.
 
-    Row ``i`` of the ``(N, n)`` mask ``below_target`` is agent ``i``'s
-    grid: its first ``lengths[i]`` states are real, the rest padding.
-    ``fill_costs(out)`` writes the stage costs into the ``(steps, live,
-    N)`` view ``out``: ``out[t, s, i]`` is agent ``i``'s cost of state
-    ``s`` at time ``t``, finite on real states, finite or +inf on padding
-    (padding states never enter a path: their value stays +inf).  Every
-    path starts at state 0: ``paths[i]`` are the ``steps + 1`` visited
-    states and ``values[i]`` its total cost.
-
-    ``live`` defaults to ``n``: the full DP, for any mask and costs.  A
-    caller that passes ``live`` promises that each agent's below-target
-    states are a prefix of its grid no longer than ``live``, and that its
-    stage costs at and past its target are exactly zero.  The kernel then
-    never fills or sweeps the states ``[live, n)``, whose cost-to-go is
-    known (0 on real states, +inf on padding), and ends the forward pass
-    at the first step where no agent is below its target.  The results
-    are the full DP's, bit for bit.
+    Agent ``i``'s grid has ``lengths[i]`` real states (the rest of ``n =
+    max(lengths)`` is padding), and its first ``arrivals[i]`` lie before
+    its target; it pays exactly zero (+0.0 or -0.0) from there on.
+    ``fill_costs(out)`` writes the stage costs of the first ``live =
+    max(arrivals)`` states into the ``(steps, live, N)`` view ``out``:
+    ``out[t, s, i]`` is agent ``i``'s cost of state ``s`` at time ``t``,
+    finite on real states, finite or +inf on padding (padding states
+    never enter a path).  Every path starts at state 0: ``paths[i]`` are
+    the ``steps + 1`` visited states and ``values[i]`` its total cost.
     """
-    below_target = np.asarray(below_target, dtype=bool)
-    n_agents, n = below_target.shape
-    cut = n if live is None else live
-    rows = n + qmax
-    values = np.empty((steps + 1, rows, n_agents))
+    arrivals, lengths = np.asarray(arrivals), np.asarray(lengths)
+    n_agents, n, live = len(lengths), int(lengths.max()), int(arrivals.max())
+    values = np.empty((steps + 1, n + qmax, n_agents))
     values[:, n:] = np.inf
-    values[steps, :n] = np.where(np.arange(n)[:, None] < np.asarray(lengths), 0.0, np.inf)
-    values[:steps, cut:n] = values[steps, cut:n]
-    fill_costs(values[:steps, :cut])
+    values[steps, :n] = np.where(np.arange(n)[:, None] < lengths, 0.0, np.inf)
+    values[:steps, live:n] = values[steps, live:n]
+    fill_costs(values[:steps, :live])
     for t in range(steps - 1, -1, -1):
-        b = min(cut, t * qmax + 1)
+        b = min(live, t * qmax + 1)
         best = values[t + 1, : b + qmax]
         width, a = qmax + 1, 1
         while a < width:
@@ -233,8 +216,8 @@ def congestion_dp_batch(fill_costs, steps, qmax, below_target, lengths, live=Non
     paths = np.zeros((n_agents, steps + 1), dtype=np.intp)
     for t in range(steps):
         s = paths[:, t]
-        moving = below_target[agents, s]
-        if live is not None and not moving.any():
+        moving = s < arrivals
+        if not moving.any():
             paths[:, t + 1:] = s[:, None]
             break
         ahead = windows[t + 1, s, agents]

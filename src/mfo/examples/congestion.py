@@ -19,12 +19,12 @@ start column) and reused while the solver changes the dual point.  The
 bumps are kept stacked, the cell bumps over the target bump, so the
 stage costs at a dual point are one matrix product: the ``(steps, cells
 + 1)`` dual coefficients, scaled by ``dt``, times the stacked bumps,
-written straight into the DP table.  The bumps vanish bit for bit on
-``[1, inf)``, so every stage cost at or past the target is zero: the
-product covers only the first ``live`` grid states, the longest run of
-states before any agent's target, and the DP, told so, neither fills
-nor sweeps the states past them and stops its forward pass once every
-agent has arrived.
+written straight into the DP table.  A grid ascends, so an agent's
+states before the target are a prefix of its grid, counted by its
+arrival count; the bumps vanish bit for bit on ``[1, inf)``, so every
+stage cost at or past the target is zero, which is the DP's contract.
+The product covers only the rows the DP asks for, the longest prefix
+of states before any agent's target.
 Every point of a best response lies on its agent's grid, so the
 solvers' sweep (``best_response_rows``) gathers the contribution rows
 of the best responses from the memo instead of evaluating the bumps
@@ -135,16 +135,16 @@ class CongestionProblem(QuadraticCostProblem):
     # -- oracles ------------------------------------------------------------
 
     def _grids(self, starts):
-        """Padded position grids, lengths, before-target masks, bumps and live rows of a batch.
+        """Padded position grids, lengths, arrival counts and bumps of a batch.
 
         The grid is built state-major, in the layout of the DP table, and
         the bumps are evaluated on it as it lies in memory: the stacked
         ``(cells + 1, n*N)`` array of :func:`bump_family`, the target bump
-        its last row; ``positions`` and the masks are the ``(N, n)``
-        transposes of the grid.  A grid ascends, so its states before the
-        target are a prefix of it; ``live`` is the longest such prefix.
-        Depends on the starts only; the last batch's grids are memoized,
-        and the memo is replaced whole, never updated in place.
+        its last row; ``positions`` is the ``(N, n)`` transpose of the
+        grid.  A grid ascends, so its states before the target are a
+        prefix of it, ``arrivals[i]`` states long.  Depends on the starts
+        only; the last batch's grids are memoized, and the memo is
+        replaced whole, never updated in place.
         """
         key = starts.tobytes()
         if self._grid_memo[0] == key:
@@ -152,8 +152,7 @@ class CongestionProblem(QuadraticCostProblem):
         pos_cap = 1.0 + self.max_move
         lengths = np.maximum(1, np.ceil((pos_cap - starts) / self.grid_step).astype(np.intp) + 1)
         positions = starts + self.grid_step * np.arange(lengths.max())[:, None]
-        below = positions.T < 1.0
-        grids = (positions.T, lengths, below, self.bumps(positions.ravel()), int(below.sum(axis=1).max()))
+        grids = (positions.T, lengths, (positions < 1.0).sum(axis=0), self.bumps(positions.ravel()))
         self._grid_memo = (key, grids)
         return grids
 
@@ -161,7 +160,7 @@ class CongestionProblem(QuadraticCostProblem):
         """The grids of the starts of ``xs`` and the DP's ``(N, steps + 1)`` state paths at ``lam``."""
         starts = np.array(xs, dtype=float).reshape(len(xs), -1)[:, 0]
         grids = self._grids(starts)
-        _, lengths, below, bumps, live = grids
+        _, lengths, arrivals, bumps = grids
         # coef[t] weighs the stacked bumps into the stage cost of step t:
         # dt * lam2[j, t] for cell j, then dt * lam1 for the target bump
         coef = np.empty((self.steps, self.cells + 1))
@@ -169,20 +168,17 @@ class CongestionProblem(QuadraticCostProblem):
         coef[:, -1] = lam[0]
         coef *= self.dt
 
-        # the stacked bumps vanish bit for bit on [1, inf), so every stage cost
-        # at or past the target is +0.0 or -0.0: the DP takes the costs of the
-        # first live states only, the first live*N columns of the bumps
-        head = bumps[:, : live * len(starts)]
-
         def fill_costs(out):
             # the finished stage costs of every step from one (steps x cells+1)
-            # @ (cells+1 x live*N) gemm, written straight into the DP table:
-            # with dt and lam1 in coef, the table is touched once and no cost
-            # array is made; a matrix-vector product (gemv) per step would sum
-            # the bumps in another order and move the last bits of the artifacts
-            np.matmul(coef, head, out=out.reshape(self.steps, head.shape[1]))
+            # @ (cells+1 x live*N) gemm over the first live states, written
+            # straight into the DP table: with dt and lam1 in coef, the table
+            # is touched once and no cost array is made; a matrix-vector
+            # product (gemv) per step would sum the bumps in another order and
+            # move the last bits of the artifacts
+            cols = out.shape[1] * len(starts)
+            np.matmul(coef, bumps[:, :cols], out=out.reshape(self.steps, cols))
 
-        _, paths = congestion_dp_batch(fill_costs, self.steps, self.grid_substeps, below, lengths, live)
+        _, paths = congestion_dp_batch(fill_costs, self.steps, self.grid_substeps, arrivals, lengths)
         return grids, paths
 
     def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
@@ -192,7 +188,7 @@ class CongestionProblem(QuadraticCostProblem):
     def best_response_rows(self, lam: np.ndarray, xs):
         # the memo's bumps at the visited states, as (cells + 1, N, steps):
         # state s of agent i is column s*N + i of the memo
-        (positions, _, _, bumps, _), paths = self._best_paths(lam, xs)
+        (positions, _, _, bumps), paths = self._best_paths(lam, xs)
         n = len(paths)
         flat = paths[:, : self.steps] * n + np.arange(n)[:, None]
         return np.take_along_axis(positions, paths, axis=1), self._rows(bumps.take(flat, axis=1))

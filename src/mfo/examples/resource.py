@@ -120,6 +120,12 @@ class ResourceProblem(QuadraticCostProblem):
         return np.where(x1 >= x0, qs, out)
 
     def initial_decision_batch(self, xs) -> np.ndarray:
+        # q = 0 spends nothing: it fits every stock down to -FEAS_TOL, feasible_batch's slack
+        budgets = np.asarray(xs, dtype=float)[:, 0]
+        short = ~(budgets >= -FEAS_TOL)
+        if short.any():
+            raise ValueError(f"x={float(budgets[short.argmax()])!r} is a negative stock: "
+                             "no extraction profile fits it")
         return np.zeros((len(xs), self.steps))
 
     # -- reporting helpers ---------------------------------------------------

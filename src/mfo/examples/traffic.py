@@ -356,19 +356,25 @@ def load_network(edges_csv, od_csv):
     """
     edges = []
     n_nodes = 0
-    with open(edges_csv) as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "from":
-                continue
-            u, v, kind = int(row[0]), int(row[1]), row[2]
-            coeffs = tuple(float(c) for c in row[3:])
-            edges.append(Edge(u, v, kind, coeffs))
-            n_nodes = max(n_nodes, u + 1, v + 1)
+    for row in _rows(edges_csv, ("from", "to", "phi_kind")):
+        u, v, kind = int(row[0]), int(row[1]), row[2]
+        coeffs = tuple(float(c) for c in row[3:])
+        edges.append(Edge(u, v, kind, coeffs))
+        n_nodes = max(n_nodes, u + 1, v + 1)
     od_pairs = []
-    with open(od_csv) as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "origin":
-                continue
-            od_pairs.append((int(row[0]), int(row[1])))
-            n_nodes = max(n_nodes, od_pairs[-1][0] + 1, od_pairs[-1][1] + 1)
+    for row in _rows(od_csv, ("origin", "dest")):
+        od_pairs.append((int(row[0]), int(row[1])))
+        n_nodes = max(n_nodes, od_pairs[-1][0] + 1, od_pairs[-1][1] + 1)
     return n_nodes, edges, od_pairs
+
+
+def _rows(path, fields):
+    """The data rows of a CSV file headed by ``fields``; a row with fewer fields is a ``ValueError``."""
+    with open(path) as fh:
+        for number, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].startswith("#") or row[0] == fields[0]:
+                continue
+            if len(row) < len(fields):
+                raise ValueError(f"{path}, row {number}: {','.join(row)!r} has {len(row)} of the "
+                                 f"{len(fields)} fields {','.join(fields)}")
+            yield row

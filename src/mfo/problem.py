@@ -101,7 +101,8 @@ class MfoProblem:
       ``x2`` whose contribution moves by at most
       ``set_lipschitz * d(x, x2)``;
     * ``initial_decision_batch(xs)`` -- any feasible decision per row
-      (solver warm start).
+      (solver warm start), or a ``ValueError`` naming a parameter that
+      has none.
 
     One optional oracle serves the solvers' best-response sweep:
     ``best_response_rows(lam, xs)`` returns ``(ys, G)``, the best

@@ -31,11 +31,16 @@ class SourceDistribution:
 
     def __post_init__(self):
         if self.kind == "uniform":
+            if not math.isfinite(self.high - self.low):
+                raise ValueError("uniform needs finite bounds a finite width apart, "
+                                 f"got {self.low!r} and {self.high!r}")
             if not self.high > self.low:
                 raise ValueError("uniform needs high > low")
         elif self.kind == "exponential":
             if not self.rate > 0:
                 raise ValueError("exponential needs a positive rate")
+            if not math.isfinite(1.0 / self.rate):
+                raise ValueError(f"exponential needs a rate whose mean 1/rate is finite, got {self.rate!r}")
         elif self.kind == "samples":
             data = np.asarray(self.data, dtype=float).reshape(-1, 1)
             if not (len(data) and np.isfinite(data).all()):

@@ -183,6 +183,25 @@ class TestSolveVerb:
         assert f"config error: {block}: cannot read {paths[missing]}" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("short, row, message", [
+        ("edges_csv", "0,1", "row 4: '0,1' has 2 of the 3 fields from,to,phi_kind"),
+        ("od_csv", "1", "row 3: '1' has 1 of the 2 fields origin,dest"),
+    ], ids=["edge_row", "od_row"])
+    def test_short_network_row_is_a_config_error(self, tmp_path, capsys, short, row, message):
+        paths = {"edges_csv": tmp_path / "edges.csv", "od_csv": tmp_path / "od.csv"}
+        paths["edges_csv"].write_text("from,to,phi_kind,a,b\n0,1,affine,1.0,0.0\n0,1,affine,0.0,1.0\n")
+        paths["od_csv"].write_text("origin,dest\n0,1\n")
+        with open(paths[short], "a") as fh:
+            fh.write(row + "\n")
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "traffic", "network": {key: str(p) for key, p in paths.items()}},
+                           marginal={"atoms": [{"x": [0, 1], "w": 1.0}]},
+                           solver={"algorithm": "fw", "iterations": 3})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: the traffic problem block: {paths[short]}, {message}" in err
+        assert not (tmp_path / "x").exists()
+
     def test_network_block_needs_both_files(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
                            problem={"name": "traffic", "network": {"edges_csv": "e.csv"}},
@@ -476,6 +495,26 @@ def test_bad_samples_or_dist_type_is_a_config_error(tmp_path, capsys, verb, samp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["quantize-sample", "quantize-grid", "solve"])
+@pytest.mark.parametrize("spec, message", [
+    ("uniform:0,inf", "uniform needs finite bounds a finite width apart, got 0.0 and inf"),
+    ("uniform:-1e308,1e308", "uniform needs finite bounds a finite width apart, got -1e+308 and 1e+308"),
+    ("exponential:1e-320", "exponential needs a rate whose mean 1/rate is finite, got 1e-320"),
+], ids=["uniform_to_inf", "uniform_width_overflows", "exponential_mean_overflows"])
+def test_law_with_infinite_atoms_is_a_config_error(tmp_path, capsys, spec, message, verb):
+    """A law whose atoms would not all be finite is refused before an atom is drawn or written."""
+    out = tmp_path / "out"
+    if verb == "solve":
+        cfg = write_config(tmp_path / "cfg.json", marginal={"dist": spec, "n": 5})
+        argv, label = ["solve", "--config", str(cfg), "--out", str(out)], "the marginal block: dist"
+    else:
+        method = verb.split("-")[1]
+        argv, label = ["quantize", "--dist", spec, "--n", "5", "--method", method, "--out", str(out)], "--dist"
+    assert main(argv) == 2
+    assert f"config error: {label}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBridgeVerb:
     def _run(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -625,6 +664,18 @@ class TestBridgeVerb:
         assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(m1), "--config", str(cfg),
                      "--out", str(out)]) == 2
         assert ("config error: --m1: x=[0. 5.] is not a configured origin-destination pair"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_negative_resource_stock_is_a_config_error(self, tmp_path, capsys):
+        # even q = 0 overspends a negative stock: no decision is feasible there
+        cfg, run = self._run(tmp_path)
+        m1 = tmp_path / "m1.json"
+        EmpiricalMeasure.from_atoms("X", [([1.0], 0.5), ([-0.5], 0.5)]).save_json(m1)
+        out = tmp_path / "o"
+        assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(m1), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert ("config error: --m1: x=-0.5 is a negative stock: no extraction profile fits it"
                 in capsys.readouterr().err)
         assert not out.exists()
 

@@ -93,11 +93,13 @@ class TestBumps:
             assert bumps.tobytes() == np.zeros(bumps.shape).tobytes()
         prob = full_size_problem()
         starts = np.concatenate([rng.uniform(0.0, 1.2, 40), [0.0, 1.0, 1.0 - prob.grid_step, 1.3]])
-        positions, lengths, below, bumps, live = prob._grids(starts)
+        positions, lengths, arrivals, bumps = prob._grids(starts)
         agents = np.arange(len(starts))
         past = positions >= 1.0
         assert past[starts == 1.0, 0].all() and past[agents, lengths - 1].all()
-        assert live == below.sum(axis=1).max() < positions.shape[1]
+        # each agent's states before the target are the first arrivals[i]
+        assert np.array_equal(~past, np.arange(positions.shape[1]) < arrivals[:, None])
+        assert arrivals.max() < positions.shape[1]
         at_states = bumps.reshape(prob.cells + 1, positions.shape[1], len(starts)).transpose(0, 2, 1)
         assert at_states[:, past].tobytes() == np.zeros(at_states[:, past].shape).tobytes()
         # the costs the game's fill writes at states past each agent's target,
@@ -106,7 +108,8 @@ class TestBumps:
         for scale in (0.1, 3.0, 100.0):
             lam = rng.normal(0.0, scale, len(prob.hilbert_weights))
             prob.best_response_batch(lam, starts[:, None])
-            assert np.all(seen["costs"][~seen["below"]] == 0.0)
+            assert np.array_equal(seen["arrivals"], arrivals)
+            assert np.all(seen["costs"][past] == 0.0)
 
     def test_smooth_with_bounded_slope(self):
         k = 20
@@ -258,7 +261,7 @@ class TestBatchedBestResponse:
             for i, x0 in enumerate(xs[:, 0]):
                 n = seen["lengths"][i]
                 value, path = congestion_dp_loops(seen["costs"][i, :n], prob.grid_substeps,
-                                                  seen["below"][i, :n], 0)
+                                                  np.arange(n) < seen["arrivals"][i], 0)
                 assert seen["values"][i] == value
                 np.testing.assert_array_equal(seen["paths"][i], path)
                 np.testing.assert_array_equal(trajs[i], (x0 + prob.grid_step * np.arange(n))[path])
@@ -312,16 +315,18 @@ def record_dp(monkeypatch, prob):
     """Route the game's kernel calls through a recorder of what the kernel saw.
 
     The returned dict holds the last call's ``(N, n, steps)`` stage costs,
-    its masks, lengths and ``live``, and its results.  The game writes the
-    costs of the first ``live`` states only; the recorder asserts, from
-    the grid memo's bumps, that every bump past them is zero, so their
-    costs are too, and records them as +0.0 over the full grid.
+    its arrival counts, lengths and ``live`` (their largest arrival count),
+    and its results.  The game writes the costs of the first ``live``
+    states only; the recorder asserts, from the grid memo's bumps, that
+    every bump past them is zero, so their costs are too, and records
+    them as +0.0 over the full grid.
     """
     seen = {}
 
-    def recording_dp(fill_costs, steps, qmax, below, lengths, live):
-        positions, _, _, bumps, _ = prob._grid_memo[1]
+    def recording_dp(fill_costs, steps, qmax, arrivals, lengths):
+        positions, _, _, bumps = prob._grid_memo[1]
         n_agents, n = positions.shape
+        live = int(arrivals.max())
         assert not bumps.reshape(-1, n, n_agents)[:, live:].any()
         costs = np.zeros((n_agents, n, steps))
 
@@ -329,8 +334,8 @@ def record_dp(monkeypatch, prob):
             fill_costs(out)
             costs[:, :live] = out.transpose(2, 1, 0)
 
-        seen.update(below=below, lengths=lengths, live=live, costs=costs)
-        seen["values"], seen["paths"] = congestion_dp_batch(recording_fill, steps, qmax, below, lengths, live)
+        seen.update(arrivals=arrivals, lengths=lengths, live=live, costs=costs)
+        seen["values"], seen["paths"] = congestion_dp_batch(recording_fill, steps, qmax, arrivals, lengths)
         return seen["values"], seen["paths"]
 
     monkeypatch.setattr(mfo.examples.congestion, "congestion_dp_batch", recording_dp)

@@ -368,25 +368,35 @@ class TestResourceReciprocal:
         assert theta.tobytes() == theta_ref.tobytes()
 
 
-def dp_batch(costs, qmax, belows, pad=np.inf):
-    """Run the batched kernel on per-agent ``(n_i, steps)`` costs, padded to one grid."""
+def dp_batch(costs, qmax, arrivals, pad=np.inf):
+    """Run the batched kernel on per-agent ``(n_i, steps)`` costs, padded to one grid.
+
+    Agent ``i`` is below its target on its first ``arrivals[i]`` states;
+    its costs from there on are zeroed in place, as the kernel's contract
+    asks, so the loop reference sees the same costs.  They are scaled by
+    0.0, which keeps a -0.0 there a -0.0: the game's zeros have either sign.
+    """
     n = max(c.shape[0] for c in costs)
     steps = costs[0].shape[1]
     block = np.full((len(costs), n, steps), pad)
-    below = np.zeros((len(costs), n), dtype=bool)
-    for i, (c, b) in enumerate(zip(costs, belows)):
+    for i, (c, a) in enumerate(zip(costs, arrivals)):
+        c[a:] *= 0.0
         block[i, : len(c)] = c
-        below[i, : len(b)] = b
     lengths = np.array([len(c) for c in costs])
-    return _kernels.congestion_dp_batch(lambda out: np.copyto(out, block.transpose(2, 1, 0)),
-                                        steps, qmax, below, lengths)
+    live = max(arrivals)
+
+    def fill(out):
+        assert out.shape == (steps, live, len(costs))
+        np.copyto(out, block.transpose(2, 1, 0)[:, :live])
+
+    return _kernels.congestion_dp_batch(fill, steps, qmax, arrivals, lengths)
 
 
-def assert_matches_loop_reference(costs, qmax, belows, pad=np.inf):
-    values, paths = dp_batch(costs, qmax, belows, pad)
+def assert_matches_loop_reference(costs, qmax, arrivals, pad=np.inf):
+    values, paths = dp_batch(costs, qmax, arrivals, pad)
     assert paths.shape == (len(costs), costs[0].shape[1] + 1)
-    for i, (c, b) in enumerate(zip(costs, belows)):
-        value_ref, path_ref = congestion_dp_loops(c, qmax, b, 0)
+    for i, (c, a) in enumerate(zip(costs, arrivals)):
+        value_ref, path_ref = congestion_dp_loops(c, qmax, np.arange(len(c)) < a, 0)
         assert values[i].tobytes() == np.float64(value_ref).tobytes()
         np.testing.assert_array_equal(paths[i], path_ref)
 
@@ -397,80 +407,81 @@ _finite = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: v + 0.0)
 
 
 @st.composite
-def dp_instances(draw):
-    """Ragged grids, costs on a few levels (ties), masks with holes, finite or +inf padding.
+def arrival_instances(draw):
+    """Game-shaped instances: ragged grids, arrival counts, costs on a few levels, padding.
 
-    About half the instances cost 0 or 1 per state, so nearly every window holds
-    several minimizers and the tie-break decides each move.
+    Each agent's arrival count is drawn from 0 (a start at or past the
+    target) to its grid length (no state at the target).  Its costs are
+    drawn before the arrival and are zero (+0.0 or -0.0, as the game's
+    are) from it on; padding costs are finite or +inf.  About half the
+    instances cost 0 or 1 per state, so nearly every window holds several
+    minimizers and the tie-break decides each move.
     """
     steps = draw(st.integers(1, 6))
     qmax = draw(st.integers(0, 8))
     levels = draw(st.one_of(st.just([0.0, 1.0]), st.lists(_finite, min_size=1, max_size=4, unique=True)))
     sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))
-    costs = [np.array(levels)[draw(arrays(np.intp, (n, steps), elements=st.integers(0, len(levels) - 1)))]
-             for n in sizes]
-    belows = [draw(arrays(bool, n)) for n in sizes]
+    arrivals = [draw(st.integers(0, n)) for n in sizes]
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    costs = []
+    for n, a in zip(sizes, arrivals):
+        cost = np.array(levels)[draw(arrays(np.intp, (n, steps), elements=st.integers(0, len(levels) - 1)))]
+        cost[a:] = zero
+        costs.append(cost)
     pad = draw(st.one_of(st.just(np.inf), _finite))
-    return costs, qmax, belows, pad
+    return costs, qmax, arrivals, pad
+
+
+def full_grid_dp(costs, qmax, arrivals, pad):
+    """The DP over every padded state at every step, with the kernel's tie-break.
+
+    No live rows, no band and no early end of the forward pass: what the
+    kernel's cuts must leave unchanged.
+    """
+    n = max(len(c) for c in costs)
+    steps = costs[0].shape[1]
+    states = np.arange(n)
+    values, paths = [], []
+    for c, a in zip(costs, arrivals):
+        cost = np.full((n, steps), pad)
+        cost[: len(c)] = c
+        value = np.where(states < len(c), 0.0, np.inf)
+        choice = np.empty((steps, n), dtype=np.intp)
+        for t in range(steps - 1, -1, -1):
+            ext = np.concatenate([value, np.full(qmax, np.inf)])
+            ahead = np.lib.stride_tricks.sliding_window_view(ext, qmax + 1)
+            nearest = ahead.argmin(axis=1)
+            farthest = qmax - ahead[:, ::-1].argmin(axis=1)
+            choice[t] = states + np.where(states < a, farthest, nearest)
+            value = cost[:, t] + ext[choice[t]]
+        path = np.zeros(steps + 1, dtype=np.intp)
+        for t in range(steps):
+            path[t + 1] = choice[t, path[t]]
+        values.append(value[0])
+        paths.append(path)
+    return np.array(values), np.array(paths)
 
 
 @settings(max_examples=300, deadline=None)
-@given(dp_instances())
+@given(arrival_instances())
 def test_congestion_dp_batch_matches_loop_reference_bit_for_bit(instance):
     assert_matches_loop_reference(*instance)
 
 
-@st.composite
-def live_instances(draw):
-    """Game-shaped instances: below-target prefixes, zero costs past them, ragged grids, and ``live``.
-
-    Each agent's mask is a prefix of its grid, from empty to full.  Its
-    costs are drawn on the prefix and are zero (+0.0 or -0.0, as the
-    game's are) on the rest of its grid; padding costs are finite or
-    +inf.  ``live`` lies between the longest prefix and the padded grid.
-    """
-    steps = draw(st.integers(1, 6))
-    qmax = draw(st.integers(0, 8))
-    levels = draw(st.one_of(st.just([0.0, 1.0]), st.lists(_finite, min_size=1, max_size=4, unique=True)))
-    sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))
-    prefixes = [draw(st.integers(0, n)) for n in sizes]
-    zero = draw(st.sampled_from([0.0, -0.0]))
-    costs = []
-    for n, c in zip(sizes, prefixes):
-        cost = np.array(levels)[draw(arrays(np.intp, (n, steps), elements=st.integers(0, len(levels) - 1)))]
-        cost[c:] = zero
-        costs.append(cost)
-    pad = draw(st.one_of(st.just(np.inf), _finite))
-    live = draw(st.integers(max(prefixes), max(sizes)))
-    return costs, qmax, prefixes, pad, live
-
-
 @settings(max_examples=300, deadline=None)
-@given(live_instances())
-# every start at or past its target (live = 0), and live = n with full prefixes
-@example(([np.zeros((3, 4)), -np.zeros((6, 4))], 2, [0, 0], np.inf, 0))
-@example(([np.arange(24.0).reshape(6, 4) % 3, np.ones((4, 4))], 3, [6, 4], 1.5, 6))
-@example(([np.arange(10.0).reshape(5, 2) % 2, np.ones((9, 2))], 4, [2, 9], np.inf, 9))
+@given(arrival_instances())
+# every start at or past its target (live = 0), and grids with no state at the target (live = n)
+@example(([np.zeros((3, 4)), -np.zeros((6, 4))], 2, [0, 0], np.inf))
+@example(([np.arange(24.0).reshape(6, 4) % 3, np.ones((4, 4))], 3, [6, 4], 1.5))
+@example(([np.arange(10.0).reshape(5, 2) % 2, np.ones((9, 2))], 4, [2, 9], np.inf))
 def test_live_path_matches_full_path_and_loop_reference_bit_for_bit(instance):
-    costs, qmax, prefixes, pad, live = instance
-    steps = costs[0].shape[1]
-    belows = [np.arange(len(c)) < p for c, p in zip(costs, prefixes)]
-    full_values, full_paths = dp_batch(costs, qmax, belows, pad)
-    n = max(len(c) for c in costs)
-    block = np.full((len(costs), n, steps), pad)
-    for i, c in enumerate(costs):
-        block[i, : len(c)] = c
-
-    def fill(out):
-        assert out.shape == (steps, live, len(costs))
-        np.copyto(out, block.transpose(2, 1, 0)[:, :live])
-
-    values, paths = _kernels.congestion_dp_batch(fill, steps, qmax, np.arange(n) < np.array(prefixes)[:, None],
-                                                 np.array([len(c) for c in costs]), live)
+    costs, qmax, arrivals, pad = instance
+    values, paths = dp_batch(costs, qmax, arrivals, pad)
+    full_values, full_paths = full_grid_dp(costs, qmax, arrivals, pad)
     assert values.tobytes() == full_values.tobytes()
     assert paths.tobytes() == full_paths.tobytes()
-    for i, (c, b) in enumerate(zip(costs, belows)):
-        value_ref, path_ref = congestion_dp_loops(c, qmax, b, 0)
+    for i, (c, a) in enumerate(zip(costs, arrivals)):
+        value_ref, path_ref = congestion_dp_loops(c, qmax, np.arange(len(c)) < a, 0)
         assert values[i].tobytes() == np.float64(value_ref).tobytes()
         np.testing.assert_array_equal(paths[i], path_ref)
 
@@ -480,8 +491,7 @@ class TestCongestionKernel:
         rng = np.random.default_rng(2)
         n_pos, steps, qmax = 7, 4, 2
         cost = rng.random((n_pos, steps))
-        below = np.ones(n_pos, dtype=bool)
-        values, paths = dp_batch([cost], qmax, [below])
+        values, paths = dp_batch([cost], qmax, [n_pos])
         value, path = values[0], paths[0]
 
         best = np.inf
@@ -502,8 +512,7 @@ class TestCongestionKernel:
             n_agents = int(rng.integers(1, 5))
             sizes = rng.integers(5, 60, n_agents)
             costs = [rng.random((n, steps)) for n in sizes]
-            belows = [rng.random(n) < 0.8 for n in sizes]
-            assert_matches_loop_reference(costs, qmax, belows)
+            assert_matches_loop_reference(costs, qmax, rng.integers(0, sizes + 1))
 
     def test_ragged_ties_match_loop_reference_exactly(self):
         # integer costs put ties in nearly every window, so the nearest and
@@ -517,16 +526,13 @@ class TestCongestionKernel:
             qmax = int(rng.integers(0, 12))
             sizes = rng.integers(1, 16, n_agents)
             costs = [rng.integers(0, 3, (n, steps)).astype(float) for n in sizes]
-            cut = rng.integers(0, sizes + 1)
-            belows = [np.arange(n) < c for n, c in zip(sizes, cut)]
+            arrivals = rng.integers(0, sizes + 1)
             pad = np.inf if case % 2 else float(rng.integers(-3, 3))
-            assert_matches_loop_reference(costs, qmax, belows, pad)
+            assert_matches_loop_reference(costs, qmax, arrivals, pad)
 
     def test_tie_break_prefers_progress_below_target(self):
         # flat costs: walk at full speed while below, stay once past
-        cost = np.zeros((9, 3))
-        below = np.array([True] * 4 + [False] * 5)
-        _, paths = dp_batch([cost], 2, [below])
+        _, paths = dp_batch([np.zeros((9, 3))], 2, [4])
         assert paths[0].tolist() == [0, 2, 4, 4]
 
     @pytest.mark.parametrize("qmax", [255, 256])
@@ -535,7 +541,7 @@ class TestCongestionKernel:
         # than one byte can count
         rng = np.random.default_rng(8)
         costs = [rng.integers(0, 3, (300, 4)).astype(float), rng.random((40, 4))]
-        assert_matches_loop_reference(costs, qmax, [np.ones(300, bool), np.ones(40, bool)])
+        assert_matches_loop_reference(costs, qmax, [300, 40])
 
     def test_band_never_reaching_the_grid_end_matches_loop_reference(self):
         # grids longer than steps*qmax + 1: every backward step works on a
@@ -548,8 +554,7 @@ class TestCongestionKernel:
             sizes = rng.integers(steps * qmax + 2, steps * qmax + 30, n_agents)
             costs = [rng.integers(0, 3, (n, steps)).astype(float) if case % 2 else rng.random((n, steps))
                      for n in sizes]
-            belows = [rng.random(n) < 0.7 for n in sizes]
-            assert_matches_loop_reference(costs, qmax, belows)
+            assert_matches_loop_reference(costs, qmax, rng.integers(steps * qmax + 1, sizes + 1))
 
     def test_every_agent_below_target_matches_loop_reference(self):
         # no state is at its target, so every move takes the farthest minimizer
@@ -559,45 +564,28 @@ class TestCongestionKernel:
             qmax = int(rng.integers(0, 6))
             sizes = rng.integers(1, 30, int(rng.integers(1, 5)))
             costs = [rng.integers(0, 2, (n, steps)).astype(float) for n in sizes]
-            assert_matches_loop_reference(costs, qmax, [np.ones(n, bool) for n in sizes])
+            assert_matches_loop_reference(costs, qmax, sizes)
 
     def test_agent_at_target_from_column_zero_matches_loop_reference(self):
-        # one agent starts at its target, so its first move takes the nearest
-        # minimizer; the others have masks with holes, so the tie rule can
-        # switch more than once along a path
+        # one agent starts at its target, so it never moves; the others walk
+        # until they arrive and then stay
         rng = np.random.default_rng(11)
         for _ in range(40):
             steps = int(rng.integers(1, 8))
             qmax = int(rng.integers(1, 6))
             sizes = rng.integers(2, 30, int(rng.integers(2, 5)))
             costs = [rng.integers(0, 2, (n, steps)).astype(float) for n in sizes]
-            belows = [rng.random(n) < 0.8 for n in sizes]
-            belows[rng.integers(len(sizes))][0] = False
-            assert_matches_loop_reference(costs, qmax, belows)
-
-    def test_holes_in_below_target_masks_match_loop_reference(self):
-        # each mask is below target on a long prefix, then has one hole, then
-        # more below-target states: the first at-target column is the hole
-        rng = np.random.default_rng(12)
-        for _ in range(60):
-            steps = int(rng.integers(2, 8))
-            qmax = int(rng.integers(1, 6))
-            sizes = rng.integers(8, 40, int(rng.integers(1, 5)))
-            costs = [rng.integers(0, 2, (n, steps)).astype(float) for n in sizes]
-            belows = []
-            for n in sizes:
-                below = np.arange(n) < n - 2
-                below[rng.integers(1, n - 2)] = False
-                belows.append(below)
-            assert_matches_loop_reference(costs, qmax, belows)
+            arrivals = rng.integers(1, sizes + 1)
+            arrivals[rng.integers(len(sizes))] = 0
+            assert_matches_loop_reference(costs, qmax, arrivals)
 
     def test_no_move_allowed_matches_loop_reference(self):
         # qmax = 0: every window is one state, every path stays at state 0
         rng = np.random.default_rng(13)
         costs = [rng.integers(0, 2, (n, 6)).astype(float) for n in (1, 5, 9)]
-        belows = [rng.random(n) < 0.5 for n in (1, 5, 9)]
-        assert_matches_loop_reference(costs, 0, belows)
-        _, paths = dp_batch(costs, 0, belows)
+        arrivals = [1, 3, 0]
+        assert_matches_loop_reference(costs, 0, arrivals)
+        _, paths = dp_batch(costs, 0, arrivals)
         assert not paths.any()
 
     def test_wide_grids_use_two_byte_columns_and_match_loop_reference(self):
@@ -606,5 +594,4 @@ class TestCongestionKernel:
         rng = np.random.default_rng(14)
         costs = [rng.integers(0, 3, (250, 30)).astype(float), rng.random((120, 30)),
                  rng.integers(0, 2, (249, 30)).astype(float)]
-        belows = [rng.random(250) < 0.9, np.arange(120) < 100, np.arange(249) < 200]
-        assert_matches_loop_reference(costs, 10, belows)
+        assert_matches_loop_reference(costs, 10, [230, 100, 200])

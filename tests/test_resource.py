@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import LinearConstraint, minimize
 
-from mfo import EmpiricalMeasure, OracleError, SolverConfig, aggregate, fw_solve
+from mfo import EmpiricalMeasure, OracleError, SolverConfig, aggregate, fw_solve, sfw_solve
 from mfo.problem import _norm
 
 
@@ -137,6 +137,14 @@ class TestFeasibility:
         short = EmpiricalMeasure.from_atoms("Z", [([1.0], [0.1, 0.1], 1.0)])
         with pytest.raises(OracleError, match="infeasible atom 0"):
             aggregate(prob, short)
+
+    @pytest.mark.parametrize("solve", [fw_solve, sfw_solve])
+    def test_negative_stock_fails_at_the_warm_start(self, resource_problem, solve):
+        # even q = 0 overspends a negative stock, so the solvers have no feasible
+        # start: they stop there, not after a run whose measure no gap certifies
+        m = EmpiricalMeasure.from_atoms("X", [([1.0], 0.5), ([-0.5], 0.5)])
+        with pytest.raises(ValueError, match=r"^x=-0\.5 is a negative stock: no extraction profile fits it$"):
+            solve(resource_problem, m, SolverConfig(iterations=20))
 
 
 class TestContributionArithmetic:
