@@ -111,6 +111,14 @@ def _distribution(spec, label: str) -> SourceDistribution:
         raise ConfigError(f"{label}: {exc}") from exc
 
 
+def _quantized(quantizer, label: str, dist: SourceDistribution, *args) -> EmpiricalMeasure:
+    """``quantizer(dist, *args)``; a law whose atoms overflow is a config error naming ``label``."""
+    try:
+        return quantizer(dist, *args)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
 def _check_atom_count(n: int, label: str):
     if n < 1:
         raise ConfigError(f"{label} must be at least 1, got {n}")
@@ -150,9 +158,10 @@ def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
     _check_atom_count(n, "the marginal block: n")
     method = marginal_cfg.get("method", "sample")
     if method == "grid":
-        m = quantize_grid(dist, n)
+        m = _quantized(quantize_grid, "the marginal block: dist", dist, n)
     elif method == "sample":
-        m = quantize_sample(dist, n, _integer(marginal_cfg.get("seed", seed), "seed", "the marginal block"))
+        draw_seed = _integer(marginal_cfg.get("seed", seed), "seed", "the marginal block")
+        m = _quantized(quantize_sample, "the marginal block: dist", dist, n, draw_seed)
     else:
         raise ConfigError(f"unknown quantization method {method!r}")
     cap = getattr(problem, "stock_cap", None)
@@ -358,12 +367,12 @@ def cmd_quantize(args) -> int:
     dist = _distribution(args.dist, "--dist")
     _check_atom_count(args.n, "--n")
     if args.method == "grid":
-        m = quantize_grid(dist, args.n)
+        m = _quantized(quantize_grid, "--dist", dist, args.n)
         trunc = grid_truncation(dist, args.n)
         if trunc:
             print(f"truncated {dist.describe()} at quantile {trunc[0]} (x <= {trunc[1]:.6g})")
     else:
-        m = quantize_sample(dist, args.n, args.seed)
+        m = _quantized(quantize_sample, "--dist", dist, args.n, args.seed)
     m.save_json(args.out)
     print(f"quantize[{args.method}] {dist.describe()} n={args.n} -> {args.out}")
     return 0

@@ -354,27 +354,28 @@ def load_network(edges_csv, od_csv):
 
     Edge rows: ``from,to,phi_kind,coeff...``; OD rows: ``origin,dest``.
     """
-    edges = []
-    n_nodes = 0
-    for row in _rows(edges_csv, ("from", "to", "phi_kind")):
-        u, v, kind = int(row[0]), int(row[1]), row[2]
-        coeffs = tuple(float(c) for c in row[3:])
-        edges.append(Edge(u, v, kind, coeffs))
-        n_nodes = max(n_nodes, u + 1, v + 1)
-    od_pairs = []
-    for row in _rows(od_csv, ("origin", "dest")):
-        od_pairs.append((int(row[0]), int(row[1])))
-        n_nodes = max(n_nodes, od_pairs[-1][0] + 1, od_pairs[-1][1] + 1)
+    edges = list(_rows(edges_csv, ("from", "to", "phi_kind"),
+                       lambda row: Edge(int(row[0]), int(row[1]), row[2], tuple(float(c) for c in row[3:]))))
+    od_pairs = list(_rows(od_csv, ("origin", "dest"), lambda row: (int(row[0]), int(row[1]))))
+    n_nodes = max([0] + [max(e.tail, e.head) + 1 for e in edges] + [max(od) + 1 for od in od_pairs])
     return n_nodes, edges, od_pairs
 
 
-def _rows(path, fields):
-    """The data rows of a CSV file headed by ``fields``; a row with fewer fields is a ``ValueError``."""
+def _rows(path, fields, parse):
+    """``parse(row)`` for each data row of a CSV file headed by ``fields``.
+
+    A row with fewer fields, or one that ``parse`` rejects, is a
+    ``ValueError`` that names the file, the row number and the row.
+    """
     with open(path) as fh:
         for number, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].startswith("#") or row[0] == fields[0]:
                 continue
+            where = f"{path}, row {number}: {','.join(row)!r}"
             if len(row) < len(fields):
-                raise ValueError(f"{path}, row {number}: {','.join(row)!r} has {len(row)} of the "
-                                 f"{len(fields)} fields {','.join(fields)}")
-            yield row
+                raise ValueError(f"{where} has {len(row)} of the {len(fields)} fields {','.join(fields)}")
+            try:
+                item = parse(row)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            yield item

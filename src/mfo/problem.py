@@ -320,7 +320,8 @@ def _certificate_pass(problem, beta: np.ndarray, xs, w):
     primal value and ``|lam|``.  ``hl = hilbert_weights * lam`` is formed
     once and serves the sweep values, ``<lam, beta>`` and ``|lam|``;
     as :func:`_inner` evaluates ``(w * a) * b``, each number has the bits
-    of its :func:`_inner` form.  FW and SFW call this every iteration.
+    of its :func:`_inner` form.  FW calls this every iteration, SFW once
+    per distinct aggregate.
 
     This pass checks ``lam`` before the sweep, through ``<hl, lam>``: its
     terms ``w_i lam_i^2`` are nonnegative, so it is finite whenever

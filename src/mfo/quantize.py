@@ -88,12 +88,25 @@ class SourceDistribution:
         return f"samples[{len(self.data)}]"
 
 
+def _equal_mass_atoms(dist: SourceDistribution, points, n: int) -> EmpiricalMeasure:
+    """Atoms of mass 1/N at ``points``; a law that yields a non-finite atom is rejected.
+
+    An exponential law whose mean is finite can still overflow: with
+    rate 1e-308 its upper quantiles and some of its draws exceed the
+    largest float.
+    """
+    xs = np.asarray(points, dtype=float).reshape(n, 1)
+    bad = n - np.count_nonzero(np.isfinite(xs))
+    if bad:
+        raise ValueError(f"{dist.describe()} gives {bad} non-finite atoms of {n}: its values overflow a float")
+    return EmpiricalMeasure("X", xs=xs, weights=np.full(n, 1.0 / n), validate=False)
+
+
 def quantize_sample(dist: SourceDistribution, n: int, seed: int) -> EmpiricalMeasure:
     """N i.i.d. atoms of mass 1/N; seeded and reproducible."""
     if n < 1:
         raise ValueError("need at least one atom")
-    draws = dist.sample(np.random.default_rng(seed), n)
-    return EmpiricalMeasure("X", xs=draws, weights=np.full(n, 1.0 / n), validate=False)
+    return _equal_mass_atoms(dist, dist.sample(np.random.default_rng(seed), n), n)
 
 
 def grid_truncation(dist: SourceDistribution, n: int):
@@ -114,13 +127,13 @@ def quantize_grid(dist: SourceDistribution, n: int) -> EmpiricalMeasure:
     if n < 1:
         raise ValueError("need at least one atom")
     mids = (np.arange(n) + 0.5) / n
-    if dist.kind == "exponential":
-        qmax = 1.0 - 1.0 / (4.0 * n)
-        points = dist.quantile(mids * qmax)
-    else:
-        points = dist.quantile(mids)
-    return EmpiricalMeasure("X", xs=np.asarray(points, dtype=float).reshape(n, 1),
-                            weights=np.full(n, 1.0 / n), validate=False)
+    with np.errstate(over="ignore"):        # an overflowing quantile is rejected below
+        if dist.kind == "exponential":
+            qmax = 1.0 - 1.0 / (4.0 * n)
+            points = dist.quantile(mids * qmax)
+        else:
+            points = dist.quantile(mids)
+    return _equal_mass_atoms(dist, points, n)
 
 
 def estimate_d1(dist: SourceDistribution, m_n: EmpiricalMeasure, sample_size: int,

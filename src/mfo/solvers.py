@@ -22,7 +22,10 @@ states, and keeps the cheapest (optionally also guarding with the
 incumbent, which makes the objective non-increasing).  Randomness comes
 from counter-based streams keyed on ``(seed; iteration, candidate)``,
 so agent draws are independent of execution order and runs are
-bit-reproducible.
+bit-reproducible.  A certificate pass runs once per distinct aggregate:
+an iteration whose aggregate has the bytes of the last certified one
+(the guard kept the incumbent, or the switched agents were already at
+their best response) reuses that pass and its best-response sweep.
 """
 
 from __future__ import annotations
@@ -218,7 +221,7 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
     stopped_early = False
     for k in range(config.iterations):
         tic = time.perf_counter()
-        _, ys_br, G_br, gap, primal, lambda_norm = _certificate_pass(problem, beta, xs, w)
+        lam, ys_br, G_br, gap, primal, lambda_norm = _certificate_pass(problem, beta, xs, w)
         stopped_early = gap_tol is not None and gap <= gap_tol
         if not stopped_early:
             om = rule(k)
@@ -248,7 +251,9 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
         cert = fw_gap(problem, final)
     else:
         final = None
-        cert = _certify(problem, beta, xs, w)[0]
+        # a run that stopped at gap_tol did not move beta after its last pass, which certified it
+        cert = (DualCertificate(beta=beta, lam=lam, primal_value=primal, dual_value=gap - primal, gap=gap)
+                if stopped_early else _certify(problem, beta, xs, w)[0])
 
     return SolveReport(
         algorithm="fw",
@@ -276,6 +281,10 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
     size, the expected suboptimality after ``K`` iterations is at most
     ``4 * grad_lipschitz * sup_g_diff_sq / K`` whatever the simulation
     counts; runs of more iterations are flagged ``beyond_guarantee``.
+
+    The certificate pass depends on the aggregate ``w @ G`` alone, so it
+    runs once per distinct aggregate: an iteration whose aggregate has
+    the same bytes as the last certified one reuses that pass.
     """
     _check_marginal(m_N)
     n = len(m_N)
@@ -290,9 +299,14 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
 
     records = []
     stopped_early = False
+    last = None        # the bytes of the aggregate that the last certificate pass took
     for k in range(config.iterations):
         tic = time.perf_counter()
-        _, y_br, G_br, gap, objective, lambda_norm = _certificate_pass(problem, w @ G, xs, w)
+        beta = w @ G
+        key = beta.tobytes()
+        if key != last:        # xs and w are fixed: the pass depends on beta alone
+            _, y_br, G_br, gap, objective, lambda_norm = _certificate_pass(problem, beta, xs, w)
+            last = key
         stopped_early = config.gap_tol is not None and gap <= config.gap_tol
         n_k = 0
         if not stopped_early:

@@ -202,6 +202,26 @@ class TestSolveVerb:
         assert f"config error: the traffic problem block: {paths[short]}, {message}" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("bad, row, message", [
+        ("edges_csv", "a,1,affine,1,0", "row 4: 'a,1,affine,1,0': invalid literal for int() with base 10: 'a'"),
+        ("edges_csv", "0,1,affine,x,0", "row 4: '0,1,affine,x,0': could not convert string to float: 'x'"),
+        ("od_csv", "0,b", "row 3: '0,b': invalid literal for int() with base 10: 'b'"),
+    ], ids=["edge_node", "edge_coefficient", "od_node"])
+    def test_unparsable_network_field_is_a_config_error(self, tmp_path, capsys, bad, row, message):
+        paths = {"edges_csv": tmp_path / "edges.csv", "od_csv": tmp_path / "od.csv"}
+        paths["edges_csv"].write_text("from,to,phi_kind,a,b\n0,1,affine,1.0,0.0\n0,1,affine,0.0,1.0\n")
+        paths["od_csv"].write_text("origin,dest\n0,1\n")
+        with open(paths[bad], "a") as fh:
+            fh.write(row + "\n")
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "traffic", "network": {key: str(p) for key, p in paths.items()}},
+                           marginal={"atoms": [{"x": [0, 1], "w": 1.0}]},
+                           solver={"algorithm": "fw", "iterations": 3})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: the traffic problem block: {paths[bad]}, {message}" in err
+        assert not (tmp_path / "x").exists()
+
     def test_network_block_needs_both_files(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
                            problem={"name": "traffic", "network": {"edges_csv": "e.csv"}},
@@ -512,6 +532,25 @@ def test_law_with_infinite_atoms_is_a_config_error(tmp_path, capsys, spec, messa
         argv, label = ["quantize", "--dist", spec, "--n", "5", "--method", method, "--out", str(out)], "--dist"
     assert main(argv) == 2
     assert f"config error: {label}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, count", [("quantize-sample", 15), ("quantize-grid", 13), ("solve", None)])
+def test_law_whose_atoms_overflow_is_a_config_error(tmp_path, capsys, verb, count):
+    """A finite-mean exponential law whose draws or upper quantiles overflow writes no atom."""
+    out, spec = tmp_path / "out", "exponential:1e-308"
+    if verb == "solve":
+        cfg = write_config(tmp_path / "cfg.json", marginal={"dist": spec, "n": 80})
+        argv, label = ["solve", "--config", str(cfg), "--out", str(out)], "the marginal block: dist"
+    else:
+        method = verb.split("-")[1]
+        argv, label = ["quantize", "--dist", spec, "--n", "80", "--method", method, "--out", str(out)], "--dist"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"config error: {label}: {spec} gives (\d+) non-finite atoms of 80: "
+                     "its values overflow a float", err)
+    if count is not None:
+        assert f"gives {count} non-finite" in err
     assert not out.exists()
 
 

@@ -101,6 +101,22 @@ class TestFrankWolfe:
         # the returned measure is the iterate that met the tolerance
         assert report.certificate.gap <= 2e-6
 
+    def test_unstored_early_stop_certifies_with_the_last_pass(self, resource_problem, exp_marginal_50):
+        # beta does not move after the pass that met gap_tol: the final certificate reuses it
+        class Counting(type(resource_problem)):
+            calls = 0
+
+            def best_response_rows(self, lam, xs):
+                Counting.calls += 1
+                return super().best_response_rows(lam, xs)
+
+        prob = Counting(horizon=10.0, steps=50, discount=1.0, price_impact=1.0)
+        report = fw_solve(prob, exp_marginal_50, SolverConfig(iterations=5000, gap_tol=1e-6, store_measure=False))
+        assert report.stopped_early and report.final_measure is None
+        # the warm start and one pass per iteration
+        assert Counting.calls == 1 + report.iterations_run
+        assert report.certificate.gap == report.records[-1].gap <= 1e-6
+
     def test_unstored_run_keeps_no_blocks(self, resource_problem, exp_marginal_50):
         # without a stored measure nothing is kept per iteration: 500 best
         # responses of 50 x 50 would be about 10 MiB
@@ -462,11 +478,12 @@ class TestSolverErrorSemantics:
             solve(NanContributions(), od_marginal(), SolverConfig(iterations=5))
 
 
-def sfw_reference(problem, m_N, config):
+def sfw_reference(problem, m_N, config, aggregates=None):
     """The SFW loop that re-evaluates every state and candidate with g_eval_batch.
 
     Returns ``(objective, gap, lambda_norm, n_candidates)`` per iteration
-    and the final decisions.
+    and the final decisions; each iteration's aggregate is appended to
+    the list ``aggregates`` when one is given.
     """
     xs, w, n = m_N.xs, m_N.weights, len(m_N)
     wH = problem.hilbert_weights
@@ -476,6 +493,8 @@ def sfw_reference(problem, m_N, config):
     records = []
     for k in range(config.iterations):
         beta = w @ problem.g_eval_batch(xs, y)
+        if aggregates is not None:
+            aggregates.append(beta)
         objective = problem.f_value(beta)
         lam = problem.f_grad(beta)
         y_br = problem.best_response_batch(lam, xs)
@@ -557,6 +576,28 @@ class TestStochasticFrankWolfeSweep:
         # set-up: the feasible start's aggregate and the first state's rows;
         # the final certificate: the aggregate and the best-response values
         assert Counting.calls == 2 + iterations + 2
+
+    def test_repeated_aggregates_reuse_the_certificate_pass(self, congestion_problem):
+        # the guard keeps the incumbent, or an accepted candidate switches only
+        # agents already at their best response: the aggregate repeats bit for bit
+        class Counting(type(congestion_problem)):
+            calls = 0
+
+            def best_response_rows(self, lam, xs):
+                Counting.calls += 1
+                return super().best_response_rows(lam, xs)
+
+        prob = Counting(horizon=1.0, steps=20, vmax=3.0, alpha=1.0, cells=5, smoothing=20)
+        m, cfg = congestion_starts(50, 1), SolverConfig(iterations=60, n_sims=3, seed=1)
+        report = self.compare(prob, m, cfg)
+        swept = Counting.calls
+        aggregates = []
+        sfw_reference(prob, m, cfg, aggregates)
+        distinct = sum(k == 0 or a.tobytes() != aggregates[k - 1].tobytes()
+                       for k, a in enumerate(aggregates))
+        # the warm start, one pass per distinct consecutive aggregate, the final certificate
+        assert report.iterations_run == 60 and distinct < 60
+        assert swept == 1 + distinct + 1
 
 
 class TestOracleFailure:
