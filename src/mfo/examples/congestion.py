@@ -14,22 +14,20 @@ position grid aligned with the agent's start, with the one-step move
 global for the discretized decision set, and the zero-penalty optimum
 is the exact maximal-speed path halting at the target.  One batched DP
 serves all agents; their grids and bump values depend on the starts
-only, so the last batch's are kept (a single-entry memo keyed on the
-start column) and reused while the solver changes the dual point.  The
-bumps are kept stacked, the cell bumps over the target bump, so the
-stage costs at a dual point are one matrix product: the ``(steps, cells
-+ 1)`` dual coefficients, scaled by ``dt``, times the stacked bumps,
-written straight into the DP table.  A grid ascends, so an agent's
-states before the target are a prefix of its grid, counted by its
-arrival count; the bumps vanish bit for bit on ``[1, inf)``, so every
-stage cost at or past the target is zero, which is the DP's contract.
-The product covers only the rows the DP asks for, the longest prefix
-of states before any agent's target.
-Every point of a best response lies on its agent's grid, so the
-solvers' sweep (``best_response_rows``) gathers the contribution rows
-of the best responses from the memo instead of evaluating the bumps
-again; a gather is a selection, so the rows are ``g_eval_batch``'s bit
-for bit.
+only, so ``bind`` builds them once, in a :class:`CongestionSweep` that
+the solver then runs at every dual point.  The bumps are kept stacked,
+the cell bumps over the target bump, so the stage costs at a dual point
+are one matrix product: the ``(steps, cells + 1)`` dual coefficients,
+scaled by ``dt``, times the stacked bumps, written straight into the
+DP table.  A grid ascends, so an agent's states before the target are
+a prefix of its grid, counted by its arrival count; the bumps vanish
+bit for bit on ``[1, inf)``, so every stage cost at or past the target
+is zero, which is the DP's contract.  The product covers only the rows
+the DP asks for, the longest prefix of states before any agent's
+target.  Every point of a best response lies on its agent's grid, so
+the sweep gathers the contribution rows of the best responses from its
+stacked bumps instead of evaluating the bumps again; a gather is a
+selection, so the rows are ``g_eval_batch``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import math
 import numpy as np
 
 from .._kernels import congestion_dp_batch
-from ..problem import FEAS_TOL, QuadraticCostProblem, _count, _frozen_weights, _real
+from ..problem import FEAS_TOL, QuadraticCostProblem, Sweep, _count, _frozen_weights, _real
 from ..transport import MetricSpec
 
 
@@ -110,7 +108,6 @@ class CongestionProblem(QuadraticCostProblem):
         self.sup_grad_norm = math.sqrt(1.0 + self.grad_lipschitz ** 2 * T)
         self.set_lipschitz = 2.0 * self.smoothing * math.sqrt(T * T + 4.0 * T)
         self.metric = MetricSpec("euclidean")
-        self._grid_memo = (None, None)
 
     # -- model ------------------------------------------------------------
 
@@ -134,64 +131,11 @@ class CongestionProblem(QuadraticCostProblem):
 
     # -- oracles ------------------------------------------------------------
 
-    def _grids(self, starts):
-        """Padded position grids, lengths, arrival counts and bumps of a batch.
-
-        The grid is built state-major, in the layout of the DP table, and
-        the bumps are evaluated on it as it lies in memory: the stacked
-        ``(cells + 1, n*N)`` array of :func:`bump_family`, the target bump
-        its last row; ``positions`` is the ``(N, n)`` transpose of the
-        grid.  A grid ascends, so its states before the target are a
-        prefix of it, ``arrivals[i]`` states long.  Depends on the starts
-        only; the last batch's grids are memoized, and the memo is
-        replaced whole, never updated in place.
-        """
-        key = starts.tobytes()
-        if self._grid_memo[0] == key:
-            return self._grid_memo[1]
-        pos_cap = 1.0 + self.max_move
-        lengths = np.maximum(1, np.ceil((pos_cap - starts) / self.grid_step).astype(np.intp) + 1)
-        positions = starts + self.grid_step * np.arange(lengths.max())[:, None]
-        grids = (positions.T, lengths, (positions < 1.0).sum(axis=0), self.bumps(positions.ravel()))
-        self._grid_memo = (key, grids)
-        return grids
-
-    def _best_paths(self, lam, xs):
-        """The grids of the starts of ``xs`` and the DP's ``(N, steps + 1)`` state paths at ``lam``."""
-        starts = np.array(xs, dtype=float).reshape(len(xs), -1)[:, 0]
-        grids = self._grids(starts)
-        _, lengths, arrivals, bumps = grids
-        # coef[t] weighs the stacked bumps into the stage cost of step t:
-        # dt * lam2[j, t] for cell j, then dt * lam1 for the target bump
-        coef = np.empty((self.steps, self.cells + 1))
-        coef[:, :-1] = lam[1:].reshape(self.cells, self.steps).T
-        coef[:, -1] = lam[0]
-        coef *= self.dt
-
-        def fill_costs(out):
-            # the finished stage costs of every step from one (steps x cells+1)
-            # @ (cells+1 x live*N) gemm over the first live states, written
-            # straight into the DP table: with dt and lam1 in coef, the table
-            # is touched once and no cost array is made; a matrix-vector
-            # product (gemv) per step would sum the bumps in another order and
-            # move the last bits of the artifacts
-            cols = out.shape[1] * len(starts)
-            np.matmul(coef, bumps[:, :cols], out=out.reshape(self.steps, cols))
-
-        _, paths = congestion_dp_batch(fill_costs, self.steps, self.grid_substeps, arrivals, lengths)
-        return grids, paths
+    def bind(self, xs) -> "CongestionSweep":
+        return CongestionSweep(self, xs)
 
     def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
-        (positions, *_), paths = self._best_paths(lam, xs)
-        return np.take_along_axis(positions, paths, axis=1)
-
-    def best_response_rows(self, lam: np.ndarray, xs):
-        # the memo's bumps at the visited states, as (cells + 1, N, steps):
-        # state s of agent i is column s*N + i of the memo
-        (positions, _, _, bumps), paths = self._best_paths(lam, xs)
-        n = len(paths)
-        flat = paths[:, : self.steps] * n + np.arange(n)[:, None]
-        return np.take_along_axis(positions, paths, axis=1), self._rows(bumps.take(flat, axis=1))
+        return self.bind(xs).best_response_rows(lam)[0]
 
     def feasible_batch(self, xs, trajs) -> np.ndarray:
         trajs = np.asarray(trajs, dtype=float)
@@ -225,3 +169,46 @@ class CongestionProblem(QuadraticCostProblem):
         steps_to_target = max(0, math.ceil((1.0 - x0) / self.max_move - 1e-12))
         t = np.minimum(np.arange(self.steps + 1), steps_to_target)
         return x0 + self.grid_step * (t * self.grid_substeps)
+
+
+class CongestionSweep(Sweep):
+    """The best-response DP over the grids of one batch of starts, built state-major as the DP table.
+
+    ``stacked`` holds the bumps at the grid points as they lie in memory,
+    ``(cells + 1, n*N)``; ``positions`` is the ``(N, n)`` transpose.
+    """
+
+    def __init__(self, problem: CongestionProblem, xs):
+        super().__init__(problem, xs)
+        starts = np.array(xs, dtype=float).reshape(len(xs), -1)[:, 0]
+        pos_cap = 1.0 + problem.max_move
+        self.lengths = np.maximum(1, np.ceil((pos_cap - starts) / problem.grid_step).astype(np.intp) + 1)
+        positions = starts + problem.grid_step * np.arange(self.lengths.max())[:, None]
+        self.positions = positions.T
+        self.arrivals = (positions < 1.0).sum(axis=0)
+        self.stacked = problem.bumps(positions.ravel())
+
+    def best_response_rows(self, lam: np.ndarray):
+        p, n = self.problem, len(self.lengths)
+        # coef[t] weighs the stacked bumps into the stage cost of step t:
+        # dt * lam2[j, t] for cell j, then dt * lam1 for the target bump
+        coef = np.empty((p.steps, p.cells + 1))
+        coef[:, :-1] = lam[1:].reshape(p.cells, p.steps).T
+        coef[:, -1] = lam[0]
+        coef *= p.dt
+
+        def fill_costs(out):
+            # the finished stage costs of every step from one (steps x cells+1)
+            # @ (cells+1 x live*N) gemm over the first live states, written
+            # straight into the DP table: with dt and lam1 in coef, the table
+            # is touched once and no cost array is made; a matrix-vector
+            # product (gemv) per step would sum the bumps in another order and
+            # move the last bits of the artifacts
+            cols = out.shape[1] * n
+            np.matmul(coef, self.stacked[:, :cols], out=out.reshape(p.steps, cols))
+
+        _, paths = congestion_dp_batch(fill_costs, p.steps, p.grid_substeps, self.arrivals, self.lengths)
+        # the bumps at the visited states, as (cells + 1, N, steps): state s
+        # of agent i is column s*N + i of the stacked bumps
+        flat = paths[:, : p.steps] * n + np.arange(n)[:, None]
+        return np.take_along_axis(self.positions, paths, axis=1), p._rows(self.stacked.take(flat, axis=1))

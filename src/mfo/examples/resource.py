@@ -70,9 +70,12 @@ class ResourceProblem(QuadraticCostProblem):
         qs = np.asarray(qs, dtype=float)
         G = np.empty((len(qs), self.steps + 1))
         G[:, 1:] = qs
+        # summed per row, in numpy's fixed pairwise order: a matrix-vector
+        # product (BLAS) rounds a row by its place in the batch
         sq = qs * qs
         sq -= qs
-        G[:, 0] = sq @ self.step_weights
+        sq *= self.step_weights
+        sq.sum(axis=1, out=G[:, 0])
         return G
 
     # -- oracles ------------------------------------------------------------

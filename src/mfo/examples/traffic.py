@@ -11,6 +11,8 @@ is a cheapest admissible path.
 Path sets are enumerated up front (simple paths up to a hop bound) and
 kept in lexicographic edge-id order, so best responses are exact
 argmins over an explicit finite set and ties break deterministically.
+``bind`` looks up the pair of each parameter once, in a
+:class:`TrafficSweep` that a solver runs at every dual point.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..problem import FEAS_TOL, MfoProblem, _count, _frozen_weights, aggregate
+from ..problem import FEAS_TOL, MfoProblem, Sweep, _count, _frozen_weights, aggregate
 from ..transport import MetricSpec
 
 
@@ -204,9 +206,8 @@ class TrafficProblem(MfoProblem):
         self.sup_g_norm = math.sqrt(max_len)
         self.sup_g_diff_sq = 2.0 * max_len
         lat_at_one = self._edgewise("latency", np.ones(n_e)).tolist()
-        self.sup_grad_norm = math.sqrt(sum(v ** 2 for v in lat_at_one))
+        self.sup_grad_norm = math.sqrt(reduce(add, (v ** 2 for v in lat_at_one), 0.0))  # as f_value sums
         self.set_lipschitz = math.sqrt(2.0 * max_len)
-        self._od_memo = (None, None)
 
     @cached_property
     def metric(self) -> MetricSpec:
@@ -245,15 +246,8 @@ class TrafficProblem(MfoProblem):
     # -- model ------------------------------------------------------------
 
     def _od_index(self, xs) -> np.ndarray:
-        """Row index into ``od_pairs`` of each parameter; each must name a pair exactly.
-
-        The last batch's rows are memoized (solvers pass the same parameters
-        on every iteration); the memo is replaced whole, never updated in place.
-        """
+        """Row index into ``od_pairs`` of each parameter; each must name a pair exactly."""
         xs = np.ascontiguousarray(xs, dtype=float)
-        key = (xs.shape, xs.tobytes())
-        if self._od_memo[0] == key:
-            return self._od_memo[1]
         if xs.ndim != 2 or xs.shape[1] != 2:
             raise ValueError(f"traffic parameters are (origin, destination) rows, got shape {xs.shape}")
         # a row read as one complex number compares both nodes at once
@@ -261,10 +255,7 @@ class TrafficProblem(MfoProblem):
         found = hits.any(axis=1)
         if not found.all():
             raise ValueError(f"x={xs[np.argmin(found)]} is not a configured origin-destination pair")
-        od = hits.argmax(axis=1)
-        od.setflags(write=False)
-        self._od_memo = (key, od)
-        return od
+        return hits.argmax(axis=1)
 
     def g_eval_batch(self, xs, ys):
         return np.asarray(ys, dtype=float)
@@ -292,10 +283,11 @@ class TrafficProblem(MfoProblem):
 
     # -- oracles ------------------------------------------------------------
 
+    def bind(self, xs) -> "TrafficSweep":
+        return TrafficSweep(self, xs)
+
     def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
-        od = self._od_index(xs)
-        best = (self._table0 @ lam + self._pad_costs).argmin(axis=1)
-        return self._path_table[od, best[od]]
+        return self.bind(xs).best_response_rows(lam)[0]
 
     def feasible_batch(self, xs, ys) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)
@@ -319,6 +311,20 @@ class TrafficProblem(MfoProblem):
         used = mu.weights > used_mass
         cheapest = self.best_response_batch(lam, mu.xs[used]) @ lam
         return float(np.max(mu.ys[used] @ lam - cheapest, initial=0.0))
+
+
+class TrafficSweep(Sweep):
+    """Path argmins over the origin-destination pairs of one batch, whose rows are looked up once."""
+
+    def __init__(self, problem: TrafficProblem, xs):
+        super().__init__(problem, xs)
+        self.od = problem._od_index(xs)
+
+    def best_response_rows(self, lam: np.ndarray):
+        p = self.problem
+        best = (p._table0 @ lam + p._pad_costs).argmin(axis=1)
+        ys = p._path_table[self.od, best[self.od]]
+        return ys, ys       # a path contributes its indicator vector
 
 
 # -- network builders ----------------------------------------------------

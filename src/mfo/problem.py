@@ -104,24 +104,23 @@ class MfoProblem:
       (solver warm start), or a ``ValueError`` naming a parameter that
       has none.
 
-    One optional oracle serves the solvers' best-response sweep:
-    ``best_response_rows(lam, xs)`` returns ``(ys, G)``, the best
-    responses and their contribution rows.  By default it is
-    ``best_response_batch`` followed by ``g_eval_batch``; a game that
-    has the contributions at hand may override it, and must return the
-    rows ``g_eval_batch`` would, bit for bit.
+    The solvers sweep a marginal many times, with a sweep bound once:
+    ``bind(xs)`` returns an object whose ``best_response_rows(lam)``
+    returns ``(ys, G)``, the best responses at ``lam`` and their
+    contribution rows.  The default :class:`Sweep` runs
+    ``best_response_batch``, then ``g_eval_batch``; a game may bind its
+    own, which prepares what the parameters fix, and must return their
+    decisions and rows bit for bit.  A sweep bound to some of the rows
+    returns those rows of the full sweep bit for bit.
 
-    The one-row forms ``g_eval``, ``best_response``, ``feasible``,
-    ``transport_select`` and ``initial_decision`` are derived here, and
-    so are ``from_config`` and ``describe``, from ``config_keys``.
+    ``feasible(x, y)``, the one-row form of ``feasible_batch`` that the
+    benchmark's output checks call, is derived here, and so are
+    ``from_config`` and ``describe``, from ``config_keys``.
 
     ``f_conj`` may raise :class:`NotImplementedError` when the conjugate
     is unavailable; dual operations then refuse to run.  All oracles
-    must be pure: the answer depends on the arguments only.  A game
-    may memoize data derived from the arguments, as the congestion
-    game keeps the grids of its last batch of starts; such a memo is
-    a single entry replaced whole, never updated in place, so a call
-    never sees a half-built entry.
+    must be pure: the answer depends on the arguments only, and a game
+    keeps no state derived from them.
     """
 
     name = "abstract"
@@ -171,9 +170,8 @@ class MfoProblem:
     def best_response_batch(self, lam: np.ndarray, xs) -> np.ndarray:
         raise NotImplementedError
 
-    def best_response_rows(self, lam: np.ndarray, xs):
-        ys = self.best_response_batch(lam, xs)
-        return ys, self.g_eval_batch(xs, ys)
+    def bind(self, xs) -> "Sweep":
+        return Sweep(self, xs)
 
     def feasible_batch(self, xs, ys) -> np.ndarray:
         raise NotImplementedError
@@ -184,20 +182,19 @@ class MfoProblem:
     def initial_decision_batch(self, xs) -> np.ndarray:
         raise NotImplementedError
 
-    def g_eval(self, x, y) -> np.ndarray:
-        return self.g_eval_batch(_row(x), _row(y))[0]
-
-    def best_response(self, lam: np.ndarray, x) -> np.ndarray:
-        return self.best_response_batch(lam, _row(x))[0]
-
     def feasible(self, x, y) -> bool:
         return bool(self.feasible_batch(_row(x), _row(y))[0])
 
-    def transport_select(self, x, y, x2) -> np.ndarray:
-        return self.transport_select_batch(_row(x), _row(y), _row(x2))[0]
 
-    def initial_decision(self, x) -> np.ndarray:
-        return self.initial_decision_batch(_row(x))[0]
+class Sweep:
+    """The default sweep of :meth:`MfoProblem.bind`: ``best_response_batch``, then ``g_eval_batch``."""
+
+    def __init__(self, problem: MfoProblem, xs):
+        self.problem, self.xs = problem, xs
+
+    def best_response_rows(self, lam: np.ndarray):
+        ys = self.problem.best_response_batch(lam, self.xs)
+        return ys, self.problem.g_eval_batch(self.xs, ys)
 
 
 class QuadraticCostProblem(MfoProblem):
@@ -297,8 +294,8 @@ def _check_dual_point(lam):
         raise ValueError("the dual point lam must be finite")
 
 
-def _support_values(problem, lam, xs, hl=None):
-    """The best-response sweep: per row, the minimizer, its contribution and ``<lam, g>``.
+def _support_values(problem, sweep, lam, hl=None):
+    """One pass of ``sweep``, bound by ``problem.bind``: per row, the minimizer, its contribution and ``<lam, g>``.
 
     ``hl`` is ``hilbert_weights * lam``, for a caller that has formed it
     and checked ``lam`` (:func:`_certificate_pass` does); without ``hl``
@@ -307,21 +304,21 @@ def _support_values(problem, lam, xs, hl=None):
     if hl is None:
         _check_dual_point(lam)
         hl = problem.hilbert_weights * lam
-    ys, G = problem.best_response_rows(lam, xs)
+    ys, G = sweep.best_response_rows(lam)
     return ys, G, G @ hl
 
 
-def _certificate_pass(problem, beta: np.ndarray, xs, w):
+def _certificate_pass(problem, beta: np.ndarray, sweep, w):
     """The certificate at aggregate ``beta`` over the marginal ``(xs, w)``, as plain values.
 
     Returns ``(lam, ys, G, gap, primal, lambda_norm)``: the dual point
-    ``lam = f_grad(beta)``, the sweep's best responses and their
-    contribution rows (which the solvers step towards), the gap, the
-    primal value and ``|lam|``.  ``hl = hilbert_weights * lam`` is formed
-    once and serves the sweep values, ``<lam, beta>`` and ``|lam|``;
-    as :func:`_inner` evaluates ``(w * a) * b``, each number has the bits
-    of its :func:`_inner` form.  FW calls this every iteration, SFW once
-    per distinct aggregate.
+    ``lam = f_grad(beta)``, the best responses of ``sweep`` (which is
+    ``problem.bind(xs)``) and their contribution rows (which the solvers
+    step towards), the gap, the primal value and ``|lam|``.  ``hl =
+    hilbert_weights * lam`` is formed once and serves the sweep values,
+    ``<lam, beta>`` and ``|lam|``; as :func:`_inner` evaluates ``(w * a)
+    * b``, each number has the bits of its :func:`_inner` form.  FW calls
+    this every iteration, SFW once per distinct aggregate.
 
     This pass checks ``lam`` before the sweep, through ``<hl, lam>``: its
     terms ``w_i lam_i^2`` are nonnegative, so it is finite whenever
@@ -336,29 +333,24 @@ def _certificate_pass(problem, beta: np.ndarray, xs, w):
     lam_sq = float(np.add.reduce(hl * lam))
     if not math.isfinite(lam_sq):
         _check_dual_point(lam)
-    ys, G, values = _support_values(problem, lam, xs, hl)
+    ys, G, values = _support_values(problem, sweep, lam, hl)
     # on two contiguous vectors (measure weights, a fresh product) ndarray.dot
     # calls the same BLAS ddot as @, with less dispatch
     gap = clamp_gap(float(np.add.reduce(hl * beta)) - float(w.dot(values)))
     return lam, ys, G, gap, problem.f_value(beta), math.sqrt(max(lam_sq, 0.0))
 
 
-def _certify(problem, beta: np.ndarray, xs, w):
-    """Certificate at aggregate ``beta`` over the marginal ``(xs, w)``.
-
-    Wraps :func:`_certificate_pass` in a :class:`DualCertificate`, for
-    :func:`fw_gap`, the bridge and each solver's final certificate.
-    Also returns the sweep's best responses and their contributions.
-    """
-    lam, ys, G, gap, primal, _ = _certificate_pass(problem, beta, xs, w)
-    return DualCertificate(beta=beta, lam=lam, primal_value=primal, dual_value=gap - primal, gap=gap), ys, G
+def _certify(problem, beta: np.ndarray, sweep, w) -> DualCertificate:
+    """:func:`_certificate_pass` as a :class:`DualCertificate`, for :func:`fw_gap`, the bridge and solvers."""
+    lam, _, _, gap, primal, _ = _certificate_pass(problem, beta, sweep, w)
+    return DualCertificate(beta=beta, lam=lam, primal_value=primal, dual_value=gap - primal, gap=gap)
 
 
 def linearized_solve(problem: MfoProblem, lam: np.ndarray, m: EmpiricalMeasure) -> EmpiricalMeasure:
     """Minimize the linearized cost: one best response per support point."""
     if m.space != "X":
         raise ValueError("the prescribed marginal lives on X")
-    ys, _, _ = _support_values(problem, lam, m.xs)
+    ys, _, _ = _support_values(problem, problem.bind(m.xs), lam)
     return EmpiricalMeasure("Z", xs=m.xs, ys=ys, weights=m.weights, validate=False).merged()
 
 
@@ -373,7 +365,7 @@ def fw_gap(problem: MfoProblem, mu: EmpiricalMeasure) -> DualCertificate:
     """
     beta = aggregate(problem, mu)
     m = first_marginal(mu)
-    return _certify(problem, beta, m.xs, m.weights)[0]
+    return _certify(problem, beta, problem.bind(m.xs), m.weights)
 
 
 def dual_value(problem: MfoProblem, lam: np.ndarray, m: EmpiricalMeasure) -> float:
@@ -387,7 +379,7 @@ def dual_value(problem: MfoProblem, lam: np.ndarray, m: EmpiricalMeasure) -> flo
     conj = problem.f_conj(lam)
     if not math.isfinite(conj):
         return math.inf
-    _, _, values = _support_values(problem, lam, m.xs)
+    _, _, values = _support_values(problem, problem.bind(m.xs), lam)
     return conj - float(m.weights @ values)
 
 
@@ -398,6 +390,6 @@ def value_directional_derivative(problem: MfoProblem, m0, m1, lam_star_m0: np.nd
     ``f`` at a converged aggregate); the derivative is the integral of
     the best-response value against the signed measure ``m1 - m0``.
     """
-    _, _, v1 = _support_values(problem, lam_star_m0, m1.xs)
-    _, _, v0 = _support_values(problem, lam_star_m0, m0.xs)
+    _, _, v1 = _support_values(problem, problem.bind(m1.xs), lam_star_m0)
+    _, _, v0 = _support_values(problem, problem.bind(m0.xs), lam_star_m0)
     return float(m1.weights @ v1) - float(m0.weights @ v0)

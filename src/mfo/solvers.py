@@ -12,8 +12,9 @@ holds no more than twice the steps it took, or the first buffer.  The
 step rule alone fixes the steps' weights, so they are formed in one
 vectorized pass at the end, and with the filled steps of the buffer, as
 a view, make the measure that is merged.  Every iteration certifies its
-iterate with one pass of
-:func:`~mfo.problem._certificate_pass`, which returns plain numbers.
+iterate with one pass of :func:`~mfo.problem._certificate_pass`, which
+returns plain numbers, on the sweep that ``problem.bind`` binds once to
+the marginal (SFW runs on one too).
 
 The stochastic variant keeps exactly one decision per support point:
 each iteration draws, independently per agent, Bernoulli switches from
@@ -25,7 +26,8 @@ so agent draws are independent of execution order and runs are
 bit-reproducible.  A certificate pass runs once per distinct aggregate:
 an iteration whose aggregate has the bytes of the last certified one
 (the guard kept the incumbent, or the switched agents were already at
-their best response) reuses that pass and its best-response sweep.
+their best response) reuses that pass and its best-response sweep, and
+so does the final certificate.
 """
 
 from __future__ import annotations
@@ -176,11 +178,11 @@ def _check_marginal(m_N):
         raise ValueError("the prescribed marginal must live on X")
 
 
-def _warm_start(problem, xs, w):
-    """Best responses, and their contributions, at the aggregate of a feasible start."""
+def _warm_start(problem, sweep, xs, w):
+    """Best responses, and their contributions, at the aggregate of a feasible start; ``sweep`` binds ``xs``."""
     y0 = problem.initial_decision_batch(xs)
     beta0 = w @ problem.g_eval_batch(xs, y0)
-    ys, G, _ = _support_values(problem, problem.f_grad(beta0), xs)
+    ys, G, _ = _support_values(problem, sweep, problem.f_grad(beta0))
     return ys, G
 
 
@@ -204,8 +206,9 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
     """
     _check_marginal(m_N)
     xs, w = m_N.xs, m_N.weights
+    sweep = problem.bind(xs)
     if mu0 is None:
-        ys0, G0 = _warm_start(problem, xs, w)
+        ys0, G0 = _warm_start(problem, sweep, xs, w)
         beta = w @ G0
         atoms = (xs, ys0, w)        # (xs, ys, weights): the result of a run that stops at k = 0
     else:
@@ -221,7 +224,7 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
     stopped_early = False
     for k in range(config.iterations):
         tic = time.perf_counter()
-        lam, ys_br, G_br, gap, primal, lambda_norm = _certificate_pass(problem, beta, xs, w)
+        lam, ys_br, G_br, gap, primal, lambda_norm = _certificate_pass(problem, beta, sweep, w)
         stopped_early = gap_tol is not None and gap <= gap_tol
         if not stopped_early:
             om = rule(k)
@@ -253,7 +256,7 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
         final = None
         # a run that stopped at gap_tol did not move beta after its last pass, which certified it
         cert = (DualCertificate(beta=beta, lam=lam, primal_value=primal, dual_value=gap - primal, gap=gap)
-                if stopped_early else _certify(problem, beta, xs, w)[0])
+                if stopped_early else _certify(problem, beta, sweep, w))
 
     return SolveReport(
         algorithm="fw",
@@ -284,14 +287,17 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
 
     The certificate pass depends on the aggregate ``w @ G`` alone, so it
     runs once per distinct aggregate: an iteration whose aggregate has
-    the same bytes as the last certified one reuses that pass.
+    the same bytes as the last certified one reuses that pass.  So does
+    the final certificate if the first marginal keeps ``xs`` and ``w``
+    (no two starts merge); otherwise it is :func:`~mfo.problem.fw_gap`.
     """
     _check_marginal(m_N)
     n = len(m_N)
     if not _is_uniform(m_N):
         raise ValueError("the stochastic solver needs uniform weights 1/N")
     xs, w = m_N.xs, m_N.weights
-    y, G = _warm_start(problem, xs, w)
+    sweep = problem.bind(xs)
+    y, G = _warm_start(problem, sweep, xs, w)
     # one generator serves every candidate: its state is reset to the one
     # candidate_rng(seed, k, j) starts in, which is cheaper than building it
     rng = candidate_rng(config.seed, 0, 0)
@@ -305,7 +311,7 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
         beta = w @ G
         key = beta.tobytes()
         if key != last:        # xs and w are fixed: the pass depends on beta alone
-            _, y_br, G_br, gap, objective, lambda_norm = _certificate_pass(problem, beta, xs, w)
+            lam, y_br, G_br, gap, objective, lambda_norm = _certificate_pass(problem, beta, sweep, w)
             last = key
         stopped_early = config.gap_tol is not None and gap <= config.gap_tol
         n_k = 0
@@ -333,10 +339,15 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
     decisions = np.asarray(y, dtype=float)
     # one decision per support point, on the support as it is
     final = EmpiricalMeasure("Z", xs=xs, ys=decisions, weights=w, validate=False)
+    # fw_gap(problem, final), whose pass the loop ran last if nothing moved
+    beta, m = aggregate(problem, final), first_marginal(final)
+    same = beta.tobytes() == last and np.array_equal(m.xs, xs) and np.array_equal(m.weights, w)
+    cert = (DualCertificate(beta, lam, objective, gap - objective, gap) if same
+            else _certify(problem, beta, problem.bind(m.xs), m.weights))
     return SolveReport(
         algorithm="sfw",
         records=records,
-        certificate=fw_gap(problem, final),
+        certificate=cert,
         final_measure=final if config.store_measure else None,
         seed=config.seed,
         config=config.to_json_dict(),

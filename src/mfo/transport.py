@@ -360,7 +360,7 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult
     rho = ot_solve(m0, m1, problem.metric)
     G_mu0 = _contributions(problem, mu0)
     beta0 = mu0.weights @ G_mu0
-    eps0 = _certify(problem, beta0, m0.xs, m0.weights)[0].gap
+    eps0 = _certify(problem, beta0, problem.bind(m0.xs), m0.weights).gap
     # plan entries sorted by marginal atom (stably), then one glued row per
     # (mu0 atom, entry at its marginal atom) in mu0 order, then plan order
     entries = np.argsort(rho.rows, kind="stable")
@@ -401,7 +401,7 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult
     eta = eps0 + 2.0 * problem.set_lipschitz * (
         problem.sup_grad_norm + problem.grad_lipschitz * problem.sup_g_norm
     ) * rho.cost
-    after = _certify(problem, beta1, m1.xs, m1.weights)[0]
+    after = _certify(problem, beta1, problem.bind(m1.xs), m1.weights)
     return BridgeResult(
         measure=mu1,
         coupling=rho,

@@ -35,3 +35,25 @@ def exp_marginal_50(resource_problem):
 def uniform_marginal(xs):
     xs = np.asarray(xs, dtype=float).reshape(-1, 1)
     return EmpiricalMeasure("X", xs=xs, weights=np.full(len(xs), 1.0 / len(xs)), validate=False)
+
+
+# one-row forms of the batch oracles, for tests that look at one point
+def row(p):
+    """One point as a one-row batch."""
+    return np.asarray(p, dtype=float).reshape(1, -1)
+
+
+def g_eval(prob, x, y):
+    return prob.g_eval_batch(row(x), row(y))[0]
+
+
+def best_response(prob, lam, x):
+    return prob.best_response_batch(lam, row(x))[0]
+
+
+def transport_select(prob, x, y, x2):
+    return prob.transport_select_batch(row(x), row(y), row(x2))[0]
+
+
+def initial_decision(prob, x):
+    return prob.initial_decision_batch(row(x))[0]

@@ -31,7 +31,7 @@ from mfo.cli import main as cli_main
 from mfo.examples import CongestionProblem, ResourceProblem, TrafficProblem, grid_network, pigou_network
 from mfo.examples.congestion import bump_family
 
-from conftest import uniform_marginal
+from conftest import best_response, uniform_marginal
 from test_quantize import d1_uniform01_vs_discrete
 from test_cli import history_without_time, write_config
 
@@ -206,7 +206,7 @@ def test_criterion_08_congestion_control():
     m = EmpiricalMeasure("X", xs=xs, weights=np.full(50, 1.0 / 50))
     lam0 = free.f_grad(np.zeros(len(free.hilbert_weights)))
     max_speed_ok = all(
-        np.array_equal(free.best_response(lam0, x), free.max_speed_trajectory(x)) for x in xs
+        np.array_equal(best_response(free, lam0, x), free.max_speed_trajectory(x)) for x in xs
     )
     cong = CongestionProblem(horizon=1.0, steps=20, vmax=3.0, alpha=1.0, cells=5, smoothing=20)
     rep = sfw_solve(cong, m, SolverConfig(iterations=60, n_sims=3, seed=2))

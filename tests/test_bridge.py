@@ -14,7 +14,7 @@ from mfo import (
     sfw_solve,
 )
 
-from conftest import uniform_marginal
+from conftest import transport_select, uniform_marginal
 
 
 def stability_constant(prob):
@@ -37,15 +37,15 @@ class TestBridgeBasics:
         # the budget truncations of the original controls
         prob = resource_problem
         q_full = np.full(prob.steps, 0.5)
-        q_half = prob.transport_select([5.0], q_full, [2.5])
+        q_half = transport_select(prob, [5.0], q_full, [2.5])
         mu0 = EmpiricalMeasure.from_atoms("Z", [([5.0], q_full, 0.5), ([2.5], q_half, 0.5)])
         m1 = uniform_marginal([4.0, 1.0])
         mu1 = bridge(mu0, m1, prob).measure
         assert first_marginal(mu1).allclose(m1.merged(), tol=1e-9)
         got = dict(zip(mu1.xs[:, 0].tolist(), mu1.ys))
         # optimal plan matches 5 -> 4 and 2.5 -> 1 (monotone-compatible here)
-        np.testing.assert_allclose(got[4.0], prob.transport_select([5.0], q_full, [4.0]), atol=1e-12)
-        np.testing.assert_allclose(got[1.0], prob.transport_select([2.5], q_half, [1.0]), atol=1e-12)
+        np.testing.assert_allclose(got[4.0], transport_select(prob, [5.0], q_full, [4.0]), atol=1e-12)
+        np.testing.assert_allclose(got[1.0], transport_select(prob, [2.5], q_half, [1.0]), atol=1e-12)
 
     def test_objective_inflation_bound(self, resource_problem, exp_marginal_50):
         prob = resource_problem

@@ -12,6 +12,7 @@ from mfo.examples import CongestionProblem
 from mfo.examples.congestion import bump_family, smoothstep
 from mfo.problem import _inner, _norm
 
+from conftest import best_response, g_eval, initial_decision, transport_select
 from test_kernels import congestion_dp_loops
 
 class TestBumps:
@@ -93,7 +94,8 @@ class TestBumps:
             assert bumps.tobytes() == np.zeros(bumps.shape).tobytes()
         prob = full_size_problem()
         starts = np.concatenate([rng.uniform(0.0, 1.2, 40), [0.0, 1.0, 1.0 - prob.grid_step, 1.3]])
-        positions, lengths, arrivals, bumps = prob._grids(starts)
+        sweep = prob.bind(starts[:, None])
+        positions, lengths, arrivals, bumps = sweep.positions, sweep.lengths, sweep.arrivals, sweep.stacked
         agents = np.arange(len(starts))
         past = positions >= 1.0
         assert past[starts == 1.0, 0].all() and past[agents, lengths - 1].all()
@@ -133,14 +135,14 @@ class TestBestResponseDP:
             ybar = rng.uniform(0.0, 1.0, size=(prob.cells, prob.steps))
             lam = np.concatenate([[1.0], (2 * prob.alpha / prob.dx) * ybar.ravel()])
             x0 = rng.uniform(0.0, 1.1)
-            traj = prob.best_response(lam, [x0])
+            traj = best_response(prob, lam, [x0])
             # exhaustive search over all grid step sequences
             best = np.inf
             for moves in itertools.product(range(prob.grid_substeps + 1), repeat=prob.steps):
                 pos = x0 + prob.grid_step * np.concatenate([[0], np.cumsum(moves)])
-                cost = float(_inner(prob, lam, prob.g_eval([x0], pos)))
+                cost = float(_inner(prob, lam, g_eval(prob, [x0], pos)))
                 best = min(best, cost)
-            got = float(_inner(prob, lam, prob.g_eval([x0], traj)))
+            got = float(_inner(prob, lam, g_eval(prob, [x0], traj)))
             assert got == pytest.approx(best, abs=1e-12)
             assert prob.feasible([x0], traj)
 
@@ -150,25 +152,25 @@ class TestBestResponseDP:
         ybar = rng.uniform(0.0, 0.7, size=(prob.cells, prob.steps))
         lam = np.concatenate([[1.0], (2 * prob.alpha / prob.dx) * ybar.ravel()])
         for x0 in (0.0, 0.07, 0.483):
-            traj = prob.best_response(lam, [x0])
-            value = float(_inner(prob, lam, prob.g_eval([x0], traj)))
-            stay = prob.initial_decision([x0])
+            traj = best_response(prob, lam, [x0])
+            value = float(_inner(prob, lam, g_eval(prob, [x0], traj)))
+            stay = initial_decision(prob, [x0])
             sprint = prob.max_speed_trajectory([x0])
             for other in (stay, sprint):
-                assert value <= float(_inner(prob, lam, prob.g_eval([x0], other))) + 1e-12
+                assert value <= float(_inner(prob, lam, g_eval(prob, [x0], other))) + 1e-12
 
     def test_zero_penalty_gives_max_speed(self):
         prob = CongestionProblem(alpha=0.0)
         lam = prob.f_grad(np.zeros(len(prob.hilbert_weights)))
         rng = np.random.default_rng(3)
         for x0 in rng.uniform(0.0, 0.2, size=10):
-            traj = prob.best_response(lam, [x0])
+            traj = best_response(prob, lam, [x0])
             assert np.array_equal(traj, prob.max_speed_trajectory([x0]))
 
     def test_at_target_stays_put(self):
         prob = CongestionProblem(alpha=0.0)
         lam = prob.f_grad(np.zeros(len(prob.hilbert_weights)))
-        traj = prob.best_response(lam, [1.02])
+        traj = best_response(prob, lam, [1.02])
         np.testing.assert_allclose(traj, 1.02, atol=0.0)
 
 
@@ -189,19 +191,21 @@ def loop_reference_response(prob, lam, x0):
 
 
 class TestBatchedBestResponse:
-    def test_memo_never_changes_the_answer(self, congestion_problem):
-        # the grids of the last batch of starts are reused across dual points;
-        # switching batches, coming back and permuting must not show
+    def test_bound_sweep_never_changes_the_answer(self, congestion_problem):
+        # a sweep keeps the grids of its starts across dual points; running it
+        # at other duals, other sweeps in between and permuted starts must not show
         prob = congestion_problem
         rng = np.random.default_rng(7)
         lam, other = random_dual(prob, rng), random_dual(prob, rng, scale=2.0)
         a = rng.uniform(0.0, 0.3, (12, 1))
         b = rng.uniform(0.5, 1.2, (9, 1))
         perm = rng.permutation(len(a))
-        for xs, dual in ((a, lam), (a, other), (b, lam), (a, lam), (a[perm], lam), (a, other)):
-            fresh = CongestionProblem.from_config(prob.describe())
-            np.testing.assert_array_equal(prob.best_response_batch(dual, xs),
-                                          fresh.best_response_batch(dual, xs))
+        sweeps = {"a": prob.bind(a), "b": prob.bind(b), "a_perm": prob.bind(a[perm])}
+        for name, xs, dual in (("a", a, lam), ("a", a, other), ("b", b, lam), ("a", a, lam),
+                               ("a_perm", a[perm], lam), ("a", a, other)):
+            fresh = CongestionProblem.from_config(prob.describe()).bind(xs).best_response_rows(dual)
+            for got, want in zip(sweeps[name].best_response_rows(dual), fresh):
+                assert got.tobytes() == want.tobytes()
 
     def test_single_response_is_a_batch_row(self, congestion_problem):
         prob = congestion_problem
@@ -210,11 +214,11 @@ class TestBatchedBestResponse:
         xs = np.concatenate([rng.uniform(0.0, 1.2, 8), [0.0, 1.0, 1.3]]).reshape(-1, 1)
         batch = prob.best_response_batch(lam, xs)
         for x, row in zip(xs, batch):
-            np.testing.assert_array_equal(prob.best_response(lam, x), row)
+            np.testing.assert_array_equal(best_response(prob, lam, x), row)
 
     def test_gathered_rows_are_the_contributions(self, congestion_problem):
-        # best_response_rows gathers the bumps of each best response from the
-        # grid memo; the rows must be g_eval_batch's on the same paths, byte
+        # the sweep gathers the bumps of each best response from the bumps of
+        # its grids; the rows must be g_eval_batch's on the same paths, byte
         # for byte: random duals, the zero-penalty dual, one agent, and starts
         # some of which are at or past the target
         prob = congestion_problem
@@ -224,8 +228,9 @@ class TestBatchedBestResponse:
         batches = [rng.uniform(0.0, 1.2, (n, 1)) for n in (1, 7, 40)]
         batches += [np.array([[0.0], [1.0], [1.2], [0.5]]), np.array([[1.1]])]
         for xs in batches:
+            sweep = prob.bind(xs)
             for lam in duals:
-                ys, G = prob.best_response_rows(lam, xs)
+                ys, G = sweep.best_response_rows(lam)
                 assert ys.tobytes() == prob.best_response_batch(lam, xs).tobytes()
                 want = prob.g_eval_batch(xs, ys)
                 assert G.shape == want.shape and G.flags.c_contiguous
@@ -241,8 +246,8 @@ class TestBatchedBestResponse:
             xs = rng.uniform(0.0, 1.1, (10, 1))
             for x, traj in zip(xs, prob.best_response_batch(lam, xs)):
                 assert prob.feasible(x, traj)
-                got = _inner(prob, lam, prob.g_eval(x, traj))
-                ref = _inner(prob, lam, prob.g_eval(x, loop_reference_response(prob, lam, float(x[0]))))
+                got = _inner(prob, lam, g_eval(prob, x, traj))
+                ref = _inner(prob, lam, g_eval(prob, x, loop_reference_response(prob, lam, float(x[0]))))
                 assert got <= ref + 1e-12 * abs(ref)
 
     def test_full_size_batch_matches_the_loop_reference(self, monkeypatch):
@@ -276,7 +281,7 @@ class TestBatchedBestResponse:
         seen = record_dp(monkeypatch, prob)
         rng = np.random.default_rng(21)
         xs = rng.uniform(0.0, 0.2, (50, 1))
-        positions = prob._grids(xs[:, 0])[0]
+        positions = prob.bind(xs).positions
         HH = prob.bumps(positions.ravel())
         duals = [random_dual(prob, rng, scale) for scale in (0.2, 0.7, 2.0)]
         for lam in duals + [prob.f_grad(np.zeros(len(prob.hilbert_weights)))]:
@@ -294,12 +299,13 @@ class TestBatchedBestResponse:
         rng = np.random.default_rng(22)
         xs = rng.uniform(0.0, 0.2, (50, 1))
         lam = random_dual(prob, rng)
-        prob.best_response_batch(lam, xs)       # fills the grid memo
-        n = prob._grids(xs[:, 0])[0].shape[1]
+        sweep = prob.bind(xs)        # the grids and their bumps
+        sweep.best_response_rows(lam)
+        n = sweep.positions.shape[1]
         table = (prob.steps + 1) * (n + prob.grid_substeps) * len(xs) * 8
         tracemalloc.start()
         try:
-            prob.best_response_batch(lam, xs)
+            sweep.best_response_rows(lam)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -317,14 +323,19 @@ def record_dp(monkeypatch, prob):
     The returned dict holds the last call's ``(N, n, steps)`` stage costs,
     its arrival counts, lengths and ``live`` (their largest arrival count),
     and its results.  The game writes the costs of the first ``live``
-    states only; the recorder asserts, from the grid memo's bumps, that
-    every bump past them is zero, so their costs are too, and records
-    them as +0.0 over the full grid.
+    states only; the recorder asserts, from the bumps of the last bound
+    sweep's grids, that every bump past them is zero, so their costs are
+    too, and records them as +0.0 over the full grid.
     """
     seen = {}
+    bind = type(prob).bind
+
+    def recording_bind(self, xs):
+        seen["sweep"] = bind(self, xs)
+        return seen["sweep"]
 
     def recording_dp(fill_costs, steps, qmax, arrivals, lengths):
-        positions, _, _, bumps = prob._grid_memo[1]
+        positions, bumps = seen["sweep"].positions, seen["sweep"].stacked
         n_agents, n = positions.shape
         live = int(arrivals.max())
         assert not bumps.reshape(-1, n, n_agents)[:, live:].any()
@@ -338,6 +349,7 @@ def record_dp(monkeypatch, prob):
         seen["values"], seen["paths"] = congestion_dp_batch(recording_fill, steps, qmax, arrivals, lengths)
         return seen["values"], seen["paths"]
 
+    monkeypatch.setattr(type(prob), "bind", recording_bind)
     monkeypatch.setattr(mfo.examples.congestion, "congestion_dp_batch", recording_dp)
     return seen
 
@@ -350,16 +362,16 @@ class TestSelectionAndConstants:
         for _ in range(50):
             x0 = rng.uniform(0.0, 0.8)
             x1 = rng.uniform(0.0, 0.8)
-            traj = prob.best_response(lam, [x0])
-            traj2 = prob.transport_select([x0], traj, [x1])
+            traj = best_response(prob, lam, [x0])
+            traj2 = transport_select(prob, [x0], traj, [x1])
             assert prob.feasible([x1], traj2)
-            shift = _norm(prob, prob.g_eval([x1], traj2) - prob.g_eval([x0], traj))
+            shift = _norm(prob, g_eval(prob, [x1], traj2) - g_eval(prob, [x0], traj))
             assert shift <= prob.set_lipschitz * abs(x1 - x0) + 1e-12
 
     def test_identity_translation(self, congestion_problem):
-        traj = congestion_problem.initial_decision([0.3])
+        traj = initial_decision(congestion_problem, [0.3])
         np.testing.assert_array_equal(
-            congestion_problem.transport_select([0.3], traj, [0.3]), traj
+            transport_select(congestion_problem, [0.3], traj, [0.3]), traj
         )
 
     def test_constants_dominate_samples(self, congestion_problem):
@@ -400,7 +412,7 @@ class TestCrowdBehavior:
         lam0 = free.f_grad(np.zeros(len(free.hilbert_weights)))
         delayed = 0
         for x, traj in zip(xs, report.decisions):
-            t_free = free.arrival_step(free.best_response(lam0, x))
+            t_free = free.arrival_step(best_response(free, lam0, x))
             t_cong = prob.arrival_step(traj)
             assert t_cong is None or t_cong >= t_free
             if t_cong is not None and t_cong > t_free:

@@ -1,7 +1,7 @@
 """The batch oracle contract, shared by the three games.
 
-Games implement only the batch oracles; ``MfoProblem`` derives the
-one-row forms from them.  The per-row feasibility predicates and
+Games implement only the batch oracles; ``MfoProblem`` derives
+``feasible``, the one one-row form, from ``feasible_batch``.  The per-row feasibility predicates and
 selection oracles below are the games' implementations from before the
 batch contract, kept as references: the batch forms must equal them bit
 for bit, boundary cases included.
@@ -13,9 +13,11 @@ import re
 import numpy as np
 import pytest
 
-from mfo import EmpiricalMeasure, validate_feasible
+from mfo import EmpiricalMeasure, SolverConfig, bridge, fw_gap, fw_solve, sfw_solve, validate_feasible
 from mfo.examples import CongestionProblem, ResourceProblem, TrafficProblem, grid_network
 from mfo.problem import _frozen_weights
+
+from conftest import best_response, g_eval, initial_decision, transport_select
 
 FEAS_TOL = 1e-9
 BATCH_ORACLES = ("g_eval_batch", "best_response_batch", "feasible_batch",
@@ -216,15 +218,14 @@ class TestOneRowWrappers:
             "initial_decision": prob.initial_decision_batch(xs),
             "best_response": prob.best_response_batch(lam, xs),
         }
+        # feasible is the one wrapper; every other oracle answers a row alone
+        # with the bytes of that row of the batch
         for i, (x, y, x2) in enumerate(zip(xs, ys, x2s)):
-            # a BLAS matrix-vector product rounds a row according to its place
-            # in the batch, so contributions agree to roundoff, not bit for bit
-            np.testing.assert_allclose(prob.g_eval(x, y), batch["g_eval"][i],
-                                       rtol=1e-15, atol=1e-15)
             assert prob.feasible(x, y) is bool(batch["feasible"][i])
-            assert prob.transport_select(x, y, x2).tobytes() == batch["transport_select"][i].tobytes()
-            assert prob.initial_decision(x).tobytes() == batch["initial_decision"][i].tobytes()
-            assert prob.best_response(lam, x).tobytes() == batch["best_response"][i].tobytes()
+            assert g_eval(prob, x, y).tobytes() == batch["g_eval"][i].tobytes()
+            assert transport_select(prob, x, y, x2).tobytes() == batch["transport_select"][i].tobytes()
+            assert initial_decision(prob, x).tobytes() == batch["initial_decision"][i].tobytes()
+            assert best_response(prob, lam, x).tobytes() == batch["best_response"][i].tobytes()
         assert prob.feasible_batch(xs, prob.initial_decision_batch(xs)).all()
         assert prob.feasible_batch(xs, batch["best_response"]).all()
 
@@ -233,6 +234,7 @@ class TestOneRowWrappers:
     def test_games_define_only_batch_oracles(self, cls):
         own = vars(cls)
         assert [name for name in ONE_ROW_ORACLES if name in own] == []
+        assert [name for name in ONE_ROW_ORACLES if hasattr(cls, name)] == ["feasible"]
         assert [name for name in BATCH_ORACLES if name not in own] == []
 
 
@@ -259,7 +261,7 @@ class TestAggregationSpace:
         d = len(prob.hilbert_weights)
         ok = prob.feasible_batch(xs, ys)
         assert prob.g_eval_batch(xs[ok], ys[ok]).shape == (ok.sum(), d)
-        assert prob.g_eval(xs[ok][0], ys[ok][0]).shape == (d,)
+        assert g_eval(prob, xs[ok][0], ys[ok][0]).shape == (d,)
         beta = np.full(ok.sum(), 1.0 / ok.sum()) @ prob.g_eval_batch(xs[ok], ys[ok])
         assert prob.f_grad(beta).shape == (d,)
         assert prob.best_response_batch(prob.f_grad(beta), xs[ok]).shape == ys[ok].shape
@@ -287,3 +289,33 @@ class TestAggregationSpace:
     def test_frozen_weights_rejects(self, weights):
         with pytest.raises(ValueError, match="positive, finite"):
             _frozen_weights(weights)
+
+
+# (parameters of the marginal solved, parameters of the marginal bridged to)
+STATELESS_MARGINALS = {
+    "congestion": ([[0.0], [0.1], [0.3], [1.05]], [[0.05], [0.2]]),
+    "resource": ([[0.5], [1.5], [3.0], [8.0]], [[1.0], [2.0]]),
+    "traffic": ([[0, 7], [1, 7], [0, 6], [0, 7]], [[1, 7], [0, 6]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_solving_and_bridging_leave_the_game_as_built(name):
+    # the oracles are pure: after the solvers, a certificate and a bridge the
+    # game holds the objects it was built with, and their arrays keep their
+    # bytes; only the traffic game's hop metric is built on first use
+    prob = GAMES[name][0]()
+    built = dict(vars(prob))
+    arrays = {k: v.tobytes() for k, v in built.items() if isinstance(v, np.ndarray)}
+    xs0, xs1 = (np.array(xs, dtype=float) for xs in STATELESS_MARGINALS[name])
+    m0, m1 = (EmpiricalMeasure("X", xs=xs, weights=np.full(len(xs), 1.0 / len(xs))) for xs in (xs0, xs1))
+    mu = fw_solve(prob, m0, SolverConfig(iterations=5)).final_measure
+    sfw_solve(prob, m0, SolverConfig(iterations=5, n_sims=2))
+    fw_gap(prob, mu)
+    bridge(mu, m1, prob)
+    after = dict(vars(prob))
+    if name == "traffic":
+        after.pop("metric")
+    assert after.keys() == built.keys()
+    assert [k for k, v in built.items() if after[k] is not v] == []
+    assert [k for k, v in arrays.items() if built[k].tobytes() != v] == []

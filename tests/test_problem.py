@@ -18,9 +18,9 @@ from mfo import (
 )
 from mfo.problem import MfoProblem, _inner, _norm, _support_values, clamp_gap
 from mfo.examples import CongestionProblem, ResourceProblem, TrafficProblem
-from mfo.examples.traffic import Edge, pigou_network
+from mfo.examples.traffic import Edge, TrafficSweep, pigou_network
 
-from conftest import uniform_marginal
+from conftest import best_response, g_eval, transport_select, uniform_marginal
 
 
 class QuadToy(MfoProblem):
@@ -108,7 +108,7 @@ class TestAggregate:
         mu = EmpiricalMeasure.from_atoms("Z", [([5.0], q, 1.0)])
         np.testing.assert_allclose(
             aggregate(resource_problem, mu),
-            resource_problem.g_eval([5.0], q),
+            g_eval(resource_problem, [5.0], q),
             atol=1e-15,
         )
 
@@ -116,7 +116,7 @@ class TestAggregate:
         rng = np.random.default_rng(0)
         q1, q2 = rng.uniform(0, 0.5, size=(2, resource_problem.steps))
         mu = EmpiricalMeasure.from_atoms("Z", [([9.0], q1, 0.5), ([8.0], q2, 0.5)])
-        mid = 0.5 * (resource_problem.g_eval([9.0], q1) + resource_problem.g_eval([8.0], q2))
+        mid = 0.5 * (g_eval(resource_problem, [9.0], q1) + g_eval(resource_problem, [8.0], q2))
         np.testing.assert_allclose(aggregate(resource_problem, mu), mid, atol=1e-15)
 
     def test_resource_half_extraction_first_coordinate(self, resource_problem):
@@ -149,7 +149,7 @@ class TestFeasibilityChecks:
 
 def u_values(problem, lam, xs):
     """The paper's ``u`` at ``lam``, ``min_y <lam, g(x, y)>``, per row of ``xs``, and the minimizers."""
-    ys, _, values = _support_values(problem, lam, np.asarray(xs, dtype=float))
+    ys, _, values = _support_values(problem, problem.bind(np.asarray(xs, dtype=float)), lam)
     return values, ys
 
 
@@ -198,7 +198,7 @@ class TestLinearizedSolve:
         m = uniform_marginal([2.0])
         mu = linearized_solve(resource_problem, lam, m)
         assert len(mu) == 1
-        np.testing.assert_allclose(mu.ys[0], resource_problem.best_response(lam, [2.0]))
+        np.testing.assert_allclose(mu.ys[0], best_response(resource_problem, lam, [2.0]))
 
     def test_pigou_strict_preference(self, pigou_problem):
         mu = linearized_solve(pigou_problem, np.array([0.3, 1.0]), uniform_marginal_od())
@@ -213,7 +213,7 @@ class TestLinearizedSolve:
         cost = _inner(resource_problem, lam, aggregate(resource_problem, mu))
         # one row at a time, apart from the batch sweep linearized_solve uses
         prob = resource_problem
-        expected = sum(w * _inner(prob, lam, prob.g_eval(x, prob.best_response(lam, x)))
+        expected = sum(w * _inner(prob, lam, g_eval(prob, x, best_response(prob, lam, x)))
                        for x, w in zip(m.xs, m.weights))
         assert cost == pytest.approx(expected, abs=1e-9)
 
@@ -252,7 +252,7 @@ class TestFwGap:
             ys = rng.uniform(0, 0.5, size=(n, resource_problem.steps))
             # repair feasibility by truncating to the budget
             ys = np.vstack(
-                [resource_problem.transport_select([10.0], q, x) for q, x in zip(ys, xs)]
+                [transport_select(resource_problem, [10.0], q, x) for q, x in zip(ys, xs)]
             )
             mu = EmpiricalMeasure("Z", xs=xs, ys=ys, weights=np.full(n, 1 / n))
             assert fw_gap(resource_problem, mu).gap >= 0.0
@@ -279,10 +279,21 @@ class TestFwGap:
 class NanOnFirstEdge(TrafficProblem):
     """Pigou routing whose contribution is NaN on every path using edge 0."""
 
+    def bind(self, xs):
+        return GEvalRows(self, xs)
+
     def g_eval_batch(self, xs, ys):
         G = np.array(ys, dtype=float)
         G[G[:, 0] == 1.0] = np.nan
         return G
+
+
+class GEvalRows(TrafficSweep):
+    """The traffic sweep with its rows from ``g_eval_batch``."""
+
+    def best_response_rows(self, lam):
+        ys = super().best_response_rows(lam)[0]
+        return ys, self.problem.g_eval_batch(self.xs, ys)
 
 
 class TestNonFiniteValues:

@@ -1,11 +1,12 @@
-"""Property tests for merging, gluing and bridging on generated measures."""
+"""Property tests for merging, gluing and bridging on generated measures, and for bound sweeps."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfo import EmpiricalMeasure, SolverConfig, bridge, first_marginal, fw_solve
-from mfo.examples import ResourceProblem
+from mfo.examples import CongestionProblem, ResourceProblem, TrafficProblem, grid_network
 from mfo.measures import ATOM_TOL
 from mfo.problem import QuadraticCostProblem
 
@@ -131,3 +132,32 @@ def test_bridge_carries_the_target_marginal(mu0, m1):
     assert result.aggregate_shift <= PROBLEM.set_lipschitz * result.transport_cost + 1e-7
     # onto its own first marginal, the bridge returns mu0
     assert bridge(mu0, first_marginal(mu0), PROBLEM).measure.allclose(mu0, tol=1e-9)
+
+
+# each game's full batch of 40 parameters, drawn once: stocks, starts on
+# both sides of the target, and origin-destination pairs
+SWEEP_BATCHES = {
+    "resource": (ResourceProblem(), lambda rng: rng.exponential(1.0, (40, 1))),
+    "congestion": (CongestionProblem(), lambda rng: rng.uniform(0.0, 1.2, (40, 1))),
+    "traffic": (TrafficProblem(*grid_network()),
+                lambda rng: np.array([[0, 7], [1, 7], [0, 6]], dtype=float)[rng.integers(0, 3, 40)]),
+}
+
+
+@pytest.mark.parametrize("game", sorted(SWEEP_BATCHES))
+@PROPS
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_of_a_subset_keeps_the_rows_of_the_full_sweep(game, seed):
+    # a row of a sweep depends on its own parameter only, not on its place
+    # in the batch or on the other rows: bound to a random subset of the
+    # rows, in random order, a sweep returns those rows of the full sweep
+    prob, draw = SWEEP_BATCHES[game]
+    rng = np.random.default_rng(seed)
+    xs = draw(np.random.default_rng(0))
+    lam = rng.uniform(0.0, 3.0, len(prob.hilbert_weights))
+    lam[0] = 1.0        # the self-interaction weight of the resource and congestion games
+    rows = rng.permutation(len(xs))[: rng.integers(1, len(xs) + 1)]
+    ys, G = prob.bind(xs).best_response_rows(lam)
+    ys_sub, G_sub = prob.bind(xs[rows]).best_response_rows(lam)
+    assert ys_sub.tobytes() == ys[rows].tobytes()
+    assert G_sub.tobytes() == G[rows].tobytes()

@@ -5,6 +5,8 @@ from scipy.optimize import LinearConstraint, minimize
 from mfo import EmpiricalMeasure, OracleError, SolverConfig, aggregate, fw_solve, sfw_solve
 from mfo.problem import _norm
 
+from conftest import best_response, g_eval, transport_select
+
 
 def scipy_best_response(prob, lam2, x):
     """Independent first-order oracle for the budgeted extraction problem."""
@@ -32,13 +34,13 @@ def scipy_best_response(prob, lam2, x):
 
 def random_feasible_profile(prob, rng, x):
     q = rng.uniform(0.0, 0.5, prob.steps)
-    return prob.transport_select([prob.horizon], q, [x])
+    return transport_select(prob, [prob.horizon], q, [x])
 
 
 class TestBestResponse:
     def test_zero_stock_extracts_nothing(self, resource_problem):
         lam = np.concatenate([[1.0], np.zeros(resource_problem.steps)])
-        np.testing.assert_allclose(resource_problem.best_response(lam, [0.0]), 0.0, atol=1e-15)
+        np.testing.assert_allclose(best_response(resource_problem, lam, [0.0]), 0.0, atol=1e-15)
 
     def test_slack_budget_sits_at_half(self, resource_problem):
         prob = resource_problem
@@ -54,7 +56,7 @@ class TestBestResponse:
             lam2 = rng.uniform(0.0, 0.5, prob.steps)  # price signal in [0, 1/2]
             x = rng.uniform(0.05, 3.0)
             lam = np.concatenate([[1.0], lam2])
-            q = prob.best_response(lam, [x])
+            q = best_response(prob, lam, [x])
             _, ref_val = scipy_best_response(prob, lam2, x)
             w = prob.dt * prob.discount_factors
             val = float(np.sum(w * (q * q - q + lam2 * q)))
@@ -86,20 +88,20 @@ class TestBestResponse:
         for _ in range(30):
             lam2 = rng.uniform(-0.5, 1.0, prob.steps)
             lam = np.concatenate([[1.0], lam2])
-            q = prob.best_response(lam, [rng.uniform(0, prob.stock_cap)])
+            q = best_response(prob, lam, [rng.uniform(0, prob.stock_cap)])
             assert np.all(q >= 0.0) and np.all(q <= 0.5)
 
 
 class TestTransportSelect:
     def test_same_stock_keeps_profile(self, resource_problem):
         q = np.full(resource_problem.steps, 0.3)
-        np.testing.assert_array_equal(resource_problem.transport_select([3.0], q, [3.0]), q)
+        np.testing.assert_array_equal(transport_select(resource_problem, [3.0], q, [3.0]), q)
 
     def test_half_budget_truncates_halfway(self, resource_problem):
         prob = resource_problem
         q = np.full(prob.steps, 0.5)
         x = prob.horizon / 2.0
-        out = prob.transport_select([x], q, [x / 2.0])
+        out = transport_select(prob, [x], q, [x / 2.0])
         half = prob.steps // 2
         np.testing.assert_allclose(out[:half], 0.5, atol=1e-12)
         np.testing.assert_allclose(out[half:], 0.0, atol=1e-12)
@@ -111,9 +113,9 @@ class TestTransportSelect:
             x = rng.uniform(0.0, prob.stock_cap)
             x2 = rng.uniform(0.0, prob.stock_cap)
             q = random_feasible_profile(prob, rng, x)
-            q2 = prob.transport_select([x], q, [x2])
+            q2 = transport_select(prob, [x], q, [x2])
             assert prob.feasible([x2], q2)
-            shift = _norm(prob, prob.g_eval([x2], q2) - prob.g_eval([x], q))
+            shift = _norm(prob, g_eval(prob, [x2], q2) - g_eval(prob, [x], q))
             assert shift <= prob.set_lipschitz * prob.metric.pairwise([x], [x2])[0, 0] + 1e-12
 
 
@@ -150,13 +152,15 @@ class TestFeasibility:
 class TestContributionArithmetic:
     def test_rows_and_cost_keep_the_bits_of_their_formulas(self, resource_problem):
         # g_eval_batch, f_value and f_grad fill their outputs in place; they
-        # return the bytes of the plain expressions they stand for
+        # return the bytes of the plain expressions they stand for. The first
+        # column is a per-row sum, which rounds a row alike wherever it lies in
+        # the batch (a matrix-vector product would not)
         prob = resource_problem
         rng = np.random.default_rng(12)
         w = prob.dt * prob.discount_factors
         for n in (0, 1, 50):
             qs = rng.uniform(0.0, 0.5, size=(n, prob.steps))
-            expected = np.column_stack([(qs * qs - qs) @ w, qs])
+            expected = np.column_stack([((qs * qs - qs) * w).sum(axis=1), qs])
             assert prob.g_eval_batch(rng.uniform(0, 5, (n, 1)), qs).tobytes() == expected.tobytes()
         for _ in range(50):
             beta = rng.normal(size=prob.steps + 1)

@@ -11,17 +11,20 @@ from mfo import (
     SolverConfig,
     aggregate,
     first_marginal,
+    fw_gap,
     fw_solve,
     linearized_solve,
     sfw_solve,
 )
+import mfo.examples.congestion
 import mfo.measures
+from mfo._kernels import congestion_dp_batch
 from mfo.examples import TrafficProblem, grid_network, pigou_network
-from mfo.examples.traffic import Edge
+from mfo.examples.traffic import Edge, TrafficSweep
 from mfo.problem import _certificate_pass, clamp_gap
 from mfo.solvers import STEP_RULES, _warm_start, candidate_rng
 
-from conftest import uniform_marginal
+from conftest import initial_decision, uniform_marginal
 
 
 def constant_latency_traffic():
@@ -106,9 +109,9 @@ class TestFrankWolfe:
         class Counting(type(resource_problem)):
             calls = 0
 
-            def best_response_rows(self, lam, xs):
+            def best_response_batch(self, lam, xs):
                 Counting.calls += 1
-                return super().best_response_rows(lam, xs)
+                return super().best_response_batch(lam, xs)
 
         prob = Counting(horizon=10.0, steps=50, discount=1.0, price_impact=1.0)
         report = fw_solve(prob, exp_marginal_50, SolverConfig(iterations=5000, gap_tol=1e-6, store_measure=False))
@@ -194,7 +197,7 @@ class TestStochasticFrankWolfe:
         prob = resource_problem
         m = uniform_marginal([0.4, 1.1, 2.2])
         report = sfw_solve(prob, m, SolverConfig(iterations=1, n_sims=4, seed=3))
-        y0 = np.vstack([prob.initial_decision(x) for x in m.xs])
+        y0 = np.vstack([initial_decision(prob, x) for x in m.xs])
         lam0 = prob.f_grad(m.weights @ prob.g_eval_batch(m.xs, y0))
         y_first = prob.best_response_batch(lam0, m.xs)
         lam1 = prob.f_grad(m.weights @ prob.g_eval_batch(m.xs, y_first))
@@ -362,13 +365,13 @@ def vstacked_steps_measure(problem, m_N, config, mu0=None):
     """
     xs, w = m_N.xs, m_N.weights
     if mu0 is None:
-        ys0, G0 = _warm_start(problem, xs, w)
+        ys0, G0 = _warm_start(problem, problem.bind(xs), xs, w)
         beta, start = w @ G0, (xs, ys0, w.copy())
     else:
         beta, start = aggregate(problem, mu0), (mu0.xs, mu0.ys, mu0.weights.copy())
     steps, oms, factors, factor = [], [], [], 1.0
     for k in range(config.iterations):
-        _, ys_br, G_br, gap, _, _ = _certificate_pass(problem, beta, xs, w)
+        _, ys_br, G_br, gap, _, _ = _certificate_pass(problem, beta, problem.bind(xs), w)
         if config.gap_tol is not None and gap <= config.gap_tol:
             break
         om = config.omega(k)
@@ -424,7 +427,7 @@ class NonFiniteGradient(TrafficProblem):
     """Pigou routing whose gradient on edge 0 is ``bad`` from its second call on.
 
     The first call is the solvers' warm start, so the certificate pass
-    is the first to see ``bad``.  The best response records each dual point.
+    is the first to see ``bad``.  The sweep records each dual point.
     """
 
     def __init__(self, bad):
@@ -438,9 +441,14 @@ class NonFiniteGradient(TrafficProblem):
             lam[0] = self.bad
         return lam
 
-    def best_response_batch(self, lam, xs):
-        self.swept.append(lam.copy())
-        return super().best_response_batch(lam, xs)
+    def bind(self, xs):
+        return RecordingSweep(self, xs)
+
+
+class RecordingSweep(TrafficSweep):
+    def best_response_rows(self, lam):
+        self.problem.swept.append(lam.copy())
+        return super().best_response_rows(lam)
 
 
 class NanContributions(TrafficProblem):
@@ -449,8 +457,13 @@ class NanContributions(TrafficProblem):
     def __init__(self):
         super().__init__(*pigou_network())
 
-    def best_response_rows(self, lam, xs):
-        ys, G = super().best_response_rows(lam, xs)
+    def bind(self, xs):
+        return NanRows(self, xs)
+
+
+class NanRows(TrafficSweep):
+    def best_response_rows(self, lam):
+        ys, G = super().best_response_rows(lam)
         return ys, np.full_like(G, np.nan)
 
 
@@ -487,7 +500,7 @@ def sfw_reference(problem, m_N, config, aggregates=None):
     """
     xs, w, n = m_N.xs, m_N.weights, len(m_N)
     wH = problem.hilbert_weights
-    y_feas = np.vstack([problem.initial_decision(x) for x in xs])
+    y_feas = np.vstack([initial_decision(problem, x) for x in xs])
     beta0 = w @ problem.g_eval_batch(xs, y_feas)
     y = problem.best_response_batch(problem.f_grad(beta0), xs)
     records = []
@@ -577,27 +590,61 @@ class TestStochasticFrankWolfeSweep:
         # the final certificate: the aggregate and the best-response values
         assert Counting.calls == 2 + iterations + 2
 
-    def test_repeated_aggregates_reuse_the_certificate_pass(self, congestion_problem):
+    def test_repeated_aggregates_reuse_the_certificate_pass(self, congestion_problem, monkeypatch):
         # the guard keeps the incumbent, or an accepted candidate switches only
         # agents already at their best response: the aggregate repeats bit for bit
-        class Counting(type(congestion_problem)):
-            calls = 0
-
-            def best_response_rows(self, lam, xs):
-                Counting.calls += 1
-                return super().best_response_rows(lam, xs)
-
-        prob = Counting(horizon=1.0, steps=20, vmax=3.0, alpha=1.0, cells=5, smoothing=20)
+        prob = congestion_problem
         m, cfg = congestion_starts(50, 1), SolverConfig(iterations=60, n_sims=3, seed=1)
-        report = self.compare(prob, m, cfg)
-        swept = Counting.calls
+        self.compare(prob, m, cfg)
+        _, passes = self.reference_passes(prob, m, cfg)
+        swept = count_dp_calls(monkeypatch)
+        report = sfw_solve(prob, m, cfg)
+        # the warm start and one pass per distinct consecutive aggregate; the
+        # final measure has the last one's aggregate, so its certificate is that pass
+        assert report.iterations_run == 60 and passes < 60
+        assert swept() == 1 + passes
+
+    @pytest.mark.parametrize("seed, duplicate, reused", [(1, False, True), (6, False, False), (1, True, False)],
+                             ids=["last_pass", "aggregate_moved", "duplicate_start"])
+    def test_final_certificate_is_fw_gap(self, congestion_problem, monkeypatch, seed, duplicate, reused):
+        # the final certificate reuses the loop's last pass only when the final
+        # aggregate has its bytes and first_marginal keeps xs and w as they
+        # are: seed 6's last iteration moves the aggregate, and two equal
+        # starts merge in first_marginal, so those solves run a fresh pass
+        prob = congestion_problem
+        xs = np.random.default_rng(seed).uniform(0.0, 0.2, 50)
+        if duplicate:
+            xs[7] = xs[3]
+        m, cfg = uniform_marginal(xs), SolverConfig(iterations=60, n_sims=3, seed=seed)
+        aggregates, passes = self.reference_passes(prob, m, cfg)
+        swept = count_dp_calls(monkeypatch)
+        report = sfw_solve(prob, m, cfg)
+        assert swept() == 1 + passes + (not reused)
+        final = report.final_measure
+        assert (aggregate(prob, final).tobytes() == aggregates[-1].tobytes()) == (seed == 1)
+        assert len(first_marginal(final)) == 50 - duplicate
+        got, want = report.certificate, fw_gap(prob, final)
+        assert got.beta.tobytes() == want.beta.tobytes() and got.lam.tobytes() == want.lam.tobytes()
+        assert (got.primal_value, got.dual_value, got.gap) == (want.primal_value, want.dual_value, want.gap)
+
+    @staticmethod
+    def reference_passes(prob, m, cfg):
+        """The reference's aggregates, and the loop's certificate passes: one per distinct consecutive aggregate."""
         aggregates = []
         sfw_reference(prob, m, cfg, aggregates)
-        distinct = sum(k == 0 or a.tobytes() != aggregates[k - 1].tobytes()
-                       for k, a in enumerate(aggregates))
-        # the warm start, one pass per distinct consecutive aggregate, the final certificate
-        assert report.iterations_run == 60 and distinct < 60
-        assert swept == 1 + distinct + 1
+        return aggregates, sum(k == 0 or a.tobytes() != aggregates[k - 1].tobytes() for k, a in enumerate(aggregates))
+
+
+def count_dp_calls(monkeypatch):
+    """Count the congestion game's DP calls from here on; returns the counter."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return congestion_dp_batch(*args)
+
+    monkeypatch.setattr(mfo.examples.congestion, "congestion_dp_batch", counted)
+    return lambda: len(calls)
 
 
 class TestOracleFailure:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from mfo import EmpiricalMeasure, SolverConfig, fw_solve
 from mfo.examples import TrafficProblem, grid_network, load_network, pigou_network
 from mfo.examples.traffic import EDGE_KINDS, Edge
-from mfo.problem import _norm
+from mfo.problem import Sweep, _norm
+
+from conftest import best_response, g_eval, initial_decision, transport_select
 
 
 def five_node_network():
@@ -68,11 +71,11 @@ def exhaustive_best_cost(prob, lam_values, od):
 class TestBestResponse:
     def test_zero_costs_pick_lexicographic_first(self, pigou_problem):
         lam = np.zeros(len(pigou_problem.hilbert_weights))
-        y = pigou_problem.best_response(lam, [0, 1])
+        y = best_response(pigou_problem, lam, [0, 1])
         np.testing.assert_allclose(y, pigou_problem.indicators[(0, 1)][0])
 
     def test_pigou_direct_comparison(self, pigou_problem):
-        y = pigou_problem.best_response(np.array([0.7, 1.0]), [0, 1])
+        y = best_response(pigou_problem, np.array([0.7, 1.0]), [0, 1])
         np.testing.assert_allclose(y, [1.0, 0.0])
 
     def test_matches_exhaustive_enumeration(self):
@@ -81,7 +84,7 @@ class TestBestResponse:
         for _ in range(50):
             lam_values = rng.uniform(0.0, 2.0, len(prob.edges))
             for od in prob.od_pairs:
-                y = prob.best_response(lam_values, od)
+                y = best_response(prob, lam_values, od)
                 assert float(y @ lam_values) == pytest.approx(
                     exhaustive_best_cost(prob, lam_values, od), abs=1e-12
                 )
@@ -187,16 +190,16 @@ class TestWardrop:
 class TestSelectionAndConstants:
     def test_same_od_keeps_path(self, pigou_problem):
         y = pigou_problem.indicators[(0, 1)][1]
-        np.testing.assert_array_equal(pigou_problem.transport_select([0, 1], y, [0, 1]), y)
+        np.testing.assert_array_equal(transport_select(pigou_problem, [0, 1], y, [0, 1]), y)
 
     def test_cross_od_selection_within_bound(self):
         prob = five_node_network()
         for od in prob.od_pairs:
             for od2 in prob.od_pairs:
                 for y in prob.indicators[od]:
-                    y2 = prob.transport_select(od, y, od2)
+                    y2 = transport_select(prob, od, y, od2)
                     assert prob.feasible(od2, y2)
-                    shift = _norm(prob, prob.g_eval(od2, y2) - prob.g_eval(od, y))
+                    shift = _norm(prob, g_eval(prob, od2, y2) - g_eval(prob, od, y))
                     assert shift <= prob.set_lipschitz * prob.metric.pairwise(od, od2)[0, 0] + 1e-12
 
     def test_constants_dominate_samples(self):
@@ -214,6 +217,20 @@ class TestSelectionAndConstants:
             q2 = rng.random(len(prob.edges))
             lhs = _norm(prob, prob.f_grad(q) - prob.f_grad(q2))
             assert lhs <= prob.grad_lipschitz * np.linalg.norm(q - q2) + 1e-12
+
+    def test_sup_grad_norm_sums_its_squares_left_to_right(self):
+        # latencies 1e8, 1 and 1 at unit flow: adding the squares 1 and 1 to
+        # 1e16 one at a time loses both, a compensated sum (Python's sum()
+        # from 3.12) keeps them, so the constant would move with the Python
+        edges = [Edge(0, 1, "bpr", (5e7, 1.0, 1.0)), Edge(0, 1, "bpr", (0.5, 1.0, 1.0)),
+                 Edge(0, 1, "bpr", (0.5, 1.0, 1.0))]
+        prob = TrafficProblem(2, edges, [(0, 1)])
+        squares = [v ** 2 for v in prob.f_grad(np.ones(3)).tolist()]
+        total = 0.0
+        for sq in squares:
+            total += sq
+        assert total != math.fsum(squares)
+        assert prob.sup_grad_norm == math.sqrt(total)
 
 
 class TestHopMetric:
@@ -252,10 +269,10 @@ class TestOdLookup:
         message = re.escape(f"x={np.array(x, dtype=float)} is not a configured origin-destination pair")
         calls = {
             "feasible": lambda: prob.feasible(x, y),
-            "best_response": lambda: prob.best_response(np.zeros(len(prob.hilbert_weights)), x),
-            "transport_select from x": lambda: prob.transport_select(x, y, [0, 7]),
-            "transport_select to x": lambda: prob.transport_select([0, 7], y, x),
-            "initial_decision": lambda: prob.initial_decision(x),
+            "best_response": lambda: best_response(prob, np.zeros(len(prob.hilbert_weights)), x),
+            "transport_select from x": lambda: transport_select(prob, x, y, [0, 7]),
+            "transport_select to x": lambda: transport_select(prob, [0, 7], y, x),
+            "initial_decision": lambda: initial_decision(prob, x),
         }
         for name, call in calls.items():
             with pytest.raises(ValueError, match=message):
@@ -270,12 +287,11 @@ class TestOdLookup:
         np.testing.assert_array_equal(prob.feasible_batch(xs[:2], ys[:2]), [True, False])
 
 
-    def test_memo_serves_only_the_same_rows(self):
+    def test_lookup_names_each_row_s_pair(self):
         prob = TrafficProblem(*grid_network())
         xs = np.array([[0, 7], [1, 7], [0, 6]], dtype=float)
-        od = prob._od_index(xs)
-        np.testing.assert_array_equal(od, [0, 1, 2])
-        assert prob._od_index(xs.copy()) is od and not od.flags.writeable
+        np.testing.assert_array_equal(prob._od_index(xs), [0, 1, 2])
+        np.testing.assert_array_equal(prob.bind(xs).od, [0, 1, 2])
         with pytest.raises(ValueError, match=re.escape(f"x={np.array([0.0, 5.0])} is not")):
             prob._od_index(np.array([[0, 7], [1, 7], [0, 5]], dtype=float))
         with pytest.raises(ValueError, match="rows, got shape"):
@@ -297,7 +313,7 @@ class TestNetworkFiles:
         ref = TrafficProblem(*pigou_network())
         assert prob.od_pairs == ref.od_pairs
         assert len(prob.edges) == 2
-        y = prob.best_response(np.array([0.3, 1.0]), [0, 1])
+        y = best_response(prob, np.array([0.3, 1.0]), [0, 1])
         np.testing.assert_allclose(y, [1.0, 0.0])
 
 
@@ -408,6 +424,9 @@ class PerEdgeTraffic(TrafficProblem):
 
     def f_grad(self, beta):
         return np.array([float(per_edge_latency(e, q)) for e, q in zip(self.edges, beta)])
+
+    def bind(self, xs):
+        return Sweep(self, xs)        # the sweep that calls the argmin below
 
     def best_response_batch(self, lam, xs):
         od = self._od_index(xs)
