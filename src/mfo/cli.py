@@ -7,16 +7,24 @@ Verbs:
 * ``mfo quantize --dist SPEC --n N --method {sample,grid} [--seed S] [--out FILE]``
 * ``mfo report   --run DIR``
 
-Configs are versioned JSON (see README).  Every numeric artifact is
-reproducible from (config, seed); the only non-reproducible column is
-the measured ``time_ms`` in ``history.csv``.  Batch repeats run one
-after another, each with its own seed.
+Configs are versioned JSON (see README).  ``--mu0``, ``--m1`` and a
+marginal block's ``file`` each take a bare measure JSON or a run's
+``final.json``, whose stored measure is read.  Every numeric artifact
+is reproducible from (config, seed); the only non-reproducible column
+is the measured ``time_ms`` in ``history.csv``.  Batch repeats run one
+after another on one game, each with its own seed.
+
+Exit codes: 0 on success; 2 on a config or input error; 3 on an oracle
+failure.  Every input is read and checked under :func:`_input`, so a
+config error starts with the block or flag at fault; a clash between
+keys or flags names them instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager
@@ -26,7 +34,7 @@ import numpy as np
 
 from .examples import PROBLEM_CLASSES
 from .measures import EmpiricalMeasure
-from .problem import OracleError, _integer as _plain_integer
+from .problem import OracleError, _count, _integer
 from .quantize import SourceDistribution, grid_truncation, quantize_grid, quantize_sample
 from .solvers import SolverConfig, fw_solve, sfw_solve
 from .transport import bridge
@@ -45,140 +53,125 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(cfg: dict, field: str, context: str):
-    if field not in cfg:
-        raise ConfigError(f"missing field {context}.{field}")
-    return cfg[field]
+@contextmanager
+def _input(label: str, path=None):
+    """What reading or checking an input raises is a config error that starts with ``label``.
 
-
-def _integer(value, key: str, context: str) -> int:
-    """A config value as an int; a boolean or a fraction is an error, not truncated."""
+    ``path`` is the JSON file read, which a syntax error names.
+    """
     try:
-        return _plain_integer(value, key)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
+        yield
+    except ConfigError:
+        raise
+    except OSError as exc:
+        raise ConfigError(f"{label}: cannot read {exc.filename}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{label}: {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{label}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
+def _object(block, context: str) -> dict:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {type(block).__name__}")
+    return block
 
 
 def _check_keys(cfg: dict, accepted, context: str):
-    """Reject keys that nothing reads, so a misspelt one cannot silently run the default."""
-    unknown = [key for key in cfg if key not in accepted]
+    """Reject a block that is no object, or has keys that nothing reads: a misspelt one cannot run the default."""
+    unknown = [key for key in _object(cfg, context) if key not in accepted]
     if unknown:
-        raise ConfigError(f"unknown key{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))} in {context}; "
+        raise ConfigError(f"{context}: unknown key{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))}; "
                           f"accepted: {', '.join(accepted)}")
 
 
-@contextmanager
-def _reading(path, label=""):
-    """An input file that cannot be read or parsed is a config error naming ``label`` and ``path``."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"{label}cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{label}{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-
-
 def load_config(path) -> dict:
-    with _reading(path), open(path) as fh:
+    with _input("--config", path), open(path) as fh:
         cfg = json.load(fh)
-    if cfg.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
-        raise ConfigError(f"unsupported config schema {cfg.get('schema')!r}")
     _check_keys(cfg, CONFIG_KEYS, "the config")
+    if cfg.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
+        raise ConfigError(f"the config: unsupported schema {cfg.get('schema')!r}")
     return cfg
 
 
+def _load_mu0(path, label: str, space: str) -> EmpiricalMeasure:
+    """The measure on ``space`` in ``path``: a bare measure JSON, or the ``measure`` of a run's ``final.json``.
+
+    It reads every measure file the CLI takes: ``--mu0``, ``--m1`` and a
+    marginal block's ``file``.  perfbench's tracer counts it, by this
+    name, as artifact I/O.
+    """
+    with _input(label, path), open(Path(path)) as fh:     # Path: an int would open a file descriptor
+        payload = json.load(fh)
+    with _input(f"{label}: {path} holds no measure"):
+        m = EmpiricalMeasure.from_json_dict(payload["measure"] if "measure" in payload else payload)
+    if m.space != space:
+        raise ConfigError(f"{label}: {path} holds a measure on {m.space}, not on {space}")
+    return m
+
+
 def build_problem(problem_cfg: dict):
-    name = _require(problem_cfg, "name", "problem")
-    if name not in PROBLEM_CLASSES:
-        raise ConfigError(f"unknown problem {name!r}; available: {sorted(PROBLEM_CLASSES)}")
+    with _input("the problem block"):
+        name = _object(problem_cfg, "the problem block")["name"]
+    if not isinstance(name, str) or name not in PROBLEM_CLASSES:
+        raise ConfigError(f"the problem block: unknown problem {name!r}; available: {sorted(PROBLEM_CLASSES)}")
     cls = PROBLEM_CLASSES[name]
-    _check_keys(problem_cfg, ("name",) + cls.config_keys, f"the {name} problem block")
-    try:
+    label = f"the {name} problem block"
+    _check_keys(problem_cfg, ("name",) + cls.config_keys, label)
+    with _input(label):
         return cls.from_config(problem_cfg)
-    except OSError as exc:
-        raise ConfigError(f"the {name} problem block: cannot read {exc.filename}: {exc.strerror}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"the {name} problem block: {exc}") from exc
-
-
-def _distribution(spec, label: str) -> SourceDistribution:
-    """``SourceDistribution.parse(spec)``; a bad spec or samples file is a config error naming ``label``."""
-    try:
-        return SourceDistribution.parse(spec)
-    except OSError as exc:
-        raise ConfigError(f"{label}: cannot read the samples file: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
-
-
-def _quantized(quantizer, label: str, dist: SourceDistribution, *args) -> EmpiricalMeasure:
-    """``quantizer(dist, *args)``; a law whose atoms overflow is a config error naming ``label``."""
-    try:
-        return quantizer(dist, *args)
-    except ValueError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
-
-
-def _check_atom_count(n: int, label: str):
-    if n < 1:
-        raise ConfigError(f"{label} must be at least 1, got {n}")
-
-
-def _check_parameters(problem, m: EmpiricalMeasure, label: str):
-    """A marginal atom the game cannot take (a traffic ``x`` that is no configured pair) is a config error."""
-    try:
-        problem.initial_decision_batch(m.xs)
-    except ValueError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
-    _check_keys(marginal_cfg, MARGINAL_KEYS, "the marginal block")
+    """The marginal a block names, checked as parameters of ``problem``.
+
+    A sample is drawn with ``seed`` unless the block sets its own.
+    """
+    label = "the marginal block"
+    _check_keys(marginal_cfg, MARGINAL_KEYS, label)
     sources = [key for key in MARGINAL_SOURCES if key in marginal_cfg]
     if len(sources) != 1:
-        raise ConfigError(f"the marginal block must name exactly one of {', '.join(MARGINAL_SOURCES)}; "
+        raise ConfigError(f"{label} must name exactly one of {', '.join(MARGINAL_SOURCES)}; "
                           f"it names {', '.join(sources) or 'none'}")
     # seed stays allowed beside any source: the run fills it in
     dist_only = [key for key in ("n", "method") if key in marginal_cfg]
     if sources != ["dist"] and dist_only:
-        raise ConfigError(f"{', '.join(dist_only)} in the marginal block apply to dist only, "
-                          f"not to {sources[0]}")
+        raise ConfigError(f"{', '.join(dist_only)} in {label} apply to dist only, not to {sources[0]}")
     if "file" in marginal_cfg:
-        return _read_marginal("the marginal block", marginal_cfg["file"])
-    if "atoms" in marginal_cfg:
-        try:
-            pairs = [(a["x"], a["w"]) for a in marginal_cfg["atoms"]]
-            return EmpiricalMeasure.from_atoms("X", pairs, merge=False)
-        except KeyError as exc:
-            raise ConfigError(f"the marginal block: an atoms entry has no key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"the marginal block: atoms: {exc}") from exc
-    dist = _distribution(_require(marginal_cfg, "dist", "marginal"), "the marginal block: dist")
-    n = _integer(_require(marginal_cfg, "n", "marginal"), "n", "the marginal block")
-    _check_atom_count(n, "the marginal block: n")
-    method = marginal_cfg.get("method", "sample")
-    if method == "grid":
-        m = _quantized(quantize_grid, "the marginal block: dist", dist, n)
-    elif method == "sample":
-        draw_seed = _integer(marginal_cfg.get("seed", seed), "seed", "the marginal block")
-        m = _quantized(quantize_sample, "the marginal block: dist", dist, n, draw_seed)
+        m = _load_mu0(marginal_cfg["file"], label, "X")
+    elif "atoms" in marginal_cfg:
+        with _input(f"{label}: atoms"):
+            m = EmpiricalMeasure.from_atoms("X", [(a["x"], a["w"]) for a in marginal_cfg["atoms"]], merge=False)
     else:
-        raise ConfigError(f"unknown quantization method {method!r}")
-    cap = getattr(problem, "stock_cap", None)
-    if cap is not None:
-        xs = np.clip(m.xs, 0.0, cap)
-        m = EmpiricalMeasure("X", xs=xs, weights=m.weights, validate=False)
+        with _input(f"{label}: dist"):
+            dist = SourceDistribution.parse(marginal_cfg["dist"])
+        with _input(label):
+            n = _count(marginal_cfg["n"], "n")
+            method = marginal_cfg.get("method", "sample")
+            if method not in ("sample", "grid"):
+                raise ValueError(f"unknown quantization method {method!r}")
+            draw_seed = _integer(marginal_cfg.get("seed", seed), "seed") if method == "sample" else None
+        with _input(f"{label}: dist"):
+            m = quantize_grid(dist, n) if method == "grid" else quantize_sample(dist, n, draw_seed)
+        cap = getattr(problem, "stock_cap", None)
+        if cap is not None:
+            m = EmpiricalMeasure("X", xs=np.clip(m.xs, 0.0, cap), weights=m.weights, validate=False)
+    with _input(label):
+        problem.initial_decision_batch(m.xs)
     return m
 
 
 def build_solver_config(solver_cfg: dict, seed_override=None) -> tuple[str, SolverConfig]:
-    _check_keys(solver_cfg, SOLVER_KEYS, "the solver block")
-    algorithm = solver_cfg.get("algorithm", "fw")
-    if algorithm not in ("fw", "sfw"):
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    label = "the solver block"
+    _check_keys(solver_cfg, SOLVER_KEYS, label)
     # SolverConfig checks every value, under the same integer rule as the rest of the config
-    try:
-        cfg = SolverConfig(
+    with _input(label):
+        algorithm = solver_cfg.get("algorithm", "fw")
+        if algorithm not in ("fw", "sfw"):
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        return algorithm, SolverConfig(
             iterations=solver_cfg.get("iterations", 100),
             step_rule=solver_cfg.get("step_rule", SolverConfig.step_rule),
             n_sims=solver_cfg.get("n_sims", 1),
@@ -186,9 +179,6 @@ def build_solver_config(solver_cfg: dict, seed_override=None) -> tuple[str, Solv
             monotone_guard=solver_cfg.get("monotone_guard", True),
             gap_tol=solver_cfg.get("gap_tol"),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"the solver block: {exc}") from exc
-    return algorithm, cfg
 
 
 def _write_resource_dumps(problem, report, m_n, out: Path):
@@ -240,14 +230,8 @@ _DUMPERS = {
 }
 
 
-def _run_single(cfg, seed, out: Path):
-    problem = build_problem(_require(cfg, "problem", "config"))
-    marginal_cfg = dict(_require(cfg, "marginal", "config"))
-    if seed is not None and "seed" not in marginal_cfg:
-        marginal_cfg["seed"] = seed
-    algorithm, solver_cfg = build_solver_config(cfg.get("solver", {}), seed)
+def _run_single(problem, marginal_cfg, algorithm, solver_cfg, out: Path):
     m_n = build_marginal(marginal_cfg, problem, solver_cfg.seed)
-    _check_parameters(problem, m_n, "the marginal block")
     solver = sfw_solve if algorithm == "sfw" else fw_solve
     try:
         report = solver(problem, m_n, solver_cfg)
@@ -260,31 +244,35 @@ def _run_single(cfg, seed, out: Path):
     dumper = _DUMPERS.get(problem.name)
     if dumper:
         dumper(problem, report, m_n, out)
-    return problem, m_n, report
+    return report
 
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     if args.problem:
-        cfg.setdefault("problem", {})["name"] = args.problem
+        _object(cfg.setdefault("problem", {}), "the problem block")["name"] = args.problem
+    with _input("the config" if args.repeats is None else "--repeats"):
+        repeats = _count(cfg.get("repeats", 1) if args.repeats is None else args.repeats, "repeats")
+    algorithm, solver_cfg = build_solver_config(cfg.get("solver", {}), args.seed)
+    with _input("the config"):
+        problem_cfg, marginal_cfg = cfg["problem"], cfg["marginal"]
+    # one game serves every repeat: a solve leaves it as built
+    problem = build_problem(problem_cfg)
     out = Path(args.out)
-    repeats = args.repeats
-    if repeats is None:
-        repeats = _integer(cfg.get("repeats", 1), "repeats", "the config")
-    if repeats < 1:
-        raise ConfigError("repeats must be at least 1")
-    base_seed = args.seed
-    if base_seed is None:
-        base_seed = _integer(cfg.get("solver", {}).get("seed", 0), "seed", "the solver block")
-    if repeats <= 1:
-        problem, _, report = _run_single(cfg, base_seed, out)
+    if repeats == 1:
+        report = _run_single(problem, marginal_cfg, algorithm, solver_cfg, out)
         print(f"solve[{problem.name}] iterations={report.iterations_run} "
               f"objective={report.certificate.primal_value:.8g} gap={report.certificate.gap:.3g}")
         return 0
-    results = [_run_single(cfg, base_seed + r, out / f"rep{r:03d}") for r in range(repeats)]
-    problem = results[0][0]
-    if problem.name == "resource":
-        rates = np.vstack([prob.aggregate_rate(report.certificate.beta) for prob, _, report in results])
+    rates, gaps = [], []
+    for r in range(repeats):
+        config = dataclasses.replace(solver_cfg, seed=solver_cfg.seed + r)
+        report = _run_single(problem, marginal_cfg, algorithm, config, out / f"rep{r:03d}")
+        gaps.append(report.certificate.gap)
+        if problem.name == "resource":
+            rates.append(problem.aggregate_rate(report.certificate.beta))
+    if rates:
+        rates = np.vstack(rates)
         with open(out / "aggregate_batch.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "time", "mean", "std"])
@@ -292,51 +280,23 @@ def cmd_solve(args) -> int:
             for t in range(problem.steps):
                 writer.writerow([t, repr(times[t]),
                                  repr(float(rates[:, t].mean())), repr(float(rates[:, t].std()))])
-    gaps = [rep.certificate.gap for _, _, rep in results]
     print(f"solve[{problem.name}] repeats={repeats} max_gap={max(gaps):.3g}")
     return 0
 
 
-def _load_mu0(path):
-    """The measure of a run's ``final.json``, or a bare measure JSON."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    return EmpiricalMeasure.from_json_dict(payload["measure"] if "measure" in payload else payload)
-
-
-def _read_measure(flag: str, path, read):
-    """``read(path)``; a file that cannot be read or holds no measure is a config error naming ``flag``."""
-    with _reading(path, f"{flag}: "):
-        try:
-            return read(path)
-        except json.JSONDecodeError:
-            raise
-        except KeyError as exc:
-            raise ConfigError(f"{flag}: {path} holds no measure: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{flag}: {path} holds no measure: {exc}") from exc
-
-
-def _read_marginal(flag: str, path) -> EmpiricalMeasure:
-    """A measure on X read from ``path``; anything else is a config error naming ``flag``."""
-    m = _read_measure(flag, path, EmpiricalMeasure.load_json)
-    if m.space != "X":
-        raise ConfigError(f"{flag}: {path} holds a measure on {m.space}, not on X")
-    return m
-
-
 def cmd_bridge(args) -> int:
     if args.config:
-        problem = build_problem(_require(load_config(args.config), "problem", "config"))
+        with _input("the config"):
+            problem_cfg = load_config(args.config)["problem"]
+        problem = build_problem(problem_cfg)
     elif args.problem:
         problem = build_problem({"name": args.problem})
     else:
         raise ConfigError("bridge needs --problem or --config")
-    mu0 = _read_measure("--mu0", args.mu0, _load_mu0)
-    if mu0.space != "Z":
-        raise ConfigError(f"--mu0: {args.mu0} holds a measure on {mu0.space}, not on Z")
-    m1 = _read_marginal("--m1", args.m1)
-    _check_parameters(problem, m1, "--m1")
+    mu0 = _load_mu0(args.mu0, "--mu0", "Z")
+    m1 = _load_mu0(args.m1, "--m1", "X")
+    with _input("--m1"):
+        problem.initial_decision_batch(m1.xs)
     result = bridge(mu0, m1, problem)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -364,46 +324,47 @@ def cmd_bridge(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    dist = _distribution(args.dist, "--dist")
-    _check_atom_count(args.n, "--n")
-    if args.method == "grid":
-        m = _quantized(quantize_grid, "--dist", dist, args.n)
-        trunc = grid_truncation(dist, args.n)
-        if trunc:
-            print(f"truncated {dist.describe()} at quantile {trunc[0]} (x <= {trunc[1]:.6g})")
-    else:
-        m = _quantized(quantize_sample, "--dist", dist, args.n, args.seed)
+    with _input("--n"):
+        n = _count(args.n, "n")
+    with _input("--dist"):
+        dist = SourceDistribution.parse(args.dist)
+        m = quantize_grid(dist, n) if args.method == "grid" else quantize_sample(dist, n, args.seed)
+    trunc = grid_truncation(dist, n) if args.method == "grid" else None
+    if trunc:
+        print(f"truncated {dist.describe()} at quantile {trunc[0]} (x <= {trunc[1]:.6g})")
     m.save_json(args.out)
-    print(f"quantize[{args.method}] {dist.describe()} n={args.n} -> {args.out}")
+    print(f"quantize[{args.method}] {dist.describe()} n={n} -> {args.out}")
     return 0
 
 
 def cmd_report(args) -> int:
     path = Path(args.run) / "final.json"
-    with _reading(path, "--run: "), open(path) as fh:
-        final = json.load(fh)
-    cert = final["certificate"]
-    print(f"algorithm      : {final['algorithm']}")
-    print(f"problem        : {final['problem'].get('name')}")
-    print(f"iterations run : {final['iterations_run']}"
-          + (" (early exit)" if final.get("stopped_early") else ""))
-    print(f"objective      : {cert['primal_value']:.10g}")
-    print(f"gap            : {cert['gap']:.4g}")
-    print(f"lower bound    : {cert['primal_value'] - cert['gap']:.10g}")
-    info = final["problem"]
-    factor = RATE_FACTORS.get(final["algorithm"])
-    default_rule = final["config"].get("step_rule", "2/(k+2)") == "2/(k+2)"
-    if factor and default_rule and {"grad_lipschitz", "sup_g_diff_sq"} <= info.keys():
-        k = final["iterations_run"]
-        print(f"{factor}LD/K at K={k}  : {factor * info['grad_lipschitz'] * info['sup_g_diff_sq'] / k:.4g}")
-    if final.get("beyond_guarantee"):
-        print("note           : K exceeds twice the support size; outside the guaranteed regime")
-    hist = path.parent / "history.csv"
-    if hist.exists():
-        with open(hist) as fh:
-            gaps = [float(r["gap"]) for r in csv.DictReader(fh)]
-        if gaps:
-            print(f"min gap seen   : {min(gaps):.4g}")
+    with _input("--run", path):
+        with open(path) as fh:
+            final = json.load(fh)
+        cert, info = final["certificate"], final["problem"]
+        lines = [f"algorithm      : {final['algorithm']}",
+                 f"problem        : {info.get('name')}",
+                 f"iterations run : {final['iterations_run']}"
+                 + (" (early exit)" if final.get("stopped_early") else ""),
+                 f"objective      : {cert['primal_value']:.10g}",
+                 f"gap            : {cert['gap']:.4g}",
+                 f"lower bound    : {cert['primal_value'] - cert['gap']:.10g}"]
+        factor = RATE_FACTORS.get(final["algorithm"])
+        default_rule = final["config"].get("step_rule", "2/(k+2)") == "2/(k+2)"
+        if factor and default_rule and {"grad_lipschitz", "sup_g_diff_sq"} <= info.keys():
+            k = final["iterations_run"]
+            bound = factor * info["grad_lipschitz"] * info["sup_g_diff_sq"] / k
+            lines.append(f"{factor}LD/K at K={k}  : {bound:.4g}")
+        if final.get("beyond_guarantee"):
+            lines.append("note           : K exceeds twice the support size; outside the guaranteed regime")
+        hist = path.parent / "history.csv"
+        if hist.exists():
+            with open(hist) as fh:
+                gaps = [float(r["gap"]) for r in csv.DictReader(fh)]
+            if gaps:
+                lines.append(f"min gap seen   : {min(gaps):.4g}")
+    print("\n".join(lines))
     return 0
 
 

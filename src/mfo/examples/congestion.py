@@ -154,7 +154,10 @@ class CongestionProblem(QuadraticCostProblem):
         return np.asarray(trajs, dtype=float) + shift
 
     def initial_decision_batch(self, xs) -> np.ndarray:
-        return np.repeat(np.asarray(xs, dtype=float)[:, :1], self.steps + 1, axis=1)
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != 1:
+            raise ValueError(f"congestion parameters are one start per row, got shape {xs.shape}")
+        return np.repeat(xs, self.steps + 1, axis=1)
 
     # -- reporting helpers ---------------------------------------------------
 

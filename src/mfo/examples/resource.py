@@ -123,8 +123,11 @@ class ResourceProblem(QuadraticCostProblem):
         return np.where(x1 >= x0, qs, out)
 
     def initial_decision_batch(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != 1:
+            raise ValueError(f"resource parameters are one stock per row, got shape {xs.shape}")
         # q = 0 spends nothing: it fits every stock down to -FEAS_TOL, feasible_batch's slack
-        budgets = np.asarray(xs, dtype=float)[:, 0]
+        budgets = xs[:, 0]
         short = ~(budgets >= -FEAS_TOL)
         if short.any():
             raise ValueError(f"x={float(budgets[short.argmax()])!r} is a negative stock: "

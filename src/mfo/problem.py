@@ -102,7 +102,8 @@ class MfoProblem:
       ``set_lipschitz * d(x, x2)``;
     * ``initial_decision_batch(xs)`` -- any feasible decision per row
       (solver warm start), or a ``ValueError`` naming a parameter that
-      has none.
+      has none or giving the shape of a batch that is not one
+      parameter per row.
 
     The solvers sweep a marginal many times, with a sweep bound once:
     ``bind(xs)`` returns an object whose ``best_response_rows(lam)``

@@ -61,7 +61,8 @@ class SourceDistribution:
         if kind == "exponential":
             return cls("exponential", rate=float(rest) if rest else 1.0)
         if kind == "samples":
-            return cls("samples", data=np.loadtxt(rest, ndmin=1))
+            with open(rest) as fh:
+                return cls("samples", data=np.loadtxt(fh, ndmin=1))
         raise ValueError(f"cannot parse distribution spec {spec!r}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -128,11 +129,8 @@ def quantize_grid(dist: SourceDistribution, n: int) -> EmpiricalMeasure:
         raise ValueError("need at least one atom")
     mids = (np.arange(n) + 0.5) / n
     with np.errstate(over="ignore"):        # an overflowing quantile is rejected below
-        if dist.kind == "exponential":
-            qmax = 1.0 - 1.0 / (4.0 * n)
-            points = dist.quantile(mids * qmax)
-        else:
-            points = dist.quantile(mids)
+        trunc = grid_truncation(dist, n)
+        points = dist.quantile(mids * trunc[0] if trunc else mids)
     return _equal_mass_atoms(dist, points, n)
 
 

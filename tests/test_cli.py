@@ -108,6 +108,17 @@ class TestSolveVerb:
         m1 = (out / "rep001" / "marginal.json").read_bytes()
         assert m0 != m1
 
+    def test_repeats_build_the_game_once(self, tmp_path, monkeypatch):
+        from mfo.examples import ResourceProblem
+
+        built = []
+        from_config = ResourceProblem.from_config.__func__
+        monkeypatch.setattr(ResourceProblem, "from_config",
+                            classmethod(lambda cls, cfg: built.append(cfg) or from_config(cls, cfg)))
+        cfg = write_config(tmp_path / "cfg.json", solver={"algorithm": "fw", "iterations": 3})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "batch"), "--repeats", "3"]) == 0
+        assert len(built) == 1
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 1, "problem": {"name": "nope"}, "marginal": {}}))
@@ -390,6 +401,50 @@ class TestSolveVerb:
         assert "repeats" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, flags, message", [
+    (lambda cfg: [cfg], [], "the config must be a JSON object, got list"),
+    (lambda cfg: {**cfg, "marginal": [cfg["marginal"]]}, [], "the marginal block must be a JSON object, got list"),
+    (lambda cfg: {**cfg, "solver": [cfg["solver"]]}, [], "the solver block must be a JSON object, got list"),
+    (lambda cfg: {**cfg, "problem": "resource"}, [], "the problem block must be a JSON object, got str"),
+    (lambda cfg: {**cfg, "problem": "resource"}, ["--problem", "resource"],
+     "the problem block must be a JSON object, got str"),
+], ids=["config_list", "marginal_list", "solver_list", "problem_string", "problem_string_with_flag"])
+def test_block_that_is_no_object_is_a_config_error(tmp_path, capsys, edit, flags, message):
+    cfg = write_config(tmp_path / "cfg.json")
+    cfg.write_text(json.dumps(edit(json.loads(cfg.read_text()))))
+    out = tmp_path / "x"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("game, problem, width", [
+    ("resource", {"name": "resource", "steps": 5}, 2),
+    ("congestion", {"name": "congestion", "steps": 5, "grid_substeps": 5}, 2),
+    ("traffic", {"name": "traffic", "network": "pigou"}, 3),
+])
+@pytest.mark.parametrize("verb", ["solve", "bridge"])
+def test_parameters_of_another_width_are_a_config_error(tmp_path, capsys, verb, game, problem, width):
+    """Resource and congestion take one number per parameter row, traffic an (origin, destination) pair."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", problem=problem,
+                       marginal={"atoms": [{"x": [0.5] * width, "w": 0.5}, {"x": [0.25] * width, "w": 0.5}]},
+                       solver={"algorithm": "fw", "iterations": 3})
+    if verb == "solve":
+        argv, label = ["solve", "--config", str(cfg), "--out", str(out)], "the marginal block"
+    else:
+        mu0, m1 = tmp_path / "mu0.json", tmp_path / "m1.json"
+        EmpiricalMeasure.from_atoms("Z", [([0.5], [0.0], 1.0)]).save_json(mu0)
+        EmpiricalMeasure.from_atoms("X", [([0.5] * width, 0.5), ([0.25] * width, 0.5)]).save_json(m1)
+        argv = ["bridge", "--mu0", str(mu0), "--m1", str(m1), "--config", str(cfg), "--out", str(out)]
+        label = "--m1"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {label}: {game} parameters are ")
+    assert err.endswith(f"got shape (2, {width})\n")
+    assert not out.exists()
+
+
 class TestCsvArtifacts:
     GAMES = {
         "resource": ({"name": "resource", "steps": 10},
@@ -451,9 +506,10 @@ class TestQuantizeVerb:
     ("dist", "foo:1", "the marginal block: dist: cannot parse distribution spec 'foo:1'"),
     ("dist", "uniform:1,0", "the marginal block: dist: uniform needs high > low"),
     ("dist", "uniform:a", "the marginal block: dist: could not convert string to float: 'a'"),
-    ("dist", "samples:{tmp}/gone.txt", "the marginal block: dist: cannot read the samples file: {tmp}/gone.txt"),
+    ("dist", "samples:{tmp}/gone.txt",
+     "the marginal block: dist: cannot read {tmp}/gone.txt: No such file or directory"),
     ("n", 0, "the marginal block: n must be at least 1, got 0"),
-    ("atoms", [{"x": [1.0]}], "the marginal block: an atoms entry has no key 'w'"),
+    ("atoms", [{"x": [1.0]}], "the marginal block: atoms: missing key 'w'"),
     ("atoms", [{"x": [1.0], "w": 0.5}], "the marginal block: atoms: weights sum to 0.5, expected 1"),
     ("file", "not_json", "the marginal block: {tmp}/m.json: line 1, column 2: "),
     ("file", "config", "the marginal block: {tmp}/m.json holds no measure: missing key 'space'"),
@@ -461,8 +517,8 @@ class TestQuantizeVerb:
     ("--dist", "foo:1", "--dist: cannot parse distribution spec 'foo:1'"),
     ("--dist", "uniform:1,0", "--dist: uniform needs high > low"),
     ("--dist", "uniform:a", "--dist: could not convert string to float: 'a'"),
-    ("--dist", "samples:{tmp}/gone.txt", "--dist: cannot read the samples file: {tmp}/gone.txt"),
-    ("--n", "0", "--n must be at least 1, got 0"),
+    ("--dist", "samples:{tmp}/gone.txt", "--dist: cannot read {tmp}/gone.txt: No such file or directory"),
+    ("--n", "0", "--n: n must be at least 1, got 0"),
 ], ids=["dist_unknown", "dist_empty_interval", "dist_not_a_number", "dist_missing_samples", "n_zero",
         "atom_without_w", "weights_sum_half", "file_not_json", "file_without_space", "file_on_pairs",
         "flag_dist_unknown", "flag_dist_empty_interval", "flag_dist_not_a_number",

@@ -319,3 +319,28 @@ def test_solving_and_bridging_leave_the_game_as_built(name):
     assert after.keys() == built.keys()
     assert [k for k, v in built.items() if after[k] is not v] == []
     assert [k for k, v in arrays.items() if built[k].tobytes() != v] == []
+
+
+# a parameter width each game refuses: resource and congestion take one number per row
+BAD_WIDTHS = {"congestion": 2, "resource": 2, "traffic": 3}
+
+
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_parameters_of_another_width_are_refused_before_any_sweep(name, monkeypatch):
+    prob = GAMES[name][0]()
+    width = BAD_WIDTHS[name]
+    m = EmpiricalMeasure("X", xs=np.full((3, width), 0.5), weights=np.full(3, 1.0 / 3.0))
+    with pytest.raises(ValueError, match=re.escape(f"got shape (3, {width})")):
+        prob.initial_decision_batch(m.xs)
+    sweeps = []
+
+    def bind(xs):
+        sweep = type(prob).bind(prob, xs)
+        rows = sweep.best_response_rows
+        sweep.best_response_rows = lambda lam: sweeps.append(lam) or rows(lam)
+        return sweep
+
+    monkeypatch.setattr(prob, "bind", bind)
+    with pytest.raises(ValueError, match=re.escape(f"got shape (3, {width})")):
+        fw_solve(prob, m, SolverConfig(iterations=3))
+    assert sweeps == []

@@ -104,6 +104,13 @@ class TestGrid:
         assert np.all(m.xs < cut)
         assert grid_truncation(UNIFORM, n) is None
 
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_exponential_grid_is_the_truncated_quantile_midpoints(self, n):
+        # the atoms keep the bits of quantile((i + 1/2)/N * (1 - 1/(4N))), the reported cut
+        dist = SourceDistribution("exponential", rate=1.0)
+        expected = -np.log1p(-((np.arange(n) + 0.5) / n * (1.0 - 1.0 / (4.0 * n))))
+        assert quantize_grid(dist, n).xs[:, 0].tobytes() == expected.tobytes()
+
     def test_grid_dominates_sampling(self):
         # deterministic quantizer beats the Monte-Carlo rate at every tested size
         for n in (2, 4, 8, 16):
