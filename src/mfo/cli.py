@@ -112,6 +112,13 @@ def _load_mu0(path, label: str, space: str) -> EmpiricalMeasure:
     return m
 
 
+def _name_problem(cfg: dict, name) -> dict:
+    """``cfg`` with ``--problem``, if given, as its problem block's ``name``."""
+    if name:
+        _object(cfg.setdefault("problem", {}), "the problem block")["name"] = name
+    return cfg
+
+
 def build_problem(problem_cfg: dict):
     with _input("the problem block"):
         name = _object(problem_cfg, "the problem block")["name"]
@@ -143,7 +150,7 @@ def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
         m = _load_mu0(marginal_cfg["file"], label, "X")
     elif "atoms" in marginal_cfg:
         with _input(f"{label}: atoms"):
-            m = EmpiricalMeasure.from_atoms("X", [(a["x"], a["w"]) for a in marginal_cfg["atoms"]], merge=False)
+            m = EmpiricalMeasure.from_json_dict({"space": "X", "atoms": marginal_cfg["atoms"]})
     else:
         with _input(f"{label}: dist"):
             dist = SourceDistribution.parse(marginal_cfg["dist"])
@@ -248,9 +255,7 @@ def _run_single(problem, marginal_cfg, algorithm, solver_cfg, out: Path):
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    if args.problem:
-        _object(cfg.setdefault("problem", {}), "the problem block")["name"] = args.problem
+    cfg = _name_problem(load_config(args.config), args.problem)
     with _input("the config" if args.repeats is None else "--repeats"):
         repeats = _count(cfg.get("repeats", 1) if args.repeats is None else args.repeats, "repeats")
     algorithm, solver_cfg = build_solver_config(cfg.get("solver", {}), args.seed)
@@ -285,14 +290,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bridge(args) -> int:
-    if args.config:
-        with _input("the config"):
-            problem_cfg = load_config(args.config)["problem"]
-        problem = build_problem(problem_cfg)
-    elif args.problem:
-        problem = build_problem({"name": args.problem})
-    else:
+    if not (args.config or args.problem):
         raise ConfigError("bridge needs --problem or --config")
+    cfg = _name_problem(load_config(args.config) if args.config else {}, args.problem)
+    with _input("the config"):
+        problem_cfg = cfg["problem"]
+    problem = build_problem(problem_cfg)
     mu0 = _load_mu0(args.mu0, "--mu0", "Z")
     m1 = _load_mu0(args.m1, "--m1", "X")
     with _input("--m1"):
@@ -332,6 +335,7 @@ def cmd_quantize(args) -> int:
     trunc = grid_truncation(dist, n) if args.method == "grid" else None
     if trunc:
         print(f"truncated {dist.describe()} at quantile {trunc[0]} (x <= {trunc[1]:.6g})")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     m.save_json(args.out)
     print(f"quantize[{args.method}] {dist.describe()} n={n} -> {args.out}")
     return 0
@@ -384,7 +388,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu0", required=True,
                    help="final.json of a run, or a bare measure JSON; the bridge certifies its gap itself")
     p.add_argument("--m1", required=True, help="target marginal JSON")
-    p.add_argument("--problem", default=None)
+    p.add_argument("--problem", default=None, help="override the configured problem name")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bridge)

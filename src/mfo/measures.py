@@ -1,15 +1,17 @@
 """Finitely supported probability measures over parameter/decision spaces.
 
-A measure lives on one of two spaces:
+A measure is its arrays: parameters ``xs``, decisions ``ys`` and
+``weights``, one row per atom.  It lives on one of two spaces, which
+``ys`` tells apart:
 
-* ``"X"`` -- parameter points only (marginals),
+* ``"X"`` -- parameter points only (marginals): ``ys`` is ``None``,
 * ``"Z"`` -- parameter/decision pairs ``(x, y)`` (solutions).
 
-Atoms are stored as packed float arrays in insertion order, so seeded
-runs are bit-reproducible.  Weights are general nonnegative reals (not
-forced to ``1/N``): convex mixtures keep their accumulated products
-exactly.  All operations are pure; instances are immutable after
-construction and safe to share between threads.
+Atoms are kept in insertion order, so seeded runs are bit-reproducible.
+Weights are general nonnegative reals (not forced to ``1/N``): convex
+mixtures keep their accumulated products exactly.  All operations are
+pure; instances are immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -25,9 +27,18 @@ ATOM_TOL = 1e-12
 #: tolerance on the total-mass-one invariant
 WEIGHT_TOL = 1e-12
 
-_SPACE_COLUMNS = {"X": ("x",), "Z": ("x", "y")}
+#: the keys of an atom record in a measure's JSON, which also prefix its
+#: CSV columns: the parameter, the decision (on Z only) and the weight
+_KEYS = ("x", "y", "w")
 #: atoms per json.dumps call when a measure is written (see _write_json)
 _JSON_CHUNK_ATOMS = 256
+
+
+def _keys(space):
+    """The keys of an atom record on ``space``."""
+    if space not in ("X", "Z"):
+        raise ValueError(f"unknown space tag {space!r}")
+    return _KEYS if space == "Z" else _KEYS[::2]
 
 
 def _atom_groups(columns, weights):
@@ -79,12 +90,10 @@ def _chained(keys, order):
 class EmpiricalMeasure:
     """A finitely supported probability measure with ordered atoms."""
 
-    __slots__ = ("space", "xs", "ys", "weights")
+    __slots__ = ("xs", "ys", "weights")
 
     def __init__(self, space, xs=None, ys=None, weights=None, validate=True):
-        if space not in _SPACE_COLUMNS:
-            raise ValueError(f"unknown space tag {space!r}")
-        object.__setattr__(self, "space", space)
+        _keys(space)     # checks the tag
         n = None
         for name, arr in (("xs", xs), ("ys", ys)):
             if arr is not None:
@@ -95,14 +104,10 @@ class EmpiricalMeasure:
                 if arr.shape[0] != n:
                     raise ValueError("inconsistent atom counts")
             object.__setattr__(self, name, arr)
-        needed = _SPACE_COLUMNS[space]
-        have = {"x": self.xs is not None, "y": self.ys is not None}
-        for col in needed:
-            if not have[col]:
-                raise ValueError(f"space {space!r} requires column {col!r}")
-        for col, present in have.items():
-            if present and col not in needed:
-                raise ValueError(f"space {space!r} does not take column {col!r}")
+        if xs is None:
+            raise ValueError(f"space {space!r} requires column 'x'")
+        if (ys is None) != (space == "X"):
+            raise ValueError(f"space {space!r} {'requires' if ys is None else 'does not take'} column 'y'")
         if weights is None:
             raise ValueError("weights are required")
         w = np.ascontiguousarray(weights, dtype=float)
@@ -111,18 +116,19 @@ class EmpiricalMeasure:
         object.__setattr__(self, "weights", w)
         if validate:
             self._validate()
-        for name in self.__slots__:
-            arr = getattr(self, name)
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
+        for arr in self.columns() + (w,):
+            arr.setflags(write=False)
+
+    @property
+    def space(self):
+        return "X" if self.ys is None else "Z"
 
     def __setattr__(self, name, value):
         raise AttributeError("EmpiricalMeasure is immutable")
 
     def _validate(self):
-        for arr in (self.xs, self.ys):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValueError("atom coordinates must be finite")
+        if not all(np.all(np.isfinite(arr)) for arr in self.columns()):
+            raise ValueError("atom coordinates must be finite")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("atom weights must be finite")
         if np.any(self.weights < 0):
@@ -140,26 +146,26 @@ class EmpiricalMeasure:
         Each atom is ``(x, w)`` on space X and ``(x, y, w)`` on Z.  With
         ``merge=True`` duplicate atoms are coalesced by :meth:`merged`.
         """
-        k = len(_SPACE_COLUMNS[space])
-        if any(len(atom) != k + 1 for atom in atoms):
-            raise ValueError(f"space {space!r} atoms take {k} coordinate(s)")
-        mu = cls._from_lists(space, [[atom[j] for atom in atoms] for j in range(k)],
-                             [atom[k] for atom in atoms])
+        k = len(_keys(space))
+        if any(len(atom) != k for atom in atoms):
+            raise ValueError(f"space {space!r} atoms take {k - 1} coordinate(s)")
+        mu = cls._from_lists(space, [[atom[j] for atom in atoms] for j in range(k)])
         return mu.merged() if merge else mu
 
     @classmethod
-    def _from_lists(cls, space, points, weights):
-        """A measure from one list of points per coordinate column, and the weights."""
+    def _from_lists(cls, space, lists):
+        """A measure from one list per record key: the coordinates, then the weights."""
+        *points, weights = lists
         n = len(weights)
         if not n:
             raise ValueError("a probability measure needs at least one atom")
-        arrays = {}
-        for c, column in zip(_SPACE_COLUMNS[space], points):
+        arrays = []
+        for key, column in zip(_KEYS, points):
             arr = np.array(column, dtype=float)
             if arr.ndim > 2:
-                raise ValueError(f"atom coordinate {c!r} must be a vector, got shape {arr.shape[1:]}")
-            arrays[c] = arr.reshape(n, -1)
-        return cls(space, xs=arrays.get("x"), ys=arrays.get("y"), weights=np.array(weights, dtype=float))
+                raise ValueError(f"atom coordinate {key!r} must be a vector, got shape {arr.shape[1:]}")
+            arrays.append(arr.reshape(n, -1))
+        return cls(space, *arrays, weights=np.array(weights, dtype=float))
 
     @classmethod
     def dirac(cls, space, *coords):
@@ -171,7 +177,8 @@ class EmpiricalMeasure:
         return len(self.weights)
 
     def columns(self):
-        return tuple(getattr(self, {"x": "xs", "y": "ys"}[c]) for c in _SPACE_COLUMNS[self.space])
+        """The coordinate arrays: ``(xs,)`` on X, ``(xs, ys)`` on Z."""
+        return (self.xs,) if self.ys is None else (self.xs, self.ys)
 
     def __repr__(self):
         return f"EmpiricalMeasure(space={self.space!r}, atoms={len(self)})"
@@ -209,11 +216,9 @@ class EmpiricalMeasure:
     def _collapse(self, ids, first):
         """One atom per group: the first member's coordinates, the summed weight."""
         keep = ids >= 0
-        picked = {c: col[first] for c, col in zip(_SPACE_COLUMNS[self.space], self.columns())}
         return EmpiricalMeasure(
             self.space,
-            xs=picked.get("x"),
-            ys=picked.get("y"),
+            *(col[first] for col in self.columns()),
             weights=np.bincount(ids[keep], weights=self.weights[keep], minlength=len(first)),
             validate=False,
         )
@@ -225,17 +230,13 @@ class EmpiricalMeasure:
 
     def _json_atoms(self, start, stop):
         """The atom records of rows ``start:stop``, as ``to_json_dict`` lists them."""
-        keys = _SPACE_COLUMNS[self.space] + ("w",)
-        columns = [arr[start:stop].tolist() for arr in self.columns()] + [self.weights[start:stop].tolist()]
-        return [dict(zip(keys, rec)) for rec in zip(*columns)]
+        columns = [arr[start:stop].tolist() for arr in self.columns() + (self.weights,)]
+        return [dict(zip(_keys(self.space), rec)) for rec in zip(*columns)]
 
     @classmethod
     def from_json_dict(cls, d):
         space, atoms = d["space"], d["atoms"]
-        if space not in _SPACE_COLUMNS:
-            raise ValueError(f"unknown space tag {space!r}")
-        points = [[rec[c] for rec in atoms] for c in _SPACE_COLUMNS[space]]
-        return cls._from_lists(space, points, [rec["w"] for rec in atoms])
+        return cls._from_lists(space, [[rec[key] for rec in atoms] for key in _keys(space)])
 
     def save_json(self, path):
         _write_json(path, self)
@@ -247,16 +248,12 @@ class EmpiricalMeasure:
 
     def save_csv(self, path):
         """One atom per row; coordinate columns expanded (for plotting)."""
-        cols = _SPACE_COLUMNS[self.space]
-        names = self.columns()
-        header = []
-        for c, arr in zip(cols, names):
-            header += [f"{c}{k}" for k in range(arr.shape[1])]
-        header.append("w")
+        columns = self.columns()
+        header = [f"{key}{k}" for key, arr in zip(_KEYS, columns) for k in range(arr.shape[1])]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(np.column_stack(names + (self.weights,)).tolist())
+            writer.writerow(header + [_KEYS[-1]])
+            writer.writerows(np.column_stack(columns + (self.weights,)).tolist())
 
 
 def _marginal_groups(mu: EmpiricalMeasure):
@@ -279,19 +276,9 @@ def mix(mu_a: EmpiricalMeasure, mu_b: EmpiricalMeasure, omega: float) -> Empiric
         raise ValueError(f"cannot mix measures on {mu_a.space!r} and {mu_b.space!r}")
     if not 0.0 <= omega <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
-    cols = _SPACE_COLUMNS[mu_a.space]
-    arrays = {}
-    for c, a, b in zip(cols, mu_a.columns(), mu_b.columns()):
-        arrays[c] = np.vstack([a, b])
     w = np.concatenate([(1.0 - omega) * mu_a.weights, omega * mu_b.weights])
-    out = EmpiricalMeasure(
-        mu_a.space,
-        xs=arrays.get("x"),
-        ys=arrays.get("y"),
-        weights=w,
-        validate=False,
-    )
-    return out.merged()
+    columns = (np.vstack(pair) for pair in zip(mu_a.columns(), mu_b.columns()))
+    return EmpiricalMeasure(mu_a.space, *columns, weights=w, validate=False).merged()
 
 
 def validate_feasible(mu: EmpiricalMeasure, problem) -> None:

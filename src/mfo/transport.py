@@ -290,10 +290,13 @@ def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> 
     :func:`_monotone_potential`.  Every reduced cost ``d(x, x2) - u - v``
     must be at least ``-DUAL_TOL``, and the plan cost within ``DUAL_TOL``
     of the dual value ``u.m0 + v.m1``; a plan that fails raises
-    ``RuntimeError``.
+    ``RuntimeError``.  Marginals whose parameters differ in width raise
+    ``ValueError``.
     """
     _check_marginal_input(m0, "m0")
     _check_marginal_input(m1, "m1")
+    if m0.xs.shape[1] != m1.xs.shape[1]:
+        raise ValueError(f"m0 has parameters of width {m0.xs.shape[1]}, m1 of width {m1.xs.shape[1]}")
     D = metric.pairwise(m0.xs, m1.xs)
     if not np.all(np.isfinite(D)):
         raise ValueError("ground metric is not finite on the support pairs")
@@ -352,8 +355,11 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult
     bound.  ``gap_after`` certifies the output itself: its duality gap
     for ``m1``, from one best-response sweep over ``m1``, so that
     ``lower_bound_after = objective_after - gap_after`` lies below the
-    optimal value for ``m1``.
+    optimal value for ``m1``.  An ``m1`` that
+    ``problem.initial_decision_batch`` refuses raises its ``ValueError``
+    before any plan is solved.
     """
+    problem.initial_decision_batch(m1.xs)
     m0, group = _marginal_groups(mu0)
     # the plan first: an LP plan or the traffic hop metric imports scipy, and
     # doing so beside the contribution rows below leaves a larger peak RSS

@@ -37,6 +37,13 @@ def uniform_marginal(xs):
     return EmpiricalMeasure("X", xs=xs, weights=np.full(len(xs), 1.0 / len(xs)), validate=False)
 
 
+def assert_same_bits(a, b):
+    """Both measures hold the same arrays, bit for bit, and so lie on the same space."""
+    assert a.space == b.space and (a.ys is None) == (b.ys is None)
+    for ca, cb in zip(a.columns() + (a.weights,), b.columns() + (b.weights,)):
+        assert ca.shape == cb.shape and ca.tobytes() == cb.tobytes()
+
+
 # one-row forms of the batch oracles, for tests that look at one point
 def row(p):
     """One point as a one-row batch."""

@@ -83,6 +83,25 @@ class TestBridgeBasics:
         assert result.aggregate_shift <= prob.set_lipschitz * result.transport_cost + 1e-7
         assert 0.0 <= result.gap_after <= result.eta
 
+    @pytest.mark.parametrize("game, message", [
+        ("resource_problem", "resource parameters are one stock per row"),
+        ("congestion_problem", "congestion parameters are one start per row"),
+    ], ids=["resource", "congestion"])
+    def test_target_of_another_width_is_refused_before_the_plan(self, request, monkeypatch, game, message):
+        prob = request.getfixturevalue(game)
+        m0 = uniform_marginal([0.05, 0.15])
+        from mfo import linearized_solve
+
+        mu0 = linearized_solve(prob, prob.f_grad(np.zeros(len(prob.hilbert_weights))), m0)
+        m1 = EmpiricalMeasure("X", xs=np.array([[0.1, 0.2], [0.3, 0.4]]), weights=np.full(2, 0.5))
+
+        def no_plan(*args):
+            raise AssertionError("a plan was solved")
+
+        monkeypatch.setattr("mfo.transport.ot_solve", no_plan)
+        with pytest.raises(ValueError, match=rf"{message}, got shape \(2, 2\)"):
+            bridge(mu0, m1, prob)
+
     def test_broken_selection_raises(self, resource_problem):
         class Broken(type(resource_problem)):
             def transport_select_batch(self, xs, qs, x2s):

@@ -394,6 +394,20 @@ class TestSolveVerb:
         final = json.loads((out / "final.json").read_text())
         assert final["problem"]["name"] == "traffic"
 
+    def test_marginal_atoms_and_file_give_the_same_run(self, tmp_path):
+        # one reader parses a marginal file and an atoms block: the same
+        # atoms give the same run byte for byte
+        m = tmp_path / "m.json"
+        assert main(["quantize", "--dist", "exponential:1", "--n", "12", "--seed", "3", "--out", str(m)]) == 0
+        solver = {"algorithm": "fw", "iterations": 20}
+        sources = {"file": {"file": str(m)}, "atoms": {"atoms": json.loads(m.read_text())["atoms"]}}
+        for name, marginal in sources.items():
+            cfg = write_config(tmp_path / f"{name}.json", marginal=marginal, solver=solver)
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        for artifact in ("final.json", "marginal.json", "extraction.csv"):
+            assert (tmp_path / "file" / artifact).read_bytes() == (tmp_path / "atoms" / artifact).read_bytes()
+        assert (tmp_path / "atoms" / "marginal.json").read_bytes() == m.read_bytes()
+
     def test_repeats_must_be_positive(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x"),
@@ -488,6 +502,11 @@ class TestQuantizeVerb:
                      "--method", "grid", "--out", str(out)]) == 0
         m = EmpiricalMeasure.load_json(out)
         np.testing.assert_allclose(m.xs[:, 0], [0.125, 0.375, 0.625, 0.875])
+
+    def test_out_creates_its_directory(self, tmp_path):
+        out = tmp_path / "new" / "nested" / "m.json"
+        assert main(["quantize", "--dist", "exponential:1", "--n", "5", "--out", str(out)]) == 0
+        assert len(EmpiricalMeasure.load_json(out)) == 5
 
     def test_exponential_truncation_reported(self, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -720,6 +739,29 @@ class TestBridgeVerb:
         cfg, run = self._run(tmp_path)
         assert main(["bridge", "--mu0", str(run / "final.json"),
                      "--m1", str(run / "marginal.json"), "--out", str(tmp_path / "o")]) == 2
+
+    def test_problem_flag_names_the_game_as_in_solve(self, tmp_path):
+        # the config's problem block has no name: --problem gives it one in both verbs
+        cfg = write_config(tmp_path / "cfg.json", problem={"steps": 6, "price_impact": 0.5},
+                           solver={"algorithm": "fw", "iterations": 10})
+        run, out = tmp_path / "run", tmp_path / "bridged"
+        assert main(["solve", "--config", str(cfg), "--problem", "resource", "--out", str(run)]) == 0
+        assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(run / "marginal.json"),
+                     "--config", str(cfg), "--problem", "resource", "--out", str(out)]) == 0
+        final = json.loads((run / "final.json").read_text())
+        report = json.loads((out / "bridge_report.json").read_text())
+        assert report["problem"] == final["problem"]
+        assert final["problem"]["name"] == "resource" and final["problem"]["steps"] == 6
+
+    def test_problem_flag_overrides_the_configured_name_as_in_solve(self, tmp_path, capsys):
+        cfg, run = self._run(tmp_path)
+        errors = []
+        for verb in (["solve"], ["bridge", "--mu0", str(run / "final.json"), "--m1", str(run / "marginal.json")]):
+            assert main(verb + ["--config", str(cfg), "--problem", "nosuch", "--out", str(tmp_path / "o")]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "the problem block: unknown problem 'nosuch'" in errors[0]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", ["--mu0", "--m1"])
     @pytest.mark.parametrize("fault, message", [

@@ -6,7 +6,9 @@ import pytest
 
 import mfo.measures
 from mfo import EmpiricalMeasure, first_marginal, mix
-from mfo.measures import ATOM_TOL, _SPACE_COLUMNS
+from mfo.measures import ATOM_TOL
+
+from conftest import assert_same_bits
 
 
 def reference_merged(mu):
@@ -36,8 +38,7 @@ def reference_merged(mu):
         total[g] += w[i]
     order_out = np.argsort(rep, kind="stable")
     sel = orig[rep[order_out]]
-    picked = {c: col[sel] for c, col in zip(_SPACE_COLUMNS[mu.space], mu.columns())}
-    return EmpiricalMeasure(mu.space, xs=picked.get("x"), ys=picked.get("y"),
+    return EmpiricalMeasure(mu.space, *(col[sel] for col in mu.columns()),
                             weights=total[order_out], validate=False)
 
 
@@ -70,6 +71,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             EmpiricalMeasure("X", ys=np.zeros((1, 1)), weights=np.array([1.0]))
 
+    @pytest.mark.parametrize("space, columns, message", [
+        ("X", {"ys": np.zeros((1, 1))}, "space 'X' does not take column 'y'"),
+        ("Z", {}, "space 'Z' requires column 'y'"),
+        ("Y", {}, "unknown space tag 'Y'"),
+    ])
+    def test_space_tag_is_checked_against_the_decisions(self, space, columns, message):
+        with pytest.raises(ValueError, match=message):
+            EmpiricalMeasure(space, xs=np.zeros((1, 1)), weights=np.ones(1), **columns)
+
     def test_immutable(self):
         mu = EmpiricalMeasure.dirac("X", [0.0])
         with pytest.raises(AttributeError):
@@ -85,20 +95,14 @@ class TestConstruction:
 
 def tricky_measure(rng, space, n):
     """Atoms with exact duplicates, near-duplicate chains and zero weights."""
-    dims = {"x": 2, "y": 2}
-    base = {c: rng.integers(0, 2, size=(n, dims[c])).astype(float) for c in _SPACE_COLUMNS[space]}
+    # the parameters, then on Z the decisions, each of two components
+    base = [rng.integers(0, 2, size=(n, 2)).astype(float) for _ in range(1 + (space == "Z"))]
     # chains of near-duplicates, each step 0.9 * ATOM_TOL in one coordinate
     steps = rng.integers(0, 4, size=n) * 0.9 * ATOM_TOL
-    base[_SPACE_COLUMNS[space][0]][:, 0] += steps * rng.integers(0, 2, size=n)
+    base[0][:, 0] += steps * rng.integers(0, 2, size=n)
     w = rng.random(n) * (rng.random(n) > 0.2)
     w[rng.integers(0, n)] += 0.5
-    return EmpiricalMeasure(space, xs=base.get("x"), ys=base.get("y"), weights=w / w.sum(), validate=False)
-
-
-def assert_same_bits(a, b):
-    assert a.space == b.space
-    for ca, cb in zip(a.columns() + (a.weights,), b.columns() + (b.weights,)):
-        assert ca.shape == cb.shape and ca.tobytes() == cb.tobytes()
+    return EmpiricalMeasure(space, *base, weights=w / w.sum(), validate=False)
 
 
 class TestMergeMatchesReference:
@@ -231,7 +235,7 @@ class TestSerialization:
         # reference: the per-atom writer and the from_atoms reader the
         # column-wise ones replaced; same text, same arrays
         mu = tricky_measure(np.random.default_rng(7), space, 40)
-        cols = _SPACE_COLUMNS[space]
+        cols = ("x", "y") if space == "Z" else ("x",)
         atoms = [dict({c: col[i].tolist() for c, col in zip(cols, mu.columns())}, w=float(w))
                  for i, w in enumerate(mu.weights)]
         text = json.dumps({"space": space, "atoms": atoms})

@@ -1,14 +1,18 @@
 """Property tests for merging, gluing and bridging on generated measures, and for bound sweeps."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfo import EmpiricalMeasure, SolverConfig, bridge, first_marginal, fw_solve
+from mfo import EmpiricalMeasure, SolverConfig, bridge, first_marginal, fw_solve, mix
 from mfo.examples import CongestionProblem, ResourceProblem, TrafficProblem, grid_network
 from mfo.measures import ATOM_TOL
 from mfo.problem import QuadraticCostProblem
+
+from conftest import assert_same_bits
 
 PROPS = settings(max_examples=40, deadline=None)
 PROBLEM = ResourceProblem(horizon=2.0, steps=8)
@@ -46,6 +50,27 @@ def test_merge_conserves_mass_and_is_idempotent(mu):
         assert a.tobytes() == b.tobytes()
 
 
+@PROPS
+@given(st.one_of(x_measures, z_measures, measure("Z", {"x": 2, "y": 1})))
+def test_a_measure_is_its_arrays(mu):
+    # the space is read from the decisions, and every operation keeps it
+    assert mu.space == ("X" if mu.ys is None else "Z")
+    assert len(mu.columns()) == 1 + (mu.ys is not None)
+    out = mu.merged()
+    assert_same_bits(out.merged(), out)
+    assert_same_bits(mix(out, mu, 0.0), out)
+    assert_same_bits(mix(mu, out, 1.0), out)
+    # the first marginal is the parameters merged on their own
+    pairs = out if out.ys is not None else EmpiricalMeasure("Z", xs=out.xs, ys=np.zeros((len(out), 1)),
+                                                            weights=out.weights)
+    assert_same_bits(first_marginal(pairs), EmpiricalMeasure("X", xs=out.xs, weights=out.weights).merged())
+    # a JSON round trip, and the tuple reader on the same atoms
+    again = EmpiricalMeasure.from_json_dict(json.loads(json.dumps(mu.to_json_dict())))
+    assert_same_bits(again, mu)
+    atoms = list(zip(*(col.tolist() for col in mu.columns() + (mu.weights,))))
+    assert_same_bits(EmpiricalMeasure.from_atoms(mu.space, atoms, merge=False), again)
+
+
 class TagSource(QuadraticCostProblem):
     """Selection keeps the source atom ``(x, y)`` as the decision; nothing
     is infeasible and nothing contributes, so a bridge shows its glue."""
@@ -67,6 +92,9 @@ class TagSource(QuadraticCostProblem):
 
     def transport_select_batch(self, xs, ys, x2s):
         return np.hstack([xs, ys])
+
+    def initial_decision_batch(self, xs):
+        return np.zeros((len(xs), 1))
 
 
 def check_glue(mu0, m1):

@@ -202,6 +202,16 @@ class TestOtSolve:
         with pytest.raises(ValueError):
             ot_solve(mu, m, EUCLID)
 
+    @pytest.mark.parametrize("w0, w1", [(1, 2), (2, 1)])
+    def test_rejects_parameters_of_different_widths(self, monkeypatch, w0, w1):
+        # refused before the ground distances: pairwise would broadcast a
+        # single column against two
+        monkeypatch.setattr(MetricSpec, "pairwise", lambda *args: pytest.fail("distances computed"))
+        m0 = EmpiricalMeasure("X", xs=np.arange(2.0 * w0).reshape(2, w0), weights=np.full(2, 0.5))
+        m1 = EmpiricalMeasure("X", xs=np.ones((3, w1)), weights=np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match=f"m0 has parameters of width {w0}, m1 of width {w1}"):
+            ot_solve(m0, m1, EUCLID)
+
 
 def assert_duals_certify(D, cols, u, v):
     """(u, v) are feasible for the dual of the assignment and price it exactly."""
@@ -307,6 +317,9 @@ class KeepDecision(QuadraticCostProblem):
 
     def transport_select_batch(self, xs, ys, x2s):
         return np.asarray(ys, dtype=float)
+
+    def initial_decision_batch(self, xs):
+        return np.zeros((len(xs), 1))
 
 
 def atoms(mu):
