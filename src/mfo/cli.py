@@ -14,10 +14,11 @@ is reproducible from (config, seed); the only non-reproducible column
 is the measured ``time_ms`` in ``history.csv``.  Batch repeats run one
 after another on one game, each with its own seed.
 
-Exit codes: 0 on success; 2 on a config or input error; 3 on an oracle
-failure.  Every input is read and checked under :func:`_input`, so a
-config error starts with the block or flag at fault; a clash between
-keys or flags names them instead.
+Exit codes: 0 on success; 2 on a config, input or output error; 3 on
+an oracle failure.  Every input is read and checked under :func:`_input`
+and every artifact written under :func:`_output`, so a config error
+starts with the block or flag at fault; a clash between keys or flags
+names them instead.  ``--out`` is made before the solve or the plan.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from .examples import PROBLEM_CLASSES
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, _write_csv, _write_json, validate_feasible
 from .problem import OracleError, _count, _integer
 from .quantize import SourceDistribution, grid_truncation, quantize_grid, quantize_sample
 from .solvers import SolverConfig, fw_solve, sfw_solve
-from .transport import bridge
+from .transport import _is_uniform, bridge
 
 CONFIG_SCHEMA = 1
 CONFIG_KEYS = ("schema", "problem", "marginal", "solver", "repeats")
@@ -71,6 +72,22 @@ def _input(label: str, path=None):
         raise ConfigError(f"{label}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{label}: {exc}") from exc
+
+
+@contextmanager
+def _output(path):
+    """What writing ``path`` or under it raises is a config error that starts with ``--out``; nothing else is caught."""
+    try:
+        yield
+    except OSError as exc:     # a full disk names no file
+        raise ConfigError(f"--out: cannot write {exc.filename or path}: {exc.strerror}") from exc
+
+
+def _out_dir(path) -> Path:
+    """``path``, made as a directory if it is none yet: each verb's one ``mkdir``."""
+    with _output(path):
+        Path(path).mkdir(parents=True, exist_ok=True)
+    return Path(path)
 
 
 def _object(block, context: str) -> dict:
@@ -178,79 +195,67 @@ def build_solver_config(solver_cfg: dict, seed_override=None) -> tuple[str, Solv
         algorithm = solver_cfg.get("algorithm", "fw")
         if algorithm not in ("fw", "sfw"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        return algorithm, SolverConfig(
-            iterations=solver_cfg.get("iterations", 100),
-            step_rule=solver_cfg.get("step_rule", SolverConfig.step_rule),
-            n_sims=solver_cfg.get("n_sims", 1),
-            seed=solver_cfg.get("seed", 0) if seed_override is None else seed_override,
-            monotone_guard=solver_cfg.get("monotone_guard", True),
-            gap_tol=solver_cfg.get("gap_tol"),
-        )
+        fields = {key: solver_cfg[key] for key in SOLVER_KEYS[1:] if key in solver_cfg}
+        if seed_override is not None:
+            fields["seed"] = seed_override
+        return algorithm, SolverConfig(**fields)
+
+
+def _decisions(problem, report, m_n):
+    """One decision row per atom of ``m_n``: SFW's own, else the best responses at the final dual point."""
+    if report.decisions is not None:
+        return report.decisions
+    return problem.best_response_batch(report.certificate.lam, m_n.xs)
+
+
+def _agent_rows(times, *columns):
+    """CSV rows ``agent, t, times[t], column[agent, t]...``; each column holds one row per agent."""
+    n, steps = columns[0].shape
+    return zip(np.repeat(np.arange(n), steps).tolist(), np.tile(np.arange(steps), n).tolist(),
+               np.tile(times, n).tolist(), *(c.ravel().tolist() for c in columns))
 
 
 def _write_resource_dumps(problem, report, m_n, out: Path):
-    lam = report.certificate.lam
-    if report.decisions is not None:
-        profiles = report.decisions
-    else:
-        profiles = problem.best_response_batch(lam, m_n.xs)
-    with open(out / "extraction.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["agent", "t", "time", "q", "stock"])
-        times = problem.times.tolist()
-        for i, (x, q) in enumerate(zip(m_n.xs, profiles)):
-            stocks = problem.stock_trajectory(x, q).tolist()
-            writer.writerows([i, t, times[t], qt, stocks[t]] for t, qt in enumerate(q.tolist()))
+    profiles = _decisions(problem, report, m_n)
+    stocks = problem.stock_trajectory(m_n.xs, profiles)[:, :-1]
+    _write_csv(out / "extraction.csv", ["agent", "t", "time", "q", "stock"],
+               _agent_rows(problem.times, profiles, stocks))
     rate = problem.aggregate_rate(report.certificate.beta)
-    with open(out / "aggregate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "time", "Q"])
-        writer.writerows(zip(range(problem.steps), problem.times.tolist(), rate.tolist()))
+    _write_csv(out / "aggregate.csv", ["t", "time", "Q"],
+               zip(range(problem.steps), problem.times.tolist(), rate.tolist()))
 
 
 def _write_congestion_dumps(problem, report, m_n, out: Path):
-    if report.decisions is not None:
-        trajs = report.decisions
-    else:
-        trajs = problem.best_response_batch(report.certificate.lam, m_n.xs)
-    with open(out / "trajectories.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["agent", "t", "time", "position"])
-        for i, tr in enumerate(trajs):
-            for t in range(problem.steps + 1):
-                writer.writerow([i, t, repr(t * problem.dt), repr(float(tr[t]))])
+    _write_csv(out / "trajectories.csv", ["agent", "t", "time", "position"],
+               _agent_rows(np.arange(problem.steps + 1) * problem.dt, _decisions(problem, report, m_n)))
 
 
 def _write_traffic_dumps(problem, report, m_n, out: Path):
-    flows, lam = report.certificate.beta, report.certificate.lam
-    with open(out / "flows.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["edge", "tail", "head", "flow", "latency"])
-        for e, edge in enumerate(problem.edges):
-            writer.writerow([e, edge.tail, edge.head, repr(float(flows[e])), repr(float(lam[e]))])
+    flows, lam = report.certificate.beta.tolist(), report.certificate.lam.tolist()
+    _write_csv(out / "flows.csv", ["edge", "tail", "head", "flow", "latency"],
+               ([e, edge.tail, edge.head, flows[e], lam[e]] for e, edge in enumerate(problem.edges)))
 
 
-_DUMPERS = {
-    "resource": _write_resource_dumps,
-    "congestion": _write_congestion_dumps,
-    "traffic": _write_traffic_dumps,
-}
+_DUMPERS = {"resource": _write_resource_dumps, "congestion": _write_congestion_dumps, "traffic": _write_traffic_dumps}
 
 
 def _run_single(problem, marginal_cfg, algorithm, solver_cfg, out: Path):
     m_n = build_marginal(marginal_cfg, problem, solver_cfg.seed)
+    if algorithm == "sfw" and not _is_uniform(m_n):
+        raise ConfigError("the marginal block: the stochastic solver needs uniform weights 1/N")
+    _out_dir(out)
     solver = sfw_solve if algorithm == "sfw" else fw_solve
     try:
         report = solver(problem, m_n, solver_cfg)
     except OracleError as exc:
         raise OracleError(f"{exc} (run seed {solver_cfg.seed})") from exc
-    out.mkdir(parents=True, exist_ok=True)
-    report.write_history_csv(out / "history.csv")
-    report.save_final_json(out / "final.json")
-    m_n.save_json(out / "marginal.json")
-    dumper = _DUMPERS.get(problem.name)
-    if dumper:
-        dumper(problem, report, m_n, out)
+    with _output(out):
+        report.write_history_csv(out / "history.csv")
+        report.save_final_json(out / "final.json")
+        m_n.save_json(out / "marginal.json")
+        dumper = _DUMPERS.get(problem.name)
+        if dumper:
+            dumper(problem, report, m_n, out)
     return report
 
 
@@ -277,14 +282,10 @@ def cmd_solve(args) -> int:
         if problem.name == "resource":
             rates.append(problem.aggregate_rate(report.certificate.beta))
     if rates:
-        rates = np.vstack(rates)
-        with open(out / "aggregate_batch.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "time", "mean", "std"])
-            times = problem.times.tolist()
-            for t in range(problem.steps):
-                writer.writerow([t, repr(times[t]),
-                                 repr(float(rates[:, t].mean())), repr(float(rates[:, t].std()))])
+        with _output(out):
+            _write_csv(out / "aggregate_batch.csv", ["t", "time", "mean", "std"],
+                       ([t, time, float(rate.mean()), float(rate.std())]
+                        for t, (time, rate) in enumerate(zip(problem.times.tolist(), np.vstack(rates).T))))
     print(f"solve[{problem.name}] repeats={repeats} max_gap={max(gaps):.3g}")
     return 0
 
@@ -300,26 +301,17 @@ def cmd_bridge(args) -> int:
     m1 = _load_mu0(args.m1, "--m1", "X")
     with _input("--m1"):
         problem.initial_decision_batch(m1.xs)
+    with _input("--mu0"):
+        validate_feasible(mu0, problem)
+    out = _out_dir(args.out)
     result = bridge(mu0, m1, problem)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result.measure.save_json(out / "bridged.json")
-    report = {
-        "schema": 1,
-        "problem": problem.describe(),
-        "eps0": result.eps0,
-        "d1": result.transport_cost,
-        "eta": result.eta,
-        "aggregate_shift": result.aggregate_shift,
-        "objective_before": result.objective_before,
-        "objective_after": result.objective_after,
-        "gap_after": result.gap_after,
-        "lower_bound_after": result.lower_bound_after,
-        "coupling": result.coupling.to_json_dict(),
-    }
-    # json.dumps uses the C encoder; json.dump always streams through pure Python
-    with open(out / "bridge_report.json", "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    report = {"schema": 1, "problem": problem.describe(), "d1": result.transport_cost,
+              "coupling": result.coupling.to_json_dict(),
+              **{key: getattr(result, key) for key in ("eps0", "eta", "aggregate_shift", "objective_before",
+                                                      "objective_after", "gap_after", "lower_bound_after")}}
+    with _output(out):
+        result.measure.save_json(out / "bridged.json")
+        _write_json(out / "bridge_report.json", report, sort_keys=True, separators=(",", ":"))
     print(f"bridge[{problem.name}] d1={result.transport_cost:.6g} eta={result.eta:.6g} (a priori) "
           f"objective {result.objective_before:.8g} -> {result.objective_after:.8g} "
           f"gap_after={result.gap_after:.3g} lower_bound_after={result.lower_bound_after:.8g}")
@@ -335,8 +327,9 @@ def cmd_quantize(args) -> int:
     trunc = grid_truncation(dist, n) if args.method == "grid" else None
     if trunc:
         print(f"truncated {dist.describe()} at quantile {trunc[0]} (x <= {trunc[1]:.6g})")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    m.save_json(args.out)
+    _out_dir(Path(args.out).parent)
+    with _output(args.out):
+        m.save_json(args.out)
     print(f"quantize[{args.method}] {dist.describe()} n={n} -> {args.out}")
     return 0
 

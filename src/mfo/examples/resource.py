@@ -137,9 +137,9 @@ class ResourceProblem(QuadraticCostProblem):
     # -- reporting helpers ---------------------------------------------------
 
     def stock_trajectory(self, x, q) -> np.ndarray:
-        """Remaining stock before each step, plus the final level."""
-        x0 = float(np.atleast_1d(x)[0])
-        return x0 - self.dt * np.concatenate([[0.0], np.cumsum(q)])
+        """Remaining stock before each step, plus the final level; one row per agent for rows of ``x`` and ``q``."""
+        drawn = np.cumsum(q, axis=-1)
+        return np.atleast_1d(x)[..., :1] - self.dt * np.concatenate([np.zeros_like(drawn[..., :1]), drawn], axis=-1)
 
     def aggregate_rate(self, beta: np.ndarray) -> np.ndarray:
         """Population extraction rate per time step."""

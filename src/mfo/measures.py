@@ -161,7 +161,14 @@ class EmpiricalMeasure:
             raise ValueError("a probability measure needs at least one atom")
         arrays = []
         for key, column in zip(_KEYS, points):
-            arr = np.array(column, dtype=float)
+            try:
+                arr = np.array(column, dtype=float)
+            except ValueError:
+                odd = next((i for i, c in enumerate(column) if np.shape(c) != np.shape(column[0])), None)
+                if odd is None:
+                    raise
+                raise ValueError(f"atom {odd}: coordinate {key!r} has shape {np.shape(column[odd])}, "
+                                 f"atom 0's has shape {np.shape(column[0])}") from None
             if arr.ndim > 2:
                 raise ValueError(f"atom coordinate {key!r} must be a vector, got shape {arr.shape[1:]}")
             arrays.append(arr.reshape(n, -1))
@@ -250,10 +257,7 @@ class EmpiricalMeasure:
         """One atom per row; coordinate columns expanded (for plotting)."""
         columns = self.columns()
         header = [f"{key}{k}" for key, arr in zip(_KEYS, columns) for k in range(arr.shape[1])]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header + [_KEYS[-1]])
-            writer.writerows(np.column_stack(columns + (self.weights,)).tolist())
+        _write_csv(path, header + [_KEYS[-1]], np.column_stack(columns + (self.weights,)).tolist())
 
 
 def _marginal_groups(mu: EmpiricalMeasure):
@@ -289,6 +293,14 @@ def validate_feasible(mu: EmpiricalMeasure, problem) -> None:
     if len(bad):
         i = bad[0]
         raise ValueError(f"infeasible atom {i}: y not in Z_x for x={mu.xs[i]}")
+
+
+def _write_csv(path, header, rows):
+    """Writes ``header``, then ``rows``, to ``path``; the csv module writes a float as its ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(path, obj, **dumps_kwargs):

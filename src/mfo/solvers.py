@@ -32,13 +32,12 @@ so does the final certificate.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, _write_json, first_marginal
+from .measures import EmpiricalMeasure, _write_csv, _write_json, first_marginal
 from .problem import (DualCertificate, MfoProblem, _certificate_pass, _certify, _count, _integer,
                       _support_values, aggregate, fw_gap)
 from .transport import MARGINAL_TOL, _is_uniform
@@ -139,12 +138,8 @@ class SolveReport:
         return np.array([r.gap for r in self.records])
 
     def write_history_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "objective", "gap", "lambda_norm", "time_ms"])
-            for r in self.records:
-                writer.writerow([r.k, repr(r.objective), repr(r.gap),
-                                 repr(r.lambda_norm), repr(r.time_ms)])
+        _write_csv(path, ["k", "objective", "gap", "lambda_norm", "time_ms"],
+                   ([r.k, r.objective, r.gap, r.lambda_norm, r.time_ms] for r in self.records))
 
     def final_json_dict(self):
         out = self._final_fields()

@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import os
 import re
 import warnings
 from pathlib import Path
@@ -118,6 +120,42 @@ class TestSolveVerb:
         cfg = write_config(tmp_path / "cfg.json", solver={"algorithm": "fw", "iterations": 3})
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "batch"), "--repeats", "3"]) == 0
         assert len(built) == 1
+
+    def test_sfw_on_a_non_uniform_marginal_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "congestion", "steps": 5, "grid_substeps": 5},
+                           marginal={"atoms": [{"x": 0.05, "w": 0.25}, {"x": 0.1, "w": 0.25}, {"x": 0.15, "w": 0.5}]},
+                           solver={"algorithm": "sfw", "iterations": 3})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: the marginal block: the stochastic solver needs uniform weights 1/N")
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_refused_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        import mfo.cli
+
+        solved = []
+        monkeypatch.setattr(mfo.cli, "fw_solve", lambda *args: solved.append(args))
+        cfg = write_config(tmp_path / "cfg.json", solver={"algorithm": "fw", "iterations": 3})
+        out = tmp_path / "taken"
+        out.write_text("a file")
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --out: cannot write {out}: ")
+        assert solved == []
+        assert out.read_text() == "a file"
+
+    def test_broken_oracle_contract_is_an_oracle_failure(self, tmp_path, capsys, monkeypatch):
+        from mfo.examples import ResourceProblem
+
+        # a best response that extracts a negative amount is infeasible at every stock
+        monkeypatch.setattr(ResourceProblem, "best_response_batch",
+                            lambda self, lam, xs: np.full((len(xs), self.steps), -1.0))
+        cfg = write_config(tmp_path / "cfg.json", solver={"algorithm": "fw", "iterations": 3})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("oracle failure: ")
+        assert not (out / "final.json").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -408,6 +446,17 @@ class TestSolveVerb:
             assert (tmp_path / "file" / artifact).read_bytes() == (tmp_path / "atoms" / artifact).read_bytes()
         assert (tmp_path / "atoms" / "marginal.json").read_bytes() == m.read_bytes()
 
+    def test_mixed_shape_atoms_name_the_atom(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "congestion", "steps": 5, "grid_substeps": 5},
+                           marginal={"atoms": [{"x": 0.05, "w": 0.5}, {"x": [0.1], "w": 0.5}]},
+                           solver={"algorithm": "fw", "iterations": 3})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: the marginal block: atoms: atom 1: coordinate 'x' has shape (1,), "
+                "atom 0's has shape ()" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_repeats_must_be_positive(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x"),
@@ -459,6 +508,18 @@ def test_parameters_of_another_width_are_a_config_error(tmp_path, capsys, verb, 
     assert not out.exists()
 
 
+def reference_agent_rows(problem, mu):
+    """The per-game dump of an SFW run, cell by cell, from a loop over its agents and steps."""
+    rows = []
+    for i, (x, y) in enumerate(zip(mu.xs, mu.ys)):
+        if problem.name == "resource":
+            stocks, times = problem.stock_trajectory(x, y).tolist(), problem.times.tolist()
+            rows += [[i, t, times[t], q, stocks[t]] for t, q in enumerate(y.tolist())]
+        else:
+            rows += [[i, t, t * problem.dt, position] for t, position in enumerate(y.tolist())]
+    return [[repr(cell) for cell in row] for row in rows]
+
+
 class TestCsvArtifacts:
     GAMES = {
         "resource": ({"name": "resource", "steps": 10},
@@ -474,6 +535,18 @@ class TestCsvArtifacts:
                     {"algorithm": "fw", "iterations": 5},
                     {"history.csv", "flows.csv"}),
     }
+
+    @pytest.mark.parametrize("game, dump", [("resource", "extraction.csv"), ("congestion", "trajectories.csv")])
+    def test_dump_holds_the_bits_of_a_loop_over_agents(self, tmp_path, game, dump):
+        problem, marginal, _, _ = self.GAMES[game]
+        cfg = write_config(tmp_path / "cfg.json", problem=problem, marginal=marginal,
+                           solver={"algorithm": "sfw", "iterations": 4, "n_sims": 2})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--seed", "2"]) == 0
+        mu = EmpiricalMeasure.from_json_dict(json.loads((out / "final.json").read_text())["measure"])
+        with open(out / dump) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == reference_agent_rows(build_problem(problem), mu)
 
     @pytest.mark.parametrize("game", sorted(GAMES))
     def test_every_cell_parses_as_a_number(self, tmp_path, game):
@@ -507,6 +580,22 @@ class TestQuantizeVerb:
         out = tmp_path / "new" / "nested" / "m.json"
         assert main(["quantize", "--dist", "exponential:1", "--n", "5", "--out", str(out)]) == 0
         assert len(EmpiricalMeasure.load_json(out)) == 5
+
+    def test_out_naming_a_directory_is_an_output_error(self, tmp_path, capsys):
+        out = tmp_path / "dir"
+        out.mkdir()
+        assert main(["quantize", "--dist", "exponential:1", "--n", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --out: cannot write {out}: ")
+        assert list(out.iterdir()) == []
+
+    def test_write_error_that_names_no_file_names_out(self, tmp_path, capsys, monkeypatch):
+        def disk_full(self, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(EmpiricalMeasure, "save_json", disk_full)
+        out = tmp_path / "m.json"
+        assert main(["quantize", "--dist", "exponential:1", "--n", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: --out: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
 
     def test_exponential_truncation_reported(self, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -787,6 +876,32 @@ class TestBridgeVerb:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {flag}: " + message.format(path=path, space=space, other=other) in err
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_refused_before_the_plan(self, tmp_path, capsys, monkeypatch):
+        import mfo.cli
+
+        cfg, run = self._run(tmp_path)
+        planned = []
+        monkeypatch.setattr(mfo.cli, "bridge", lambda *args: planned.append(args))
+        out = tmp_path / "taken"
+        out.write_text("a file")
+        assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(run / "marginal.json"),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --out: cannot write {out}: ")
+        assert planned == []
+        assert out.read_text() == "a file"
+
+    def test_mu0_infeasible_for_the_game_is_a_config_error(self, tmp_path, capsys):
+        # a solution of a 5-step game bridged under the 50-step default: its decisions fit no stock
+        cfg = write_config(tmp_path / "cfg.json", problem={"name": "resource", "steps": 5},
+                           solver={"algorithm": "fw", "iterations": 3})
+        run = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(run)]) == 0
+        out = tmp_path / "o"
+        assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(run / "marginal.json"),
+                     "--problem", "resource", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --mu0: infeasible atom 0: ")
         assert not out.exists()
 
     def test_traffic_target_off_the_od_pairs_is_a_config_error(self, tmp_path, capsys):

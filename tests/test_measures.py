@@ -277,3 +277,19 @@ class TestSerialization:
         for d in bad.values():
             with pytest.raises(ValueError):
                 EmpiricalMeasure.from_json_dict(d)
+
+    @pytest.mark.parametrize("atoms, message", [
+        ([(0.05, 0.5), ([0.1], 0.5)], "atom 1: coordinate 'x' has shape (1,), atom 0's has shape ()"),
+        ([([0.0], [1.0, 2.0], 0.25), ([1.0], [3.0, 4.0], 0.25), ([2.0], [5.0], 0.5)],
+         "atom 2: coordinate 'y' has shape (1,), atom 0's has shape (2,)"),
+    ], ids=["scalar_then_vector", "ragged_decisions"])
+    def test_mixed_shapes_name_the_first_odd_atom(self, atoms, message):
+        space, keys = ("X", ("x", "w")) if len(atoms[0]) == 2 else ("Z", ("x", "y", "w"))
+        d = {"space": space, "atoms": [dict(zip(keys, a)) for a in atoms]}
+        with pytest.raises(ValueError) as info:
+            EmpiricalMeasure.from_json_dict(d)
+        assert str(info.value) == message
+
+    def test_a_value_that_is_no_number_keeps_numpy_message(self):
+        with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
+            EmpiricalMeasure.from_json_dict({"space": "X", "atoms": [{"x": 0.5, "w": 0.5}, {"x": "a", "w": 0.5}]})
