@@ -38,7 +38,7 @@ from .measures import EmpiricalMeasure, _write_csv, _write_json, validate_feasib
 from .problem import OracleError, _count, _integer
 from .quantize import SourceDistribution, grid_truncation, quantize_grid, quantize_sample
 from .solvers import SolverConfig, fw_solve, sfw_solve
-from .transport import _is_uniform, bridge
+from .transport import _bridge as bridge, _is_uniform     # cmd_bridge makes the library bridge's checks itself
 
 CONFIG_SCHEMA = 1
 CONFIG_KEYS = ("schema", "problem", "marginal", "solver", "repeats")
@@ -299,6 +299,7 @@ def cmd_bridge(args) -> int:
     problem = build_problem(problem_cfg)
     mu0 = _load_mu0(args.mu0, "--mu0", "Z")
     m1 = _load_mu0(args.m1, "--m1", "X")
+    # the library bridge's checks, each under its flag; the plan below makes none
     with _input("--m1"):
         problem.initial_decision_batch(m1.xs)
     with _input("--mu0"):

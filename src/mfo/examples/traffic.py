@@ -270,9 +270,13 @@ class TrafficProblem(MfoProblem):
             out[..., ids] = getattr(kind, formula)(q[..., ids], *coeffs)
         return out
 
-    def f_value(self, beta: np.ndarray) -> float:
-        # left to right, edge by edge (sum() compensates float sums from Python 3.12)
-        return reduce(add, self._edgewise("potential", beta).tolist(), 0.0)
+    def f_value(self, beta: np.ndarray) -> float | np.ndarray:
+        # left to right, edge by edge (sum() compensates float sums from Python 3.12);
+        # a stack adds its edges' columns in the same order
+        pot = self._edgewise("potential", beta)
+        if pot.ndim == 1:
+            return reduce(add, pot.tolist(), 0.0)
+        return reduce(add, np.moveaxis(pot, -1, 0), 0.0)
 
     def f_grad(self, beta: np.ndarray) -> np.ndarray:
         return self._edgewise("latency", beta)

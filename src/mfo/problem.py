@@ -90,7 +90,11 @@ class MfoProblem:
     dual points ``lam`` are 1-D float arrays with one entry per weight.
     A game implements the cost ``f_value(beta)`` / ``f_grad(beta)``
     (gradient taken w.r.t. the weighted inner product), or inherits it
-    from :class:`QuadraticCostProblem`, and the five batch oracles:
+    from :class:`QuadraticCostProblem`, and the five batch oracles.
+    ``f_value`` also takes a stack ``(..., D)`` of aggregates and returns
+    an array of one value per aggregate, each with the bits of the call
+    on that aggregate alone, which returns a Python ``float`` (SFW scores
+    an iteration's candidates in one call).  The batch oracles:
 
     * ``g_eval_batch(xs, ys)`` -- contribution matrix, one row per pair
       and one column per entry of ``hilbert_weights``;
@@ -156,7 +160,7 @@ class MfoProblem:
         """The constants and the value of each ``config_keys`` entry."""
         return {**self._constants(), **{k: getattr(self, k) for k in self.config_keys}}
 
-    def f_value(self, beta: np.ndarray) -> float:
+    def f_value(self, beta: np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 
     def f_grad(self, beta: np.ndarray) -> np.ndarray:
@@ -207,10 +211,11 @@ class QuadraticCostProblem(MfoProblem):
     only at ``lam[1:] = 0``.
     """
 
-    def f_value(self, beta: np.ndarray) -> float:
-        sq = np.multiply(beta[1:], beta[1:])
+    def f_value(self, beta: np.ndarray) -> float | np.ndarray:
+        sq = np.multiply(beta[..., 1:], beta[..., 1:])
         sq *= self.hilbert_weights[1:]
-        return float(beta[0] + 0.5 * self.grad_lipschitz * sq.sum())
+        value = beta[..., 0] + 0.5 * self.grad_lipschitz * sq.sum(axis=-1)
+        return value if value.ndim else float(value)
 
     def f_grad(self, beta: np.ndarray) -> np.ndarray:
         lam = np.empty(len(beta))
@@ -276,18 +281,18 @@ class DualCertificate:
 
 def aggregate(problem: MfoProblem, mu: EmpiricalMeasure) -> np.ndarray:
     """Weight-sum of contributions ``sum_i w_i g(x_i, y_i)``; every atom must be feasible."""
-    return mu.weights @ _contributions(problem, mu)
+    _check_pairs(problem, mu)
+    return mu.weights @ problem.g_eval_batch(mu.xs, mu.ys)
 
 
-def _contributions(problem: MfoProblem, mu: EmpiricalMeasure) -> np.ndarray:
-    """The contribution row ``g(x_i, y_i)`` of every atom, as :func:`aggregate` checks and sums them."""
+def _check_pairs(problem: MfoProblem, mu: EmpiricalMeasure):
+    """Check that ``mu`` lies on pairs and that each atom is feasible; an infeasible one is an :class:`OracleError`."""
     if mu.space != "Z":
         raise ValueError("aggregate needs a measure on pairs")
     try:
         validate_feasible(mu, problem)
     except ValueError as exc:
         raise OracleError(str(exc)) from exc
-    return problem.g_eval_batch(mu.xs, mu.ys)
 
 
 def _check_dual_point(lam):

@@ -23,11 +23,17 @@ states, and keeps the cheapest (optionally also guarding with the
 incumbent, which makes the objective non-increasing).  Randomness comes
 from counter-based streams keyed on ``(seed; iteration, candidate)``,
 so agent draws are independent of execution order and runs are
-bit-reproducible.  A certificate pass runs once per distinct aggregate:
-an iteration whose aggregate has the bytes of the last certified one
-(the guard kept the incumbent, or the switched agents were already at
-their best response) reuses that pass and its best-response sweep, and
-so does the final certificate.
+bit-reproducible.  The candidates are scored in one stacked pass: their
+contribution rows, picked per agent from the incumbent's and the best
+responses', form one ``(n_k, N, D)`` stack of ``n_k * N * D`` doubles,
+one matmul gives their aggregates and one ``f_value`` call their
+values.  The first cheapest one below ``+inf`` wins, and its rows
+become the state's as a view, so the state holds the stack it came from
+until another candidate wins.  A certificate pass runs once per
+distinct aggregate: an iteration whose aggregate has the bytes of the
+last certified one (the guard kept the incumbent, or the switched
+agents were already at their best response) reuses that pass and its
+best-response sweep, and so does the final certificate.
 """
 
 from __future__ import annotations
@@ -285,6 +291,8 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
     the same bytes as the last certified one reuses that pass.  So does
     the final certificate if the first marginal keeps ``xs`` and ``w``
     (no two starts merge); otherwise it is :func:`~mfo.problem.fw_gap`.
+    An iteration's candidates are scored by one call of ``f_value`` on
+    the stack of their aggregates, one row per candidate.
     """
     _check_marginal(m_N)
     n = len(m_N)
@@ -300,32 +308,38 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
 
     records = []
     stopped_early = False
-    last = None        # the bytes of the aggregate that the last certificate pass took
+    # xs and w are fixed, so the certificate pass depends on the aggregate
+    # alone: key holds the state's aggregate bytes, last those of the last pass
+    beta = w @ G
+    key, last = beta.tobytes(), None
     for k in range(config.iterations):
         tic = time.perf_counter()
-        beta = w @ G
-        key = beta.tobytes()
-        if key != last:        # xs and w are fixed: the pass depends on beta alone
+        if key != last:
             lam, y_br, G_br, gap, objective, lambda_norm = _certificate_pass(problem, beta, sweep, w)
             last = key
         stopped_early = config.gap_tol is not None and gap <= config.gap_tol
         n_k = 0
         if not stopped_early:
             n_k, om = config.sims_at(k), config.omega(k)
-            # contributions are per agent, so a candidate's rows are picked from
-            # G_br and G: one g_eval_batch per iteration
-            best_val = np.inf
-            best_pick = None
+            u = np.empty((n_k, n))        # row j from candidate j's own stream (seed; k, j)
             for j in range(n_k):
                 state["state"]["counter"][2:] = k, j
                 rng.bit_generator.state = state
-                pick = (rng.random(n) < om)[:, None]
-                val = problem.f_value(w @ np.where(pick, G_br, G))
-                if val < best_val:
-                    best_val, best_pick = val, pick
-            if not (config.monotone_guard and objective < best_val):
-                y = np.where(best_pick, y_br, y)
-                G = np.where(best_pick, G_br, G)
+                rng.random(out=u[j])
+            # contributions are per agent, so each candidate's rows are picked
+            # from G_br and G, and one f_value call scores the stack
+            picks = (u < om)[:, :, None]
+            cands = np.where(picks, G_br, G)
+            betas = w @ cands
+            # the first cheapest candidate; a NaN value counts as +inf, and
+            # without a value below +inf the incumbent stays
+            vals = problem.f_value(betas)
+            vals = np.where(vals < np.inf, vals, np.inf)
+            j = int(vals.argmin())
+            if vals[j] < np.inf and not (config.monotone_guard and objective < vals[j]):
+                y = np.where(picks[j], y_br, y)
+                G, beta = cands[j], betas[j]
+                key = beta.tobytes()
         records.append(IterationRecord(k, objective, gap, lambda_norm, (time.perf_counter() - tic) * 1e3,
                                        n_candidates=n_k))
         if stopped_early:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure, _atom_groups, _marginal_groups, first_marginal
-from .problem import OracleError, _certify, _contributions, _norm
+from .problem import OracleError, _certify, _check_pairs, _norm
 
 #: tolerance on coupling marginal residuals
 MARGINAL_TOL = 1e-9
@@ -355,16 +355,23 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult
     bound.  ``gap_after`` certifies the output itself: its duality gap
     for ``m1``, from one best-response sweep over ``m1``, so that
     ``lower_bound_after = objective_after - gap_after`` lies below the
-    optimal value for ``m1``.  An ``m1`` that
-    ``problem.initial_decision_batch`` refuses raises its ``ValueError``
-    before any plan is solved.
+    optimal value for ``m1``.  Before any plan is solved, an ``m1`` that
+    ``problem.initial_decision_batch`` refuses raises its ``ValueError``,
+    and an infeasible atom of ``mu0`` an
+    :class:`~mfo.problem.OracleError`.
     """
     problem.initial_decision_batch(m1.xs)
+    _check_pairs(problem, mu0)
+    return _bridge(mu0, m1, problem)
+
+
+def _bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult:
+    """:func:`bridge` on a checked ``m1`` and ``mu0``: ``mfo bridge`` checks them itself, under its flags."""
     m0, group = _marginal_groups(mu0)
     # the plan first: an LP plan or the traffic hop metric imports scipy, and
     # doing so beside the contribution rows below leaves a larger peak RSS
     rho = ot_solve(m0, m1, problem.metric)
-    G_mu0 = _contributions(problem, mu0)
+    G_mu0 = problem.g_eval_batch(mu0.xs, mu0.ys)
     beta0 = mu0.weights @ G_mu0
     eps0 = _certify(problem, beta0, problem.bind(m0.xs), m0.weights).gap
     # plan entries sorted by marginal atom (stably), then one glued row per

@@ -123,9 +123,14 @@ class TestBridgeBasics:
         with pytest.raises(OracleError, match="moved the contribution"):
             bridge(mu0, uniform_marginal([4.9999]), prob)
 
-    def test_infeasible_mu0_raises(self, resource_problem):
+    def test_infeasible_mu0_raises(self, resource_problem, monkeypatch):
         prob = resource_problem
         mu0 = EmpiricalMeasure.from_atoms("Z", [([0.1], np.full(prob.steps, 0.5), 1.0)])  # over budget
+
+        def no_plan(*args):
+            raise AssertionError("a plan was solved")
+
+        monkeypatch.setattr("mfo.transport.ot_solve", no_plan)
         with pytest.raises(OracleError, match="infeasible atom"):
             bridge(mu0, uniform_marginal([0.1]), prob)
 

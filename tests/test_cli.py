@@ -904,6 +904,27 @@ class TestBridgeVerb:
         assert capsys.readouterr().err.startswith("config error: --mu0: infeasible atom 0: ")
         assert not out.exists()
 
+    def test_mu0_is_checked_for_feasibility_once(self, tmp_path, monkeypatch):
+        # cmd_bridge checks --mu0 under its flag; the plan and the glue check it no more
+        from mfo.examples import ResourceProblem
+
+        cfg, run = self._run(tmp_path)
+        m1 = tmp_path / "m1.json"
+        main(["quantize", "--dist", "exponential:1", "--n", "20", "--seed", "99", "--out", str(m1)])
+        checked = []
+        feasible_batch = ResourceProblem.feasible_batch
+
+        def counted(self, xs, ys):
+            checked.append((np.array(xs), np.array(ys)))
+            return feasible_batch(self, xs, ys)
+
+        monkeypatch.setattr(ResourceProblem, "feasible_batch", counted)
+        assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(m1), "--config", str(cfg),
+                     "--out", str(tmp_path / "bridged")]) == 0
+        mu0 = EmpiricalMeasure.from_json_dict(json.loads((run / "final.json").read_text())["measure"])
+        over_mu0 = [xs.tobytes() == mu0.xs.tobytes() and ys.tobytes() == mu0.ys.tobytes() for xs, ys in checked]
+        assert sum(over_mu0) == 1 and len(checked) == 2     # mu0, then the transported decisions
+
     def test_traffic_target_off_the_od_pairs_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", problem={"name": "traffic", "network": "grid10"},
                            marginal={"atoms": [{"x": [0, 7], "w": 1}]},

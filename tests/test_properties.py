@@ -1,6 +1,7 @@
-"""Property tests for merging, gluing and bridging on generated measures, and for bound sweeps."""
+"""Property tests for merging, gluing and bridging on generated measures, for bound sweeps and for stacked costs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from mfo import EmpiricalMeasure, SolverConfig, bridge, first_marginal, fw_solve, mix
 from mfo.examples import CongestionProblem, ResourceProblem, TrafficProblem, grid_network
+from mfo.examples.traffic import Edge
 from mfo.measures import ATOM_TOL
 from mfo.problem import QuadraticCostProblem
 
@@ -189,3 +191,37 @@ def test_sweep_of_a_subset_keeps_the_rows_of_the_full_sweep(game, seed):
     ys_sub, G_sub = prob.bind(xs[rows]).best_response_rows(lam)
     assert ys_sub.tobytes() == ys[rows].tobytes()
     assert G_sub.tobytes() == G[rows].tobytes()
+
+
+# the games whose f_value SFW calls on a stack of candidate aggregates;
+# "mixed" interleaves affine and BPR edges, so its potentials are formed
+# one kind at a time and scattered back to the edges' places. Both
+# networks have more than eight edges, where a numpy sum (eight-way
+# unrolled) would add them in another order than left to right
+STACKED_GAMES = {
+    "resource": ResourceProblem(),
+    "congestion": CongestionProblem(),
+    "grid10": TrafficProblem(*grid_network()),
+    "mixed": TrafficProblem(5, [Edge(0, 1, "bpr", (1.0, 1.0, 4.0)), Edge(1, 3, "affine", (0.5, 0.15)),
+                                Edge(0, 2, "affine", (0.6, 0.15)), Edge(2, 3, "bpr", (1.0, 1.0, 2.5)),
+                                Edge(1, 2, "bpr", (0.1, 0.15, 1.0)), Edge(3, 4, "affine", (0.0, 0.3)),
+                                Edge(2, 4, "bpr", (2.0, 0.5, 3.0)), Edge(0, 3, "affine", (3.0, 1.0)),
+                                Edge(1, 4, "bpr", (1.5, 0.2, 2.0))], [(0, 4), (1, 4)]),
+}
+
+
+@pytest.mark.parametrize("game", sorted(STACKED_GAMES))
+@PROPS
+@given(lead=st.sampled_from([(1,), (4,), (2, 3)]), data=st.data())
+def test_stacked_f_value_has_the_bits_of_each_row(game, lead, data):
+    prob = STACKED_GAMES[game]
+    d = len(prob.hilbert_weights)
+    flat = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=math.prod(lead) * d,
+                              max_size=math.prod(lead) * d))
+    betas = np.array(flat).reshape(lead + (d,))
+    values = prob.f_value(betas)
+    assert isinstance(values, np.ndarray) and values.shape == lead
+    for idx in np.ndindex(lead):
+        one = prob.f_value(betas[idx])
+        assert type(one) is float
+        assert np.float64(one).tobytes() == values[idx].tobytes()

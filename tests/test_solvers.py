@@ -559,10 +559,62 @@ class TestStochasticFrankWolfeSweep:
         assert report.stopped_early and report.iterations_run < 20
         assert report.records[-1].n_candidates == 0
 
+    @pytest.mark.parametrize("guard", [True, False], ids=["guard", "no_guard"])
+    @pytest.mark.parametrize("game", ["resource", "congestion"])
+    def test_a_schedule_of_stack_heights_matches_the_reference(self, game, guard, request, exp_marginal_50):
+        # the stack of candidates is one high at k = 0, two high at k = 1 and five high from then on
+        prob, m = self.instance(game, request, exp_marginal_50)
+        report = self.compare(prob, m, SolverConfig(iterations=20, n_sims=(1, 2, 5), seed=17, monotone_guard=guard))
+        assert [r.n_candidates for r in report.records[:4]] == [1, 2, 5, 5]
+
+    @pytest.mark.parametrize("guard", [True, False], ids=["guard", "no_guard"])
+    def test_traffic_matches_the_reference(self, guard, request, exp_marginal_50):
+        prob, m = self.instance("traffic", request, exp_marginal_50)
+        self.compare(prob, m, SolverConfig(iterations=30, n_sims=3, seed=17, monotone_guard=guard))
+
+    @pytest.mark.parametrize("guard", [True, False], ids=["guard", "no_guard"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0], ids=["inf", "nan", "tie"])
+    def test_choice_rule_keeps_the_first_candidate_below_inf(self, congestion_problem, value, guard):
+        # every aggregate costs value: with no candidate below +inf the
+        # incumbent stays, guard or not; on a tie the first candidate wins
+        class FixedValue(type(congestion_problem)):
+            def f_value(self, beta):
+                out = np.full(np.shape(beta)[:-1], value)
+                return out if out.ndim else float(out)
+
+        prob = FixedValue(horizon=1.0, steps=20, vmax=3.0, alpha=1.0, cells=5, smoothing=20)
+        m, cfg = congestion_starts(30, 5), SolverConfig(iterations=10, n_sims=3, seed=17, monotone_guard=guard)
+        if value == 0.0:
+            self.compare(prob, m, cfg)
+            return
+        report = sfw_solve(prob, m, cfg)
+        start, _ = _warm_start(prob, prob.bind(m.xs), m.xs, m.weights)
+        np.testing.assert_array_equal(report.decisions, start)
+        assert len({(r.gap, r.lambda_norm) for r in report.records}) == 1
+        assert [r.n_candidates for r in report.records] == [3] * 10
+
+    @pytest.mark.parametrize("guard", [True, False], ids=["guard", "no_guard"])
+    def test_a_nan_candidate_never_wins(self, congestion_problem, guard):
+        # about half of the aggregates cost NaN (those whose value ends in a
+        # set bit), so a stack mixes NaN and finite values
+        class SomeNan(type(congestion_problem)):
+            def f_value(self, beta):
+                out = np.asarray(super().f_value(beta))
+                out = np.where(out.view(np.int64) & 1, np.nan, out)
+                return out if out.ndim else float(out)
+
+        prob = SomeNan(horizon=1.0, steps=20, vmax=3.0, alpha=1.0, cells=5, smoothing=20)
+        self.compare(prob, congestion_starts(30, 5), SolverConfig(iterations=20, n_sims=3, seed=17,
+                                                                  monotone_guard=guard))
+
     @staticmethod
     def instance(game, request, exp_marginal_50):
         if game == "resource":
             return request.getfixturevalue("resource_problem"), exp_marginal_50
+        if game == "traffic":
+            # grid10's three origin-destination pairs, one agent each
+            xs = np.array([[0, 7], [1, 7], [0, 6]], dtype=float)
+            return TrafficProblem(*grid_network()), EmpiricalMeasure("X", xs=xs, weights=np.full(3, 1 / 3))
         return request.getfixturevalue("congestion_problem"), congestion_starts(30, 5)
 
     @staticmethod
