@@ -34,11 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from .examples import PROBLEM_CLASSES
-from .measures import EmpiricalMeasure, _write_csv, _write_json, validate_feasible
+from .measures import EmpiricalMeasure, _is_uniform, _write_csv, _write_json, validate_feasible
 from .problem import OracleError, _count, _integer
 from .quantize import SourceDistribution, grid_truncation, quantize_grid, quantize_sample
 from .solvers import SolverConfig, fw_solve, sfw_solve
-from .transport import _bridge as bridge, _is_uniform     # cmd_bridge makes the library bridge's checks itself
+from .transport import _bridge as bridge     # cmd_bridge makes the library bridge's checks itself
 
 CONFIG_SCHEMA = 1
 CONFIG_KEYS = ("schema", "problem", "marginal", "solver", "repeats")

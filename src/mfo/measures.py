@@ -12,6 +12,12 @@ Weights are general nonnegative reals (not forced to ``1/N``): convex
 mixtures keep their accumulated products exactly.  All operations are
 pure; instances are immutable after construction and safe to share
 between threads.
+
+The rules that every step of the method asks of a measure are stated
+here once: its space (:func:`_require_space`), uniform weights ``1/N``
+within :data:`WEIGHT_TOL` (:func:`_is_uniform`), atom identity within
+:data:`ATOM_TOL` (:func:`_atom_groups`) and the marginal tolerance
+:data:`MARGINAL_TOL`.
 """
 
 from __future__ import annotations
@@ -24,8 +30,10 @@ import numpy as np
 
 #: componentwise tolerance under which two atoms are considered identical
 ATOM_TOL = 1e-12
-#: tolerance on the total-mass-one invariant
+#: tolerance on the total-mass-one invariant, and on each weight of a uniform measure
 WEIGHT_TOL = 1e-12
+#: tolerance on a measure's first marginal, and on a coupling's marginal residuals
+MARGINAL_TOL = 1e-9
 
 #: the keys of an atom record in a measure's JSON, which also prefix its
 #: CSV columns: the parameter, the decision (on Z only) and the weight
@@ -46,26 +54,23 @@ def _atom_groups(columns, weights):
 
     ``columns`` are the 2-D coordinate blocks of the atoms.  Rows are
     sorted lexicographically and consecutive rows within
-    :data:`ATOM_TOL` in every coordinate are chained into one group;
-    zero-weight rows join no group (id -1).  Returns every row's group
-    id, numbering groups by first appearance, and each group's first row.
+    :data:`ATOM_TOL` in every coordinate are chained into one group.
+    Returns every row's group id, numbering groups by first appearance,
+    and each group's first row.  Zero-weight rows join no group: their
+    id is the group count, one past the last group.
     """
     keys = [col[:, k] for col in columns for k in range(col.shape[1])]
     order = np.lexsort(keys[::-1])
     order = order[weights[order] > 0.0]
     if not len(order):
-        return np.full(len(weights), -1, dtype=np.intp), order
+        return np.zeros(len(weights), dtype=np.intp), order
     starts = np.flatnonzero(np.concatenate(([True], ~_chained(keys, order))))
     first = np.minimum.reduceat(order, starts)
-    # the group number of every sorted row, by first appearance: it steps at
-    # each group's first row by the change of number, and a running sum, in
-    # place, carries it to the group's other rows
-    label = np.zeros(len(order), dtype=np.intp)
-    label[starts] = np.diff(np.argsort(np.argsort(first)), prepend=0)
-    np.cumsum(label, out=label)
-    ids = np.full(len(weights), -1, dtype=np.intp)
-    ids[order] = label
-    return ids, np.sort(first)
+    firsts = np.sort(first)
+    # a group's number is the rank of its first row, carried to its other sorted rows
+    ids = np.full(len(weights), len(first), dtype=np.intp)
+    ids[order] = np.repeat(np.searchsorted(firsts, first), np.diff(starts, append=len(order)))
+    return ids, firsts
 
 
 def _chained(keys, order):
@@ -221,12 +226,12 @@ class EmpiricalMeasure:
         return self._collapse(*_atom_groups(self.columns(), self.weights))
 
     def _collapse(self, ids, first):
-        """One atom per group: the first member's coordinates, the summed weight."""
-        keep = ids >= 0
+        """One atom per group: the first member's coordinates, the summed weight (rows of no group drop out)."""
+        n = len(first)
         return EmpiricalMeasure(
             self.space,
             *(col[first] for col in self.columns()),
-            weights=np.bincount(ids[keep], weights=self.weights[keep], minlength=len(first)),
+            weights=np.bincount(ids, weights=self.weights, minlength=n + 1)[:n],
             validate=False,
         )
 
@@ -260,8 +265,19 @@ class EmpiricalMeasure:
         _write_csv(path, header + [_KEYS[-1]], np.column_stack(columns + (self.weights,)).tolist())
 
 
+def _require_space(mu: EmpiricalMeasure, space: str, what: str) -> None:
+    """The space rule: ``mu``, the argument that ``what`` names, must be a measure on ``space``."""
+    if mu.space != space:
+        raise ValueError(f"{what} must be a measure on {space}, got one on {mu.space}")
+
+
+def _is_uniform(mu: EmpiricalMeasure) -> bool:
+    """The uniformity rule: every weight is within :data:`WEIGHT_TOL` of ``1/N``."""
+    return bool(np.max(np.abs(mu.weights - 1.0 / len(mu))) <= WEIGHT_TOL)
+
+
 def _marginal_groups(mu: EmpiricalMeasure):
-    """First marginal of a pair measure and each pair atom's marginal atom (-1: none)."""
+    """First marginal of a pair measure and each pair atom's marginal atom (``len(marginal)``: none)."""
     ids, first = _atom_groups((mu.xs,), mu.weights)
     marg = EmpiricalMeasure("X", xs=mu.xs, weights=mu.weights, validate=False)._collapse(ids, first)
     return marg, ids
@@ -269,8 +285,7 @@ def _marginal_groups(mu: EmpiricalMeasure):
 
 def first_marginal(mu: EmpiricalMeasure) -> EmpiricalMeasure:
     """Push a pair measure forward to its parameter marginal."""
-    if mu.space != "Z":
-        raise ValueError("first_marginal needs a measure on pairs")
+    _require_space(mu, "Z", "mu")
     return _marginal_groups(mu)[0]
 
 
@@ -287,8 +302,7 @@ def mix(mu_a: EmpiricalMeasure, mu_b: EmpiricalMeasure, omega: float) -> Empiric
 
 def validate_feasible(mu: EmpiricalMeasure, problem) -> None:
     """Check every pair atom against the problem's feasibility predicate."""
-    if mu.space != "Z":
-        raise ValueError("feasibility applies to measures on Z")
+    _require_space(mu, "Z", "mu")
     bad = np.flatnonzero(~np.asarray(problem.feasible_batch(mu.xs, mu.ys), dtype=bool))
     if len(bad):
         i = bad[0]

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, first_marginal, validate_feasible
+from .measures import EmpiricalMeasure, _require_space, first_marginal, validate_feasible
 
 if TYPE_CHECKING:
     from .transport import MetricSpec
@@ -281,14 +281,13 @@ class DualCertificate:
 
 def aggregate(problem: MfoProblem, mu: EmpiricalMeasure) -> np.ndarray:
     """Weight-sum of contributions ``sum_i w_i g(x_i, y_i)``; every atom must be feasible."""
-    _check_pairs(problem, mu)
+    _check_pairs(problem, mu, "mu")
     return mu.weights @ problem.g_eval_batch(mu.xs, mu.ys)
 
 
-def _check_pairs(problem: MfoProblem, mu: EmpiricalMeasure):
-    """Check that ``mu`` lies on pairs and that each atom is feasible; an infeasible one is an :class:`OracleError`."""
-    if mu.space != "Z":
-        raise ValueError("aggregate needs a measure on pairs")
+def _check_pairs(problem: MfoProblem, mu: EmpiricalMeasure, what: str):
+    """Check that ``mu`` (named ``what``) is on pairs, with feasible atoms; an infeasible one is an :class:`OracleError`."""
+    _require_space(mu, "Z", what)
     try:
         validate_feasible(mu, problem)
     except ValueError as exc:
@@ -303,9 +302,9 @@ def _check_dual_point(lam):
 def _support_values(problem, sweep, lam, hl=None):
     """One pass of ``sweep``, bound by ``problem.bind``: per row, the minimizer, its contribution and ``<lam, g>``.
 
-    ``hl`` is ``hilbert_weights * lam``, for a caller that has formed it
-    and checked ``lam`` (:func:`_certificate_pass` does); without ``hl``
-    the sweep checks ``lam`` itself.
+    ``hl`` is ``hilbert_weights * lam``, for a caller that has checked
+    ``lam`` (:func:`_certificate_pass` and :func:`dual_value` do);
+    without ``hl`` the sweep checks ``lam`` itself.
     """
     if hl is None:
         _check_dual_point(lam)
@@ -354,8 +353,7 @@ def _certify(problem, beta: np.ndarray, sweep, w) -> DualCertificate:
 
 def linearized_solve(problem: MfoProblem, lam: np.ndarray, m: EmpiricalMeasure) -> EmpiricalMeasure:
     """Minimize the linearized cost: one best response per support point."""
-    if m.space != "X":
-        raise ValueError("the prescribed marginal lives on X")
+    _require_space(m, "X", "the prescribed marginal m")
     ys, _, _ = _support_values(problem, problem.bind(m.xs), lam)
     return EmpiricalMeasure("Z", xs=m.xs, ys=ys, weights=m.weights, validate=False).merged()
 
@@ -385,7 +383,7 @@ def dual_value(problem: MfoProblem, lam: np.ndarray, m: EmpiricalMeasure) -> flo
     conj = problem.f_conj(lam)
     if not math.isfinite(conj):
         return math.inf
-    _, _, values = _support_values(problem, problem.bind(m.xs), lam)
+    _, _, values = _support_values(problem, problem.bind(m.xs), lam, problem.hilbert_weights * lam)
     return conj - float(m.weights @ values)
 
 

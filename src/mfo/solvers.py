@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, _write_csv, _write_json, first_marginal
+from .measures import (MARGINAL_TOL, EmpiricalMeasure, _is_uniform, _require_space, _write_csv, _write_json,
+                       first_marginal)
 from .problem import (DualCertificate, MfoProblem, _certificate_pass, _certify, _count, _integer,
                       _support_values, aggregate, fw_gap)
-from .transport import MARGINAL_TOL, _is_uniform
 
 #: the open-loop step weights by name; under ``1/(k+1)`` the iterate is the
 #: running average of the best-response measures (fictitious play)
@@ -174,11 +174,6 @@ class SolveReport:
         _write_json(path, self._final_fields(), sort_keys=True, separators=(",", ":"))
 
 
-def _check_marginal(m_N):
-    if m_N.space != "X":
-        raise ValueError("the prescribed marginal must live on X")
-
-
 def _warm_start(problem, sweep, xs, w):
     """Best responses, and their contributions, at the aggregate of a feasible start; ``sweep`` binds ``xs``."""
     y0 = problem.initial_decision_batch(xs)
@@ -205,7 +200,7 @@ def fw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig,
     After ``K`` iterations with the default step rule the suboptimality
     is at most ``2 * grad_lipschitz * sup_g_diff_sq / K``.
     """
-    _check_marginal(m_N)
+    _require_space(m_N, "X", "the prescribed marginal m_N")
     xs, w = m_N.xs, m_N.weights
     sweep = problem.bind(xs)
     if mu0 is None:
@@ -294,7 +289,7 @@ def sfw_solve(problem: MfoProblem, m_N: EmpiricalMeasure, config: SolverConfig) 
     An iteration's candidates are scored by one call of ``f_value`` on
     the stack of their aggregates, one row per candidate.
     """
-    _check_marginal(m_N)
+    _require_space(m_N, "X", "the prescribed marginal m_N")
     n = len(m_N)
     if not _is_uniform(m_N):
         raise ValueError("the stochastic solver needs uniform weights 1/N")

@@ -35,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, _atom_groups, _marginal_groups, first_marginal
+from .measures import (MARGINAL_TOL, EmpiricalMeasure, _atom_groups, _is_uniform, _marginal_groups,
+                       _require_space, first_marginal)
 from .problem import OracleError, _certify, _check_pairs, _norm
 
-#: tolerance on coupling marginal residuals
-MARGINAL_TOL = 1e-9
 #: tolerance on a plan's dual certificate: the most negative reduced cost
 #: and the gap between the plan cost and the dual value
 DUAL_TOL = 1e-9
@@ -116,10 +115,8 @@ class Coupling:
         return float(np.sum(self.masses * self.dists))
 
     def marginal_residuals(self):
-        row_sums = np.zeros(len(self.source))
-        col_sums = np.zeros(len(self.target))
-        np.add.at(row_sums, self.rows, self.masses)
-        np.add.at(col_sums, self.cols, self.masses)
+        row_sums = np.bincount(self.rows, weights=self.masses, minlength=len(self.source))
+        col_sums = np.bincount(self.cols, weights=self.masses, minlength=len(self.target))
         return (
             float(np.max(np.abs(row_sums - self.source.weights))),
             float(np.max(np.abs(col_sums - self.target.weights))),
@@ -128,15 +125,6 @@ class Coupling:
     def to_json_dict(self):
         entries = zip(self.rows.tolist(), self.cols.tolist(), self.masses.tolist())
         return {"cost": self.cost, "entries": [list(e) for e in entries]}
-
-
-def _check_marginal_input(m, label):
-    if m.space != "X":
-        raise ValueError(f"{label} must be a measure on X")
-
-
-def _is_uniform(m):
-    return bool(np.max(np.abs(m.weights - 1.0 / len(m))) <= 1e-12)
 
 
 def _monotone_1d(m0, m1):
@@ -293,8 +281,8 @@ def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> 
     ``RuntimeError``.  Marginals whose parameters differ in width raise
     ``ValueError``.
     """
-    _check_marginal_input(m0, "m0")
-    _check_marginal_input(m1, "m1")
+    _require_space(m0, "X", "m0")
+    _require_space(m1, "X", "m1")
     if m0.xs.shape[1] != m1.xs.shape[1]:
         raise ValueError(f"m0 has parameters of width {m0.xs.shape[1]}, m1 of width {m1.xs.shape[1]}")
     D = metric.pairwise(m0.xs, m1.xs)
@@ -361,7 +349,7 @@ def bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResult
     :class:`~mfo.problem.OracleError`.
     """
     problem.initial_decision_batch(m1.xs)
-    _check_pairs(problem, mu0)
+    _check_pairs(problem, mu0, "mu0")
     return _bridge(mu0, m1, problem)
 
 
@@ -377,8 +365,9 @@ def _bridge(mu0: EmpiricalMeasure, m1: EmpiricalMeasure, problem) -> BridgeResul
     # plan entries sorted by marginal atom (stably), then one glued row per
     # (mu0 atom, entry at its marginal atom) in mu0 order, then plan order
     entries = np.argsort(rho.rows, kind="stable")
-    per_group = np.bincount(rho.rows, minlength=len(m0))
-    counts = np.where(group >= 0, per_group[group], 0)
+    # a zero-weight atom of mu0 has the group len(m0), which no entry leaves
+    per_group = np.bincount(rho.rows, minlength=len(m0) + 1)
+    counts = per_group[group]
     i = np.repeat(np.arange(len(mu0)), counts)
     g = group[i]
     rank = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)

@@ -5,22 +5,21 @@ import numpy as np
 import pytest
 
 import mfo.measures
-from mfo import EmpiricalMeasure, first_marginal, mix
-from mfo.measures import ATOM_TOL
+from mfo import (EmpiricalMeasure, MetricSpec, SolverConfig, aggregate, bridge, first_marginal, fw_gap, fw_solve,
+                 linearized_solve, mix, ot_solve, sfw_solve, validate_feasible)
+from mfo.measures import ATOM_TOL, WEIGHT_TOL, _atom_groups, _is_uniform
 
 from conftest import assert_same_bits
 
 
-def reference_merged(mu):
-    """The atom-by-atom merge that ``EmpiricalMeasure.merged`` replaced."""
-    rows = np.hstack(mu.columns())
-    w = mu.weights
-    keep = w > 0.0
-    if not np.all(keep):
-        rows, w = rows[keep], w[keep]
-        orig = np.flatnonzero(keep)
-    else:
-        orig = np.arange(len(w))
+def reference_groups(mu):
+    """The atom-by-atom grouping that ``measures._atom_groups`` replaced.
+
+    Returns the group id of every row of positive weight, numbering
+    groups by first appearance, and each group's first row.
+    """
+    orig = np.flatnonzero(mu.weights > 0.0)
+    rows = np.hstack(mu.columns())[orig]
     order = np.lexsort(rows.T[::-1])
     group_of = np.empty(len(order), dtype=np.intp)
     n_groups = 0
@@ -31,15 +30,21 @@ def reference_merged(mu):
             group_of[idx] = n_groups
             n_groups += 1
     rep = np.full(n_groups, len(rows), dtype=np.intp)
-    total = np.zeros(n_groups)
-    for i in range(len(rows)):
-        g = group_of[i]
+    for i, g in enumerate(group_of):
         rep[g] = min(rep[g], i)
-        total[g] += w[i]
     order_out = np.argsort(rep, kind="stable")
-    sel = orig[rep[order_out]]
-    return EmpiricalMeasure(mu.space, *(col[sel] for col in mu.columns()),
-                            weights=total[order_out], validate=False)
+    number = np.empty(n_groups, dtype=np.intp)
+    number[order_out] = np.arange(n_groups)
+    return number[group_of], orig[rep[order_out]]
+
+
+def reference_merged(mu):
+    """The atom-by-atom merge that ``EmpiricalMeasure.merged`` replaced."""
+    ids, first = reference_groups(mu)
+    total = np.zeros(len(first))
+    for g, w in zip(ids, mu.weights[mu.weights > 0.0]):
+        total[g] += w
+    return EmpiricalMeasure(mu.space, *(col[first] for col in mu.columns()), weights=total, validate=False)
 
 
 def zmeasure(atoms):
@@ -121,7 +126,7 @@ class TestMergeMatchesReference:
     def test_merge_of_a_long_stored_run_allocates_little(self):
         # 60,000 rows of 12 coordinates that repeat, as a long stored run's
         # do: each coordinate goes through one reused buffer in sort order,
-        # and the group numbers are carried by one in-place running sum, so
+        # and the group numbers are one repeat of the groups' ranks, so
         # the merge allocates under 3.75 arrays of one double per row at its
         # peak (4.27 with a gather, a difference and an absolute value per
         # coordinate); the atoms keep their bits
@@ -145,6 +150,59 @@ class TestMergeMatchesReference:
         mu = EmpiricalMeasure("X", xs=np.array([[0.0, 3.0], [0.0, 5.0], [1e-13, 3.0]]),
                               weights=np.full(3, 1 / 3))
         assert len(mu.merged()) == 3
+
+
+class TestAtomGroups:
+    @pytest.mark.parametrize("space", ["X", "Z"])
+    def test_zero_weight_rows_take_the_group_count(self, space):
+        rng = np.random.default_rng(34)
+        for n in [1, 2, 3, 5, 8, 20, 60, 200]:
+            mu = tricky_measure(rng, space, n)
+            ids, first = _atom_groups(mu.columns(), mu.weights)
+            keep = mu.weights > 0.0
+            assert np.all(ids[~keep] == len(first))
+            ref_ids, ref_first = reference_groups(mu)
+            assert ids[keep].tobytes() == ref_ids.tobytes() and first.tobytes() == ref_first.tobytes()
+            assert_same_bits(mu._collapse(ids, first), reference_merged(mu))
+        assert not np.all(keep)        # the last measure has zero-weight rows
+
+    def test_all_zero_weights_give_no_groups(self):
+        mu = EmpiricalMeasure("Z", xs=np.zeros((3, 1)), ys=np.arange(3.0)[:, None], weights=np.zeros(3),
+                              validate=False)
+        ids, first = _atom_groups(mu.columns(), mu.weights)
+        assert ids.tolist() == [0, 0, 0] and len(first) == 0
+        assert len(mu._collapse(ids, first)) == 0
+
+
+class TestUniformity:
+    @pytest.mark.parametrize("off, uniform", [(0.9 * WEIGHT_TOL, True), (2 * WEIGHT_TOL, False)])
+    def test_tolerance_edge(self, off, uniform):
+        mu = EmpiricalMeasure("X", xs=np.arange(4.0)[:, None], weights=0.25 + np.array([off, -off, 0.0, 0.0]))
+        assert _is_uniform(mu) is uniform
+
+
+class TestSpaceRule:
+    """Every entry point that takes a measure refuses one on the wrong space, naming the argument and both spaces."""
+
+    @pytest.mark.parametrize("call, what, want", [
+        (lambda p, x, z: fw_solve(p, z, SolverConfig(iterations=1)), "m_N", "X"),
+        (lambda p, x, z: sfw_solve(p, z, SolverConfig(iterations=1)), "m_N", "X"),
+        (lambda p, x, z: ot_solve(z, x, MetricSpec()), "m0", "X"),
+        (lambda p, x, z: ot_solve(x, z, MetricSpec()), "m1", "X"),
+        (lambda p, x, z: linearized_solve(p, np.zeros(2), z), "m", "X"),
+        (lambda p, x, z: aggregate(p, x), "mu", "Z"),
+        (lambda p, x, z: fw_gap(p, x), "mu", "Z"),
+        (lambda p, x, z: bridge(x, x, p), "mu0", "Z"),
+        (lambda p, x, z: first_marginal(x), "mu", "Z"),
+        (lambda p, x, z: validate_feasible(x, p), "mu", "Z"),
+    ], ids=["fw_solve", "sfw_solve", "ot_solve-m0", "ot_solve-m1", "linearized_solve", "aggregate", "fw_gap",
+            "bridge", "first_marginal", "validate_feasible"])
+    def test_wrong_space_is_refused(self, resource_problem, call, what, want):
+        x = EmpiricalMeasure("X", xs=np.array([[1.0]]), weights=np.ones(1))
+        z = EmpiricalMeasure("Z", xs=np.array([[1.0]]), ys=np.zeros((1, resource_problem.steps)), weights=np.ones(1))
+        got = "Z" if want == "X" else "X"
+        with pytest.raises(ValueError, match=rf"\b{what} must be a measure on {want}, got one on {got}$"):
+            call(resource_problem, x, z)
 
 
 class TestFirstMarginal:
