@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .examples import PROBLEM_CLASSES
-from .measures import EmpiricalMeasure, _is_uniform, _write_csv, _write_json, validate_feasible
+from .measures import EmpiricalMeasure, _is_uniform, _write_csv, _write_json, first_marginal, validate_feasible
 from .problem import OracleError, _count, _integer
 from .quantize import SourceDistribution, grid_truncation, quantize_grid, quantize_sample
 from .solvers import SolverConfig, fw_solve, sfw_solve
@@ -304,6 +304,13 @@ def cmd_bridge(args) -> int:
         problem.initial_decision_batch(m1.xs)
     with _input("--mu0"):
         validate_feasible(mu0, problem)
+    with _input("--m1"):
+        # the plan takes a finite ground metric between the marginals' atoms
+        x0, x1 = first_marginal(mu0).xs, m1.xs
+        far = np.argwhere(~np.isfinite(problem.metric.pairwise(x0, x1)))
+        if len(far):
+            raise ValueError(f"no transport plan reaches it from the marginal of --mu0 on a finite ground metric: "
+                             f"the distance from x={x0[far[0, 0]]} to x={x1[far[0, 1]]} is infinite")
     out = _out_dir(args.out)
     result = bridge(mu0, m1, problem)
     report = {"schema": 1, "problem": problem.describe(), "d1": result.transport_cost,

@@ -11,8 +11,11 @@ is a cheapest admissible path.
 Path sets are enumerated up front (simple paths up to a hop bound) and
 kept in lexicographic edge-id order, so best responses are exact
 argmins over an explicit finite set and ties break deterministically.
-``bind`` looks up the pair of each parameter once, in a
-:class:`TrafficSweep` that a solver runs at every dual point.
+One table holds every pair's path indicators, zero-padded to one path
+count, with ``+inf`` padding costs that keep the argmin and the
+feasibility test off the padding; it serves every oracle.  ``bind``
+looks up the pair of each parameter once, in a :class:`TrafficSweep`
+that a solver runs at every dual point.
 """
 
 from __future__ import annotations
@@ -71,21 +74,26 @@ class EdgeKind:
 
     ``potential`` is the primitive of ``latency``, extended with the
     constant latency below zero flow; ``slope_bound`` bounds the
-    latency's slope on [0, 1].
+    latency's slope on [0, 1]; ``admissible`` tells, in closed form,
+    whether finite coefficients make the latency nonnegative and
+    non-decreasing on [0, 1].
     """
 
     coeff_names: tuple
     latency: Callable
     potential: Callable
     slope_bound: Callable
+    admissible: Callable
 
 
 #: the supported latency families, by ``phi_kind``
 EDGE_KINDS = {
     # a q + b
-    "affine": EdgeKind(("a", "b"), _affine_latency, _affine_potential, lambda a, b: abs(a)),
+    "affine": EdgeKind(("a", "b"), _affine_latency, _affine_potential, lambda a, b: abs(a),
+                       lambda a, b: a >= 0 and b >= 0),
     # t0 (1 + c q^p), p >= 1
-    "bpr": EdgeKind(("t0", "c", "p"), _bpr_latency, _bpr_potential, lambda t0, c, p: abs(t0 * c * p)),
+    "bpr": EdgeKind(("t0", "c", "p"), _bpr_latency, _bpr_potential, lambda t0, c, p: abs(t0 * c * p),
+                    lambda t0, c, p: t0 >= 0 and t0 * c >= 0),
 }
 
 
@@ -109,6 +117,12 @@ class Edge:
         # below 1 the slope of q^p is unbounded at 0, so no grad_lipschitz exists
         if self.phi_kind == "bpr" and not self.coeffs[2] >= 1.0:
             raise ValueError(f"{name}: BPR exponent p={self.coeffs[2]} must be at least 1")
+        named = ", ".join(f"{c}={v}" for c, v in zip(kind.coeff_names, self.coeffs))
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError(f"{name}: coefficients must be finite, got {named}")
+        if not kind.admissible(*self.coeffs):
+            raise ValueError(f"{name}: {self.phi_kind} latency with {named} is not nonnegative "
+                             "and non-decreasing on [0, 1]")
 
     def latency(self, q):
         return EDGE_KINDS[self.phi_kind].latency(q, *self.coeffs)
@@ -161,46 +175,30 @@ class TrafficProblem(MfoProblem):
             if not all(0 <= v < self.n_nodes for v in nodes):
                 raise ValueError(f"{name}: node ids must lie in [0, {self.n_nodes})")
         n_e = len(self.edges)
-        # (kind, edge ids, coefficient columns) for each kind present; a run
-        # of consecutive ids is a slice, which indexes without a copy
+        # (kind, edge ids, coefficient columns) for each kind present
         self._groups = []
         for kind_name, kind in EDGE_KINDS.items():
             ids = [e for e, edge in enumerate(self.edges) if edge.phi_kind == kind_name]
             if ids:
-                coeffs = tuple(np.array([self.edges[e].coeffs for e in ids]).T)
-                run = ids == list(range(ids[0], ids[-1] + 1))
-                self._groups.append((kind, slice(ids[0], ids[-1] + 1) if run else np.array(ids), coeffs))
+                self._groups.append((kind, np.array(ids), tuple(np.array([self.edges[e].coeffs for e in ids]).T)))
         # one family covers every edge, in id order: its formulas take the whole vector
         self._one_kind = len(self._groups) == 1
-        probe = np.linspace(0.0, 1.0, 17)
-        lat = self._edgewise("latency", np.repeat(probe[:, None], n_e, axis=1))
-        bad = (lat < 0).any(axis=0) | (np.diff(lat, axis=0) < -1e-12).any(axis=0)
-        if bad.any():
-            raise ValueError(f"edge {bad.argmax()}: latency must be nonnegative and non-decreasing on [0, 1]")
-        self.paths: dict[tuple, list] = {}
-        self.indicators: dict[tuple, np.ndarray] = {}
-        max_len = 1
-        for od in self.od_pairs:
-            paths = _enumerate_paths(self.n_nodes, self.edges, od[0], od[1], self.hop_bound)
-            if not paths:
-                raise ValueError(f"origin-destination pair {od} is disconnected")
-            ind = np.zeros((len(paths), n_e))
-            for i, p in enumerate(paths):
-                ind[i, list(p)] = 1.0
-            self.paths[od] = paths
-            self.indicators[od] = ind
-            max_len = max(max_len, max(len(p) for p in paths))
-        # each pair's path indicators, padded to one length with NaN rows
-        # that match no decision
+        self.paths = {od: _enumerate_paths(self.n_nodes, self.edges, *od, self.hop_bound) for od in self.od_pairs}
+        counts = [len(self.paths[od]) for od in self.od_pairs]
+        if 0 in counts:
+            raise ValueError(f"origin-destination pair {self.od_pairs[counts.index(0)]} is disconnected")
+        max_len = max([1] + [len(p) for paths in self.paths.values() for p in paths])
+        # each pair's path indicators, zero-padded to one path count; a
+        # padding row costs +inf, so neither the argmin nor a match takes it
         self._od_keys = np.array(self.od_pairs, dtype=float).view(np.complex128)[:, 0]
-        max_paths = max(len(p) for p in self.paths.values())
-        self._path_table = np.full((len(self.od_pairs), max_paths, n_e), np.nan)
+        self._path_table = np.zeros((len(self.od_pairs), max(counts), n_e))
+        self._pad_costs = np.where(np.arange(max(counts)) < np.array(counts)[:, None], 0.0, np.inf)
         for i, od in enumerate(self.od_pairs):
-            self._path_table[i, : len(self.paths[od])] = self.indicators[od]
-        # for the argmin: the table with zero padding, and +inf padding costs
-        # so that the first-index argmin never takes a padding row
-        self._table0 = np.nan_to_num(self._path_table, nan=0.0)
-        self._pad_costs = np.where(np.isnan(self._path_table[:, :, 0]), np.inf, 0.0)
+            for j, p in enumerate(self.paths[od]):
+                self._path_table[i, j, list(p)] = 1.0
+        self._path_table.setflags(write=False)
+        # each pair's indicator rows, a read-only view of the table
+        self.indicators = {od: self._path_table[i, :n] for i, (od, n) in enumerate(zip(self.od_pairs, counts))}
         self.hilbert_weights = _frozen_weights(np.ones(n_e))
         self.grad_lipschitz = max(e.latency_slope_bound() for e in self.edges)
         self.sup_g_norm = math.sqrt(max_len)
@@ -241,7 +239,7 @@ class TrafficProblem(MfoProblem):
     def describe(self):
         # the network itself, not the config entry that named it
         return {**self._constants(), "n_nodes": self.n_nodes, "n_edges": len(self.edges),
-                "od_pairs": self.od_pairs}
+                "od_pairs": self.od_pairs, "hop_bound": self.hop_bound}
 
     # -- model ------------------------------------------------------------
 
@@ -297,8 +295,9 @@ class TrafficProblem(MfoProblem):
         ys = np.asarray(ys, dtype=float)
         if ys.shape[1:] != (len(self.edges),):
             return np.zeros(len(ys), dtype=bool)
-        paths = self._path_table[self._od_index(xs)]
-        return np.any(np.all(np.abs(paths - ys[:, None, :]) <= FEAS_TOL, axis=2), axis=1)
+        od = self._od_index(xs)
+        match = np.all(np.abs(self._path_table[od] - ys[:, None, :]) <= FEAS_TOL, axis=2)
+        return np.any(match & (self._pad_costs[od] == 0), axis=1)
 
     def transport_select_batch(self, xs, ys, x2s) -> np.ndarray:
         od, od2 = self._od_index(xs), self._od_index(x2s)
@@ -326,7 +325,7 @@ class TrafficSweep(Sweep):
 
     def best_response_rows(self, lam: np.ndarray):
         p = self.problem
-        best = (p._table0 @ lam + p._pad_costs).argmin(axis=1)
+        best = (p._path_table @ lam + p._pad_costs).argmin(axis=1)
         ys = p._path_table[self.od, best[self.od]]
         return ys, ys       # a path contributes its indicator vector
 

@@ -271,6 +271,39 @@ class TestSolveVerb:
         assert f"config error: the traffic problem block: {paths[bad]}, {message}" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_edge_coefficient_is_a_config_error(self, tmp_path, capsys, value):
+        paths = {"edges_csv": tmp_path / "edges.csv", "od_csv": tmp_path / "od.csv"}
+        paths["edges_csv"].write_text(f"from,to,phi_kind,a,b\n0,1,affine,{value},0\n0,1,affine,0,1\n")
+        paths["od_csv"].write_text("origin,dest\n0,1\n")
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "traffic", "network": {key: str(p) for key, p in paths.items()}},
+                           marginal={"atoms": [{"x": [0, 1], "w": 1.0}]},
+                           solver={"algorithm": "fw", "iterations": 3})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert (f"config error: the traffic problem block: {paths['edges_csv']}, row 2: '0,1,affine,{value},0': "
+                f"edge 0->1: coefficients must be finite, got a={value}, b=0.0") in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("hop_bound", [None, 4], ids=["unbounded", "bounded"])
+    def test_traffic_problem_block_records_the_hop_bound(self, tmp_path, hop_bound):
+        problem = {"name": "traffic", "network": "grid10"}
+        if hop_bound is not None:
+            problem["hop_bound"] = hop_bound
+        cfg = write_config(tmp_path / "cfg.json", problem=problem,
+                           marginal={"atoms": [{"x": [0, 7], "w": 0.5}, {"x": [0, 6], "w": 0.5}]},
+                           solver={"algorithm": "fw", "iterations": 5})
+        run, out = tmp_path / "run", tmp_path / "bridged"
+        assert main(["solve", "--config", str(cfg), "--out", str(run)]) == 0
+        assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(run / "marginal.json"),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        for block in (json.loads((run / "final.json").read_text())["problem"],
+                      json.loads((out / "bridge_report.json").read_text())["problem"]):
+            assert block["hop_bound"] == (7 if hop_bound is None else hop_bound)
+            assert set(block) == {"name", "grad_lipschitz", "sup_g_norm", "sup_g_diff_sq", "sup_grad_norm",
+                                  "set_lipschitz", "n_nodes", "n_edges", "od_pairs", "hop_bound"}
+
     def test_network_block_needs_both_files(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
                            problem={"name": "traffic", "network": {"edges_csv": "e.csv"}},
@@ -938,6 +971,26 @@ class TestBridgeVerb:
                      "--out", str(out)]) == 2
         assert ("config error: --m1: x=[0. 5.] is not a configured origin-destination pair"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_target_across_network_components_is_a_config_error(self, tmp_path, capsys):
+        # (0, 1) and (2, 3) lie in two components: the hop metric between them is inf
+        (tmp_path / "edges.csv").write_text("0,1,affine,1,0\n0,1,affine,0,1\n2,3,affine,1,0.5\n")
+        (tmp_path / "od.csv").write_text("0,1\n2,3\n")
+        network = {"edges_csv": str(tmp_path / "edges.csv"), "od_csv": str(tmp_path / "od.csv")}
+        cfg = write_config(tmp_path / "cfg.json", problem={"name": "traffic", "network": network},
+                           marginal={"atoms": [{"x": [0, 1], "w": 1}]},
+                           solver={"algorithm": "fw", "iterations": 5})
+        run = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(run)]) == 0
+        m1 = tmp_path / "m1.json"
+        EmpiricalMeasure.from_atoms("X", [([2.0, 3.0], 1.0)]).save_json(m1)
+        out = tmp_path / "o"
+        assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(m1), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: --m1: no transport plan reaches it from the marginal of --mu0 on a finite ground "
+            "metric: the distance from x=[0. 1.] to x=[2. 3.] is infinite")
         assert not out.exists()
 
     def test_negative_resource_stock_is_a_config_error(self, tmp_path, capsys):

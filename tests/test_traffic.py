@@ -129,9 +129,8 @@ class TestBestResponse:
             TrafficProblem(3, edges, [(0, 2)])
 
     def test_decreasing_latency_rejected(self):
-        edges = [Edge(0, 1, "affine", (-1.0, 2.0))]
         with pytest.raises(ValueError, match="non-decreasing"):
-            TrafficProblem(2, edges, [(0, 1)])
+            Edge(0, 1, "affine", (-1.0, 2.0))
 
 
 class TestPotentialGradient:
@@ -344,6 +343,27 @@ class TestEdgeKinds:
         with pytest.raises(ValueError, match="edge 0->1: BPR exponent p=.* must be at least 1"):
             Edge(0, 1, "bpr", (1.0, 1.0, p))
 
+    @pytest.mark.parametrize("kind, coeffs", [("affine", (0.0, 0.0)), ("bpr", (0.0, -1.0, 1.0))])
+    def test_latency_rule_accepts_its_boundary(self, kind, coeffs):
+        assert Edge(0, 1, kind, coeffs).latency(np.linspace(0.0, 1.0, 5)).tolist() == [0.0] * 5
+
+    # the 17-point probe that this closed-form rule replaced accepted the first
+    # and the last of these: it forgave slopes down to -1.6e-11
+    @pytest.mark.parametrize("kind, coeffs", [("affine", (-1e-13, 1.0)), ("affine", (0.0, -1e-13)),
+                                              ("bpr", (1.0, -1e-13, 1.0))])
+    def test_latency_rule_rejects_just_past_its_boundary(self, kind, coeffs):
+        with pytest.raises(ValueError, match=r"^edge 0->1: .* is not nonnegative and non-decreasing on \[0, 1\]$"):
+            Edge(0, 1, kind, coeffs)
+
+    @pytest.mark.parametrize("kind, coeffs, named", [
+        ("affine", (math.nan, 0.0), "a=nan, b=0.0"), ("affine", (1.0, math.inf), "a=1.0, b=inf"),
+        ("bpr", (-math.inf, 1.0, 2.0), "t0=-inf, c=1.0, p=2.0"), ("bpr", (1.0, math.nan, 2.0), "t0=1.0, c=nan, p=2.0"),
+        ("bpr", (1.0, 1.0, math.inf), "t0=1.0, c=1.0, p=inf"),
+    ])
+    def test_non_finite_coefficients_rejected(self, kind, coeffs, named):
+        with pytest.raises(ValueError, match=f"^edge 0->1: coefficients must be finite, got {named}$"):
+            Edge(0, 1, kind, coeffs)
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
     def test_grad_lipschitz_bounds_the_slope(self, p):
         prob = TrafficProblem(2, [Edge(0, 1, "bpr", (1.0, 1.0, p)), Edge(0, 1, "affine", (0.5, 0.1))], [(0, 1)])
@@ -353,6 +373,31 @@ class TestEdgeKinds:
             slope = (edge.latency(q + h) - edge.latency(q)) / h
             assert slope.max() <= edge.latency_slope_bound() * (1 + 1e-6)
         assert prob.grad_lipschitz == max(e.latency_slope_bound() for e in prob.edges) == p
+
+
+class TestPathTable:
+    def test_padding_is_neither_feasible_nor_a_best_response(self):
+        prob = five_node_network()
+        assert [len(prob.paths[od]) for od in prob.od_pairs] == [5, 3]      # (0, 3) has two padding rows
+        xs = np.array(prob.od_pairs, dtype=float)
+        n_e = len(prob.edges)
+        assert not prob.feasible_batch(xs, np.zeros((len(xs), n_e))).any()
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            # a padding row costs 0 at any dual, less than every path at positive ones
+            ys = prob.best_response_batch(rng.uniform(0.1, 2.0, n_e), xs)
+            assert ys.sum(axis=1).min() >= 1.0
+            assert prob.feasible_batch(xs, ys).all()
+
+    def test_indicators_are_read_only_views_of_the_table(self):
+        prob = five_node_network()
+        for i, od in enumerate(prob.od_pairs):
+            ind = prob.indicators[od]
+            assert np.shares_memory(ind, prob._path_table) and not ind.flags.writeable
+            assert [tuple(np.flatnonzero(row)) for row in ind] == prob.paths[od]
+            assert ind.tobytes() == prob._path_table[i, : len(prob.paths[od])].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                ind[0, 0] = 2.0
 
 
 class TestGroupedCosts:
@@ -398,7 +443,7 @@ class TestWholeVectorCosts:
         assert not TrafficProblem(*mixed_network(tmp_path))._one_kind
 
 
-# -- the per-edge costs and the NaN-masked argmin from before the grouped costs --
+# -- the per-edge costs and the masked argmin from before the grouped costs --
 
 def per_edge_latency(edge, q):
     if edge.phi_kind == "affine":
@@ -431,7 +476,7 @@ class PerEdgeTraffic(TrafficProblem):
     def best_response_batch(self, lam, xs):
         od = self._od_index(xs)
         costs = self._path_table @ lam
-        best = np.argmin(np.where(np.isnan(costs), np.inf, costs), axis=1)
+        best = np.argmin(np.where(np.isinf(self._pad_costs), np.inf, costs), axis=1)
         return self._path_table[od, best[od]]
 
 
