@@ -34,11 +34,12 @@ from pathlib import Path
 import numpy as np
 
 from .examples import PROBLEM_CLASSES
-from .measures import EmpiricalMeasure, _is_uniform, _write_csv, _write_json, first_marginal, validate_feasible
+from .measures import (EmpiricalMeasure, _is_uniform, _require_space, _write_csv, _write_json, first_marginal,
+                       validate_feasible)
 from .problem import OracleError, _count, _integer
 from .quantize import SourceDistribution, grid_truncation, quantize_grid, quantize_sample
 from .solvers import SolverConfig, fw_solve, sfw_solve
-from .transport import _bridge as bridge     # cmd_bridge makes the library bridge's checks itself
+from .transport import _bridge as bridge, _finite_pairwise     # cmd_bridge checks its inputs itself, each under its flag
 
 CONFIG_SCHEMA = 1
 CONFIG_KEYS = ("schema", "problem", "marginal", "solver", "repeats")
@@ -124,8 +125,8 @@ def _load_mu0(path, label: str, space: str) -> EmpiricalMeasure:
         payload = json.load(fh)
     with _input(f"{label}: {path} holds no measure"):
         m = EmpiricalMeasure.from_json_dict(payload["measure"] if "measure" in payload else payload)
-    if m.space != space:
-        raise ConfigError(f"{label}: {path} holds a measure on {m.space}, not on {space}")
+    with _input(label):
+        _require_space(m, space, str(path))
     return m
 
 
@@ -179,9 +180,6 @@ def build_marginal(marginal_cfg: dict, problem, seed: int) -> EmpiricalMeasure:
             draw_seed = _integer(marginal_cfg.get("seed", seed), "seed") if method == "sample" else None
         with _input(f"{label}: dist"):
             m = quantize_grid(dist, n) if method == "grid" else quantize_sample(dist, n, draw_seed)
-        cap = getattr(problem, "stock_cap", None)
-        if cap is not None:
-            m = EmpiricalMeasure("X", xs=np.clip(m.xs, 0.0, cap), weights=m.weights, validate=False)
     with _input(label):
         problem.initial_decision_batch(m.xs)
     return m
@@ -299,18 +297,12 @@ def cmd_bridge(args) -> int:
     problem = build_problem(problem_cfg)
     mu0 = _load_mu0(args.mu0, "--mu0", "Z")
     m1 = _load_mu0(args.m1, "--m1", "X")
-    # the library bridge's checks, each under its flag; the plan below makes none
     with _input("--m1"):
         problem.initial_decision_batch(m1.xs)
     with _input("--mu0"):
         validate_feasible(mu0, problem)
     with _input("--m1"):
-        # the plan takes a finite ground metric between the marginals' atoms
-        x0, x1 = first_marginal(mu0).xs, m1.xs
-        far = np.argwhere(~np.isfinite(problem.metric.pairwise(x0, x1)))
-        if len(far):
-            raise ValueError(f"no transport plan reaches it from the marginal of --mu0 on a finite ground metric: "
-                             f"the distance from x={x0[far[0, 0]]} to x={x1[far[0, 1]]} is infinite")
+        _finite_pairwise(problem.metric, first_marginal(mu0).xs, m1.xs)
     out = _out_dir(args.out)
     result = bridge(mu0, m1, problem)
     report = {"schema": 1, "problem": problem.describe(), "d1": result.transport_cost,

@@ -246,9 +246,9 @@ GAP_NEGATIVITY_TOL = 1e-9
 def clamp_gap(raw: float) -> float:
     """Zero out float-cancellation negatives; reject genuine ones and non-finite gaps."""
     if not math.isfinite(raw):
-        raise RuntimeError(f"non-finite optimality gap {raw}: an oracle violated its contract")
+        raise OracleError(f"non-finite optimality gap {raw}: an oracle violated its contract")
     if raw < -GAP_NEGATIVITY_TOL:
-        raise RuntimeError(f"negative optimality gap {raw:.3e}: an oracle violated its contract")
+        raise OracleError(f"negative optimality gap {raw:.3e}: an oracle violated its contract")
     return max(raw, 0.0)
 
 

@@ -268,6 +268,16 @@ def _assignment(D):
     return col4row, u, v
 
 
+def _finite_pairwise(metric: MetricSpec, X0: np.ndarray, X1: np.ndarray) -> np.ndarray:
+    """The finite-metric rule of every plan: ``metric.pairwise(X0, X1)``, of which no entry may be infinite."""
+    D = metric.pairwise(X0, X1)
+    far = np.argwhere(~np.isfinite(D))
+    if len(far):
+        raise ValueError(f"the ground metric is not finite on the support pairs: "
+                         f"the distance from x={X0[far[0, 0]]} to x={X1[far[0, 1]]} is infinite")
+    return D
+
+
 def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> Coupling:
     """Exactly optimal coupling of two empirical marginals.
 
@@ -278,16 +288,14 @@ def ot_solve(m0: EmpiricalMeasure, m1: EmpiricalMeasure, metric: MetricSpec) -> 
     :func:`_monotone_potential`.  Every reduced cost ``d(x, x2) - u - v``
     must be at least ``-DUAL_TOL``, and the plan cost within ``DUAL_TOL``
     of the dual value ``u.m0 + v.m1``; a plan that fails raises
-    ``RuntimeError``.  Marginals whose parameters differ in width raise
-    ``ValueError``.
+    ``RuntimeError``.  Marginals of parameters that differ in width, or
+    with a pair of atoms at infinite distance, raise ``ValueError``.
     """
     _require_space(m0, "X", "m0")
     _require_space(m1, "X", "m1")
     if m0.xs.shape[1] != m1.xs.shape[1]:
         raise ValueError(f"m0 has parameters of width {m0.xs.shape[1]}, m1 of width {m1.xs.shape[1]}")
-    D = metric.pairwise(m0.xs, m1.xs)
-    if not np.all(np.isfinite(D)):
-        raise ValueError("ground metric is not finite on the support pairs")
+    D = _finite_pairwise(metric, m0.xs, m1.xs)
     if metric.kind == "euclidean" and m0.xs.shape[1] == 1:
         # optimal for |x - x2| by monotonicity
         rows, cols, masses = _monotone_1d(m0, m1)

@@ -157,6 +157,49 @@ class TestSolveVerb:
         assert capsys.readouterr().err.startswith("oracle failure: ")
         assert not (out / "final.json").exists()
 
+    def test_negative_certificate_gap_is_an_oracle_failure(self, tmp_path, capsys, monkeypatch):
+        from mfo.examples import ResourceProblem
+
+        # best responses at lam with lam[1:] negated: feasible decisions, but no minimizers
+        best_response_batch = ResourceProblem.best_response_batch
+        monkeypatch.setattr(ResourceProblem, "best_response_batch",
+                            lambda self, lam, xs: best_response_batch(self, np.concatenate([lam[:1], -lam[1:]]), xs))
+        cfg = write_config(tmp_path / "cfg.json", problem={"name": "resource", "steps": 10},
+                           marginal={"dist": "exponential:1", "n": 5},
+                           solver={"algorithm": "fw", "iterations": 3})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"oracle failure: negative optimality gap -\d\.\d{3}e-\d\d: "
+                            r"an oracle violated its contract \(run seed 1\)\n", err), err
+        assert not (out / "final.json").exists()
+
+    def test_negative_drawn_stock_is_a_config_error(self, tmp_path, capsys):
+        # a dist draw is checked by the game as an atom is: nothing is clipped
+        cfg = write_config(tmp_path / "cfg.json", marginal={"dist": "uniform:-1,1", "n": 6, "seed": 3},
+                           solver={"algorithm": "fw", "iterations": 3})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: the marginal block: x=-0.8287016657127513 is a negative "
+                                           "stock: no extraction profile fits it\n")
+        assert not out.exists()
+
+    def test_drawn_stock_above_stock_cap_is_kept(self, tmp_path):
+        # stock_cap sets the game's set_lipschitz; it bounds no stock
+        problem = {"name": "resource", "steps": 10, "stock_cap": 1}
+        solver = {"algorithm": "fw", "iterations": 3}
+        m = tmp_path / "m.json"
+        assert main(["quantize", "--dist", "uniform:0,2", "--n", "8", "--seed", "2", "--out", str(m)]) == 0
+        atoms = json.loads(m.read_text())["atoms"]
+        assert max(atom["x"][0] for atom in atoms) > 1
+        runs = {}
+        for name, marginal in (("dist", {"dist": "uniform:0,2", "n": 8, "seed": 2}), ("atoms", {"atoms": atoms})):
+            cfg = write_config(tmp_path / f"{name}.json", problem=problem, marginal=marginal, solver=solver)
+            runs[name] = tmp_path / name
+            assert main(["solve", "--config", str(cfg), "--out", str(runs[name])]) == 0
+        for artifact in ("marginal.json", "final.json", "extraction.csv"):
+            assert (runs["dist"] / artifact).read_bytes() == (runs["atoms"] / artifact).read_bytes(), artifact
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 1, "problem": {"name": "nope"}, "marginal": {}}))
@@ -654,7 +697,7 @@ class TestQuantizeVerb:
     ("atoms", [{"x": [1.0], "w": 0.5}], "the marginal block: atoms: weights sum to 0.5, expected 1"),
     ("file", "not_json", "the marginal block: {tmp}/m.json: line 1, column 2: "),
     ("file", "config", "the marginal block: {tmp}/m.json holds no measure: missing key 'space'"),
-    ("file", "pairs", "the marginal block: {tmp}/m.json holds a measure on Z, not on X"),
+    ("file", "pairs", "the marginal block: {tmp}/m.json must be a measure on X, got one on Z"),
     ("--dist", "foo:1", "--dist: cannot parse distribution spec 'foo:1'"),
     ("--dist", "uniform:1,0", "--dist: uniform needs high > low"),
     ("--dist", "uniform:a", "--dist: could not convert string to float: 'a'"),
@@ -890,7 +933,7 @@ class TestBridgeVerb:
         ("missing", "cannot read {path}: No such file or directory"),
         ("not_json", "{path}: line 1, column 2: "),
         ("config", "{path} holds no measure: missing key 'space'"),
-        ("wrong_space", "{path} holds a measure on {other}, not on {space}"),
+        ("wrong_space", "{path} must be a measure on {space}, got one on {other}"),
     ])
     def test_bad_input_file_is_a_config_error(self, tmp_path, capsys, flag, fault, message):
         files = {"--mu0": tmp_path / "mu0.json", "--m1": tmp_path / "m1.json"}
@@ -989,9 +1032,31 @@ class TestBridgeVerb:
         assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(m1), "--config", str(cfg),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
-            "config error: --m1: no transport plan reaches it from the marginal of --mu0 on a finite ground "
-            "metric: the distance from x=[0. 1.] to x=[2. 3.] is infinite")
+            "config error: --m1: the ground metric is not finite on the support pairs: "
+            "the distance from x=[0. 1.] to x=[2. 3.] is infinite")
         assert not out.exists()
+
+    def test_lp_bridge_repeats_byte_for_byte(self, tmp_path):
+        # a w = 0 atom, which the stored measure's merge drops, leaves a 3-atom marginal of
+        # unequal weights: its plan to the 40-atom target is the transportation LP
+        cfg = write_config(tmp_path / "cfg.json",
+                           problem={"name": "resource", "horizon": 10, "steps": 50, "discount": 1.0,
+                                    "price_impact": 1.0},
+                           marginal={"atoms": [{"x": 0.5, "w": 0.25}, {"x": 1.0, "w": 0.0}, {"x": 1.5, "w": 0.375},
+                                               {"x": 2.5, "w": 0.375}]},
+                           solver={"algorithm": "fw", "iterations": 50})
+        m1 = tmp_path / "m1.json"
+        assert main(["quantize", "--dist", "exponential:1", "--n", "40", "--seed", "5", "--out", str(m1)]) == 0
+        for name in ("base", "again"):
+            run = tmp_path / name
+            assert main(["solve", "--config", str(cfg), "--out", str(run), "--seed", "1"]) == 0
+            assert main(["bridge", "--mu0", str(run / "final.json"), "--m1", str(m1), "--config", str(cfg),
+                         "--out", str(tmp_path / f"{name}-bridged")]) == 0
+        final = json.loads((tmp_path / "base" / "final.json").read_text())
+        assert len(first_marginal(EmpiricalMeasure.from_json_dict(final["measure"]))) == 3
+        for artifact in ("bridged.json", "bridge_report.json"):
+            assert ((tmp_path / "base-bridged" / artifact).read_bytes()
+                    == (tmp_path / "again-bridged" / artifact).read_bytes()), artifact
 
     def test_negative_resource_stock_is_a_config_error(self, tmp_path, capsys):
         # even q = 0 overspends a negative stock: no decision is feasible there

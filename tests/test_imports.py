@@ -95,6 +95,32 @@ print(rho.cost)
     assert json.loads((tmp_path / "runs/bridged/bridge_report.json").read_text())["d1"] > 0
 
 
+def test_congestion_sfw_solve_and_monotone_bridge_run_without_scipy(tmp_path):
+    # 50 starts bridged to 80: the plan on R is the monotone one
+    cfg = {"problem": {"name": "congestion", "steps": 20, "grid_substeps": 50},
+           "marginal": {"dist": "uniform:0,0.2", "n": 50, "method": "sample"},
+           "solver": {"algorithm": "sfw", "iterations": 10, "n_sims": 3}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    result = run_python(NO_SCIPY + f"""
+import contextlib
+import io
+import os
+
+from mfo.cli import main
+
+os.chdir({str(tmp_path)!r})
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["solve", "--config", "cfg.json", "--out", "runs/base", "--seed", "1"]) == 0
+    assert main(["quantize", "--dist", "uniform:0,0.2", "--n", "80", "--seed", "7", "--out", "m1.json"]) == 0
+    assert main(["bridge", "--mu0", "runs/base/final.json", "--m1", "m1.json",
+                 "--config", "cfg.json", "--out", "runs/bridged"]) == 0
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+""")
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "runs/bridged/bridge_report.json").read_text())
+    assert report["d1"] > 0 and len(report["coupling"]["entries"]) >= 80
+
+
 def test_ot_solve_loads_scipy_for_its_plan():
     # a non-uniform pair in two dimensions: the transportation LP
     result = run_python("""

@@ -16,7 +16,7 @@ from mfo import (
     ot_solve,
     value_directional_derivative,
 )
-from mfo.problem import MfoProblem, _inner, _norm, _support_values, clamp_gap
+from mfo.problem import GAP_NEGATIVITY_TOL, MfoProblem, OracleError, _inner, _norm, _support_values, clamp_gap
 from mfo.examples import CongestionProblem, ResourceProblem, TrafficProblem
 from mfo.examples.traffic import Edge, TrafficSweep, pigou_network
 
@@ -301,6 +301,20 @@ class TestNonFiniteValues:
     def test_clamp_gap_rejects_non_finite(self, raw):
         with pytest.raises(RuntimeError, match="non-finite optimality gap"):
             clamp_gap(raw)
+
+    @pytest.mark.parametrize("raw, message", [
+        (math.nan, "non-finite optimality gap nan"),
+        (-math.inf, "non-finite optimality gap -inf"),
+        (-1e-3, "negative optimality gap -1.000e-03"),
+    ], ids=["nan", "minus_inf", "negative"])
+    def test_clamp_gap_faults_are_oracle_errors(self, raw, message):
+        # the CLI reports an OracleError as an oracle failure, exit code 3
+        with pytest.raises(OracleError, match=f"^{message}: an oracle violated its contract$"):
+            clamp_gap(raw)
+
+    def test_clamp_gap_zeroes_cancellation_negatives(self):
+        assert clamp_gap(-0.5 * GAP_NEGATIVITY_TOL) == 0.0
+        assert clamp_gap(0.25) == 0.25
 
     def test_non_finite_aggregate_is_rejected(self):
         mu = EmpiricalMeasure.from_atoms("Z", [([0, 1], [1.0, 0.0], 1.0)])

@@ -5,8 +5,10 @@ import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
 import mfo.transport
-from mfo import EmpiricalMeasure, MetricSpec, SourceDistribution, bridge, first_marginal, ot_solve, quantize_sample
+from mfo import (EmpiricalMeasure, MetricSpec, SolverConfig, SourceDistribution, bridge, first_marginal, fw_solve,
+                 ot_solve, quantize_sample)
 from mfo.examples import TrafficProblem, grid_network
+from mfo.examples.traffic import Edge
 from mfo.problem import QuadraticCostProblem
 from mfo.transport import Coupling, _assignment
 
@@ -211,6 +213,34 @@ class TestOtSolve:
         m1 = EmpiricalMeasure("X", xs=np.ones((3, w1)), weights=np.full(3, 1 / 3))
         with pytest.raises(ValueError, match=f"m0 has parameters of width {w0}, m1 of width {w1}"):
             ot_solve(m0, m1, EUCLID)
+
+
+class TestFiniteGroundMetric:
+    """A plan is solved on a finite ground metric: ``ot_solve`` and ``bridge`` name the first pair of atoms at
+    infinite distance."""
+
+    MESSAGE = (r"^the ground metric is not finite on the support pairs: "
+               r"the distance from x=\[0\. 1\.\] to x=\[2\. 3\.\] is infinite$")
+
+    @staticmethod
+    def two_components():
+        # (0, 1) and (2, 3) lie in two components: the hop metric between them is inf
+        edges = [Edge(0, 1, "affine", (1.0, 0.0)), Edge(0, 1, "affine", (0.0, 1.0)), Edge(2, 3, "affine", (1.0, 0.5))]
+        prob = TrafficProblem(4, edges, [(0, 1), (2, 3)])
+        m0 = EmpiricalMeasure("X", xs=np.array([[0.0, 1.0]]), weights=np.ones(1))
+        m1 = EmpiricalMeasure("X", xs=np.array([[0.0, 1.0], [2.0, 3.0]]), weights=np.full(2, 0.5))
+        return prob, m0, m1
+
+    def test_ot_solve(self):
+        prob, m0, m1 = self.two_components()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            ot_solve(m0, m1, prob.metric)
+
+    def test_bridge(self):
+        prob, m0, m1 = self.two_components()
+        mu0 = fw_solve(prob, m0, SolverConfig(iterations=3)).final_measure
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            bridge(mu0, m1, prob)
 
 
 def assert_duals_certify(D, cols, u, v):
